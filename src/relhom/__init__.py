@@ -20,7 +20,6 @@ from .invariants import (
     invariant_record,
     is_monomial_regular_sequence,
     mu,
-    sop_search,
     sop_witness_by_support,
 )
 from .monomials import (
@@ -59,7 +58,6 @@ from .properties import (
 )
 from .slices import (
     DegreeBox,
-    cech_piece,
     ext_profile,
     ext_slice,
     ext_table,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / property holds, 1 property false or suite
-violations, 2 input error, 3 internal engine disagreement.
+violations, 2 input error, 3 internal engine disagreement, 4 any other
+internal error.
 """
 
 from __future__ import annotations
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
     except (RingMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must never read as "property false"
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,25 +12,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .monomials import (
     MonomialIdeal,
     MonomialPrime,
-    RingMismatchError,
+    _check_pair,
     degree,
     erase_to_one,
     erase_to_zero,
     minimal_generators,
     minimal_primes,
-    monomials_up_to,
     quotient,
     quotient_dimension,
     radical,
     sum_ideals,
     support,
+    zero_ideal,
 )
-from .slices import ext_profile, lc_profile
+from .slices import DegreeBox, ext_profile, lc_profile
 from .taylor import depth_quotient, pd_quotient
 
 __all__ = [
@@ -48,8 +49,8 @@ __all__ = [
     "cd_of_prime_quotient",
     "a_id",
     "is_monomial_regular_sequence",
-    "sop_search",
     "sop_witness_by_support",
+    "PairAnalysis",
     "invariant_record",
 ]
 
@@ -62,13 +63,6 @@ class EngineDisagreementError(RuntimeError):
         super().__init__(f"engine disagreement on {what}: {detail}")
         self.what = what
         self.values = dict(values)
-
-
-def _check_pair(a: MonomialIdeal, I: MonomialIdeal):
-    if a.ring != I.ring:
-        raise RingMismatchError("ideals live over different rings")
-    if a.is_unit:
-        raise ValueError("the relative ideal must be proper")
 
 
 def mu(a: MonomialIdeal) -> int:
@@ -213,67 +207,37 @@ SOP_NONE_AMONG_MONOMIALS = "none_among_monomials"
 SOP_DEGENERATE_ZERO_LENGTH = "degenerate_zero_length"
 
 
-def _radical_supports(gens) -> frozenset[frozenset[int]]:
-    """Minimal antichain of generator supports; a canonical form of the radical."""
-    supports = {support(g) for g in gens}
-    return frozenset(s for s in supports if not any(t < s for t in supports))
-
-
-def sop_search(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> SopWitness:
-    """Exhaustive search for a length-cd sequence of monomials of a whose
-    radical together with I matches that of a + I.
-
-    Scans all combinations of monomials of a up to the total degree bound in
-    lexicographic order and returns the first witness.  A found witness
-    certifies that the arithmetic rank equals cd.  ``none_among_monomials``
-    must not be read as nonexistence: a genuine witness may need larger
-    degrees or non-monomial elements.
-    """
-    _check_pair(a, I)
-    c = cd(a, I)
-    if c is None:
-        raise ValueError("degenerate module: cd undefined")
-    target = _radical_supports(sum_ideals(a, I).gens)
-    if c == 0:
-        assert _radical_supports(I.gens) == target
-        return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
-    # support-level feasibility decides existence outright (the radical test
-    # only sees squarefree supports), so an infeasible search exits without
-    # enumerating monomial combinations
-    if not sop_witness_by_support(a, I, degree_bound).found:
-        return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
-    base = _radical_supports(I.gens)
-    candidates = [e for e in monomials_up_to(a.ring.n, degree_bound) if any(e) and a.contains_monomial(e)]
-    for combo in itertools.combinations(candidates, c):
-        if _radical_supports_with(base, [support(e) for e in combo]) == target:
-            return SopWitness(SOP_FOUND, combo, degree_bound)
-    return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
-
-
-def _radical_supports_with(base: frozenset[frozenset[int]], extra) -> frozenset[frozenset[int]]:
-    supports = set(base) | set(extra)
+def _radical_supports(supports) -> frozenset[frozenset[int]]:
+    """Minimal antichain of a family of supports; a canonical form of the radical."""
+    supports = set(supports)
     return frozenset(s for s in supports if not any(t < s for t in supports))
 
 
 def sop_witness_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> SopWitness:
     """Search for a relative system of parameters at the level of supports.
 
-    Only the squarefree support of each element affects the radical
-    condition, and a support is realizable by a monomial of a within the
-    degree bound iff some generator fits under it cheaply enough.  Existence
-    of a witness here is therefore equivalent to :func:`sop_search` finding
-    one at the same bound, at a fraction of the cost; the returned witness
-    may differ.
+    A found witness (a length-cd sequence of monomials of a with the radical
+    of a + I) certifies that the arithmetic rank equals cd;
+    ``none_among_monomials`` is no proof of nonexistence.  Only the
+    squarefree support of each element affects the radical condition, and a
+    support is realizable by a monomial of a within the degree bound iff
+    some generator fits under it cheaply enough, so this finds a witness iff
+    an exhaustive search over the monomials of a does, at a fraction of the
+    cost; the returned witness may differ.
     """
     _check_pair(a, I)
-    c = cd(a, I)
+    return _sop_search(a, I, cd(a, I), degree_bound)
+
+
+def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bound: int) -> SopWitness:
+    """The search of :func:`sop_witness_by_support` for the already-checked cd ``c``."""
     if c is None:
         raise ValueError("degenerate module: cd undefined")
     if c == 0:
         return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
     n = a.ring.n
-    target = _radical_supports(sum_ideals(a, I).gens)
-    base = _radical_supports(I.gens)
+    target = _radical_supports(map(support, sum_ideals(a, I).gens))
+    base = _radical_supports(map(support, I.gens))
     achievable: list[tuple[frozenset[int], tuple[int, ...]]] = []
     for fbits in range(1, 1 << n):
         fset = frozenset(j for j in range(n) if (fbits >> j) & 1)
@@ -287,7 +251,7 @@ def sop_witness_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int
             achievable.append((fset, best))
     achievable.sort(key=lambda item: item[1])
     for combo in itertools.combinations(achievable, c):
-        if _radical_supports_with(base, [fs for fs, _ in combo]) == target:
+        if _radical_supports(base.union(fs for fs, _ in combo)) == target:
             return SopWitness(SOP_FOUND, tuple(e for _, e in combo), degree_bound)
     return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
 
@@ -322,51 +286,100 @@ class InvariantRecord:
         }
 
 
+class PairAnalysis:
+    """The cross-checked numbers of one pair (a, S/I), each computed at most once.
+
+    Each number is computed on first use through the engines above, so a
+    cross-check runs once per pair however many verdicts read its number.
+    ``ring`` is the analysis of (a, S) with the same settings.  The inputs
+    and the stabilization box are validated up front, before any scan.
+    """
+
+    def __init__(self, a: MonomialIdeal, I: MonomialIdeal, pad: int = 0, degree_bound: int = 4):
+        _check_pair(a, I)
+        self.a, self.I, self.pad, self.degree_bound = a, I, pad, degree_bound
+        self.box = DegreeBox.for_ideals(a, I, pad=pad)
+        self.mu = mu(a)
+        self.degenerate = I.is_unit  # the module is zero
+
+    @cached_property
+    def ring(self) -> "PairAnalysis":
+        if self.I.is_zero:
+            return self
+        return PairAnalysis(self.a, zero_ideal(self.a.ring), self.pad, self.degree_bound)
+
+    @cached_property
+    def grade(self) -> Optional[int]:
+        return grade(self.a, self.I, self.pad)
+
+    @cached_property
+    def cd(self) -> Optional[int]:
+        return cd(self.a, self.I, self.pad)
+
+    @cached_property
+    def a_id(self) -> Optional[int]:
+        return a_id(self.a, self.I, self.pad)
+
+    @cached_property
+    def ext_profile(self) -> frozenset[int]:
+        return ext_profile(self.a, self.I, self.pad)
+
+    @cached_property
+    def sop(self) -> SopWitness:
+        return _sop_search(self.a, self.I, self.cd, self.degree_bound)
+
+    @cached_property
+    def generators_regular(self) -> bool:
+        """Whether the minimal generators of a form a regular sequence on S/I."""
+        return is_monomial_regular_sequence(self.a.gens, self.I)
+
+    @cached_property
+    def record(self) -> InvariantRecord:
+        """Full invariant record.
+
+        The arithmetic-rank interval is [cd, mu]; a found system of
+        parameters tightens the upper end to cd.
+        """
+        m = self.mu
+        provenance = [
+            ("grade", "ext_box"),
+            ("cd", "cech_box"),
+            ("a_id", "ext_box"),
+            ("pd", "taylor"),
+            ("depth", "taylor+auslander_buchsbaum"),
+            ("dim", "minimal_primes"),
+            ("ara", "interval[cd,mu]"),
+        ]
+        if self.degenerate:
+            return InvariantRecord(None, None, m, None, None, None, None, None, None, tuple(provenance))
+        g, c, ai = self.grade, self.cd, self.a_id
+        if not (g <= c <= m):
+            raise EngineDisagreementError(
+                f"grade <= cd <= mu for ({self.a}; {self.I})", {"grade": g, "cd": c, "mu": m}
+            )
+        ara_upper = m
+        if self.sop.found:
+            ara_upper = c
+            provenance[-1] = ("ara", "sop_found")
+        return InvariantRecord(
+            grade=g,
+            cd=c,
+            mu=m,
+            a_id=ai,
+            pd=pd_quotient(self.I),
+            depth=depth_quotient(self.I),
+            dim=quotient_dimension(self.I),
+            ara_lower=c,
+            ara_upper=ara_upper,
+            provenance=tuple(provenance),
+        )
+
+
 def invariant_record(
     a: MonomialIdeal,
     I: MonomialIdeal,
     pad: int = 0,
     degree_bound: int = 4,
 ) -> InvariantRecord:
-    """Full invariant record for the pair (a, S/I).
-
-    The arithmetic-rank interval is [cd, mu]; a found system of parameters
-    tightens the upper end to cd.
-    """
-    _check_pair(a, I)
-    m = mu(a)
-    provenance = [
-        ("grade", "ext_box"),
-        ("cd", "cech_box"),
-        ("a_id", "ext_box"),
-        ("pd", "taylor"),
-        ("depth", "taylor+auslander_buchsbaum"),
-        ("dim", "minimal_primes"),
-        ("ara", "interval[cd,mu]"),
-    ]
-    if I.is_unit:
-        return InvariantRecord(None, None, m, None, None, None, None, None, None, tuple(provenance))
-    g = grade(a, I, pad)
-    c = cd(a, I, pad)
-    ai = a_id(a, I, pad)
-    if not (g <= c <= m):
-        raise EngineDisagreementError(
-            f"grade <= cd <= mu for ({a}; {I})", {"grade": g, "cd": c, "mu": m}
-        )
-    witness = sop_witness_by_support(a, I, degree_bound)
-    ara_upper = m
-    if witness.found:
-        ara_upper = c
-        provenance[-1] = ("ara", "sop_found")
-    return InvariantRecord(
-        grade=g,
-        cd=c,
-        mu=m,
-        a_id=ai,
-        pd=pd_quotient(I),
-        depth=depth_quotient(I),
-        dim=quotient_dimension(I),
-        ara_lower=c,
-        ara_upper=ara_upper,
-        provenance=tuple(provenance),
-    )
+    """Full invariant record for the pair (a, S/I); see :attr:`PairAnalysis.record`."""
+    return PairAnalysis(a, I, pad, degree_bound).record

@@ -45,7 +45,12 @@ __all__ = [
     "format_monomial",
     "degree",
     "support",
+    "MAX_EXPONENT",
 ]
+
+# every exponent must fit, with room for a box bound added to it, in the
+# int16 degree grids of the slice and Taylor engines (see slices.DegreeBox)
+MAX_EXPONENT = 2**14 - 1
 
 
 class RingMismatchError(ValueError):
@@ -151,6 +156,8 @@ class MonomialIdeal:
                 raise ValueError(f"exponent vector {g} does not match ring with {n} variables")
             if any(x < 0 for x in g):
                 raise ValueError(f"negative exponent in {g}")
+            if any(x > MAX_EXPONENT for x in g):
+                raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
         if list(gens) != sorted(set(gens)):
             raise ValueError("generators are not in canonical sorted order")
         for a in gens:
@@ -222,6 +229,13 @@ class MonomialPrime:
 def _check_ring(A: MonomialIdeal, B: MonomialIdeal):
     if A.ring != B.ring:
         raise RingMismatchError("ideals live over different rings")
+
+
+def _check_pair(a: MonomialIdeal, I: MonomialIdeal):
+    """Input check of a pair (a, S/I): one ring and a proper relative ideal."""
+    _check_ring(a, I)
+    if a.is_unit:
+        raise ValueError("the relative ideal must be proper")
 
 
 def minimal_generators(ring: RingSpec, gens) -> MonomialIdeal:

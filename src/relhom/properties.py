@@ -18,24 +18,12 @@ from typing import Optional
 
 from .invariants import (
     EngineDisagreementError,
-    SopWitness,
-    cd,
-    cd_of_prime_quotient,
-    grade,
-    invariant_record,
-    is_monomial_regular_sequence,
-    mu,
-    sop_witness_by_support,
     InvariantRecord,
+    PairAnalysis,
+    SopWitness,
+    cd_of_prime_quotient,
 )
-from .monomials import (
-    MonomialIdeal,
-    RingMismatchError,
-    associated_primes,
-    format_monomial,
-    zero_ideal,
-)
-from .slices import DegreeBox, ext_profile
+from .monomials import MonomialIdeal, associated_primes, format_monomial, zero_ideal
 
 __all__ = [
     "PropertyReport",
@@ -49,11 +37,68 @@ __all__ = [
 ]
 
 
-def _check_pair(a: MonomialIdeal, I: MonomialIdeal):
-    if a.ring != I.ring:
-        raise RingMismatchError("ideals live over different rings")
-    if a.is_unit:
-        raise ValueError("the relative ideal must be proper")
+# Each verdict is a derivation over one PairAnalysis; None marks a verdict
+# that is not applicable to the zero module.
+
+def _cm(x: PairAnalysis) -> bool:
+    if x.degenerate:
+        return True
+    by_definition = x.grade == x.cd
+    by_ass_primes = all(cd_of_prime_quotient(x.a, P) == x.grade for P in associated_primes(x.I))
+    if by_definition != by_ass_primes:
+        raise EngineDisagreementError(
+            f"relative CM({x.a}; {x.I})",
+            {"grade_eq_cd": by_definition, "ass_prime_criterion": by_ass_primes},
+        )
+    return by_definition
+
+
+def _max_cm(x: PairAnalysis) -> Optional[bool]:
+    if x.degenerate:
+        return None
+    return x.grade == x.ring.cd
+
+
+def _gorenstein(x: PairAnalysis) -> Optional[bool]:
+    if x.degenerate:
+        return None
+    c_ring = x.ring.cd
+    concentrated = x.ext_profile == frozenset({c_ring})
+    via_max_cm = _max_cm(x) and max(x.ext_profile) <= c_ring
+    if concentrated != via_max_cm:
+        raise EngineDisagreementError(
+            f"relative Gorenstein({x.a}; {x.I})",
+            {"profile_concentrated": concentrated, "max_cm_and_upper_vanishing": via_max_cm},
+        )
+    return concentrated
+
+
+def _regular_ring(x: PairAnalysis) -> bool:
+    return x.ring.grade == x.mu
+
+
+def _generator_witness(x: PairAnalysis) -> bool:
+    """Whether the minimal generators of a form a regular sequence on both S/I and S."""
+    return x.generators_regular and x.ring.generators_regular
+
+
+def _regular_module(x: PairAnalysis) -> bool:
+    if x.degenerate:
+        return True
+    numeric = x.grade == x.ring.grade == x.mu
+    witness = _generator_witness(x)
+    if witness and not numeric:
+        raise EngineDisagreementError(
+            f"relative regular({x.a}; {x.I})",
+            {"numeric": numeric, "generator_regular_sequence": witness},
+        )
+    return numeric
+
+
+def _applicable(verdict: Optional[bool]) -> bool:
+    if verdict is None:
+        raise ValueError("degenerate module: the comparison needs a nonzero module")
+    return verdict
 
 
 def is_relative_cm(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
@@ -62,26 +107,12 @@ def is_relative_cm(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
     Cross-check: cd on the quotient by every associated prime of I must
     equal the grade.
     """
-    _check_pair(a, I)
-    if I.is_unit:
-        return True
-    g = grade(a, I, pad)
-    by_definition = g == cd(a, I, pad)
-    by_ass_primes = all(cd_of_prime_quotient(a, P) == g for P in associated_primes(I))
-    if by_definition != by_ass_primes:
-        raise EngineDisagreementError(
-            f"relative CM({a}; {I})",
-            {"grade_eq_cd": by_definition, "ass_prime_criterion": by_ass_primes},
-        )
-    return by_definition
+    return _cm(PairAnalysis(a, I, pad))
 
 
 def is_relative_max_cm(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
     """Relative maximal Cohen-Macaulay: grade on the module equals cd on the ring."""
-    _check_pair(a, I)
-    if I.is_unit:
-        raise ValueError("degenerate module: the comparison needs a nonzero module")
-    return grade(a, I, pad) == cd(a, zero_ideal(a.ring), pad)
+    return _applicable(_max_cm(PairAnalysis(a, I, pad)))
 
 
 def is_relative_gorenstein(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
@@ -90,26 +121,12 @@ def is_relative_gorenstein(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> 
     Cross-check: maximal Cohen-Macaulay together with vanishing above that
     index decides the same property.
     """
-    _check_pair(a, I)
-    if I.is_unit:
-        raise ValueError("degenerate module: the comparison needs a nonzero module")
-    c_ring = cd(a, zero_ideal(a.ring), pad)
-    profile = ext_profile(a, I, pad)
-    concentrated = profile == frozenset({c_ring})
-    via_max_cm = is_relative_max_cm(a, I, pad) and max(profile) <= c_ring
-    if concentrated != via_max_cm:
-        raise EngineDisagreementError(
-            f"relative Gorenstein({a}; {I})",
-            {"profile_concentrated": concentrated, "max_cm_and_upper_vanishing": via_max_cm},
-        )
-    return concentrated
+    return _applicable(_gorenstein(PairAnalysis(a, I, pad)))
 
 
 def is_relative_regular_ring(a: MonomialIdeal, pad: int = 0) -> bool:
     """Relative regular ring: grade on the ring equals the number of generators."""
-    if a.is_unit:
-        raise ValueError("the relative ideal must be proper")
-    return grade(a, zero_ideal(a.ring), pad) == mu(a)
+    return _regular_ring(PairAnalysis(a, zero_ideal(a.ring), pad))
 
 
 def is_relative_regular_module(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
@@ -119,18 +136,7 @@ def is_relative_regular_module(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0)
     generators form a regular sequence on both S/I and S, the numeric
     verdict must be positive.
     """
-    _check_pair(a, I)
-    if I.is_unit:
-        return True
-    S = zero_ideal(a.ring)
-    numeric = grade(a, I, pad) == grade(a, S, pad) == mu(a)
-    witness = is_monomial_regular_sequence(a.gens, I) and is_monomial_regular_sequence(a.gens, S)
-    if witness and not numeric:
-        raise EngineDisagreementError(
-            f"relative regular({a}; {I})",
-            {"numeric": numeric, "generator_regular_sequence": witness},
-        )
-    return numeric
+    return _regular_module(PairAnalysis(a, I, pad))
 
 
 @dataclass(frozen=True)
@@ -186,9 +192,8 @@ class PropertyReport:
 
 
 def _implies(p: Optional[bool], q: Optional[bool]) -> bool:
-    if p is not True:
-        return True
-    return q is True
+    """p => q, skipping a not-applicable (None) entry on either side."""
+    return p is not True or q is not False
 
 
 def full_report(
@@ -203,47 +208,30 @@ def full_report(
     regular => Gorenstein => maximal CM => CM held among the computed
     verdicts (skipping not-applicable entries).
     """
-    _check_pair(a, I)
-    ring = a.ring
-    box = DegreeBox.for_ideals(a, I, pad=pad).rho
-    record = invariant_record(a, I, pad=pad, degree_bound=degree_bound)
-    reg_ring = is_relative_regular_ring(a, pad)
-    if I.is_unit:
-        return PropertyReport(
-            rel_cm=True,
-            rel_max_cm=None,
-            rel_gorenstein=None,
-            rel_regular_ring=reg_ring,
-            rel_regular_module=True,
-            chain_consistent=True,
-            witnesses=Witnesses(sop=None, regular_sequence=None),
-            invariants=record,
-            char=ring.char,
-            box=box,
-        )
-    cm = is_relative_cm(a, I, pad)
-    max_cm = is_relative_max_cm(a, I, pad)
-    gorenstein = is_relative_gorenstein(a, I, pad)
-    reg_module = is_relative_regular_module(a, I, pad)
-    sop = sop_witness_by_support(a, I, degree_bound)
-    S = zero_ideal(ring)
-    reg_seq = None
-    if is_monomial_regular_sequence(a.gens, I) and is_monomial_regular_sequence(a.gens, S):
-        reg_seq = a.gens
-    chain = (
-        _implies(gorenstein, max_cm)
-        and _implies(max_cm, cm)
-        and _implies(reg_module, gorenstein)
-    )
+    return _report(PairAnalysis(a, I, pad, degree_bound))
+
+
+def _report(x: PairAnalysis) -> PropertyReport:
+    """The :func:`full_report` of an analysis; every verdict reads the same numbers."""
+    record = x.record
+    reg_ring = _regular_ring(x)
+    cm, max_cm, gorenstein, reg_module = _cm(x), _max_cm(x), _gorenstein(x), _regular_module(x)
     return PropertyReport(
         rel_cm=cm,
         rel_max_cm=max_cm,
         rel_gorenstein=gorenstein,
         rel_regular_ring=reg_ring,
         rel_regular_module=reg_module,
-        chain_consistent=chain,
-        witnesses=Witnesses(sop=sop, regular_sequence=reg_seq),
+        chain_consistent=(
+            _implies(gorenstein, max_cm)
+            and _implies(max_cm, cm)
+            and _implies(reg_module, gorenstein)
+        ),
+        witnesses=Witnesses(
+            sop=None if x.degenerate else x.sop,
+            regular_sequence=x.a.gens if not x.degenerate and _generator_witness(x) else None,
+        ),
         invariants=record,
-        char=ring.char,
-        box=box,
+        char=x.a.ring.char,
+        box=x.box.rho,
     )

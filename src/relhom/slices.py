@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import rank_mod_p
-from .monomials import MonomialIdeal, RingMismatchError, support
+from .monomials import MAX_EXPONENT, MonomialIdeal, _check_pair, support
 from .taylor import incidence_sign, masks_by_size, subset_lcms
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ext_vanishes",
     "ext_vanishes_below",
     "ext_profile",
-    "cech_piece",
     "local_cohomology_slice",
     "lc_profile",
     "clear_slice_caches",
@@ -53,6 +52,9 @@ class DegreeBox:
         object.__setattr__(self, "rho", tuple(int(r) for r in self.rho))
         if any(r < 1 for r in self.rho):
             raise ValueError("box bounds must be positive")
+        # a scanned degree plus a subset lcm stays within int16
+        if any(r > MAX_EXPONENT + 1 for r in self.rho):
+            raise ValueError(f"box {self.rho} is too large: bounds above {MAX_EXPONENT + 1} overflow int16")
 
     @staticmethod
     def for_ideals(*ideals: MonomialIdeal, pad: int = 0) -> "DegreeBox":
@@ -229,9 +231,11 @@ class SliceTable:
         return out
 
 
-def _check_pair(A: MonomialIdeal, B: MonomialIdeal):
-    if A.ring != B.ring:
-        raise RingMismatchError("ideals live over different rings")
+def _check_scan(A: MonomialIdeal, B: MonomialIdeal):
+    """A pair the degree-box engines can scan: both ideals proper, prime characteristic."""
+    _check_pair(A, B)
+    if B.is_unit:
+        raise ValueError("both ideals must be proper")
     if A.ring.char == 0:
         raise ValueError("prime characteristic required by the rank engine")
 
@@ -253,9 +257,7 @@ def _check_scan_size(box: DegreeBox, generator_count: int):
 
 def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     """Slice dimensions of Ext^i(S/J, S/I) over the stabilization box."""
-    _check_pair(J, I)
-    if J.is_unit or I.is_unit:
-        raise ValueError("both ideals must be proper")
+    _check_scan(J, I)
     box = DegreeBox.for_ideals(J, I, pad=pad)
     _check_scan_size(box, len(J.gens))
     grid = box.degree_grid()
@@ -265,9 +267,7 @@ def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
 
 def lc_table(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     """Slice dimensions of the local cohomology of S/I supported on a."""
-    _check_pair(a, I)
-    if a.is_unit or I.is_unit:
-        raise ValueError("both ideals must be proper")
+    _check_scan(a, I)
     box = DegreeBox.for_ideals(a, I, pad=pad)
     _check_scan_size(box, len(a.gens))
     grid = box.degree_grid()
@@ -309,9 +309,7 @@ def lc_profile(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> frozenset[in
 
 def ext_slice(J: MonomialIdeal, I: MonomialIdeal, i: int, b, pad: int = 0) -> int:
     """Dimension of the degree-b slice of Ext^i(S/J, S/I)."""
-    _check_pair(J, I)
-    if J.is_unit or I.is_unit:
-        raise ValueError("both ideals must be proper")
+    _check_scan(J, I)
     box = DegreeBox.for_ideals(J, I, pad=pad)
     if not box.contains(b):
         raise ValueError(f"degree {tuple(b)} violates the stabilization box {box.rho}")
@@ -330,9 +328,7 @@ def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int, pad: int = 0)
     """Whether Ext^i(S/J, S/I) = 0 for every i < k (levels above k are not computed)."""
     if k <= 0:
         return True
-    _check_pair(J, I)
-    if J.is_unit or I.is_unit:
-        raise ValueError("both ideals must be proper")
+    _check_scan(J, I)
     cap = min(k, len(J.gens))
     box = DegreeBox.for_ideals(J, I, pad=pad)
     _check_scan_size(box, len(J.gens))
@@ -341,31 +337,9 @@ def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int, pad: int = 0)
     return not any(dims[i].any() for i in range(min(k, dims.shape[0])))
 
 
-def cech_piece(I: MonomialIdeal, T, b) -> int:
-    """Degree-b dimension (0 or 1) of S/I localized at the product of the monomials in T."""
-    n = I.ring.n
-    fset: set[int] = set()
-    for m in T:
-        m = tuple(int(x) for x in m)
-        if len(m) != n:
-            raise ValueError("exponent vector does not match the ring")
-        fset |= set(support(m))
-    b = tuple(int(x) for x in b)
-    if len(b) != n:
-        raise ValueError("multidegree does not match the ring")
-    outside = [j for j in range(n) if j not in fset]
-    if any(b[j] < 0 for j in outside):
-        return 0
-    restricted = tuple(b[j] for j in outside)
-    erased = [tuple(g[j] for j in outside) for g in I.gens]
-    return 0 if any(all(x <= y for x, y in zip(g, restricted)) for g in erased) else 1
-
-
 def local_cohomology_slice(a: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int:
     """Dimension of the degree-b slice of the i-th local cohomology of S/I supported on a."""
-    _check_pair(a, I)
-    if a.is_unit or I.is_unit:
-        raise ValueError("both ideals must be proper")
+    _check_scan(a, I)
     grid = np.asarray([tuple(int(x) for x in b)], dtype=np.int16)
     if grid.shape[1] != a.ring.n:
         raise ValueError("multidegree does not match the ring")

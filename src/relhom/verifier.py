@@ -20,7 +20,7 @@ import numpy as np
 from .invariants import (
     EngineDisagreementError,
     SOP_FOUND,
-    SopWitness,
+    PairAnalysis,
     a_id,
     cd,
     cd_by_support,
@@ -50,6 +50,7 @@ from .monomials import (
 )
 from .properties import (
     PropertyReport,
+    _report,
     full_report,
     is_relative_cm,
     is_relative_gorenstein,
@@ -127,29 +128,36 @@ def corpus_digest(params: CorpusParams, char: int = 32003) -> str:
 
 @dataclass
 class InstanceAnalysis:
-    """Everything the suites need about one corpus pair, computed once."""
+    """Everything the suites need about one corpus pair, computed once.
+
+    The invariants are read from ``pair``, the analysis the report was
+    derived from; the box profiles at pad 0 and 2 and pd(S/a) are computed
+    here as independent cross-checks.
+    """
 
     index: int
     a: MonomialIdeal
     i: MonomialIdeal
     error: Optional[str] = None
     report: Optional[PropertyReport] = None
+    pair: Optional[PairAnalysis] = None
     ext0: frozenset = frozenset()
     ext2: frozenset = frozenset()
     lc0: frozenset = frozenset()
     lc2: frozenset = frozenset()
-    grade: Optional[int] = None
-    cd: Optional[int] = None
-    cd_ring: Optional[int] = None
-    grade_ring: Optional[int] = None
-    a_id: Optional[int] = None
-    mu: int = 0
     pd_a: Optional[int] = None
-    sop: Optional[SopWitness] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    grade = property(lambda self: self.pair.grade)
+    cd = property(lambda self: self.pair.cd)
+    a_id = property(lambda self: self.pair.a_id)
+    mu = property(lambda self: self.pair.mu)
+    sop = property(lambda self: self.pair.sop)
+    grade_ring = property(lambda self: self.pair.ring.grade)
+    cd_ring = property(lambda self: self.pair.ring.cd)
 
     def echo(self) -> dict:
         return {"index": self.index, "a": format_ideal(self.a), "i": format_ideal(self.i)}
@@ -163,14 +171,10 @@ def analyze_instance(index: int, a: MonomialIdeal, I: MonomialIdeal, degree_boun
         x.lc2 = lc_profile(a, I, pad=2)
         x.ext0 = ext_profile(a, I, pad=0)
         x.lc0 = lc_profile(a, I, pad=0)
-        x.report = full_report(a, I, degree_bound=degree_bound)
-        rec = x.report.invariants
-        x.grade, x.cd, x.a_id, x.mu = rec.grade, rec.cd, rec.a_id, rec.mu
-        S = zero_ideal(a.ring)
-        x.cd_ring = cd(a, S)
-        x.grade_ring = grade(a, S)
+        pair = PairAnalysis(a, I, degree_bound=degree_bound)
+        x.report = _report(pair)
         x.pd_a = pd_quotient(a)
-        x.sop = x.report.witnesses.sop
+        x.pair = pair
     except EngineDisagreementError as exc:
         x.error = str(exc)
     return x

@@ -2,7 +2,8 @@
 
 The oracles reimplement divisibility, membership and small modular ranks
 from scratch so that engine tests never check an implementation against
-itself.
+itself.  ``sop_search`` and ``cech_piece`` are the brute-force forms of the
+parameter-system search and of one Cech localization piece.
 """
 
 from __future__ import annotations
@@ -12,7 +13,16 @@ import itertools
 import numpy as np
 import pytest
 
-from relhom.monomials import MonomialIdeal, RingSpec, minimal_generators
+from relhom.invariants import (
+    SOP_DEGENERATE_ZERO_LENGTH,
+    SOP_FOUND,
+    SOP_NONE_AMONG_MONOMIALS,
+    SopWitness,
+    _radical_supports,
+    cd,
+    sop_witness_by_support,
+)
+from relhom.monomials import MonomialIdeal, RingSpec, minimal_generators, monomials_up_to, sum_ideals, support
 
 
 def oracle_divides(a, b) -> bool:
@@ -60,6 +70,52 @@ def random_proper_ideal(rng: np.random.Generator, ring: RingSpec, max_exp: int, 
                 break
         gens.append(e)
     return minimal_generators(ring, gens)
+
+
+def sop_search(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> SopWitness:
+    """Exhaustive search for a length-cd sequence of monomials of a whose
+    radical together with I matches that of a + I.
+
+    Scans all combinations of monomials of a up to the total degree bound in
+    lexicographic order and returns the first witness.
+    """
+    c = cd(a, I)
+    if c is None:
+        raise ValueError("degenerate module: cd undefined")
+    target = _radical_supports(map(support, sum_ideals(a, I).gens))
+    if c == 0:
+        assert _radical_supports(map(support, I.gens)) == target
+        return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
+    # support-level feasibility decides existence outright (the radical test
+    # only sees squarefree supports), so an infeasible search exits without
+    # enumerating monomial combinations
+    if not sop_witness_by_support(a, I, degree_bound).found:
+        return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
+    candidates = [e for e in monomials_up_to(a.ring.n, degree_bound) if any(e) and a.contains_monomial(e)]
+    for combo in itertools.combinations(candidates, c):
+        if _radical_supports([*map(support, I.gens), *map(support, combo)]) == target:
+            return SopWitness(SOP_FOUND, combo, degree_bound)
+    return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
+
+
+def cech_piece(I: MonomialIdeal, T, b) -> int:
+    """Degree-b dimension (0 or 1) of S/I localized at the product of the monomials in T."""
+    n = I.ring.n
+    fset: set[int] = set()
+    for m in T:
+        m = tuple(int(x) for x in m)
+        if len(m) != n:
+            raise ValueError("exponent vector does not match the ring")
+        fset |= set(support(m))
+    b = tuple(int(x) for x in b)
+    if len(b) != n:
+        raise ValueError("multidegree does not match the ring")
+    outside = [j for j in range(n) if j not in fset]
+    if any(b[j] < 0 for j in outside):
+        return 0
+    restricted = tuple(b[j] for j in outside)
+    erased = [tuple(g[j] for j in outside) for g in I.gens]
+    return 0 if any(all(x <= y for x, y in zip(g, restricted)) for g in erased) else 1
 
 
 @pytest.fixture

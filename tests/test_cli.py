@@ -3,11 +3,14 @@
 import json
 
 import jsonschema
+import pytest
 
 from relhom.cli import main
 from relhom.invariants import EngineDisagreementError
-from relhom.monomials import RingSpec, parse_ideal
+from relhom.monomials import RingSpec, format_ideal, parse_ideal, unit_ideal
+from relhom.properties import full_report
 from relhom.schemas import ANALYZE_REPORT_SCHEMA
+from relhom.verifier import CorpusParams, corpus_instances
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 RING4 = ["--ring", "x1,x2,y1,y2"]
@@ -200,3 +203,68 @@ class TestCorpus:
     def test_bad_gens_flag(self, capsys):
         code, _, err = run(capsys, "corpus", "--count", "2", "--gens", "nope")
         assert code == 2
+
+
+class TestInputLimits:
+    """Exponents and box bounds past the int16 degree grid are input errors."""
+
+    def test_wrapping_exponent_is_input_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x^20000", "--i", "x^20000")
+        assert code == 2
+        assert out == "" and "exceeds the limit" in err
+
+    def test_overflowing_exponent_is_input_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--i", "x^40000")
+        assert code == 2
+        assert "exceeds the limit" in err
+
+    def test_overflowing_exponent_is_not_a_false_verdict(self, capsys):
+        code, out, err = run(capsys, "check", "cm", "--ring", "x,y", "--a", "x", "--i", "x^40000")
+        assert code == 2
+        assert out == "" and "exceeds the limit" in err
+
+    def test_projective_dimension_input_is_rejected_before_the_taylor_engine(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_ideal(RingSpec(("x", "y")), "x^40000, y")
+
+    def test_box_pad_past_the_grid_is_input_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--i", "x^16383", "--box-pad", "1")
+        assert code == 2
+        assert "too large" in err
+
+    def test_largest_exponent_is_exact(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--ring", "x,y", "--a", "x^16383", "--i", "x^16383", "--json")
+        assert code == 0
+        rec = json.loads(out)["report"]["invariants"]
+        assert (rec["grade"], rec["cd"], rec["a_id"]) == (0, 0, 1)
+
+
+def test_unexpected_exception_exit_code(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("unexpected\nfailure")
+
+    monkeypatch.setattr("relhom.cli.full_report", boom)
+    code, out, err = run(capsys, "analyze", "--ring", "x", "--a", "x")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+def test_check_verdicts_match_the_full_report(capsys):
+    fields = {
+        "cm": "rel_cm",
+        "maxcm": "rel_max_cm",
+        "gorenstein": "rel_gorenstein",
+        "regular-ring": "rel_regular_ring",
+        "regular-module": "rel_regular_module",
+    }
+    params = CorpusParams(count=6, seed=11)
+    pairs = corpus_instances(params)
+    pairs.append((pairs[0][0], unit_ideal(pairs[0][0].ring)))
+    names = ",".join(params.ring().names)
+    for a, module_ideal in pairs:
+        report = full_report(a, module_ideal)
+        for prop, field in fields.items():
+            argv = ["check", prop, "--ring", names, "--a", format_ideal(a), "--i", format_ideal(module_ideal)]
+            code, _, _ = run(capsys, *argv)
+            assert code == {True: 0, False: 1, None: 2}[getattr(report, field)], (prop, a, module_ideal)

@@ -16,12 +16,11 @@ from relhom.invariants import (
     invariant_record,
     is_monomial_regular_sequence,
     mu,
-    sop_search,
     sop_witness_by_support,
 )
 from relhom.monomials import RingSpec, parse_ideal, unit_ideal, zero_ideal
 
-from conftest import random_proper_ideal
+from conftest import random_proper_ideal, sop_search
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -151,13 +150,11 @@ class TestSopSearch:
             assert slow.found == fast.found
             if fast.status == SOP_FOUND:
                 # any found witness must itself certify the radical condition
-                from relhom.invariants import _radical_supports, _radical_supports_with
+                from relhom.invariants import _radical_supports
                 from relhom.monomials import support, sum_ideals
 
-                target = _radical_supports(sum_ideals(a, I).gens)
-                got = _radical_supports_with(
-                    _radical_supports(I.gens), [support(e) for e in fast.sequence]
-                )
+                target = _radical_supports(map(support, sum_ideals(a, I).gens))
+                got = _radical_supports([*map(support, I.gens), *map(support, fast.sequence)])
                 assert got == target
                 assert all(a.contains_monomial(e) for e in fast.sequence)
 

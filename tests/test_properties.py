@@ -1,8 +1,11 @@
 """Relative property verdicts and the implication chain."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from relhom import invariants, properties
 from relhom.monomials import RingSpec, parse_ideal, unit_ideal, zero_ideal
 from relhom.properties import (
     full_report,
@@ -153,3 +156,27 @@ class TestFullReport:
                 hits += 1
                 assert is_relative_regular_module(a, I)
         assert hits >= 3  # the check must not be vacuous
+
+
+def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
+    # (a, S/I) and the nested (a, S) each run grade and cd once; the
+    # parameter-system search reuses the checked cd
+    calls = Counter()
+    for module, name in (
+        (invariants, "grade_by_localization"),
+        (invariants, "cd_by_support"),
+        (invariants, "_sop_search"),
+        (invariants, "is_monomial_regular_sequence"),
+        (properties, "associated_primes"),
+    ):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    full_report(parse_ideal(ring4, "y1, y2"), parse_ideal(ring4, C4))
+    assert calls["grade_by_localization"] == 2
+    assert calls["cd_by_support"] == 2
+    assert calls["_sop_search"] == 1
+    assert calls["associated_primes"] == 1
+    assert calls["is_monomial_regular_sequence"] >= 1

@@ -14,7 +14,6 @@ import pytest
 from relhom.monomials import RingSpec, parse_ideal, support, unit_ideal, zero_ideal
 from relhom.slices import (
     DegreeBox,
-    cech_piece,
     clear_slice_caches,
     ext_profile,
     ext_slice,
@@ -26,7 +25,7 @@ from relhom.slices import (
     local_cohomology_slice,
 )
 
-from conftest import oracle_member, oracle_rank_mod_p, random_proper_ideal
+from conftest import cech_piece, oracle_member, oracle_rank_mod_p, random_proper_ideal
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
