@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .invariants import EngineDisagreementError
@@ -91,6 +92,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     corpus.set_defaults(func=_cmd_corpus)
     return parser
+
+
+def _check_out_targets(args):
+    """Reject an --out target that cannot be written, before any work starts."""
+    if not getattr(args, "out", None):
+        return
+    targets = [args.out]
+    if args.command == "corpus":
+        targets.append(args.out + ".counterexamples")
+    for path in targets:
+        if os.path.exists(path):
+            writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+        else:
+            parent = os.path.dirname(os.path.abspath(path))
+            writable = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+        if not writable:
+            raise ValueError(f"cannot write the output file {path}")
 
 
 def _emit(text: str, out_path):
@@ -269,6 +287,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_out_targets(args)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,7 +56,16 @@ from .properties import (
     is_relative_gorenstein,
     is_relative_regular_ring,
 )
-from .slices import ext_profile, ext_table, ext_vanishes_below, lc_profile, lc_table
+from .slices import (
+    _cech_activity,
+    _dense_profile,
+    _ext_activity,
+    ext_profile,
+    ext_table,
+    ext_vanishes_below,
+    lc_profile,
+    lc_table,
+)
 from .taylor import depth_quotient, pd_quotient
 
 __all__ = [
@@ -131,8 +140,9 @@ class InstanceAnalysis:
     """Everything the suites need about one corpus pair, computed once.
 
     The invariants are read from ``pair``, the analysis the report was
-    derived from; the box profiles at pad 0 and 2 and pd(S/a) are computed
-    here as independent cross-checks.
+    derived from; the dense-scan profiles at pad 0, the class-engine
+    profiles at pad 2 and pd(S/a) are computed here as independent
+    cross-checks.
     """
 
     index: int
@@ -169,8 +179,8 @@ def analyze_instance(index: int, a: MonomialIdeal, I: MonomialIdeal, degree_boun
         # padded scans first: they also prime the unpadded profile cache
         x.ext2 = ext_profile(a, I, pad=2)
         x.lc2 = lc_profile(a, I, pad=2)
-        x.ext0 = ext_profile(a, I, pad=0)
-        x.lc0 = lc_profile(a, I, pad=0)
+        x.ext0 = _dense_profile(_ext_activity, a, I)
+        x.lc0 = _dense_profile(_cech_activity, a, I)
         pair = PairAnalysis(a, I, degree_bound=degree_bound)
         x.report = _report(pair)
         x.pd_a = pd_quotient(a)

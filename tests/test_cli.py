@@ -205,6 +205,29 @@ class TestCorpus:
         assert code == 2
 
 
+class TestUnwritableOut:
+    """An --out target that cannot be written is an input error, raised before any work."""
+
+    def test_analyze_into_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "analyze", *RING4, "--a", "y1,y2", "--i", C4, "--out", str(target))
+        assert code == 2
+        assert out == "" and "cannot write" in err
+
+    def test_corpus_into_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "corpus", "--count", "2", "--out", str(tmp_path))
+        assert code == 2
+        assert out == "" and "cannot write" in err
+
+    def test_corpus_counterexample_target_is_checked_first(self, capsys, tmp_path):
+        target = tmp_path / "run.jsonl"
+        (tmp_path / "run.jsonl.counterexamples").mkdir()
+        code, out, err = run(capsys, "corpus", "--count", "2", "--out", str(target))
+        assert code == 2
+        assert out == "" and "cannot write" in err
+        assert not target.exists()
+
+
 class TestInputLimits:
     """Exponents and box bounds past the int16 degree grid are input errors."""
 

@@ -11,9 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from relhom import slices
 from relhom.monomials import RingSpec, parse_ideal, support, unit_ideal, zero_ideal
 from relhom.slices import (
     DegreeBox,
+    _cech_activity,
+    _ext_activity,
+    _lattice_dims,
     clear_slice_caches,
     ext_profile,
     ext_slice,
@@ -28,6 +32,8 @@ from relhom.slices import (
 from conftest import cech_piece, oracle_member, oracle_rank_mod_p, random_proper_ideal
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
+# a 6-variable pair whose unpadded box holds 1 756 755 degrees
+BIG_BOX = ("a,b,c,d,e,f", "a^5*b, c^4*d, e^6*f, a*c^3", "a^3*b^4, c^5, d^2*e*f^3, b^2*f")
 
 
 # --- independent per-degree oracle -----------------------------------------
@@ -186,6 +192,19 @@ def test_top_local_cohomology_slice_of_edge_quotient(ring4):
     assert table.hilbert(1) == {(0, 0, 0, 0): 1}
 
 
+def test_lc_slice_degree_past_the_int16_grid_is_value_error(ring2):
+    a, I = parse_ideal(ring2, "x"), parse_ideal(ring2, "y")
+    with pytest.raises(ValueError, match="out of range"):
+        local_cohomology_slice(a, I, 1, (-40000, 0))
+    assert local_cohomology_slice(a, I, 1, (-16384, 0)) == oracle_lc_dims(a, I, (-16384, 0), ring2.char)[1]
+
+
+def test_dim_at_degree_past_the_int16_grid_is_outside_the_box(ring2):
+    table = lc_table(parse_ideal(ring2, "x"), parse_ideal(ring2, "y"))
+    with pytest.raises(ValueError, match="degree outside the stabilization box"):
+        table.dim_at(1, (40000, 0))
+
+
 def test_ext_vanishes_below_matches_profile(ring2):
     a = parse_ideal(ring2, "x^2, y^3, x*y")
     S = zero_ideal(ring2)
@@ -220,6 +239,56 @@ def test_lc_slices_match_oracle(ring2):
             expected = oracle_lc_dims(a, I, b, p)
             for i, dim in enumerate(expected):
                 assert local_cohomology_slice(a, I, i, b) == dim
+
+
+def _dense_dims(activity, A, B, grid):
+    return _lattice_dims(activity(A, B, grid, len(A.gens)), A.ring.char)
+
+
+def _nonzero_levels(dims):
+    return frozenset(int(i) for i in np.flatnonzero(dims.any(axis=1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_tables_equal_the_dense_scan(n):
+    # the class engine against the kernels run on every box degree; this is
+    # what keeps the box-enlargement test below, which compares two class
+    # grids, honest
+    ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+    rng = np.random.default_rng(60 + n)
+    for trial in range(21):
+        J = random_proper_ideal(rng, ring, 3, 4)
+        I = zero_ideal(ring) if trial == 0 else random_proper_ideal(rng, ring, 3, 4)
+        for pad in (0, 1, 2):
+            grid = DegreeBox.for_ideals(J, I, pad=pad).degree_grid()
+            for table, activity in ((ext_table(J, I, pad), _ext_activity), (lc_table(J, I, pad), _cech_activity)):
+                dense = _dense_dims(activity, J, I, grid)
+                assert np.array_equal(table.degrees, grid)
+                assert np.array_equal(table.dims, dense)
+                assert table.profile() == _nonzero_levels(dense)
+                for q in range(pad):
+                    rho = DegreeBox.for_ideals(J, I, pad=q).rho
+                    inside = (np.abs(grid) <= np.asarray(rho)).all(axis=1)
+                    assert table.profile_within(rho) == _nonzero_levels(dense[:, inside])
+            dense = _dense_dims(_ext_activity, J, I, grid)
+            for k in range(len(J.gens) + 2):
+                assert ext_vanishes_below(J, I, k, pad) == (not dense[:k].any())
+
+
+def test_ext_profile_scans_one_degree_per_class(monkeypatch):
+    ring = RingSpec(tuple(BIG_BOX[0].split(",")))
+    a, I = parse_ideal(ring, BIG_BOX[1]), parse_ideal(ring, BIG_BOX[2])
+    scanned = []
+    activity = slices._ext_activity
+
+    def recording(J, I, grid, max_level):
+        scanned.append(grid.shape[0])
+        return activity(J, I, grid, max_level)
+
+    monkeypatch.setattr(slices, "_ext_activity", recording)
+    clear_slice_caches()
+    assert ext_profile(a, I) == frozenset({0, 1, 2, 3})
+    assert scanned and max(scanned) <= 60_000
 
 
 def test_box_enlargement_never_changes_profiles(ring4):

@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+import relhom.verifier as verifier
 from relhom.monomials import format_ideal
 from relhom.schemas import COUNTEREXAMPLE_SCHEMA, JSONL_LINE_SCHEMA
 from relhom.verifier import (
@@ -144,3 +145,16 @@ def test_instances_echo_format():
     echo = analyses[0].echo()
     assert set(echo) == {"index", "a", "i"}
     assert echo["a"] == format_ideal(analyses[0].a)
+
+
+def test_cross_engine_consults_the_dense_scan(monkeypatch):
+    # the unpadded profiles come from the dense engine; corrupting it must
+    # surface in cross_engine, or the suite would compare the class engine
+    # with itself
+    dense_profile = verifier._dense_profile
+    monkeypatch.setattr(
+        verifier, "_dense_profile", lambda *args: frozenset(i + 1 for i in dense_profile(*args))
+    )
+    params = CorpusParams(count=5)
+    result = run_suite("cross_engine", build_analyses(params), params)
+    assert {v["index"] for v in result.violations} == set(range(5))
