@@ -314,7 +314,8 @@ def radical_equal(A: MonomialIdeal, B: MonomialIdeal) -> bool:
     return radical(A) == radical(B)
 
 
-@lru_cache(maxsize=None)
+# bounded for long-running processes; the default corpus fills about 3 000 entries
+@lru_cache(maxsize=32_768)
 def irreducible_decomposition(A: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """Irredundant irreducible components, in a deterministic order.
 

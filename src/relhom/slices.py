@@ -34,11 +34,25 @@ class and expands them to every box degree only when ``degrees`` or
 The dense scan over every box degree (``_dense_profile``) stays as an
 independent engine: the corpus cross-check compares it at pad 0 against
 the class engine at pad 2, and the tests run the same kernels densely as
-the oracle for the class tables.
+the oracle for the class tables.  The activity matrix of a class grid is
+bounded by ``_MAX_ACTIVITY_CELLS`` (subsets x class degrees); the dense
+scan and the expansion of a table to every box degree are bounded by the
+same ceiling over the whole box.
+
+Each table runs its layers in bulk.  Ext activity depends on a subset T
+only through lcm_T, so it is evaluated once per distinct lcm and gathered
+to the subsets.  Degrees are grouped by activity pattern under a
+one-value key per degree.  Then the ranks for the whole table are computed
+together: each distinct pair of consecutive active levels is looked up in
+a bounded cache, and the missing incidence matrices go to ``rank_mod_p``
+in zero-padded stacks of bounded size, eliminated in lock step.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -140,15 +154,20 @@ def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_leve
     """Component activity of Hom(subset-lcm complex of J, S/I) per degree.
 
     Subset T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I.
+    That depends on T only through lcm_T, so activity is evaluated once per
+    distinct lcm and gathered to the subsets.
     """
     r = len(J.gens)
     alpha = subset_lcms(J.gens, J.ring.n)
+    rows = alpha.tolist()
+    sharing: dict[tuple, list[int]] = {}  # the subsets of each distinct lcm
+    for level in masks_by_size(r)[: max_level + 1]:
+        for mask in level:
+            sharing.setdefault(tuple(rows[mask]), []).append(mask)
     act = np.zeros((1 << r, grid.shape[0]), dtype=bool)
-    for mask in range(1 << r):
-        if mask.bit_count() > max_level:
-            continue
-        shifted = grid + alpha[mask]
-        act[mask] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
+    for masks in sharing.values():
+        shifted = grid + alpha[masks[0]]
+        act[masks] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
     return act
 
 
@@ -182,44 +201,186 @@ def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_lev
     return act
 
 
-@lru_cache(maxsize=200_000)
-def _incidence_rank(lo: tuple[int, ...], hi: tuple[int, ...], p: int) -> int:
-    """Rank over GF(p) of the signed incidence matrix between two active subset levels."""
-    if not lo or not hi:
-        return 0
-    rows = {m: i for i, m in enumerate(hi)}
-    mat = np.zeros((len(hi), len(lo)), dtype=np.int64)
-    for col, T in enumerate(lo):
-        for h, row in rows.items():
-            diff = h ^ T
-            if (h & T) == T and diff.bit_count() == 1:
-                mat[row, col] = incidence_sign(T, diff)
-    return rank_mod_p(mat, p)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _BoundedCache:
+    """A thread-safe mapping of at most ``maxsize`` entries that drops the oldest first."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: dict = {}
+        self._order: deque = deque()  # keys, oldest first
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        """The entry of ``key``, or None; counts a hit or a miss."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+            return value
+
+    def put(self, key, value):
+        with self._lock:
+            if key not in self._entries:
+                self._order.append(key)
+            self._entries[key] = value
+            while len(self._entries) > self.maxsize:
+                del self._entries[self._order.popleft()]
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._entries))
+
+    def cache_clear(self):
+        with self._lock:
+            self._entries.clear()
+            self._order.clear()
+            self._hits = self._misses = 0
+
+
+# ranks of level pairs, keyed by p, r, k and the packed activity of levels k and k + 1
+_RANK_CACHE = _BoundedCache(200_000)
+
+# byte cap of one stack of incidence matrices handed to rank_mod_p; it bounds
+# the elimination's working memory (a single larger matrix goes alone)
+_MAX_RANK_STACK_BYTES = 1 << 20
+
+
+@lru_cache(maxsize=32)
+def _level_layout(r: int):
+    """Subsets of {0..r-1} by size, with the incidence maps between sizes.
+
+    Returns the masks ordered by (size, mask), the offsets of each size in
+    that order, and for each size k < r two (C(r,k), r-k) arrays: the
+    position within size k + 1 of T | bit for each bit outside T, and the
+    incidence sign of that face.
+    """
+    levels = masks_by_size(r)
+    order = np.array([m for level in levels for m in level], dtype=np.intp)
+    offsets = np.cumsum([0] + [len(level) for level in levels])
+    neighbours, signs = [], []
+    for k in range(r):
+        position = {m: i for i, m in enumerate(levels[k + 1])}
+        faces = [[(T, 1 << j) for j in range(r) if not (T >> j) & 1] for T in levels[k]]
+        neighbours.append(np.array([[position[T | b] for T, b in up] for up in faces], dtype=np.intp))
+        signs.append(np.array([[incidence_sign(T, b) for T, b in up] for up in faces], dtype=np.int64))
+    return order, offsets, neighbours, signs
+
+
+def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over GF(p) of the signed incidence maps of subset complexes.
+
+    ``by_size`` is a (2^r, U) boolean array with one activity pattern per
+    column, its rows in the (size, mask) order of ``_level_layout``;
+    ``sizes`` (r + 1, U) counts each pattern's active subsets by size.
+    Entry (k, u) of the result is the rank of the map from the active
+    subsets of size k to the active subsets of size k + 1 in pattern u.
+
+    Each distinct pair of active levels is looked up once in the bounded
+    rank cache.  The missing ones are built from each subset's upper
+    neighbours, oriented with no more columns than rows, sorted by shape
+    and ranked by ``rank_mod_p`` in zero-padded stacks of at most
+    ``_MAX_RANK_STACK_BYTES``.
+    """
+    two_r, count = by_size.shape
+    r = two_r.bit_length() - 1
+    _, offsets, neighbours, signs = _level_layout(r)
+    ranks = np.zeros((r, count), dtype=np.int64)
+    found = []  # per level: k, live columns, class of each, rank of each class
+    missing = []  # per uncached class: its level's rank array, class, k, a column, key
+    for k in range(r):
+        lo, hi = by_size[offsets[k] : offsets[k + 1]], by_size[offsets[k + 1] : offsets[k + 2]]
+        live = np.flatnonzero(lo.any(axis=0) & hi.any(axis=0))
+        if not live.size:
+            continue
+        rows = np.ascontiguousarray(np.packbits(by_size[offsets[k] : offsets[k + 2], live], axis=0).T)
+        keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        level_ranks = np.zeros(first.size, dtype=np.int64)
+        prefix = b"%d,%d,%d:" % (p, r, k)
+        for j, f in enumerate(first.tolist()):
+            key = prefix + rows[f].tobytes()
+            hit = _RANK_CACHE.get(key)
+            if hit is None:
+                missing.append((level_ranks, j, k, live[f], key))
+            else:
+                level_ranks[j] = hit
+        found.append((k, live, inverse.ravel(), level_ranks))
+    if missing:
+        level_of = np.array([m[2] for m in missing])
+        column = np.array([m[3] for m in missing])
+        width, height = sizes[level_of, column], sizes[level_of + 1, column]
+        tall, short = np.maximum(width, height), np.minimum(width, height)
+        # cut the pairs, ordered by shape, into int64 stacks under the byte cap
+        sequence = np.lexsort((short, tall))
+        chunks, start, cols = [], 0, 0
+        for pos, idx in enumerate(sequence.tolist()):
+            cols = max(cols, int(short[idx]))
+            if pos > start and (pos - start + 1) * int(tall[idx]) * cols * 8 > _MAX_RANK_STACK_BYTES:
+                chunks.append(sequence[start:pos])
+                start, cols = pos, int(short[idx])
+        chunks.append(sequence[start:])
+        for chunk in chunks:
+            stack = np.zeros((chunk.size, tall[chunk].max(), short[chunk].max()), dtype=np.int64)
+            for k in np.unique(level_of[chunk]).tolist():
+                slots = np.flatnonzero(level_of[chunk] == k)
+                picked = column[chunk[slots]]
+                lo = by_size[offsets[k] : offsets[k + 1], picked]
+                hi = by_size[offsets[k + 1] : offsets[k + 2], picked]
+                lo_at = np.cumsum(lo, axis=0, dtype=np.int32) - 1
+                hi_at = np.cumsum(hi, axis=0, dtype=np.int32) - 1
+                flip = height[chunk[slots]] < width[chunk[slots]]
+                # one upper neighbour slot at a time keeps the index arrays small
+                for t in range(r - k):
+                    up = neighbours[k][:, t]
+                    i, b = np.nonzero(lo & hi[up])
+                    row, col, f = hi_at[up[i], b], lo_at[i, b], flip[b]
+                    stack[slots[b], np.where(f, col, row), np.where(f, row, col)] = signs[k][i, t]
+            for idx, value in zip(chunk.tolist(), rank_mod_p(stack, p).tolist()):
+                level_ranks, j, _, _, key = missing[idx]
+                level_ranks[j] = value
+                _RANK_CACHE.put(key, value)
+    for k, live, inverse, level_ranks in found:
+        ranks[k, live] = level_ranks[inverse]
+    return ranks
+
+
+_incidence_rank.cache_info = _RANK_CACHE.cache_info
+_incidence_rank.cache_clear = _RANK_CACHE.cache_clear
 
 
 def _lattice_dims(active: np.ndarray, p: int) -> np.ndarray:
     """Cohomology dimensions (levels 0..r, per degree) of subset-indexed complexes.
 
-    Degrees are grouped by identical activity pattern; each distinct pattern
-    costs one pass of small rank computations.
+    Degrees are grouped by identical activity pattern under a one-value key
+    per degree: the packed column as a uint64 when it fits in 8 bytes, as
+    raw bytes otherwise.  One ``_incidence_rank`` call ranks the level pairs
+    of every distinct pattern.
     """
     two_r, ndeg = active.shape
     r = two_r.bit_length() - 1
-    levels = masks_by_size(r)
     packed = np.packbits(active, axis=0, bitorder="little")
-    uniq, inverse = np.unique(np.ascontiguousarray(packed.T), axis=0, return_inverse=True)
-    dims_u = np.zeros((r + 1, len(uniq)), dtype=np.int32)
-    for u in range(len(uniq)):
-        bits = np.unpackbits(uniq[u], bitorder="little", count=two_r).astype(bool)
-        if not bits.any():
-            continue
-        per_level = [tuple(m for m in level if bits[m]) for level in levels]
-        ranks = [_incidence_rank(per_level[k], per_level[k + 1], p) for k in range(r)]
-        for k in range(r + 1):
-            out_rank = ranks[k] if k < r else 0
-            in_rank = ranks[k - 1] if k > 0 else 0
-            dims_u[k, u] = len(per_level[k]) - out_rank - in_rank
-    return dims_u[:, inverse.ravel()]
+    width = max(8, packed.shape[0])
+    rows = np.zeros((ndeg, width), dtype=np.uint8)
+    rows[:, : packed.shape[0]] = packed.T
+    keys = rows.view(np.uint64 if width == 8 else np.dtype((np.void, width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order, offsets, _, _ = _level_layout(r)
+    by_size = active[np.ix_(order, first)]
+    sizes = np.stack([np.count_nonzero(by_size[lo:hi], axis=0) for lo, hi in zip(offsets[:-1], offsets[1:])])
+    ranks = _incidence_rank(by_size, sizes, p)
+    dims = sizes.astype(np.int32)
+    dims[:-1] -= ranks
+    dims[1:] -= ranks
+    return dims[:, inverse.ravel()]
 
 
 def _nonzero_levels(dims: np.ndarray) -> frozenset[int]:
@@ -249,11 +410,13 @@ class SliceTable:
     @cached_property
     def degrees(self) -> np.ndarray:
         """Every box degree, (D, n), lexicographic order."""
+        _check_box_size(self.box, self._class_dims.shape[0] - 1)
         return self.box.degree_grid()
 
     @cached_property
     def dims(self) -> np.ndarray:
         """Slice dimensions (levels, D) at every box degree."""
+        _check_box_size(self.box, self._class_dims.shape[0] - 1)
         return self._class_dims[:, self._flat(self._ids)]
 
     def profile(self) -> frozenset[int]:
@@ -316,28 +479,33 @@ def _check_scan(A: MonomialIdeal, B: MonomialIdeal):
 _MAX_ACTIVITY_CELLS = 600_000_000
 
 
-def _check_scan_size(box: DegreeBox, generator_count: int):
-    cells = 1 << generator_count
-    for r in box.rho:
-        cells *= 2 * r + 1
-    if cells > _MAX_ACTIVITY_CELLS:
-        raise ValueError(
-            f"stabilization box {box.rho} with {generator_count} generators is too large to scan"
-        )
+def _check_scan_size(shape, generator_count: int, what: str):
+    """Refuse a grid of the given per-axis sizes whose activity matrix exceeds the ceiling."""
+    if math.prod(shape) << generator_count > _MAX_ACTIVITY_CELLS:
+        raise ValueError(f"{what} with {generator_count} generators is too large to scan")
 
 
-def _scan_box(A: MonomialIdeal, B: MonomialIdeal, pad: int) -> DegreeBox:
+def _check_box_size(box: DegreeBox, generator_count: int):
+    """The ceiling for work on every box degree: the dense scan and a table's expansion."""
+    _check_scan_size([2 * r + 1 for r in box.rho], generator_count, f"stabilization box {box.rho}")
+
+
+def _dense_box(A: MonomialIdeal, B: MonomialIdeal, pad: int) -> DegreeBox:
+    """The box of a pair whose every degree may be scanned or listed."""
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B, pad=pad)
-    _check_scan_size(box, len(A.gens))
+    _check_box_size(box, len(A.gens))
     return box
 
 
 def _class_table(activity, thresholds, A: MonomialIdeal, B: MonomialIdeal, pad: int, max_level: int):
     """Run an activity kernel on one representative degree per threshold class."""
-    box = _scan_box(A, B, pad)
+    _check_scan(A, B)
+    box = DegreeBox.for_ideals(A, B, pad=pad)
     classes = [_axis_classes(r, thresholds(A, B, j)) for j, r in enumerate(box.rho)]
     reps = tuple(rep for _, rep in classes)
+    shape = tuple(len(rep) for rep in reps)
+    _check_scan_size(shape, len(A.gens), f"class grid {shape} of the stabilization box {box.rho}")
     act = activity(A, B, _product_grid(reps), max_level=max_level)
     return SliceTable(box, reps, tuple(ids for ids, _ in classes), _lattice_dims(act, A.ring.char))
 
@@ -348,7 +516,7 @@ def _dense_profile(activity, A: MonomialIdeal, B: MonomialIdeal, pad: int = 0) -
     The engine the class grid replaced, kept as the independent pad-0 side
     of the corpus cross-check.
     """
-    box = _scan_box(A, B, pad)
+    box = _dense_box(A, B, pad)
     act = activity(A, B, box.degree_grid(), max_level=len(A.gens))
     return _nonzero_levels(_lattice_dims(act, A.ring.char))
 
@@ -363,12 +531,13 @@ def lc_table(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     return _class_table(_cech_activity, _cech_thresholds, a, I, pad, len(a.gens))
 
 
-_PROFILE_CACHE: dict[tuple, frozenset[int]] = {}
+# profiles keyed by (kind, A, B, pad)
+_PROFILE_CACHE = _BoundedCache(65_536)
 
 
 def clear_slice_caches():
-    _PROFILE_CACHE.clear()
-    _incidence_rank.cache_clear()
+    _PROFILE_CACHE.cache_clear()
+    _RANK_CACHE.cache_clear()
 
 
 def _cached_profile(kind: str, builder, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> frozenset[int]:
@@ -377,12 +546,13 @@ def _cached_profile(kind: str, builder, A: MonomialIdeal, B: MonomialIdeal, pad:
     if hit is not None:
         return hit
     table = builder(A, B, pad=pad)
-    _PROFILE_CACHE[key] = table.profile()
+    profile = table.profile()
+    _PROFILE_CACHE.put(key, profile)
     # a padded scan contains every smaller box; record those profiles too
     for q in range(pad):
         small = DegreeBox.for_ideals(A, B, pad=q)
-        _PROFILE_CACHE.setdefault((kind, A, B, q), table.profile_within(small.rho))
-    return _PROFILE_CACHE[key]
+        _PROFILE_CACHE.put((kind, A, B, q), table.profile_within(small.rho))
+    return profile
 
 
 def ext_profile(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> frozenset[int]:

@@ -81,7 +81,8 @@ def differential_matrices_over_field(I: MonomialIdeal) -> list[np.ndarray]:
     return mats
 
 
-@lru_cache(maxsize=None)
+# bounded for long-running processes; the default corpus fills about 3 000 entries
+@lru_cache(maxsize=32_768)
 def betti_numbers(I: MonomialIdeal) -> tuple[int, ...]:
     """Total Betti numbers (beta_0..beta_r) of S/I over GF(char)."""
     if I.is_unit:

@@ -3,7 +3,8 @@
 The oracles reimplement divisibility, membership and small modular ranks
 from scratch so that engine tests never check an implementation against
 itself.  ``sop_search`` and ``cech_piece`` are the brute-force forms of the
-parameter-system search and of one Cech localization piece.
+parameter-system search and of one Cech localization piece;
+``oracle_ext_activity`` is the per-subset form of the Ext activity kernel.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from relhom.invariants import (
     sop_witness_by_support,
 )
 from relhom.monomials import MonomialIdeal, RingSpec, minimal_generators, monomials_up_to, sum_ideals, support
+from relhom.slices import _member_rows
+from relhom.taylor import subset_lcms
 
 
 def oracle_divides(a, b) -> bool:
@@ -58,6 +61,22 @@ def oracle_rank_mod_p(rows, p: int) -> int:
         if rank == m:
             break
     return rank
+
+
+def oracle_ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int) -> np.ndarray:
+    """Ext activity with every subset evaluated on its own, not once per distinct lcm.
+
+    Subset T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I.
+    """
+    r = len(J.gens)
+    alpha = subset_lcms(J.gens, J.ring.n)
+    act = np.zeros((1 << r, grid.shape[0]), dtype=bool)
+    for mask in range(1 << r):
+        if mask.bit_count() > max_level:
+            continue
+        shifted = grid + alpha[mask]
+        act[mask] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
+    return act
 
 
 def random_proper_ideal(rng: np.random.Generator, ring: RingSpec, max_exp: int, max_gens: int) -> MonomialIdeal:

@@ -255,6 +255,23 @@ class TestInputLimits:
         assert code == 2
         assert "too large" in err
 
+    def test_large_box_pad_is_scanned_by_class(self, capsys):
+        # the class grid of this pair has 9 degrees however far the box is padded
+        argv = ["analyze", "--ring", "x,y", "--a", "x,y", "--json"]
+        code, out, _ = run(capsys, *argv, "--box-pad", "16000")
+        assert code == 0
+        padded = json.loads(out)["report"]
+        code, out, _ = run(capsys, *argv)
+        unpadded = json.loads(out)["report"]
+        assert padded.pop("box") == [16002, 16002]
+        unpadded.pop("box")
+        assert padded == unpadded
+
+    def test_large_box_pad_slice_dump_is_input_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x,y", "--box-pad", "16000", "--slices")
+        assert code == 2
+        assert out == "" and "too large to scan" in err
+
     def test_largest_exponent_is_exact(self, capsys):
         code, out, _ = run(capsys, "analyze", "--ring", "x,y", "--a", "x^16383", "--i", "x^16383", "--json")
         assert code == 0

@@ -6,12 +6,13 @@ the engine slice by slice.
 """
 
 import itertools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from relhom import slices
+from relhom import monomials, slices, taylor
 from relhom.monomials import RingSpec, parse_ideal, support, unit_ideal, zero_ideal
 from relhom.slices import (
     DegreeBox,
@@ -29,7 +30,7 @@ from relhom.slices import (
     local_cohomology_slice,
 )
 
-from conftest import cech_piece, oracle_member, oracle_rank_mod_p, random_proper_ideal
+from conftest import cech_piece, oracle_ext_activity, oracle_member, oracle_rank_mod_p, random_proper_ideal
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 # a 6-variable pair whose unpadded box holds 1 756 755 degrees
@@ -46,8 +47,13 @@ def _sign(T, t):
     return -1 if len([s for s in T if s < t]) % 2 else 1
 
 
-def _complex_dims(active_subsets, r, p):
-    """Cohomology dims of the incidence complex on the active subsets."""
+def _complex_dims(active_subsets, r, p, is_complex=True):
+    """Cohomology dims of the incidence complex on the active subsets.
+
+    For an arbitrary set of subsets (``is_complex=False``) the maps need not
+    compose to zero; the result is then size minus incoming and outgoing
+    rank per level, which is what the engine computes from any pattern.
+    """
     levels = [[T for T in active_subsets if len(T) == k] for k in range(r + 1)]
     ranks = []
     for k in range(r):
@@ -67,7 +73,7 @@ def _complex_dims(active_subsets, r, p):
         outgoing = ranks[k][1] if k < r else 0
         incoming = ranks[k - 1][1] if k > 0 else 0
         dims.append(len(levels[k]) - outgoing - incoming)
-    for k in range(r - 1):
+    for k in range(r - 1 if is_complex else 0):
         low, high = ranks[k][0], ranks[k + 1][0]
         if low and high:
             prod = np.asarray(high) @ np.asarray(low)
@@ -365,3 +371,88 @@ def test_concurrent_slice_evaluation_matches_serial(ring4):
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(lambda ib: local_cohomology_slice(a, S, ib[0], ib[1]), tasks))
     assert serial == parallel
+
+
+# --- the batched activity, dedup and rank layers ------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ext_activity_matches_the_per_subset_oracle(n):
+    ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+    rng = np.random.default_rng(80 + n)
+    for _ in range(12):
+        J = random_proper_ideal(rng, ring, 2, 6)
+        I = random_proper_ideal(rng, ring, 3, 4)
+        box = DegreeBox.for_ideals(J, I, pad=1)
+        grid = rng.integers(-np.asarray(box.rho), np.asarray(box.rho) + 1, size=(40, n)).astype(np.int16)
+        for max_level in range(len(J.gens) + 1):
+            assert np.array_equal(_ext_activity(J, I, grid, max_level), oracle_ext_activity(J, I, grid, max_level))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_lattice_dims_match_the_oracle_on_random_patterns(p):
+    # arbitrary activity patterns, not only those an ideal produces, with
+    # repeated columns so the dedup and the rank cache are both exercised
+    rng = np.random.default_rng(p)
+    clear_slice_caches()
+    for r in range(8):  # up to 16 bytes per packed pattern
+        masks = [frozenset(j for j in range(r) if (m >> j) & 1) for m in range(1 << r)]
+        columns = rng.random((1 << r, 12)) < rng.uniform(0.2, 0.8)
+        active = columns[:, rng.integers(0, 12, size=30)]
+        dims = _lattice_dims(active, p)
+        for d in range(active.shape[1]):
+            expected = _complex_dims([masks[m] for m in np.flatnonzero(active[:, d])], r, p, is_complex=False)
+            assert dims[:, d].tolist() == expected
+
+
+def test_rank_stacks_stay_under_the_byte_cap(monkeypatch, ring4):
+    # all six squarefree quadrics: uncapped, one table's missing ranks fill
+    # stacks of up to about 270 kB
+    J = parse_ideal(ring4, "x1*x2, x1*y1, x1*y2, x2*y1, x2*y2, y1*y2")
+    rng = np.random.default_rng(91)
+    pairs = [(J, random_proper_ideal(rng, ring4, 2, 3)) for _ in range(4)]
+    clear_slice_caches()
+    expected = [ext_table(J, I, pad=1)._class_dims for J, I in pairs]
+    cap = 4096  # above the largest incidence matrix of 6 generators, 20 x 15 int64
+    stacks = []
+    rank = slices.rank_mod_p
+
+    def recording(stack, p):
+        stacks.append(stack.shape)
+        assert stack.ndim == 3 and stack.nbytes <= cap
+        return rank(stack, p)
+
+    monkeypatch.setattr(slices, "rank_mod_p", recording)
+    monkeypatch.setattr(slices, "_MAX_RANK_STACK_BYTES", cap)
+    clear_slice_caches()
+    for (J, I), dims in zip(pairs, expected):
+        assert np.array_equal(ext_table(J, I, pad=1)._class_dims, dims)
+    assert stacks and max(shape[0] for shape in stacks) > 1
+
+
+def test_caches_stay_within_their_bounds_under_threads(monkeypatch, ring3):
+    rng = np.random.default_rng(97)
+    pairs = [(random_proper_ideal(rng, ring3, 2, 5), random_proper_ideal(rng, ring3, 2, 3)) for _ in range(16)]
+
+    def profiles(pair):
+        return ext_profile(*pair, pad=1), lc_profile(*pair, pad=1)
+
+    clear_slice_caches()
+    serial = [profiles(pair) for pair in pairs]
+    monkeypatch.setattr(slices._RANK_CACHE, "maxsize", 8)
+    monkeypatch.setattr(slices._PROFILE_CACHE, "maxsize", 5)
+    clear_slice_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(profiles, pair) for pair in pairs]
+            parallel = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    ranks = slices._incidence_rank.cache_info()
+    assert ranks.currsize <= 8 < ranks.misses
+    assert len(slices._PROFILE_CACHE) <= 5
+    for cached in (taylor.betti_numbers, monomials.irreducible_decomposition):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
