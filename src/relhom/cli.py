@@ -29,7 +29,7 @@ from .properties import (
     is_relative_regular_module,
     is_relative_regular_ring,
 )
-from .slices import _dense_box, ext_table, lc_table
+from .slices import ext_table, lc_table
 from .verifier import EXAMPLE_IDS, CorpusParams, reproduce_example, run_all_suites
 
 __all__ = ["main"]
@@ -138,16 +138,14 @@ def _fmt(value) -> str:
 
 def _cmd_analyze(args) -> int:
     ring, a, module_ideal = _parse_pair(args)
-    dump_slices = args.slices and module_ideal.is_proper
-    if dump_slices:
-        _dense_box(a, module_ideal, args.box_pad)  # the dump lists every box degree
-    report = full_report(a, module_ideal, pad=args.box_pad, degree_bound=args.degree_bound)
     slices = None
-    if dump_slices:
+    if args.slices and module_ideal.is_proper:
+        # dumped first: a box too large to list fails before the report's work
         slices = {
             "ext": ext_table(a, module_ideal, pad=args.box_pad).dump(),
             "local_cohomology": lc_table(a, module_ideal, pad=args.box_pad).dump(),
         }
+    report = full_report(a, module_ideal, pad=args.box_pad, degree_bound=args.degree_bound)
     if args.json:
         payload = {
             "ring": {"names": list(ring.names), "n": ring.n, "char": ring.char},

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque, namedtuple
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -209,8 +209,7 @@ class _BoundedCache:
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self._entries: dict = {}
-        self._order: deque = deque()  # keys, oldest first
+        self._entries: OrderedDict = OrderedDict()  # oldest first
         self._lock = threading.Lock()
         self._hits = self._misses = 0
 
@@ -229,11 +228,9 @@ class _BoundedCache:
 
     def put(self, key, value):
         with self._lock:
-            if key not in self._entries:
-                self._order.append(key)
             self._entries[key] = value
             while len(self._entries) > self.maxsize:
-                del self._entries[self._order.popleft()]
+                self._entries.popitem(last=False)
 
     def cache_info(self) -> _CacheInfo:
         with self._lock:
@@ -242,7 +239,6 @@ class _BoundedCache:
     def cache_clear(self):
         with self._lock:
             self._entries.clear()
-            self._order.clear()
             self._hits = self._misses = 0
 
 
@@ -361,17 +357,12 @@ def _lattice_dims(active: np.ndarray, p: int) -> np.ndarray:
     """Cohomology dimensions (levels 0..r, per degree) of subset-indexed complexes.
 
     Degrees are grouped by identical activity pattern under a one-value key
-    per degree: the packed column as a uint64 when it fits in 8 bytes, as
-    raw bytes otherwise.  One ``_incidence_rank`` call ranks the level pairs
-    of every distinct pattern.
+    per degree, the raw bytes of its packed column.  One ``_incidence_rank``
+    call ranks the level pairs of every distinct pattern.
     """
-    two_r, ndeg = active.shape
-    r = two_r.bit_length() - 1
-    packed = np.packbits(active, axis=0, bitorder="little")
-    width = max(8, packed.shape[0])
-    rows = np.zeros((ndeg, width), dtype=np.uint8)
-    rows[:, : packed.shape[0]] = packed.T
-    keys = rows.view(np.uint64 if width == 8 else np.dtype((np.void, width))).ravel()
+    r = active.shape[0].bit_length() - 1
+    rows = np.ascontiguousarray(np.packbits(active, axis=0).T)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order, offsets, _, _ = _level_layout(r)
     by_size = active[np.ix_(order, first)]
@@ -410,7 +401,6 @@ class SliceTable:
     @cached_property
     def degrees(self) -> np.ndarray:
         """Every box degree, (D, n), lexicographic order."""
-        _check_box_size(self.box, self._class_dims.shape[0] - 1)
         return self.box.degree_grid()
 
     @cached_property
@@ -490,14 +480,6 @@ def _check_box_size(box: DegreeBox, generator_count: int):
     _check_scan_size([2 * r + 1 for r in box.rho], generator_count, f"stabilization box {box.rho}")
 
 
-def _dense_box(A: MonomialIdeal, B: MonomialIdeal, pad: int) -> DegreeBox:
-    """The box of a pair whose every degree may be scanned or listed."""
-    _check_scan(A, B)
-    box = DegreeBox.for_ideals(A, B, pad=pad)
-    _check_box_size(box, len(A.gens))
-    return box
-
-
 def _class_table(activity, thresholds, A: MonomialIdeal, B: MonomialIdeal, pad: int, max_level: int):
     """Run an activity kernel on one representative degree per threshold class."""
     _check_scan(A, B)
@@ -516,7 +498,9 @@ def _dense_profile(activity, A: MonomialIdeal, B: MonomialIdeal, pad: int = 0) -
     The engine the class grid replaced, kept as the independent pad-0 side
     of the corpus cross-check.
     """
-    box = _dense_box(A, B, pad)
+    _check_scan(A, B)
+    box = DegreeBox.for_ideals(A, B, pad=pad)
+    _check_box_size(box, len(A.gens))
     act = activity(A, B, box.degree_grid(), max_level=len(A.gens))
     return _nonzero_levels(_lattice_dims(act, A.ring.char))
 
@@ -548,10 +532,9 @@ def _cached_profile(kind: str, builder, A: MonomialIdeal, B: MonomialIdeal, pad:
     table = builder(A, B, pad=pad)
     profile = table.profile()
     _PROFILE_CACHE.put(key, profile)
-    # a padded scan contains every smaller box; record those profiles too
-    for q in range(pad):
-        small = DegreeBox.for_ideals(A, B, pad=q)
-        _PROFILE_CACHE.put((kind, A, B, q), table.profile_within(small.rho))
+    # a padded scan contains the unpadded box, whose profile the reports read
+    if pad:
+        _PROFILE_CACHE.put((kind, A, B, 0), table.profile_within(DegreeBox.for_ideals(A, B).rho))
     return profile
 
 

@@ -306,6 +306,20 @@ def test_box_enlargement_never_changes_profiles(ring4):
         assert lc_profile(a, I, pad=0) == lc_profile(a, I, pad=2)
 
 
+def test_padded_scan_records_only_the_unpadded_profile(monkeypatch, ring2):
+    a = parse_ideal(ring2, "x, y")
+    S = zero_ideal(ring2)
+    clear_slice_caches()
+    padded = ext_profile(a, S, pad=16_000)
+    assert padded == frozenset({2}) and len(slices._PROFILE_CACHE) == 2
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("the unpadded profile was not recorded")
+
+    monkeypatch.setattr(slices, "ext_table", rebuild)
+    assert ext_profile(a, S) == padded
+
+
 def test_resolution_independence_of_grade(ring4):
     rng = np.random.default_rng(47)
     for _ in range(8):
