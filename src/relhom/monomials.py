@@ -12,7 +12,6 @@ position, never by name.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +37,6 @@ __all__ = [
     "ideal_height",
     "erase_to_zero",
     "erase_to_one",
-    "monomials_up_to",
     "parse_ideal",
     "parse_monomial",
     "format_ideal",
@@ -393,11 +391,6 @@ def erase_to_one(A: MonomialIdeal, F) -> MonomialIdeal:
     keep = [j for j in range(A.ring.n) if j not in F]
     gens = [tuple(g[j] for j in keep) for g in A.gens]
     return minimal_generators(A.ring.restrict(keep), gens)
-
-
-def monomials_up_to(n: int, bound: int):
-    """All exponent vectors of total degree <= bound, in lexicographic order."""
-    return [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,14 @@ to the subsets.  Degrees are grouped by activity pattern under a
 one-value key per degree.  Then the ranks for the whole table are computed
 together: each distinct pair of consecutive active levels is looked up in
 a bounded cache, and the missing incidence matrices go to ``rank_mod_p``
-in zero-padded stacks of bounded size, eliminated in lock step.
+in zero-padded stacks of bounded size, eliminated in lock step.  A single
+incidence matrix above ``_MAX_RANK_MATRIX_CELLS`` is refused before any
+stack is built.
+
+The same kernel has a third caller besides the Ext and Cech tables:
+``taylor.betti_numbers`` ranks the lcm strands of the Taylor complex, each
+strand one activity column.  The subset helpers (``masks_by_size``,
+``incidence_sign``, ``subset_lcms``) live here for all three.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ import numpy as np
 
 from .linalg import rank_mod_p
 from .monomials import MAX_EXPONENT, MonomialIdeal, _check_pair, support
-from .taylor import incidence_sign, masks_by_size, subset_lcms
 
 __all__ = [
     "DegreeBox",
@@ -74,7 +80,37 @@ __all__ = [
     "local_cohomology_slice",
     "lc_profile",
     "clear_slice_caches",
+    "masks_by_size",
+    "incidence_sign",
+    "subset_lcms",
 ]
+
+
+@lru_cache(maxsize=None)
+def masks_by_size(r: int) -> tuple[tuple[int, ...], ...]:
+    """Subset bitmasks of {0..r-1} grouped by popcount."""
+    levels = [[] for _ in range(r + 1)]
+    for mask in range(1 << r):
+        levels[mask.bit_count()].append(mask)
+    return tuple(tuple(level) for level in levels)
+
+
+def incidence_sign(mask: int, bit: int) -> int:
+    """Sign of the face map inserting ``bit`` into ``mask`` (alternating)."""
+    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+
+
+def subset_lcms(gens, n: int) -> np.ndarray:
+    """(2^r, n) array of componentwise maxima over every generator subset.
+
+    The subsets whose top element is k are those below 1 << k with k added,
+    so each generator fills one block from the block before it.
+    """
+    r = len(gens)
+    alpha = np.zeros((1 << r, n), dtype=np.int16)
+    for k, g in enumerate(np.asarray(gens, dtype=np.int16).reshape(r, n)):
+        alpha[1 << k : 2 << k] = np.maximum(alpha[: 1 << k], g)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -246,8 +282,14 @@ class _BoundedCache:
 _RANK_CACHE = _BoundedCache(200_000)
 
 # byte cap of one stack of incidence matrices handed to rank_mod_p; it bounds
-# the elimination's working memory (a single larger matrix goes alone)
+# the elimination's working memory; a single larger matrix goes alone, up to
+# the ceiling below
 _MAX_RANK_STACK_BYTES = 1 << 20
+
+# ceiling on the cells of a single incidence matrix (128 MiB as int64), so a
+# near-full subset complex on many generators is refused at once instead of
+# ranked for many minutes
+_MAX_RANK_MATRIX_CELLS = 1 << 24
 
 
 @lru_cache(maxsize=32)
@@ -284,7 +326,9 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarra
     rank cache.  The missing ones are built from each subset's upper
     neighbours, oriented with no more columns than rows, sorted by shape
     and ranked by ``rank_mod_p`` in zero-padded stacks of at most
-    ``_MAX_RANK_STACK_BYTES``.
+    ``_MAX_RANK_STACK_BYTES``.  A missing matrix of more than
+    ``_MAX_RANK_MATRIX_CELLS`` cells raises ValueError before any stack is
+    built.
     """
     two_r, count = by_size.shape
     r = two_r.bit_length() - 1
@@ -315,6 +359,9 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarra
         column = np.array([m[3] for m in missing])
         width, height = sizes[level_of, column], sizes[level_of + 1, column]
         tall, short = np.maximum(width, height), np.minimum(width, height)
+        largest = int((tall * short).max())
+        if largest > _MAX_RANK_MATRIX_CELLS:
+            raise ValueError(f"an incidence matrix of {largest} cells on {r} generators is too large to rank")
         # cut the pairs, ordered by shape, into int64 stacks under the byte cap
         sequence = np.lexsort((short, tall))
         chunks, start, cols = [], 0, 0

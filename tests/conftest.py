@@ -4,7 +4,10 @@ The oracles reimplement divisibility, membership and small modular ranks
 from scratch so that engine tests never check an implementation against
 itself.  ``sop_search`` and ``cech_piece`` are the brute-force forms of the
 parameter-system search and of one Cech localization piece;
-``oracle_ext_activity`` is the per-subset form of the Ext activity kernel.
+``oracle_ext_activity`` is the per-subset form of the Ext activity kernel;
+``oracle_taylor_differentials`` builds the dense Taylor differentials that
+Betti numbers were once ranked from; ``monomials_up_to`` is the monomial
+enumeration ``sop_search`` walks.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from relhom.invariants import (
     cd,
     sop_witness_by_support,
 )
-from relhom.monomials import MonomialIdeal, RingSpec, minimal_generators, monomials_up_to, sum_ideals, support
-from relhom.slices import _member_rows
-from relhom.taylor import subset_lcms
+from relhom.monomials import MonomialIdeal, RingSpec, minimal_generators, sum_ideals, support
+from relhom.slices import _member_rows, subset_lcms
 
 
 def oracle_divides(a, b) -> bool:
@@ -37,6 +39,11 @@ def oracle_member(e, gens) -> bool:
 
 
 def oracle_monomials(n: int, bound: int):
+    return [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
+
+
+def monomials_up_to(n: int, bound: int):
+    """All exponent vectors of total degree <= bound, in lexicographic order."""
     return [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
 
 
@@ -77,6 +84,32 @@ def oracle_ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, ma
         shifted = grid + alpha[mask]
         act[mask] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
     return act
+
+
+def oracle_taylor_differentials(I: MonomialIdeal) -> list[np.ndarray]:
+    """Dense sign matrices d_1..d_r of the Taylor complex of S/I mapped into the field.
+
+    Rows and columns of d_i are the generator subsets of sizes i - 1 and i,
+    as sorted index tuples.  Entry (T minus its element at position j, T)
+    is (-1)^j when the two subsets have the same lcm exponent, otherwise 0.
+    """
+    gens, r = I.gens, len(I.gens)
+
+    def lcm(T):
+        return tuple(max((gens[t][j] for t in T), default=0) for j in range(I.ring.n))
+
+    levels = [list(itertools.combinations(range(r), i)) for i in range(r + 1)]
+    mats = []
+    for i in range(1, r + 1):
+        rows = {T: a for a, T in enumerate(levels[i - 1])}
+        mat = np.zeros((len(levels[i - 1]), len(levels[i])), dtype=np.int64)
+        for col, T in enumerate(levels[i]):
+            for j in range(i):
+                face = T[:j] + T[j + 1 :]
+                if lcm(face) == lcm(T):
+                    mat[rows[face], col] = (-1) ** j
+        mats.append(mat)
+    return mats
 
 
 def random_proper_ideal(rng: np.random.Generator, ring: RingSpec, max_exp: int, max_gens: int) -> MonomialIdeal:

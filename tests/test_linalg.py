@@ -1,4 +1,4 @@
-"""Modular ranks, serial and stacked, against the pure-Python oracle."""
+"""Modular ranks of single matrices and of stacks, against the pure-Python oracle."""
 
 import numpy as np
 import pytest

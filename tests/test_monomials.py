@@ -19,7 +19,6 @@ from relhom.monomials import (
     irreducible_decomposition,
     minimal_generators,
     minimal_primes,
-    monomials_up_to,
     parse_ideal,
     quotient,
     quotient_dimension,
@@ -32,7 +31,7 @@ from relhom.monomials import (
     zero_ideal,
 )
 
-from conftest import oracle_member, oracle_monomials, random_proper_ideal
+from conftest import monomials_up_to, oracle_member, oracle_monomials, random_proper_ideal
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 

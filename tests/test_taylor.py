@@ -1,17 +1,17 @@
 """Betti numbers, projective dimension and depth from the subset-lcm complex."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
-from relhom.monomials import RingSpec, parse_ideal, unit_ideal, zero_ideal
-from relhom.taylor import (
-    betti_numbers,
-    depth_quotient,
-    differential_matrices_over_field,
-    pd_quotient,
-)
+from relhom import slices
+from relhom.cli import main
+from relhom.monomials import RingSpec, minimal_generators, parse_ideal, unit_ideal, zero_ideal
+from relhom.slices import clear_slice_caches, subset_lcms
+from relhom.taylor import betti_numbers, depth_quotient, pd_quotient
 
-from conftest import random_proper_ideal
+from conftest import oracle_rank_mod_p, oracle_taylor_differentials, random_proper_ideal
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -80,14 +80,73 @@ def test_differentials_compose_to_zero(ring4):
     p = ring4.char
     for _ in range(10):
         ideal = random_proper_ideal(rng, ring4, 3, 5)
-        mats = differential_matrices_over_field(ideal)
+        mats = oracle_taylor_differentials(ideal)
         for d_low, d_high in zip(mats, mats[1:]):
             assert not ((d_low @ d_high) % p).any()
 
 
-def test_subset_lcms_shape_and_monotonicity(ring3):
-    from relhom.taylor import subset_lcms
+def oracle_betti(ideal):
+    """Betti numbers from the dense Taylor differentials and the pure-Python rank."""
+    r, p = len(ideal.gens), ideal.ring.char
+    ranks = [oracle_rank_mod_p(mat.tolist(), p) for mat in oracle_taylor_differentials(ideal)] + [0]
+    return tuple(comb(r, i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(r + 1))
 
+
+def largest_strand(ideal) -> int:
+    """The most generator subsets sharing one lcm."""
+    alpha = subset_lcms(ideal.gens, ideal.ring.n)
+    return int(np.unique(alpha, axis=0, return_counts=True)[1].max())
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_betti_numbers_match_the_dense_oracle(p):
+    ring = RingSpec(("x1", "x2", "y1", "y2"), char=p)
+    rng = np.random.default_rng(p)
+    ideals = [random_proper_ideal(rng, ring, 2, 8) for _ in range(12)]
+    ideals.append(parse_ideal(ring, C4))
+    ideals.append(parse_ideal(ring, "x1*x2, x1*y1, x1*y2, x2*y1, x2*y2, y1*y2"))
+    # x^i * y^(k-i) chains: the subsets with the same least and largest index share an lcm
+    ideals += [minimal_generators(ring, [(i, k - i, 0, 0) for i in range(k + 1)]) for k in (4, 7)]
+    shared = 0
+    for ideal in ideals:
+        assert betti_numbers(ideal) == oracle_betti(ideal)
+        shared += largest_strand(ideal) >= 2
+    # the four fixed ideals and at least one random one
+    assert shared >= 5
+
+
+def test_oversized_taylor_complex_is_refused(capsys):
+    chain = ",".join(f"x^{i}*y^{24 - i}" for i in range(25))
+    assert main(["analyze", "--ring", "x,y", "--a", "x", "--i", chain]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Taylor complex with 25 generators is too large to scan" in captured.err
+    with pytest.raises(ValueError, match="too large to scan"):
+        betti_numbers(parse_ideal(RingSpec(("x", "y")), chain))
+
+
+def test_single_incidence_matrix_ceiling(monkeypatch, ring4):
+    # the largest strand matrix of the four-cycle is 4 x 2
+    edge = parse_ideal(ring4, C4)
+    I = parse_ideal(ring4, "x1^3*y1")
+    for ceiling, refused in ((7, True), (8, False)):
+        monkeypatch.setattr(slices, "_MAX_RANK_MATRIX_CELLS", ceiling)
+        clear_slice_caches()
+        betti_numbers.cache_clear()
+        if refused:
+            with pytest.raises(ValueError, match="too large to rank"):
+                betti_numbers(edge)
+        else:
+            assert betti_numbers(edge) == (1, 4, 4, 1, 0)
+    # the same ceiling guards the Ext and local-cohomology tables
+    monkeypatch.setattr(slices, "_MAX_RANK_MATRIX_CELLS", 1)
+    for table in (slices.ext_table, slices.lc_table):
+        clear_slice_caches()
+        with pytest.raises(ValueError, match="too large to rank"):
+            table(edge, I)
+
+
+def test_subset_lcms_shape_and_monotonicity(ring3):
     rng = np.random.default_rng(97)
     for _ in range(5):
         ideal = random_proper_ideal(rng, ring3, 3, 4)
@@ -96,3 +155,5 @@ def test_subset_lcms_shape_and_monotonicity(ring3):
         for mask in range(1, 1 << ideal.mu):
             sub = mask & (mask - 1)  # drop one element
             assert (alpha[mask] >= alpha[sub]).all()
+            members = [g for k, g in enumerate(ideal.gens) if (mask >> k) & 1]
+            assert alpha[mask].tolist() == [max(column) for column in zip(*members)]
