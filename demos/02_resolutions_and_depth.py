@@ -1,8 +1,9 @@
-"""Betti numbers, projective dimension and depth via the subset-lcm resolution.
+"""Betti numbers, projective dimension and depth via the Lyubeznik resolution.
 
-The resolution of S/I is indexed by subsets of the minimal generators;
-mapping it into the residue field and taking exact ranks over GF(32003)
-yields the Betti numbers, and depth follows from Auslander-Buchsbaum.
+The resolution of S/I is indexed by the faces of the Lyubeznik complex, a
+subcomplex of the subsets of the minimal generators; mapping it into the
+residue field and taking exact ranks over GF(32003) yields the Betti
+numbers, and depth follows from Auslander-Buchsbaum.
 """
 
 from relhom import RingSpec, parse_ideal, quotient_dimension

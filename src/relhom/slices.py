@@ -1,15 +1,36 @@
 """Degreewise Ext and local-cohomology slices over a finite stabilization box.
 
 Both engines share one mechanism.  In a fixed multidegree b, each complex
-has components indexed by subsets of a generating set; every component is
-0- or 1-dimensional, and each differential entry is an incidence sign
-exactly when both endpoints are nonzero.  So a degree is fully described by
-its activity pattern (which subsets are nonzero), cohomology dimensions are
-rank computations over GF(char), and degrees sharing a pattern share all
-ranks.
+has components indexed by the faces of a simplicial complex on a generating
+set; every component is 0- or 1-dimensional, and each differential entry is
+an incidence sign exactly when both endpoints are nonzero.  So a degree is
+fully described by its activity pattern (which faces are nonzero),
+cohomology dimensions are rank computations over GF(char), and degrees
+sharing a pattern share all ranks.
+
+The complexes are smaller than the full Taylor complex on 2^r subsets:
+
+- Ext(S/J, S/I) is Hom(L, S/I) for the Lyubeznik complex L of J's
+  generators: the subsets T = {i1 < ... < is} such that no generator m_q
+  with q < i_t divides lcm(m_{i_t}, ..., m_{i_s}), for every t < s.  L is
+  closed under subsets, and the Taylor differential restricted to it is a
+  free resolution of S/J (Lyubeznik, JPAA 1988; Mermin, "Three simplicial
+  resolutions", 2012), so every Ext dimension is unchanged.
+- Local cohomology is the Cech complex on the minimal generators of rad(a),
+  since H_a = H_rad(a); its dimensions are padded to len(a.gens) + 1 levels.
+
+A ``FaceSet`` lists a complex's faces level by level, never as 2^r rows,
+with each face's boundary in the level below; a ``FaceLayout`` adds the lcm
+of every face.  The size of L depends on the generator order (its
+cohomology does not), so ``lyubeznik_layout`` keeps the first of three
+fixed orders with the fewest faces.  Face sets depend on the generators
+only through how exponents compare within each variable, so they are
+cached per column-rank pattern, and layouts per generator tuple, in bounded
+caches.  A complex of more than ``_MAX_FACES`` faces is refused while it
+is enumerated.
 
 The engines evaluate one degree per threshold class, not every degree.
-Whether a subset is active at b depends on each b_j only through
+Whether a face is active at b depends on each b_j only through
 comparisons b_j >= t against a finite set of thresholds per axis:
 
 - Ext (b + lcm_T >= 0 and x^(b + lcm_T) outside I): t = c - alpha with
@@ -32,41 +53,42 @@ class and expands them to every box degree only when ``degrees`` or
 ``dims`` is read (``dim_at`` looks its class up directly).
 
 The dense scan over every box degree (``_dense_profile``) stays as an
-independent engine: the corpus cross-check compares it at pad 0 against
-the class engine at pad 2, and the tests run the same kernels densely as
-the oracle for the class tables.  The activity matrix of a class grid is
-bounded by ``_MAX_ACTIVITY_CELLS`` (subsets x class degrees); the dense
-scan and the expansion of a table to every box degree are bounded by the
-same ceiling over the whole box.
+independent engine: it runs on the full Taylor complex of the relative
+ideal's own generators, and the corpus cross-check compares it at pad 0
+against the class engine at pad 2.  The activity matrix of a class grid is
+bounded by ``_MAX_ACTIVITY_CELLS`` (faces x class degrees); the dense scan
+and the expansion of a table to every box degree are bounded by the same
+ceiling over the whole box, counting the 2^r Taylor faces.
 
-Each table runs its layers in bulk.  Ext activity depends on a subset T
-only through lcm_T, so it is evaluated once per distinct lcm and gathered
-to the subsets.  Degrees are grouped by activity pattern under a
-one-value key per degree.  Then the ranks for the whole table are computed
-together: each distinct pair of consecutive active levels is looked up in
-a bounded cache, and the missing incidence matrices go to ``rank_mod_p``
-in zero-padded stacks of bounded size, eliminated in lock step.  A single
-incidence matrix above ``_MAX_RANK_MATRIX_CELLS`` is refused before any
-stack is built.
+Each table runs its layers in bulk.  Ext activity depends on a face T only
+through lcm_T, so it is evaluated once per distinct lcm and gathered to the
+faces.  Degrees are grouped by activity pattern under a one-value key per
+degree.  Then the ranks for the whole table are computed together: each
+distinct pair of consecutive active levels is looked up in a bounded cache
+keyed by the face set's digest of the incidence between the two levels,
+and the missing incidence matrices go to ``rank_mod_p`` in zero-padded
+stacks of bounded size, eliminated in lock step.  A single incidence matrix
+above ``_MAX_RANK_MATRIX_CELLS`` is refused before any stack is built.
 
 The same kernel has a third caller besides the Ext and Cech tables:
-``taylor.betti_numbers`` ranks the lcm strands of the Taylor complex, each
-strand one activity column.  The subset helpers (``masks_by_size``,
-``incidence_sign``, ``subset_lcms``) live here for all three.
+``taylor.betti_numbers`` ranks the lcm strands of the Lyubeznik complex,
+each strand one activity column.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import rank_mod_p
-from .monomials import MAX_EXPONENT, MonomialIdeal, _check_pair, support
+from .monomials import MAX_EXPONENT, MonomialIdeal, _check_pair, radical
 
 __all__ = [
     "DegreeBox",
@@ -80,37 +102,223 @@ __all__ = [
     "local_cohomology_slice",
     "lc_profile",
     "clear_slice_caches",
-    "masks_by_size",
-    "incidence_sign",
-    "subset_lcms",
+    "FaceSet",
+    "FaceLayout",
+    "lyubeznik_layout",
+    "taylor_layout",
 ]
 
 
-@lru_cache(maxsize=None)
-def masks_by_size(r: int) -> tuple[tuple[int, ...], ...]:
-    """Subset bitmasks of {0..r-1} grouped by popcount."""
-    levels = [[] for _ in range(r + 1)]
-    for mask in range(1 << r):
-        levels[mask.bit_count()].append(mask)
-    return tuple(tuple(level) for level in levels)
+# ceiling on the faces of one complex; it bounds a layout's memory (its
+# boundary maps hold one int32 per face and level) and its enumeration
+_MAX_FACES = 1 << 20
+
+# cells (candidate faces x generator exponents) of one divisibility test;
+# it bounds the working memory of the enumeration
+_CANDIDATE_CELLS = 1 << 22
 
 
-def incidence_sign(mask: int, bit: int) -> int:
-    """Sign of the face map inserting ``bit`` into ``mask`` (alternating)."""
-    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+@dataclass(frozen=True, eq=False)
+class FaceSet:
+    """The faces of a simplicial complex on r ordered generators, level by level.
 
-
-def subset_lcms(gens, n: int) -> np.ndarray:
-    """(2^r, n) array of componentwise maxima over every generator subset.
-
-    The subsets whose top element is k are those below 1 << k with k added,
-    so each generator fills one block from the block before it.
+    Level k holds the faces of size k at positions ``offsets[k]`` to
+    ``offsets[k + 1]``, so a (faces, ...) array has one row per face in this
+    order.  Taking the generators in ``order``, a face of size k + 1 is its
+    least member put in front of a face of size k: per nonempty level above
+    the empty face, ``tails`` holds the position of that face in the level
+    below and ``firsts`` the least member's position in the order.  The
+    boundary maps and their digests are derived on first use, once for
+    every generator tuple that shares these faces.
     """
-    r = len(gens)
-    alpha = np.zeros((1 << r, n), dtype=np.int16)
-    for k, g in enumerate(np.asarray(gens, dtype=np.int16).reshape(r, n)):
-        alpha[1 << k : 2 << k] = np.maximum(alpha[: 1 << k], g)
-    return alpha
+
+    order: tuple[int, ...]
+    offsets: np.ndarray
+    tails: tuple[np.ndarray, ...]
+    firsts: tuple[np.ndarray, ...]
+
+    @property
+    def size(self) -> int:
+        return int(self.offsets[-1])
+
+    def per_level(self, rows: np.ndarray) -> np.ndarray:
+        """Sums over each level of a (faces, ...) array."""
+        totals = np.cumsum(rows, axis=0, dtype=np.int64)[self.offsets[1:] - 1]
+        totals[1:] -= totals[:-1].copy()
+        return totals
+
+    @cached_property
+    def down(self) -> tuple[np.ndarray, ...]:
+        """``down[k][i, t]``: the position within level k - 1 of face i of
+        level k without its t-th member in the order; that face map has sign
+        (-1)^t.  Up to the last nonempty level."""
+        r = len(self.order)
+        keys = np.zeros(1, dtype=np.int64)  # tail * r + least position of each face of the last level
+        down = [np.zeros((1, 0), dtype=np.int32)]
+        for tails, first in zip(self.tails, self.firsts):
+            faces = np.empty((tails.size, len(down)), dtype=np.int32)
+            faces[:, 0] = tails
+            # without member t >= 1: the least member in front of the tail's face without its member t - 1
+            faces[:, 1:] = np.searchsorted(keys, down[-1][tails].astype(np.int64) * r + first[:, None])
+            keys = tails.astype(np.int64) * r + first
+            down.append(faces)
+        return tuple(down)
+
+    @cached_property
+    def digests(self) -> tuple[bytes, ...]:
+        """``digests[k]`` names the incidence between levels k and k + 1: both
+        sizes and ``down[k + 1]``.  Equal digests give equal incidence
+        matrices on equal activity bits."""
+        sizes = np.diff(self.offsets)
+        return tuple(
+            hashlib.blake2b(sizes[k : k + 2].tobytes() + self.down[k + 1].tobytes(), digest_size=16).digest()
+            for k in range(len(self.down) - 1)
+        )
+
+
+class FaceLayout(NamedTuple):
+    """A face set on particular generators, with the lcm exponent of every face."""
+
+    faces: FaceSet
+    lcms: np.ndarray
+
+
+def _candidate_orders(r: int) -> list[tuple[int, ...]]:
+    """The generator orders tried for the Lyubeznik complex, in preference order.
+
+    Lexicographic; middle first (the lower middle, then alternately the next
+    above and the next below); and recursive bisection (the lower middle,
+    then the same for the part below it and for the part above it).
+    """
+    middle = (r - 1) // 2
+
+    def bisection(lo: int, hi: int) -> list[int]:
+        if lo >= hi:
+            return []
+        m = (lo + hi - 1) // 2
+        return [m, *bisection(lo, m), *bisection(m + 1, hi)]
+
+    orders = [tuple(range(r)), tuple(sorted(range(r), key=lambda i: (abs(i - middle), -i))), tuple(bisection(0, r))]
+    return [order for k, order in enumerate(orders) if order not in orders[:k]]
+
+
+def _face_levels(G: np.ndarray, lyubeznik: bool, cap: int):
+    """The levels above the empty face of a complex on the generator rows G, in row order.
+
+    With ``lyubeznik`` the faces are those of the Lyubeznik complex, else
+    every subset.  A face T = {i1 < ... < is} of rows is in the Lyubeznik
+    complex iff for every t < s no row before i_t divides
+    lcm(m_{i_t}, ..., m_{i_s}).  Its tail {i2, ..., is} is then a face as
+    well, so level k + 1 is built by putting a smaller row in front of a
+    face of level k, and only the new condition at t = 1 is tested: that no
+    row before i1 divides the lcm of the whole.  Level k + 1 is returned as
+    three arrays over its faces: the position of the tail in level k, the
+    least row, and the lcm.  Returns None once the faces pass ``cap``.
+    """
+    r, n = G.shape
+    below = np.tri(r + 1, r, -1, dtype=bool)  # below[h, q]: q < h
+    # row q divides an lcm iff the lcm reaches its entries on its support;
+    # all supports side by side, so one comparison tests every row.  The
+    # test runs only for r >= 2, where no row is zero: a zero row would
+    # divide every other row, and the generators are minimal.
+    row, column = np.nonzero(G)
+    starts, needed = np.searchsorted(row, np.arange(r)), G[row, column]
+    least, lcms = np.array([r]), np.zeros((1, n), dtype=G.dtype)
+    levels, total, step = [], 1, max(1, _CANDIDATE_CELLS // max(r * row.size, 1))
+    while least.any():
+        parts = []
+        for lo in range(0, least.size, step):
+            tails, first = np.nonzero(below[least[lo : lo + step]])
+            tails += lo
+            lcm = np.maximum(lcms[tails], G[first])
+            if lyubeznik and levels:
+                divides = np.logical_and.reduceat(lcm[:, column] >= needed, starts, axis=1)
+                kept = ~(divides & below[first]).any(axis=1)
+                tails, first, lcm = tails[kept], first[kept], lcm[kept]
+            total += tails.size
+            if total > cap:
+                return None
+            parts.append((tails, first, lcm))
+        level = parts[0] if len(parts) == 1 else tuple(np.concatenate(part) for part in zip(*parts))
+        if level[0].size:
+            levels.append(level)
+        _, least, lcms = level
+    return levels
+
+
+def _face_set(order: tuple[int, ...], levels) -> FaceSet:
+    """The face set of the levels from ``_face_levels`` of generators taken in ``order``."""
+    sizes = [1, *(len(level[0]) for level in levels)]
+    offsets = np.cumsum([0, *sizes, *[0] * (len(order) + 1 - len(sizes))])
+    tails, firsts = (tuple(level[j] for level in levels) for j in (0, 1))
+    return FaceSet(tuple(order), offsets, tails, firsts)
+
+
+def _face_lcms(faces: FaceSet, G: np.ndarray) -> np.ndarray:
+    """The lcm exponent of every face, on the generator rows G."""
+    G = G[list(faces.order)]
+    lcms = [np.zeros((1, G.shape[1]), dtype=np.int16)]
+    for tails, first in zip(faces.tails, faces.firsts):
+        lcms.append(np.maximum(lcms[-1][tails], G[first]))
+    return np.concatenate(lcms)
+
+
+@lru_cache(maxsize=1024)
+def _lyubeznik_faces(pattern: bytes, r: int, n: int) -> FaceSet:
+    """The Lyubeznik faces of generators with the given column-rank pattern (see ``lyubeznik_layout``)."""
+    G = np.frombuffer(pattern, dtype=np.min_scalar_type(r)).reshape(r, n)
+    best, cap = None, _MAX_FACES
+    for order in reversed(_candidate_orders(r)):
+        levels = _face_levels(G[list(order)], True, cap)
+        if levels is not None:
+            best, cap = (order, levels), 1 + sum(len(level[0]) for level in levels)
+    if best is None:
+        raise ValueError(f"Lyubeznik complex on {r} generators has over {_MAX_FACES} faces: too large to scan")
+    return _face_set(*best)
+
+
+@lru_cache(maxsize=64)
+def _taylor_faces(r: int) -> FaceSet:
+    """Every subset of r generators."""
+    _check_scan_size((), 1 << r, f"Taylor complex on {r} generators")
+    return _face_set(tuple(range(r)), _face_levels(np.zeros((r, 0), dtype=np.int16), False, _MAX_FACES))
+
+
+def _generator_rows(gens, n: int) -> np.ndarray:
+    return np.asarray(gens, dtype=np.int16).reshape(len(gens), n)
+
+
+# the layouts of recent generator tuples; the default corpus asks for about
+# 2 000 Lyubeznik layouts, which share about 500 face sets
+@lru_cache(maxsize=4096)
+def lyubeznik_layout(gens, n: int) -> FaceLayout:
+    """The Lyubeznik complex of the generators, a subcomplex of the Taylor complex.
+
+    With the restricted Taylor differential it is a free resolution of
+    S/(gens) (Lyubeznik 1988; Mermin, "Three simplicial resolutions",
+    2012).  Its size depends on the generator order, its (co)homology does
+    not: of the orders of ``_candidate_orders`` the first with the fewest
+    faces is kept.  Each order is enumerated under the fewest faces found so
+    far as its cap, latest order first, so a large complex is abandoned as
+    soon as it passes a smaller one.
+
+    Whether a generator divides the lcm of others depends only on how the
+    exponents compare within each variable, so the faces (and the order
+    chosen) are computed once per column-rank pattern of the generators and
+    shared; only the lcms are per generator tuple.
+    """
+    G = _generator_rows(gens, n)
+    # each exponent replaced by the number of smaller ones in its column
+    pattern = (G[None, :, :] < G[:, None, :]).sum(axis=1, dtype=np.min_scalar_type(len(gens)))
+    faces = _lyubeznik_faces(pattern.tobytes(), len(gens), n)
+    return FaceLayout(faces, _face_lcms(faces, G))
+
+
+@lru_cache(maxsize=4096)
+def taylor_layout(gens, n: int) -> FaceLayout:
+    """The full simplex on the generators (in n variables) in their given order: the Taylor complex."""
+    faces = _taylor_faces(len(gens))
+    return FaceLayout(faces, _face_lcms(faces, _generator_rows(gens, n)))
 
 
 @dataclass(frozen=True)
@@ -186,54 +394,60 @@ def _member_rows(C: np.ndarray, gens) -> np.ndarray:
     return (C[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
 
 
-def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int) -> np.ndarray:
-    """Component activity of Hom(subset-lcm complex of J, S/I) per degree.
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct value of a 2-d array, and the group of every row.
 
-    Subset T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I.
-    That depends on T only through lcm_T, so activity is evaluated once per
-    distinct lcm and gathered to the subsets.
+    Rows are keyed by one value each, their raw bytes.
     """
-    r = len(J.gens)
-    alpha = subset_lcms(J.gens, J.ring.n)
-    rows = alpha.tolist()
-    sharing: dict[tuple, list[int]] = {}  # the subsets of each distinct lcm
-    for level in masks_by_size(r)[: max_level + 1]:
-        for mask in level:
-            sharing.setdefault(tuple(rows[mask]), []).append(mask)
-    act = np.zeros((1 << r, grid.shape[0]), dtype=bool)
-    for masks in sharing.values():
-        shifted = grid + alpha[masks[0]]
-        act[masks] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _live_faces(faces: FaceSet, max_level: int) -> int:
+    """The number of faces of size at most ``max_level``."""
+    return int(faces.offsets[min(max_level + 1, faces.offsets.size - 1)])
+
+
+def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int, layout: FaceLayout) -> np.ndarray:
+    """Component activity of Hom(L, S/I) per degree, for a complex L of faces on the generators of J.
+
+    Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I.
+    That depends on T only through lcm_T, so activity is evaluated once per
+    distinct lcm and gathered to the faces.
+    """
+    live = _live_faces(layout.faces, max_level)
+    lcms = layout.lcms[:live]
+    first, inverse = _row_groups(lcms)
+    distinct = np.empty((first.size, grid.shape[0]), dtype=bool)
+    for u, f in enumerate(first.tolist()):
+        shifted = grid + lcms[f]
+        distinct[u] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
+    act = np.zeros((layout.faces.size, grid.shape[0]), dtype=bool)
+    act[:live] = distinct[inverse]
     return act
 
 
-def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int) -> np.ndarray:
-    """Component activity of the Cech complex on the generators of a, with S/I coefficients.
+def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int, layout: FaceLayout) -> np.ndarray:
+    """Component activity of the Cech complex on the generators of ``layout``, with S/I coefficients.
 
-    For subset T let F be the union of the generator supports.  The localized
-    piece at b is nonzero iff b_j >= 0 away from F and the restriction of b
-    away from F avoids the ideal obtained from I by inverting F.
+    For face T let F be the union of its generators' supports, the support
+    of lcm_T.  The localized piece at b is nonzero iff b_j >= 0 away from F
+    and the restriction of b away from F avoids the ideal obtained from I
+    by inverting F.
     """
-    n = a.ring.n
-    r = len(a.gens)
-    supp_bits = [sum(1 << j for j in support(g)) for g in a.gens]
-    act = np.zeros((1 << r, grid.shape[0]), dtype=bool)
-    by_f: dict[int, np.ndarray] = {}
-    for mask in range(1 << r):
-        if mask.bit_count() > max_level:
-            continue
-        fbits = 0
-        rem = mask
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            fbits |= supp_bits[low.bit_length() - 1]
-        if fbits not in by_f:
-            outside = [j for j in range(n) if not (fbits >> j) & 1]
-            sub = grid[:, outside]
-            erased = [tuple(g[j] for j in outside) for g in I.gens]
-            by_f[fbits] = (sub >= 0).all(axis=1) & ~_member_rows(sub, erased)
-        act[mask] = by_f[fbits]
+    live = _live_faces(layout.faces, max_level)
+    inverted = layout.lcms[:live] > 0
+    first, inverse = _row_groups(inverted)
+    distinct = np.empty((first.size, grid.shape[0]), dtype=bool)
+    for u, f in enumerate(first.tolist()):
+        outside = np.flatnonzero(~inverted[f])
+        sub = grid[:, outside]
+        erased = [tuple(g[j] for j in outside) for g in I.gens]
+        distinct[u] = (sub >= 0).all(axis=1) & ~_member_rows(sub, erased)
+    act = np.zeros((layout.faces.size, grid.shape[0]), dtype=bool)
+    act[:live] = distinct[inverse]
     return act
 
 
@@ -278,7 +492,8 @@ class _BoundedCache:
             self._hits = self._misses = 0
 
 
-# ranks of level pairs, keyed by p, r, k and the packed activity of levels k and k + 1
+# ranks of level pairs, keyed by p, k, the face set's digest of levels k and
+# k + 1 and their packed activity
 _RANK_CACHE = _BoundedCache(200_000)
 
 # byte cap of one stack of incidence matrices handed to rank_mod_p; it bounds
@@ -292,47 +507,27 @@ _MAX_RANK_STACK_BYTES = 1 << 20
 _MAX_RANK_MATRIX_CELLS = 1 << 24
 
 
-@lru_cache(maxsize=32)
-def _level_layout(r: int):
-    """Subsets of {0..r-1} by size, with the incidence maps between sizes.
+def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, faces: FaceSet, p: int) -> np.ndarray:
+    """Ranks over GF(p) of the signed incidence maps of a face complex.
 
-    Returns the masks ordered by (size, mask), the offsets of each size in
-    that order, and for each size k < r two (C(r,k), r-k) arrays: the
-    position within size k + 1 of T | bit for each bit outside T, and the
-    incidence sign of that face.
-    """
-    levels = masks_by_size(r)
-    order = np.array([m for level in levels for m in level], dtype=np.intp)
-    offsets = np.cumsum([0] + [len(level) for level in levels])
-    neighbours, signs = [], []
-    for k in range(r):
-        position = {m: i for i, m in enumerate(levels[k + 1])}
-        faces = [[(T, 1 << j) for j in range(r) if not (T >> j) & 1] for T in levels[k]]
-        neighbours.append(np.array([[position[T | b] for T, b in up] for up in faces], dtype=np.intp))
-        signs.append(np.array([[incidence_sign(T, b) for T, b in up] for up in faces], dtype=np.int64))
-    return order, offsets, neighbours, signs
-
-
-def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over GF(p) of the signed incidence maps of subset complexes.
-
-    ``by_size`` is a (2^r, U) boolean array with one activity pattern per
-    column, its rows in the (size, mask) order of ``_level_layout``;
-    ``sizes`` (r + 1, U) counts each pattern's active subsets by size.
-    Entry (k, u) of the result is the rank of the map from the active
-    subsets of size k to the active subsets of size k + 1 in pattern u.
+    ``by_size`` is a (faces, U) boolean array with one activity pattern per
+    column, its rows in the order of ``faces``; ``sizes`` (levels, U)
+    counts each pattern's active faces per level.  Entry (k, u) of the
+    result is the rank of the map from the active faces of size k to the
+    active faces of size k + 1 in pattern u.
 
     Each distinct pair of active levels is looked up once in the bounded
-    rank cache.  The missing ones are built from each subset's upper
-    neighbours, oriented with no more columns than rows, sorted by shape
-    and ranked by ``rank_mod_p`` in zero-padded stacks of at most
-    ``_MAX_RANK_STACK_BYTES``.  A missing matrix of more than
-    ``_MAX_RANK_MATRIX_CELLS`` cells raises ValueError before any stack is
-    built.
+    rank cache, keyed by p, k, the face set's digest of the incidence between
+    levels k and k + 1, and the packed activity of both levels.  The missing
+    ones are built from each face's boundary, oriented with no more columns
+    than rows, sorted by shape and ranked by ``rank_mod_p`` in zero-padded
+    stacks of at most ``_MAX_RANK_STACK_BYTES``.  A missing matrix of more
+    than ``_MAX_RANK_MATRIX_CELLS`` cells raises ValueError before any
+    stack is built.
     """
-    two_r, count = by_size.shape
-    r = two_r.bit_length() - 1
-    _, offsets, neighbours, signs = _level_layout(r)
+    offsets, down = faces.offsets, faces.down
+    r = sizes.shape[0] - 1
+    count = by_size.shape[1]
     ranks = np.zeros((r, count), dtype=np.int64)
     found = []  # per level: k, live columns, class of each, rank of each class
     missing = []  # per uncached class: its level's rank array, class, k, a column, key
@@ -342,10 +537,9 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarra
         if not live.size:
             continue
         rows = np.ascontiguousarray(np.packbits(by_size[offsets[k] : offsets[k + 2], live], axis=0).T)
-        keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first, inverse = _row_groups(rows)
         level_ranks = np.zeros(first.size, dtype=np.int64)
-        prefix = b"%d,%d,%d:" % (p, r, k)
+        prefix = b"%d,%d," % (p, k) + faces.digests[k]
         for j, f in enumerate(first.tolist()):
             key = prefix + rows[f].tobytes()
             hit = _RANK_CACHE.get(key)
@@ -353,7 +547,7 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarra
                 missing.append((level_ranks, j, k, live[f], key))
             else:
                 level_ranks[j] = hit
-        found.append((k, live, inverse.ravel(), level_ranks))
+        found.append((k, live, inverse, level_ranks))
     if missing:
         level_of = np.array([m[2] for m in missing])
         column = np.array([m[3] for m in missing])
@@ -381,12 +575,12 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarra
                 lo_at = np.cumsum(lo, axis=0, dtype=np.int32) - 1
                 hi_at = np.cumsum(hi, axis=0, dtype=np.int32) - 1
                 flip = height[chunk[slots]] < width[chunk[slots]]
-                # one upper neighbour slot at a time keeps the index arrays small
-                for t in range(r - k):
-                    up = neighbours[k][:, t]
-                    i, b = np.nonzero(lo & hi[up])
-                    row, col, f = hi_at[up[i], b], lo_at[i, b], flip[b]
-                    stack[slots[b], np.where(f, col, row), np.where(f, row, col)] = signs[k][i, t]
+                # one boundary slot at a time keeps the index arrays small
+                for t in range(k + 1):
+                    face = down[k + 1][:, t]
+                    i, b = np.nonzero(hi & lo[face])
+                    row, col, f = hi_at[i, b], lo_at[face[i], b], flip[b]
+                    stack[slots[b], np.where(f, col, row), np.where(f, row, col)] = -1 if t & 1 else 1
             for idx, value in zip(chunk.tolist(), rank_mod_p(stack, p).tolist()):
                 level_ranks, j, _, _, key = missing[idx]
                 level_ranks[j] = value
@@ -400,25 +594,22 @@ _incidence_rank.cache_info = _RANK_CACHE.cache_info
 _incidence_rank.cache_clear = _RANK_CACHE.cache_clear
 
 
-def _lattice_dims(active: np.ndarray, p: int) -> np.ndarray:
-    """Cohomology dimensions (levels 0..r, per degree) of subset-indexed complexes.
+def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int) -> np.ndarray:
+    """Cohomology dimensions (one row per level of ``faces``, per degree) of face complexes.
 
-    Degrees are grouped by identical activity pattern under a one-value key
-    per degree, the raw bytes of its packed column.  One ``_incidence_rank``
-    call ranks the level pairs of every distinct pattern.
+    ``active`` is a (faces, degrees) boolean array in the order of
+    ``faces``.  Degrees are grouped by identical activity pattern under a
+    one-value key per degree, the raw bytes of its packed column.  One
+    ``_incidence_rank`` call ranks the level pairs of every distinct pattern.
     """
-    r = active.shape[0].bit_length() - 1
-    rows = np.ascontiguousarray(np.packbits(active, axis=0).T)
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order, offsets, _, _ = _level_layout(r)
-    by_size = active[np.ix_(order, first)]
-    sizes = np.stack([np.count_nonzero(by_size[lo:hi], axis=0) for lo, hi in zip(offsets[:-1], offsets[1:])])
-    ranks = _incidence_rank(by_size, sizes, p)
+    first, inverse = _row_groups(np.packbits(active, axis=0).T)
+    by_size = active[:, first]
+    sizes = faces.per_level(by_size)
+    ranks = _incidence_rank(by_size, sizes, faces, p)
     dims = sizes.astype(np.int32)
     dims[:-1] -= ranks
     dims[1:] -= ranks
-    return dims[:, inverse.ravel()]
+    return dims[:, inverse]
 
 
 def _nonzero_levels(dims: np.ndarray) -> frozenset[int]:
@@ -453,7 +644,7 @@ class SliceTable:
     @cached_property
     def dims(self) -> np.ndarray:
         """Slice dimensions (levels, D) at every box degree."""
-        _check_box_size(self.box, self._class_dims.shape[0] - 1)
+        _check_box_size(self.box, 1 << (self._class_dims.shape[0] - 1))
         return self._class_dims[:, self._flat(self._ids)]
 
     def profile(self) -> frozenset[int]:
@@ -511,55 +702,81 @@ def _check_scan(A: MonomialIdeal, B: MonomialIdeal):
         raise ValueError("prime characteristic required by the rank engine")
 
 
-# hard ceiling on (subsets x box degrees) cells so oversized requests fail
+# hard ceiling on (faces x box degrees) cells so oversized requests fail
 # fast instead of exhausting memory; generous for the intended desk scale
 _MAX_ACTIVITY_CELLS = 600_000_000
 
 
-def _check_scan_size(shape, generator_count: int, what: str):
-    """Refuse a grid of the given per-axis sizes whose activity matrix exceeds the ceiling."""
-    if math.prod(shape) << generator_count > _MAX_ACTIVITY_CELLS:
-        raise ValueError(f"{what} with {generator_count} generators is too large to scan")
+def _check_scan_size(shape, faces: int, what: str):
+    """Refuse a complex of more than ``_MAX_FACES`` faces, or a grid of the
+    given per-axis sizes whose activity matrix (faces x degrees) exceeds the
+    ceiling."""
+    if faces > _MAX_FACES or math.prod(shape) * faces > _MAX_ACTIVITY_CELLS:
+        raise ValueError(f"{what} with {faces} faces is too large to scan")
 
 
-def _check_box_size(box: DegreeBox, generator_count: int):
-    """The ceiling for work on every box degree: the dense scan and a table's expansion."""
-    _check_scan_size([2 * r + 1 for r in box.rho], generator_count, f"stabilization box {box.rho}")
+def _check_box_size(box: DegreeBox, faces: int):
+    """The ceiling for work on every box degree: the dense scan and a table's
+    expansion, both sized by the faces of the full Taylor complex."""
+    _check_scan_size([2 * r + 1 for r in box.rho], faces, f"stabilization box {box.rho}")
 
 
-def _class_table(activity, thresholds, A: MonomialIdeal, B: MonomialIdeal, pad: int, max_level: int):
+def _ext_complex(J: MonomialIdeal) -> FaceLayout:
+    return lyubeznik_layout(J.gens, J.ring.n)
+
+
+def _cech_complex(a: MonomialIdeal) -> FaceLayout:
+    # local cohomology depends on a only up to radical
+    return taylor_layout(radical(a).gens, a.ring.n)
+
+
+def _slice_dims(activity, layout: FaceLayout, A: MonomialIdeal, B: MonomialIdeal, grid: np.ndarray, max_level: int) -> np.ndarray:
+    """Slice dimensions (levels 0..len(A.gens), per degree of ``grid``) of an
+    activity kernel on a complex; levels the complex lacks (the Cech complex
+    on the radical of A may have fewer) are zero."""
+    dims = _lattice_dims(activity(A, B, grid, max_level, layout), layout.faces, A.ring.char)
+    if dims.shape[0] == len(A.gens) + 1:
+        return dims
+    return np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
+
+
+def _class_table(activity, thresholds, complex_of, A: MonomialIdeal, B: MonomialIdeal, pad: int, max_level: int):
     """Run an activity kernel on one representative degree per threshold class."""
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B, pad=pad)
     classes = [_axis_classes(r, thresholds(A, B, j)) for j, r in enumerate(box.rho)]
     reps = tuple(rep for _, rep in classes)
     shape = tuple(len(rep) for rep in reps)
-    _check_scan_size(shape, len(A.gens), f"class grid {shape} of the stabilization box {box.rho}")
-    act = activity(A, B, _product_grid(reps), max_level=max_level)
-    return SliceTable(box, reps, tuple(ids for ids, _ in classes), _lattice_dims(act, A.ring.char))
+    layout = complex_of(A)
+    _check_scan_size(shape, layout.faces.size, f"class grid {shape} of the stabilization box {box.rho}")
+    dims = _slice_dims(activity, layout, A, B, _product_grid(reps), max_level)
+    return SliceTable(box, reps, tuple(ids for ids, _ in classes), dims)
 
 
 def _dense_profile(activity, A: MonomialIdeal, B: MonomialIdeal, pad: int = 0) -> frozenset[int]:
     """The profile from an activity kernel run on every degree of the box.
 
     The engine the class grid replaced, kept as the independent pad-0 side
-    of the corpus cross-check.
+    of the corpus cross-check.  It runs on the full Taylor complex of A's
+    own generators, so it shares neither the class grid nor the Lyubeznik
+    complex or the radical with the class tables.
     """
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B, pad=pad)
-    _check_box_size(box, len(A.gens))
-    act = activity(A, B, box.degree_grid(), max_level=len(A.gens))
-    return _nonzero_levels(_lattice_dims(act, A.ring.char))
+    _check_box_size(box, 1 << len(A.gens))
+    layout = taylor_layout(A.gens, A.ring.n)
+    act = activity(A, B, box.degree_grid(), len(A.gens), layout)
+    return _nonzero_levels(_lattice_dims(act, layout.faces, A.ring.char))
 
 
 def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     """Slice dimensions of Ext^i(S/J, S/I) over the stabilization box."""
-    return _class_table(_ext_activity, _ext_thresholds, J, I, pad, len(J.gens))
+    return _class_table(_ext_activity, _ext_thresholds, _ext_complex, J, I, pad, len(J.gens))
 
 
 def lc_table(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     """Slice dimensions of the local cohomology of S/I supported on a."""
-    return _class_table(_cech_activity, _cech_thresholds, a, I, pad, len(a.gens))
+    return _class_table(_cech_activity, _cech_thresholds, _cech_complex, a, I, pad, len(a.gens))
 
 
 # profiles keyed by (kind, A, B, pad)
@@ -569,6 +786,8 @@ _PROFILE_CACHE = _BoundedCache(65_536)
 def clear_slice_caches():
     _PROFILE_CACHE.cache_clear()
     _RANK_CACHE.cache_clear()
+    for cached in (lyubeznik_layout, taylor_layout, _lyubeznik_faces, _taylor_faces):
+        cached.cache_clear()
 
 
 def _cached_profile(kind: str, builder, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> frozenset[int]:
@@ -601,9 +820,7 @@ def ext_slice(J: MonomialIdeal, I: MonomialIdeal, i: int, b, pad: int = 0) -> in
     box = DegreeBox.for_ideals(J, I, pad=pad)
     if not box.contains(b):
         raise ValueError(f"degree {tuple(b)} violates the stabilization box {box.rho}")
-    grid = np.asarray([b], dtype=np.int16)
-    act = _ext_activity(J, I, grid, max_level=len(J.gens))
-    dims = _lattice_dims(act, J.ring.char)
+    dims = _slice_dims(_ext_activity, _ext_complex(J), J, I, np.asarray([b], dtype=np.int16), len(J.gens))
     return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0
 
 
@@ -616,7 +833,7 @@ def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int, pad: int = 0)
     """Whether Ext^i(S/J, S/I) = 0 for every i < k (levels above k are not computed)."""
     if k <= 0:
         return True
-    table = _class_table(_ext_activity, _ext_thresholds, J, I, pad, min(k, len(J.gens)))
+    table = _class_table(_ext_activity, _ext_thresholds, _ext_complex, J, I, pad, min(k, len(J.gens)))
     return not table._class_dims[:k].any()
 
 
@@ -628,7 +845,5 @@ def local_cohomology_slice(a: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):
         raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
-    grid = np.asarray([b], dtype=np.int16)
-    act = _cech_activity(a, I, grid, max_level=len(a.gens))
-    dims = _lattice_dims(act, a.ring.char)
+    dims = _slice_dims(_cech_activity, _cech_complex(a), a, I, np.asarray([b], dtype=np.int16), len(a.gens))
     return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0

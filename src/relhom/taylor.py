@@ -1,15 +1,17 @@
-"""Betti numbers via the subset-lcm resolution of a monomial quotient.
+"""Betti numbers via the Lyubeznik resolution of a monomial quotient.
 
-The resolution is indexed by subsets of the minimal generators, with the
-componentwise max (lcm exponent) as the multidegree of each subset.  Mapping
-it into the residue field keeps exactly the differential entries between
-subsets with the same lcm, so the complex splits into one strand per
-distinct lcm, and beta_i is the sum over strands of dim H_i of the strand.
-A strand is a subset complex whose activity pattern is one column, which is
-what the slice kernel ``_lattice_dims`` ranks; a strand of a single subset
-has no differential and adds 1 to beta of its size.  Betti numbers give the
-projective dimension and (by Auslander-Buchsbaum) depth.  The resolution is
-used un-minimized: Betti numbers do not depend on the chosen resolution.
+The Lyubeznik complex (``slices.lyubeznik_layout``) is a subcomplex of the
+Taylor complex on the minimal generators, with the componentwise max (lcm
+exponent) as the multidegree of each face, and with the restricted Taylor
+differential it is a free resolution of S/I.  Mapping it into the residue
+field keeps exactly the differential entries between faces with the same
+lcm, so the complex splits into one strand per distinct lcm, and beta_i is
+the sum over strands of dim H_i of the strand.  A strand is a face complex
+whose activity pattern is one column, which is what the slice kernel
+``_lattice_dims`` ranks; a strand of a single face has no differential and
+adds 1 to beta of its size.  Betti numbers give the projective dimension
+and (by Auslander-Buchsbaum) depth.  The resolution is used un-minimized:
+Betti numbers do not depend on the chosen resolution.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .monomials import MonomialIdeal
-from .slices import _check_scan_size, _lattice_dims, _level_layout, subset_lcms
+from .slices import _check_scan_size, _lattice_dims, _row_groups, lyubeznik_layout
 
 __all__ = ["betti_numbers", "pd_quotient", "depth_quotient"]
 
@@ -33,26 +35,23 @@ def betti_numbers(I: MonomialIdeal) -> tuple[int, ...]:
     p = I.ring.char
     if p == 0:
         raise ValueError("prime characteristic required by the rank engine")
-    r = len(I.gens)
-    if r == 0:
+    if not I.gens:
         return (1,)
-    # (r + 1) levels of 2^r subsets bound every Taylor scan from below; check before allocating
-    _check_scan_size((r + 1,), r, "Taylor complex")
-    alpha = subset_lcms(I.gens, I.ring.n)
-    keys = alpha.view(np.dtype((np.void, alpha.shape[1] * alpha.itemsize))).ravel()
-    _, strand, size = np.unique(keys, return_inverse=True, return_counts=True)
+    layout = lyubeznik_layout(I.gens, I.ring.n)
+    faces = layout.faces
+    _, strand = _row_groups(layout.lcms)
+    size = np.bincount(strand)
     shared = size[strand] > 1
-    order, offsets, _, _ = _level_layout(r)
-    betti = np.add.reduceat(~shared[order], offsets[:-1], dtype=np.int64)
+    betti = faces.per_level(~shared)
     if shared.any():
-        # one activity column per strand of two or more subsets
+        # one activity column per strand of two or more faces
         column = np.cumsum(size > 1) - 1
         count = int(column[-1]) + 1
-        _check_scan_size((count,), r, "Taylor complex")
+        _check_scan_size((count,), faces.size, f"Lyubeznik complex on {len(I.gens)} generators")
         members = np.flatnonzero(shared)
-        active = np.zeros((1 << r, count), dtype=bool)
+        active = np.zeros((faces.size, count), dtype=bool)
         active[members, column[strand[members]]] = True
-        betti += _lattice_dims(active, p).sum(axis=1)
+        betti += _lattice_dims(active, faces, p).sum(axis=1)
     return tuple(betti.tolist())
 
 

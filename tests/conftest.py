@@ -4,10 +4,13 @@ The oracles reimplement divisibility, membership and small modular ranks
 from scratch so that engine tests never check an implementation against
 itself.  ``sop_search`` and ``cech_piece`` are the brute-force forms of the
 parameter-system search and of one Cech localization piece;
-``oracle_ext_activity`` is the per-subset form of the Ext activity kernel;
+``oracle_ext_activity`` is the per-face form of the Ext activity kernel;
 ``oracle_taylor_differentials`` builds the dense Taylor differentials that
-Betti numbers were once ranked from; ``monomials_up_to`` is the monomial
-enumeration ``sop_search`` walks.
+Betti numbers were once ranked from, and ``subset_lcms`` the lcm of every
+generator subset; ``oracle_lyubeznik_faces`` tests the definition of the
+Lyubeznik complex on every generator subset, ``layout_faces`` reads the
+faces back out of an engine face set, and ``lyubeznik_in_order`` builds the
+engine's layout in one given generator order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from relhom.invariants import (
     sop_witness_by_support,
 )
 from relhom.monomials import MonomialIdeal, RingSpec, minimal_generators, sum_ideals, support
-from relhom.slices import _member_rows, subset_lcms
+from relhom.slices import FaceLayout, _face_lcms, _face_levels, _face_set, _generator_rows, _member_rows
 
 
 def oracle_divides(a, b) -> bool:
@@ -42,9 +45,63 @@ def oracle_monomials(n: int, bound: int):
     return [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
 
 
-def monomials_up_to(n: int, bound: int):
-    """All exponent vectors of total degree <= bound, in lexicographic order."""
-    return [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
+def subset_lcms(gens, n: int) -> np.ndarray:
+    """(2^r, n) array of componentwise maxima over every generator subset, indexed by bitmask.
+
+    The subsets whose top element is k are those below 1 << k with k added,
+    so each generator fills one block from the block before it.
+    """
+    r = len(gens)
+    alpha = np.zeros((1 << r, n), dtype=np.int16)
+    for k, g in enumerate(np.asarray(gens, dtype=np.int16).reshape(r, n)):
+        alpha[1 << k : 2 << k] = np.maximum(alpha[: 1 << k], g)
+    return alpha
+
+
+def oracle_lyubeznik_faces(gens, order) -> set[frozenset[int]]:
+    """The Lyubeznik complex of the generators taken in ``order``, from its definition.
+
+    A subset T = {i1 < ... < is} of positions in the order is a face iff for
+    every t < s no generator at a position q < i_t divides
+    lcm(m_{i_t}, ..., m_{i_s}).  Faces are returned as sets of generator
+    indices.
+    """
+    ordered = [gens[i] for i in order]
+    faces = set()
+    for size in range(len(gens) + 1):
+        for T in itertools.combinations(range(len(gens)), size):
+            if all(
+                not any(
+                    oracle_divides(ordered[q], [max(column) for column in zip(*(ordered[i] for i in T[t:]))])
+                    for q in range(T[t])
+                )
+                for t in range(size - 1)
+            ):
+                faces.add(frozenset(order[i] for i in T))
+    return faces
+
+
+def layout_faces(faces) -> list[list[frozenset[int]]]:
+    """The faces of an engine face set as sets of generator indices, level by
+    level in its order, up to the last nonempty level.
+
+    A face of size k + 1 is the generator at position ``firsts[k][i]`` of the
+    order put in front of the face of size k at ``tails[k][i]``.
+    """
+    levels = [[frozenset()]]
+    for tails, firsts in zip(faces.tails, faces.firsts):
+        levels.append([levels[-1][t] | {faces.order[f]} for t, f in zip(tails.tolist(), firsts.tolist())])
+    return levels
+
+
+def lyubeznik_in_order(gens, n: int, order, cap: int):
+    """The engine's Lyubeznik layout of the generators taken in one given order, or None past ``cap`` faces."""
+    G = _generator_rows(gens, n)
+    levels = _face_levels(G[list(order)], True, cap)
+    if levels is None:
+        return None
+    faces = _face_set(tuple(order), levels)
+    return FaceLayout(faces, _face_lcms(faces, G))
 
 
 def oracle_rank_mod_p(rows, p: int) -> int:
@@ -70,19 +127,20 @@ def oracle_rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def oracle_ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int) -> np.ndarray:
-    """Ext activity with every subset evaluated on its own, not once per distinct lcm.
+def oracle_ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int, layout) -> np.ndarray:
+    """Ext activity with every face of the layout evaluated on its own, not once per distinct lcm.
 
-    Subset T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I.
+    Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I;
+    lcm_T is computed here from the generators of J.
     """
-    r = len(J.gens)
-    alpha = subset_lcms(J.gens, J.ring.n)
-    act = np.zeros((1 << r, grid.shape[0]), dtype=bool)
-    for mask in range(1 << r):
-        if mask.bit_count() > max_level:
+    faces = [T for level in layout_faces(layout.faces) for T in level]
+    act = np.zeros((len(faces), grid.shape[0]), dtype=bool)
+    for row, T in enumerate(faces):
+        if len(T) > max_level:
             continue
-        shifted = grid + alpha[mask]
-        act[mask] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
+        lcm = [max((J.gens[i][j] for i in T), default=0) for j in range(J.ring.n)]
+        shifted = grid + np.asarray(lcm, dtype=np.int16)
+        act[row] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
     return act
 
 
@@ -143,7 +201,7 @@ def sop_search(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> Sop
     # enumerating monomial combinations
     if not sop_witness_by_support(a, I, degree_bound).found:
         return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
-    candidates = [e for e in monomials_up_to(a.ring.n, degree_bound) if any(e) and a.contains_monomial(e)]
+    candidates = [e for e in oracle_monomials(a.ring.n, degree_bound) if any(e) and a.contains_monomial(e)]
     for combo in itertools.combinations(candidates, c):
         if _radical_supports([*map(support, I.gens), *map(support, combo)]) == target:
             return SopWitness(SOP_FOUND, combo, degree_bound)

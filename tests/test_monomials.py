@@ -31,7 +31,7 @@ from relhom.monomials import (
     zero_ideal,
 )
 
-from conftest import monomials_up_to, oracle_member, oracle_monomials, random_proper_ideal
+from conftest import oracle_member, oracle_monomials, random_proper_ideal
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -324,8 +324,6 @@ class TestGrammar:
         assert format_monomial(ring2, (1, 3)) == "x*y^3"
 
 
-def test_monomials_up_to_matches_oracle():
-    assert monomials_up_to(3, 4) == oracle_monomials(3, 4)
 
 
 def test_sum_ideals(ring2):

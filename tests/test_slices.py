@@ -28,9 +28,20 @@ from relhom.slices import (
     lc_profile,
     lc_table,
     local_cohomology_slice,
+    lyubeznik_layout,
+    taylor_layout,
 )
 
-from conftest import cech_piece, oracle_ext_activity, oracle_member, oracle_rank_mod_p, random_proper_ideal
+from conftest import (
+    cech_piece,
+    layout_faces,
+    lyubeznik_in_order,
+    oracle_ext_activity,
+    oracle_lyubeznik_faces,
+    oracle_member,
+    oracle_rank_mod_p,
+    random_proper_ideal,
+)
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 # a 6-variable pair whose unpadded box holds 1 756 755 degrees
@@ -248,7 +259,9 @@ def test_lc_slices_match_oracle(ring2):
 
 
 def _dense_dims(activity, A, B, grid):
-    return _lattice_dims(activity(A, B, grid, len(A.gens)), A.ring.char)
+    # the full Taylor complex on A's own generators, as in the corpus cross-check
+    layout = taylor_layout(A.gens, A.ring.n)
+    return _lattice_dims(activity(A, B, grid, len(A.gens), layout), layout.faces, A.ring.char)
 
 
 def _nonzero_levels(dims):
@@ -257,9 +270,10 @@ def _nonzero_levels(dims):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_class_tables_equal_the_dense_scan(n):
-    # the class engine against the kernels run on every box degree; this is
-    # what keeps the box-enlargement test below, which compares two class
-    # grids, honest
+    # the class engine (Lyubeznik complex for Ext, Cech complex on the
+    # radical) against the kernels run on every box degree of the full
+    # Taylor complex; this is what keeps the box-enlargement test below,
+    # which compares two class grids, honest
     ring = RingSpec(tuple(f"x{j}" for j in range(n)))
     rng = np.random.default_rng(60 + n)
     for trial in range(21):
@@ -287,9 +301,9 @@ def test_ext_profile_scans_one_degree_per_class(monkeypatch):
     scanned = []
     activity = slices._ext_activity
 
-    def recording(J, I, grid, max_level):
+    def recording(J, I, grid, max_level, layout):
         scanned.append(grid.shape[0])
-        return activity(J, I, grid, max_level)
+        return activity(J, I, grid, max_level, layout)
 
     monkeypatch.setattr(slices, "_ext_activity", recording)
     clear_slice_caches()
@@ -398,8 +412,10 @@ def test_ext_activity_matches_the_per_subset_oracle(n):
         I = random_proper_ideal(rng, ring, 3, 4)
         box = DegreeBox.for_ideals(J, I, pad=1)
         grid = rng.integers(-np.asarray(box.rho), np.asarray(box.rho) + 1, size=(40, n)).astype(np.int16)
-        for max_level in range(len(J.gens) + 1):
-            assert np.array_equal(_ext_activity(J, I, grid, max_level), oracle_ext_activity(J, I, grid, max_level))
+        for layout in (lyubeznik_layout(J.gens, n), taylor_layout(J.gens, n)):
+            for max_level in range(len(J.gens) + 1):
+                expected = oracle_ext_activity(J, I, grid, max_level, layout)
+                assert np.array_equal(_ext_activity(J, I, grid, max_level, layout), expected)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -408,13 +424,18 @@ def test_lattice_dims_match_the_oracle_on_random_patterns(p):
     # repeated columns so the dedup and the rank cache are both exercised
     rng = np.random.default_rng(p)
     clear_slice_caches()
-    for r in range(8):  # up to 16 bytes per packed pattern
-        masks = [frozenset(j for j in range(r) if (m >> j) & 1) for m in range(1 << r)]
-        columns = rng.random((1 << r, 12)) < rng.uniform(0.2, 0.8)
+    ring = RingSpec(("x", "y", "z"))
+    face_sets = [slices._taylor_faces(r) for r in range(8)]
+    # Lyubeznik complexes: faces that are not all subsets, in their own order
+    face_sets += [lyubeznik_layout(random_proper_ideal(rng, ring, 3, 8).gens, 3).faces for _ in range(6)]
+    for face_set in face_sets:  # up to 16 bytes per packed pattern
+        r = len(face_set.offsets) - 2
+        faces = [T for level in layout_faces(face_set) for T in level]
+        columns = rng.random((len(faces), 12)) < rng.uniform(0.2, 0.8)
         active = columns[:, rng.integers(0, 12, size=30)]
-        dims = _lattice_dims(active, p)
+        dims = _lattice_dims(active, face_set, p)
         for d in range(active.shape[1]):
-            expected = _complex_dims([masks[m] for m in np.flatnonzero(active[:, d])], r, p, is_complex=False)
+            expected = _complex_dims([faces[m] for m in np.flatnonzero(active[:, d])], r, p, is_complex=False)
             assert dims[:, d].tolist() == expected
 
 
@@ -470,3 +491,108 @@ def test_caches_stay_within_their_bounds_under_threads(monkeypatch, ring3):
     for cached in (taylor.betti_numbers, monomials.irreducible_decomposition):
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+# --- the Lyubeznik complex and its face layout --------------------------------
+
+def test_layout_faces_match_the_lyubeznik_definition():
+    rng = np.random.default_rng(101)
+    for n in (2, 3, 4):
+        ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+        for _ in range(10):
+            gens = random_proper_ideal(rng, ring, 3, 8).gens
+            counts = []
+            for order in [*slices._candidate_orders(len(gens)), tuple(rng.permutation(len(gens)).tolist())]:
+                layout = lyubeznik_in_order(gens, n, order, slices._MAX_FACES)
+                faces = layout_faces(layout.faces)
+                assert {T for level in faces for T in level} == oracle_lyubeznik_faces(gens, order)
+                sizes = np.diff(layout.faces.offsets).tolist()
+                assert [len(level) for level in faces] == sizes[: len(faces)] and not any(sizes[len(faces) :])
+                assert all(len(T) == k for k, level in enumerate(faces) for T in level)
+                flat = [T for level in faces for T in level]
+                lcms = [[max((gens[i][j] for i in T), default=0) for j in range(n)] for T in flat]
+                assert layout.lcms.tolist() == lcms
+                # down[k][i, t] is face i of level k without its t-th member in the order
+                rank = {g: q for q, g in enumerate(order)}
+                for k in range(1, len(faces)):
+                    for T, row in zip(faces[k], layout.faces.down[k].tolist()):
+                        members = sorted(T, key=rank.get)
+                        assert [faces[k - 1][d] for d in row] == [T - {m} for m in members]
+                counts.append(layout.faces.size)
+            chosen = lyubeznik_layout(gens, n)
+            fewest = min(counts[:-1])
+            assert chosen.faces.size == fewest
+            assert chosen.faces.order == slices._candidate_orders(len(gens))[counts.index(fewest)]
+            assert {T for level in layout_faces(chosen.faces) for T in level} == oracle_lyubeznik_faces(
+                gens, chosen.faces.order
+            )
+            assert np.array_equal(chosen.lcms, lyubeznik_in_order(gens, n, chosen.faces.order, fewest).lcms)
+            full = taylor_layout(gens, n)
+            assert full.faces.size == 1 << len(gens)
+            assert {T for level in layout_faces(full.faces) for T in level} == set(map(frozenset, _subsets(len(gens))))
+
+
+def test_candidate_orders_on_the_chain():
+    # lexicographic, middle first and recursive bisection; the bisection
+    # order shrinks the 2^25 Taylor faces of x^i * y^(24 - i) to 246
+    assert slices._candidate_orders(6) == [(0, 1, 2, 3, 4, 5), (2, 3, 1, 4, 0, 5), (2, 0, 1, 4, 3, 5)]
+    assert slices._candidate_orders(2) == [(0, 1)]
+    chain = tuple((i, 24 - i) for i in range(25))
+    counts = [lyubeznik_in_order(chain, 2, order, 1 << 16) for order in slices._candidate_orders(25)]
+    assert counts[0] is None and [layout.faces.size for layout in counts[1:]] == [16_382, 246]
+    assert lyubeznik_layout(chain, 2).faces.size == 246
+
+
+def test_face_sets_are_shared_by_column_rank_pattern():
+    # divisibility among lcms depends only on how exponents compare within
+    # each variable, so these two chains share one face set; lcms do not
+    low = lyubeznik_layout(((0, 2), (1, 1), (2, 0)), 2)
+    high = lyubeznik_layout(((0, 5), (3, 2), (4, 0)), 2)
+    assert low.faces is high.faces
+    assert low.lcms.max(axis=0).tolist() == [2, 2] and high.lcms.max(axis=0).tolist() == [4, 5]
+
+
+def test_ext_dims_do_not_depend_on_the_generator_order():
+    # the Lyubeznik complex in any generator order is a resolution of S/J,
+    # so Hom into S/I has the Ext dimensions of the full Taylor complex in
+    # every degree
+    rng = np.random.default_rng(103)
+    ring = RingSpec(("x", "y", "z"))
+    for _ in range(10):
+        J = random_proper_ideal(rng, ring, 3, 7)
+        I = random_proper_ideal(rng, ring, 3, 3)
+        grid = DegreeBox.for_ideals(J, I).degree_grid()
+        expected = _dense_dims(_ext_activity, J, I, grid)
+        orders = [*slices._candidate_orders(len(J.gens)), tuple(rng.permutation(len(J.gens)).tolist())]
+        for order in orders:
+            layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
+            act = _ext_activity(J, I, grid, len(J.gens), layout)
+            assert np.array_equal(_lattice_dims(act, layout.faces, J.ring.char), expected)
+        assert np.array_equal(ext_table(J, I).dims, expected)
+
+
+def test_rank_cache_keys_name_the_layout(ring4):
+    # pairs of relative ideals with equal generator counts whose Lyubeznik
+    # complexes differ: a rank cached for one must not be read for the
+    # other, though level sizes and activity bits can coincide
+    cases = [
+        ([(0, 1, 1, 1), (1, 0, 2, 1), (1, 1, 2, 0), (2, 0, 0, 0)], [(0, 0, 0, 2), (0, 2, 0, 1), (1, 0, 0, 1), (2, 0, 1, 0)], [(2, 1, 1, 1)]),
+        ([(1, 0, 2, 2), (1, 2, 0, 1), (2, 0, 1, 2), (2, 2, 1, 0)], [(0, 0, 1, 1), (0, 1, 2, 0), (2, 1, 0, 2), (2, 2, 1, 0)], [(1, 2, 0, 1), (2, 0, 0, 2), (2, 1, 1, 1)]),
+        ([(0, 0, 2, 2), (0, 2, 1, 2), (1, 2, 1, 1), (2, 0, 0, 1)], [(0, 2, 1, 1), (1, 0, 2, 2), (1, 1, 0, 2), (2, 1, 1, 0)], [(0, 1, 0, 2), (0, 1, 2, 1)]),
+    ]
+    for first, second, module in cases:
+        J1, J2, I = (monomials.minimal_generators(ring4, gens) for gens in (first, second, module))
+        assert len(J1.gens) == len(J2.gens)
+        assert lyubeznik_layout(J1.gens, 4).faces.digests != lyubeznik_layout(J2.gens, 4).faces.digests
+        expected = {}
+        for J in (J1, J2):
+            clear_slice_caches()
+            taylor.betti_numbers.cache_clear()
+            expected[J] = (ext_table(J, I)._class_dims, taylor.betti_numbers(J))
+        for sequence in ((J1, J2, J1, J2), (J2, J1, J2, J1)):
+            clear_slice_caches()
+            taylor.betti_numbers.cache_clear()
+            for J in sequence:
+                dims, betti = expected[J]
+                assert np.array_equal(ext_table(J, I)._class_dims, dims)
+                assert taylor.betti_numbers(J) == betti

@@ -1,5 +1,7 @@
-"""Betti numbers, projective dimension and depth from the subset-lcm complex."""
+"""Betti numbers, projective dimension and depth from the Lyubeznik complex."""
 
+import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 from relhom import slices
 from relhom.cli import main
 from relhom.monomials import RingSpec, minimal_generators, parse_ideal, unit_ideal, zero_ideal
-from relhom.slices import clear_slice_caches, subset_lcms
+from relhom.slices import clear_slice_caches
 from relhom.taylor import betti_numbers, depth_quotient, pd_quotient
 
-from conftest import oracle_rank_mod_p, oracle_taylor_differentials, random_proper_ideal
+from conftest import oracle_rank_mod_p, oracle_taylor_differentials, random_proper_ideal, subset_lcms
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -116,20 +118,44 @@ def test_betti_numbers_match_the_dense_oracle(p):
 
 
 def test_oversized_taylor_complex_is_refused(capsys):
-    chain = ",".join(f"x^{i}*y^{24 - i}" for i in range(25))
-    assert main(["analyze", "--ring", "x,y", "--a", "x", "--i", chain]) == 2
+    # 25 variables: the Lyubeznik complex is the whole 2^25-face Taylor
+    # complex in every generator order, so it is refused while enumerated,
+    # before any array of one entry per subset exists
+    names = ",".join(f"x{i}" for i in range(25))
+    ideal = parse_ideal(RingSpec(tuple(names.split(","))), names)
+    betti_numbers.cache_clear()
+    clear_slice_caches()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large to scan"):
+            betti_numbers(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 25  # one int64 per generator subset
+    assert main(["analyze", "--ring", names, "--a", names]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "Taylor complex with 25 generators is too large to scan" in captured.err
-    with pytest.raises(ValueError, match="too large to scan"):
-        betti_numbers(parse_ideal(RingSpec(("x", "y")), chain))
+    assert "Lyubeznik complex on 25 generators" in captured.err and "too large to scan" in captured.err
+
+
+def test_generator_chain_past_the_taylor_wall(capsys):
+    # x^i * y^(24 - i): 2^25 Taylor faces, 246 Lyubeznik faces in bisection
+    # order; S/I is a height-2 perfect quotient, so by Hilbert-Burch its
+    # resolution is 0 <- S <- S^25 <- S^24 <- 0
+    chain = ",".join(f"x^{i}*y^{24 - i}" for i in range(25))
+    betti = betti_numbers(parse_ideal(RingSpec(("x", "y")), chain))
+    assert betti[:3] == (1, 25, 24) and not any(betti[3:])
+    assert main(["analyze", "--ring", "x,y", "--a", "x", "--i", chain, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["invariants"]["pd"] == 2
 
 
 def test_single_incidence_matrix_ceiling(monkeypatch, ring4):
-    # the largest strand matrix of the four-cycle is 4 x 2
+    # the four-cycle's only strand of two or more Lyubeznik faces has one
+    # face of size 2 and two of size 3, so its largest matrix is 2 x 1
     edge = parse_ideal(ring4, C4)
     I = parse_ideal(ring4, "x1^3*y1")
-    for ceiling, refused in ((7, True), (8, False)):
+    for ceiling, refused in ((1, True), (2, False)):
         monkeypatch.setattr(slices, "_MAX_RANK_MATRIX_CELLS", ceiling)
         clear_slice_caches()
         betti_numbers.cache_clear()
