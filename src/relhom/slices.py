@@ -224,7 +224,7 @@ def _face_levels(G: np.ndarray, lyubeznik: bool, cap: int):
     row, column = np.nonzero(G)
     starts, needed = np.searchsorted(row, np.arange(r)), G[row, column]
     least, lcms = np.array([r]), np.zeros((1, n), dtype=G.dtype)
-    levels, total, step = [], 1, max(1, _CANDIDATE_CELLS // max(r * row.size, 1))
+    levels, total, step = [], 1, max(1, _CANDIDATE_CELLS // (max(r, 1) * max(row.size, 1)))
     while least.any():
         parts = []
         for lo in range(0, least.size, step):
