@@ -18,8 +18,10 @@ from .monomials import (
     ParseError,
     RingMismatchError,
     RingSpec,
+    _check_pair,
     format_ideal,
     parse_ideal,
+    zero_ideal,
 )
 from .properties import (
     full_report,
@@ -29,7 +31,7 @@ from .properties import (
     is_relative_regular_module,
     is_relative_regular_ring,
 )
-from .slices import ext_table, lc_table
+from .slices import DegreeBox, ext_table, lc_table
 from .verifier import EXAMPLE_IDS, CorpusParams, reproduce_example, run_all_suites
 
 __all__ = ["main"]
@@ -40,7 +42,12 @@ def _add_ring_options(sub: argparse.ArgumentParser, need_a: bool = True, with_sl
     sub.add_argument("--a", required=need_a, help="the relative ideal in the monomial grammar")
     sub.add_argument("--i", default="0", help="the defining ideal of the module S/i (default 0)")
     sub.add_argument("--char", type=int, default=32003, help="prime coefficient characteristic (default 32003)")
-    sub.add_argument("--box-pad", type=int, default=0, help="enlarge the stabilization box for paranoia runs")
+    sub.add_argument(
+        "--box-pad",
+        type=int,
+        default=0,
+        help="widen the listed stabilization box (the report's box and --slices); no result depends on it",
+    )
     sub.add_argument("--degree-bound", type=int, default=4, help="degree bound for parameter-system searches")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub.add_argument("--out", help="also write the report to this file")
@@ -185,17 +192,22 @@ def _cmd_analyze(args) -> int:
 
 
 _CHECKERS = {
-    "cm": lambda a, i, pad: is_relative_cm(a, i, pad),
-    "maxcm": lambda a, i, pad: is_relative_max_cm(a, i, pad),
-    "gorenstein": lambda a, i, pad: is_relative_gorenstein(a, i, pad),
-    "regular-ring": lambda a, i, pad: is_relative_regular_ring(a, pad),
-    "regular-module": lambda a, i, pad: is_relative_regular_module(a, i, pad),
+    "cm": is_relative_cm,
+    "maxcm": is_relative_max_cm,
+    "gorenstein": is_relative_gorenstein,
+    "regular-ring": lambda a, i: is_relative_regular_ring(a),
+    "regular-module": is_relative_regular_module,
 }
 
 
 def _cmd_check(args) -> int:
     _, a, module_ideal = _parse_pair(args)
-    verdict = _CHECKERS[args.property](a, module_ideal, args.box_pad)
+    # no verdict reads the box, but --box-pad is still an input: it is
+    # checked before any work, on the pair the property analyses
+    analysed = zero_ideal(a.ring) if args.property == "regular-ring" else module_ideal
+    _check_pair(a, analysed)
+    DegreeBox.for_ideals(a, analysed, pad=args.box_pad)
+    verdict = _CHECKERS[args.property](a, module_ideal)
     _emit("true" if verdict else "false", args.out)
     return 0 if verdict else 1
 

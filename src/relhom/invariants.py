@@ -31,7 +31,7 @@ from .monomials import (
     support,
     zero_ideal,
 )
-from .slices import DegreeBox, ext_profile, lc_profile
+from .slices import ext_profile, lc_profile
 from .taylor import depth_quotient, pd_quotient
 
 __all__ = [
@@ -96,7 +96,7 @@ def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
     return best
 
 
-def grade(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> Optional[int]:
+def grade(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
     """grade(a, S/I): the least index with nonvanishing Ext(S/a, S/I).
 
     Cross-checked against the least nonvanishing local cohomology index and
@@ -105,8 +105,8 @@ def grade(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> Optional[int]:
     _check_pair(a, I)
     if I.is_unit:
         return None
-    by_ext = min(ext_profile(a, I, pad))
-    by_cech = min(lc_profile(a, I, pad))
+    by_ext = min(ext_profile(a, I))
+    by_cech = min(lc_profile(a, I))
     by_depth = grade_by_localization(a, I)
     if not (by_ext == by_cech == by_depth):
         raise EngineDisagreementError(
@@ -138,7 +138,7 @@ def cd_by_support(a: MonomialIdeal, I: MonomialIdeal) -> int:
     return max(vals)
 
 
-def cd(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> Optional[int]:
+def cd(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
     """cd(a, S/I): the largest nonvanishing local cohomology index.
 
     Cross-checked against the minimal-primes fast path.
@@ -146,7 +146,7 @@ def cd(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> Optional[int]:
     _check_pair(a, I)
     if I.is_unit:
         return None
-    by_cech = max(lc_profile(a, I, pad))
+    by_cech = max(lc_profile(a, I))
     by_primes = cd_by_support(a, I)
     if by_cech != by_primes:
         raise EngineDisagreementError(
@@ -156,7 +156,7 @@ def cd(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> Optional[int]:
     return by_cech
 
 
-def a_id(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> Optional[int]:
+def a_id(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
     """Relative injective dimension: the largest nonvanishing Ext index.
 
     Must coincide with the projective dimension of S/a for every nonzero
@@ -165,7 +165,7 @@ def a_id(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> Optional[int]:
     _check_pair(a, I)
     if I.is_unit:
         return None
-    by_ext = max(ext_profile(a, I, pad))
+    by_ext = max(ext_profile(a, I))
     expected = pd_quotient(a)
     if by_ext != expected:
         raise EngineDisagreementError(
@@ -291,14 +291,13 @@ class PairAnalysis:
 
     Each number is computed on first use through the engines above, so a
     cross-check runs once per pair however many verdicts read its number.
-    ``ring`` is the analysis of (a, S) with the same settings.  The inputs
-    and the stabilization box are validated up front, before any scan.
+    ``ring`` is the analysis of (a, S) with the same degree bound.  The
+    inputs are validated up front, before any scan.
     """
 
-    def __init__(self, a: MonomialIdeal, I: MonomialIdeal, pad: int = 0, degree_bound: int = 4):
+    def __init__(self, a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4):
         _check_pair(a, I)
-        self.a, self.I, self.pad, self.degree_bound = a, I, pad, degree_bound
-        self.box = DegreeBox.for_ideals(a, I, pad=pad)
+        self.a, self.I, self.degree_bound = a, I, degree_bound
         self.mu = mu(a)
         self.degenerate = I.is_unit  # the module is zero
 
@@ -306,23 +305,23 @@ class PairAnalysis:
     def ring(self) -> "PairAnalysis":
         if self.I.is_zero:
             return self
-        return PairAnalysis(self.a, zero_ideal(self.a.ring), self.pad, self.degree_bound)
+        return PairAnalysis(self.a, zero_ideal(self.a.ring), self.degree_bound)
 
     @cached_property
     def grade(self) -> Optional[int]:
-        return grade(self.a, self.I, self.pad)
+        return grade(self.a, self.I)
 
     @cached_property
     def cd(self) -> Optional[int]:
-        return cd(self.a, self.I, self.pad)
+        return cd(self.a, self.I)
 
     @cached_property
     def a_id(self) -> Optional[int]:
-        return a_id(self.a, self.I, self.pad)
+        return a_id(self.a, self.I)
 
     @cached_property
     def ext_profile(self) -> frozenset[int]:
-        return ext_profile(self.a, self.I, self.pad)
+        return ext_profile(self.a, self.I)
 
     @cached_property
     def sop(self) -> SopWitness:
@@ -375,11 +374,6 @@ class PairAnalysis:
         )
 
 
-def invariant_record(
-    a: MonomialIdeal,
-    I: MonomialIdeal,
-    pad: int = 0,
-    degree_bound: int = 4,
-) -> InvariantRecord:
+def invariant_record(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> InvariantRecord:
     """Full invariant record for the pair (a, S/I); see :attr:`PairAnalysis.record`."""
-    return PairAnalysis(a, I, pad, degree_bound).record
+    return PairAnalysis(a, I, degree_bound).record

@@ -354,10 +354,12 @@ def associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
 
 
 def minimal_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
-    primes = associated_primes(I)
-    sets = [set(P.vars) for P in primes]
-    keep = [P for P, s in zip(primes, sets) if not any(t < s for t in sets)]
-    return tuple(keep)
+    """The minimal primes of I, sorted by (size, variables).
+
+    They are those of rad(I), and the irredundant irreducible components of
+    a squarefree ideal are exactly its minimal primes.
+    """
+    return associated_primes(radical(I))
 
 
 def quotient_dimension(I: MonomialIdeal) -> int:

@@ -23,7 +23,8 @@ from .invariants import (
     SopWitness,
     cd_of_prime_quotient,
 )
-from .monomials import MonomialIdeal, associated_primes, format_monomial, zero_ideal
+from .monomials import MonomialIdeal, _check_pair, associated_primes, format_monomial, zero_ideal
+from .slices import DegreeBox
 
 __all__ = [
     "PropertyReport",
@@ -101,42 +102,42 @@ def _applicable(verdict: Optional[bool]) -> bool:
     return verdict
 
 
-def is_relative_cm(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
+def is_relative_cm(a: MonomialIdeal, I: MonomialIdeal) -> bool:
     """Relative Cohen-Macaulay: grade equals cd (zero modules qualify).
 
     Cross-check: cd on the quotient by every associated prime of I must
     equal the grade.
     """
-    return _cm(PairAnalysis(a, I, pad))
+    return _cm(PairAnalysis(a, I))
 
 
-def is_relative_max_cm(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
+def is_relative_max_cm(a: MonomialIdeal, I: MonomialIdeal) -> bool:
     """Relative maximal Cohen-Macaulay: grade on the module equals cd on the ring."""
-    return _applicable(_max_cm(PairAnalysis(a, I, pad)))
+    return _applicable(_max_cm(PairAnalysis(a, I)))
 
 
-def is_relative_gorenstein(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
+def is_relative_gorenstein(a: MonomialIdeal, I: MonomialIdeal) -> bool:
     """Relative Gorenstein: Ext(S/a, S/I) concentrated in index cd(a, S).
 
     Cross-check: maximal Cohen-Macaulay together with vanishing above that
     index decides the same property.
     """
-    return _applicable(_gorenstein(PairAnalysis(a, I, pad)))
+    return _applicable(_gorenstein(PairAnalysis(a, I)))
 
 
-def is_relative_regular_ring(a: MonomialIdeal, pad: int = 0) -> bool:
+def is_relative_regular_ring(a: MonomialIdeal) -> bool:
     """Relative regular ring: grade on the ring equals the number of generators."""
-    return _regular_ring(PairAnalysis(a, zero_ideal(a.ring), pad))
+    return _regular_ring(PairAnalysis(a, zero_ideal(a.ring)))
 
 
-def is_relative_regular_module(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> bool:
+def is_relative_regular_module(a: MonomialIdeal, I: MonomialIdeal) -> bool:
     """Relative regular module: grade(a, S/I) = grade(a, S) = mu(a).
 
     Zero modules qualify.  One-sided witness cross-check: if the minimal
     generators form a regular sequence on both S/I and S, the numeric
     verdict must be positive.
     """
-    return _regular_module(PairAnalysis(a, I, pad))
+    return _regular_module(PairAnalysis(a, I))
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,16 @@ def full_report(
 
     ``chain_consistent`` records whether the implication chain
     regular => Gorenstein => maximal CM => CM held among the computed
-    verdicts (skipping not-applicable entries).
+    verdicts (skipping not-applicable entries).  ``pad`` only widens the
+    reported ``box``; no verdict or invariant depends on it.
     """
-    return _report(PairAnalysis(a, I, pad, degree_bound))
+    _check_pair(a, I)
+    box = DegreeBox.for_ideals(a, I, pad=pad)
+    return _report(PairAnalysis(a, I, degree_bound), box)
 
 
-def _report(x: PairAnalysis) -> PropertyReport:
-    """The :func:`full_report` of an analysis; every verdict reads the same numbers."""
+def _report(x: PairAnalysis, box: DegreeBox) -> PropertyReport:
+    """The :func:`full_report` of an analysis, reporting ``box``; every verdict reads the same numbers."""
     record = x.record
     reg_ring = _regular_ring(x)
     cm, max_cm, gorenstein, reg_module = _cm(x), _max_cm(x), _gorenstein(x), _regular_module(x)
@@ -233,5 +237,5 @@ def _report(x: PairAnalysis) -> PropertyReport:
         ),
         invariants=record,
         char=x.a.ring.char,
-        box=x.box.rho,
+        box=box.rho,
     )

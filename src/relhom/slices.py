@@ -45,20 +45,24 @@ cohomology of S/I (Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 13).  The box -rho_j <= b_j <= rho_j, with rho_j = 1 + (largest
 x_j-exponent among the participating minimal generators), holds every
 threshold strictly inside, so it meets every class of Z^n and decides
-module vanishing exactly; padding only widens the two edge classes of an
-axis.  Each class is represented by its member of least |b_j|, so a class
-meets a smaller centred box exactly when its representative does and
-``profile_within`` stays exact.  A SliceTable keeps the dimensions per
-class and expands them to every box degree only when ``degrees`` or
-``dims`` is read (``dim_at`` looks its class up directly).
+module vanishing exactly.  Each class is represented by its member of
+least |b_j|, which is the same for every pad: padding only widens the two
+edge classes of an axis.  So profiles, and every invariant read from them,
+take no box; ``pad`` belongs only to the listings of ``ext_table`` and
+``lc_table``.  A SliceTable keeps the dimensions per class and expands
+them to every box degree only when ``degrees`` or ``dims`` is read
+(``dim_at`` looks its class up directly).  A single degree
+(``ext_slice``, ``local_cohomology_slice``) is exact anywhere in the int16
+range.
 
-The dense scan over every box degree (``_dense_profile``) stays as an
-independent engine: it runs on the full Taylor complex of the relative
-ideal's own generators, and the corpus cross-check compares it at pad 0
-against the class engine at pad 2.  The activity matrix of a class grid is
-bounded by ``_MAX_ACTIVITY_CELLS`` (faces x class degrees); the dense scan
-and the expansion of a table to every box degree are bounded by the same
-ceiling over the whole box, counting the 2^r Taylor faces.
+The dense scan over every degree of the unpadded box (``_dense_profile``)
+stays as an independent engine: it runs on the full Taylor complex of the
+relative ideal's own generators, and the corpus cross-check compares it
+with the class engine, which covers all of Z^n.  The activity matrix of a
+class grid is bounded by ``_MAX_ACTIVITY_CELLS`` (faces x class degrees);
+the dense scan is bounded by the same ceiling over the whole box, counting
+the 2^r Taylor faces, and the expansion of a table by its levels x box
+degrees.
 
 Each table runs its layers in bulk.  Ext activity depends on a face T only
 through lcm_T, so it is evaluated once per distinct lcm and gathered to the
@@ -267,13 +271,21 @@ def _face_lcms(faces: FaceSet, G: np.ndarray) -> np.ndarray:
 def _lyubeznik_faces(pattern: bytes, r: int, n: int) -> FaceSet:
     """The Lyubeznik faces of generators with the given column-rank pattern (see ``lyubeznik_layout``)."""
     G = np.frombuffer(pattern, dtype=np.min_scalar_type(r)).reshape(r, n)
+    too_large = f"Lyubeznik complex on {r} generators has over {_MAX_FACES} faces: too large to scan"
+    if 1 << r > _MAX_FACES:
+        # a generator that does not divide the lcm of all the others divides
+        # no lcm of a face; if none does, L is every subset in every order
+        top = np.sort(G, axis=0)[-2:]
+        others = np.where(G < top[1], top[1], top[0])
+        if not (G <= others).all(axis=1).any():
+            raise ValueError(too_large)
     best, cap = None, _MAX_FACES
     for order in reversed(_candidate_orders(r)):
         levels = _face_levels(G[list(order)], True, cap)
         if levels is not None:
             best, cap = (order, levels), 1 + sum(len(level[0]) for level in levels)
     if best is None:
-        raise ValueError(f"Lyubeznik complex on {r} generators has over {_MAX_FACES} faces: too large to scan")
+        raise ValueError(too_large)
     return _face_set(*best)
 
 
@@ -405,31 +417,22 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
-def _live_faces(faces: FaceSet, max_level: int) -> int:
-    """The number of faces of size at most ``max_level``."""
-    return int(faces.offsets[min(max_level + 1, faces.offsets.size - 1)])
-
-
-def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int, layout: FaceLayout) -> np.ndarray:
+def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, layout: FaceLayout) -> np.ndarray:
     """Component activity of Hom(L, S/I) per degree, for a complex L of faces on the generators of J.
 
     Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I.
     That depends on T only through lcm_T, so activity is evaluated once per
     distinct lcm and gathered to the faces.
     """
-    live = _live_faces(layout.faces, max_level)
-    lcms = layout.lcms[:live]
-    first, inverse = _row_groups(lcms)
+    first, inverse = _row_groups(layout.lcms)
     distinct = np.empty((first.size, grid.shape[0]), dtype=bool)
     for u, f in enumerate(first.tolist()):
-        shifted = grid + lcms[f]
+        shifted = grid + layout.lcms[f]
         distinct[u] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
-    act = np.zeros((layout.faces.size, grid.shape[0]), dtype=bool)
-    act[:live] = distinct[inverse]
-    return act
+    return distinct[inverse]
 
 
-def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int, layout: FaceLayout) -> np.ndarray:
+def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, layout: FaceLayout) -> np.ndarray:
     """Component activity of the Cech complex on the generators of ``layout``, with S/I coefficients.
 
     For face T let F be the union of its generators' supports, the support
@@ -437,8 +440,7 @@ def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_lev
     and the restriction of b away from F avoids the ideal obtained from I
     by inverting F.
     """
-    live = _live_faces(layout.faces, max_level)
-    inverted = layout.lcms[:live] > 0
+    inverted = layout.lcms > 0
     first, inverse = _row_groups(inverted)
     distinct = np.empty((first.size, grid.shape[0]), dtype=bool)
     for u, f in enumerate(first.tolist()):
@@ -446,9 +448,7 @@ def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_lev
         sub = grid[:, outside]
         erased = [tuple(g[j] for j in outside) for g in I.gens]
         distinct[u] = (sub >= 0).all(axis=1) & ~_member_rows(sub, erased)
-    act = np.zeros((layout.faces.size, grid.shape[0]), dtype=bool)
-    act[:live] = distinct[inverse]
-    return act
+    return distinct[inverse]
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -644,16 +644,14 @@ class SliceTable:
     @cached_property
     def dims(self) -> np.ndarray:
         """Slice dimensions (levels, D) at every box degree."""
-        _check_box_size(self.box, 1 << (self._class_dims.shape[0] - 1))
+        levels = self._class_dims.shape[0]
+        if math.prod(2 * r + 1 for r in self.box.rho) * levels > _MAX_ACTIVITY_CELLS:
+            raise ValueError(f"stabilization box {self.box.rho} with {levels} levels is too large to scan")
         return self._class_dims[:, self._flat(self._ids)]
 
     def profile(self) -> frozenset[int]:
         """Indices with a nonvanishing slice somewhere in the box."""
         return _nonzero_levels(self._class_dims)
-
-    def profile_within(self, rho) -> frozenset[int]:
-        inside = [np.flatnonzero(np.abs(rep) <= r) for rep, r in zip(self._reps, rho)]
-        return _nonzero_levels(self._class_dims[:, self._flat(inside)])
 
     def dim_at(self, i: int, b) -> int:
         if i < 0 or i >= self._class_dims.shape[0]:
@@ -715,12 +713,6 @@ def _check_scan_size(shape, faces: int, what: str):
         raise ValueError(f"{what} with {faces} faces is too large to scan")
 
 
-def _check_box_size(box: DegreeBox, faces: int):
-    """The ceiling for work on every box degree: the dense scan and a table's
-    expansion, both sized by the faces of the full Taylor complex."""
-    _check_scan_size([2 * r + 1 for r in box.rho], faces, f"stabilization box {box.rho}")
-
-
 def _ext_complex(J: MonomialIdeal) -> FaceLayout:
     return lyubeznik_layout(J.gens, J.ring.n)
 
@@ -730,17 +722,17 @@ def _cech_complex(a: MonomialIdeal) -> FaceLayout:
     return taylor_layout(radical(a).gens, a.ring.n)
 
 
-def _slice_dims(activity, layout: FaceLayout, A: MonomialIdeal, B: MonomialIdeal, grid: np.ndarray, max_level: int) -> np.ndarray:
+def _slice_dims(activity, layout: FaceLayout, A: MonomialIdeal, B: MonomialIdeal, grid: np.ndarray) -> np.ndarray:
     """Slice dimensions (levels 0..len(A.gens), per degree of ``grid``) of an
     activity kernel on a complex; levels the complex lacks (the Cech complex
     on the radical of A may have fewer) are zero."""
-    dims = _lattice_dims(activity(A, B, grid, max_level, layout), layout.faces, A.ring.char)
+    dims = _lattice_dims(activity(A, B, grid, layout), layout.faces, A.ring.char)
     if dims.shape[0] == len(A.gens) + 1:
         return dims
     return np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
 
 
-def _class_table(activity, thresholds, complex_of, A: MonomialIdeal, B: MonomialIdeal, pad: int, max_level: int):
+def _class_table(activity, thresholds, complex_of, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:
     """Run an activity kernel on one representative degree per threshold class."""
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B, pad=pad)
@@ -749,37 +741,38 @@ def _class_table(activity, thresholds, complex_of, A: MonomialIdeal, B: Monomial
     shape = tuple(len(rep) for rep in reps)
     layout = complex_of(A)
     _check_scan_size(shape, layout.faces.size, f"class grid {shape} of the stabilization box {box.rho}")
-    dims = _slice_dims(activity, layout, A, B, _product_grid(reps), max_level)
+    dims = _slice_dims(activity, layout, A, B, _product_grid(reps))
     return SliceTable(box, reps, tuple(ids for ids, _ in classes), dims)
 
 
-def _dense_profile(activity, A: MonomialIdeal, B: MonomialIdeal, pad: int = 0) -> frozenset[int]:
-    """The profile from an activity kernel run on every degree of the box.
+def _dense_profile(activity, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
+    """The profile from an activity kernel run on every degree of the unpadded box.
 
-    The engine the class grid replaced, kept as the independent pad-0 side
-    of the corpus cross-check.  It runs on the full Taylor complex of A's
-    own generators, so it shares neither the class grid nor the Lyubeznik
+    The engine the class grid replaced, kept as the independent side of the
+    corpus cross-check.  It runs on the full Taylor complex of A's own
+    generators, so it shares neither the class grid nor the Lyubeznik
     complex or the radical with the class tables.
     """
     _check_scan(A, B)
-    box = DegreeBox.for_ideals(A, B, pad=pad)
-    _check_box_size(box, 1 << len(A.gens))
+    box = DegreeBox.for_ideals(A, B)
+    _check_scan_size([2 * r + 1 for r in box.rho], 1 << len(A.gens), f"stabilization box {box.rho}")
     layout = taylor_layout(A.gens, A.ring.n)
-    act = activity(A, B, box.degree_grid(), len(A.gens), layout)
+    act = activity(A, B, box.degree_grid(), layout)
     return _nonzero_levels(_lattice_dims(act, layout.faces, A.ring.char))
 
 
 def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
-    """Slice dimensions of Ext^i(S/J, S/I) over the stabilization box."""
-    return _class_table(_ext_activity, _ext_thresholds, _ext_complex, J, I, pad, len(J.gens))
+    """Slice dimensions of Ext^i(S/J, S/I), listed over the stabilization box widened by ``pad``."""
+    return _class_table(_ext_activity, _ext_thresholds, _ext_complex, J, I, pad)
 
 
 def lc_table(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
-    """Slice dimensions of the local cohomology of S/I supported on a."""
-    return _class_table(_cech_activity, _cech_thresholds, _cech_complex, a, I, pad, len(a.gens))
+    """Slice dimensions of the local cohomology of S/I supported on a, listed
+    over the stabilization box widened by ``pad``."""
+    return _class_table(_cech_activity, _cech_thresholds, _cech_complex, a, I, pad)
 
 
-# profiles keyed by (kind, A, B, pad)
+# profiles keyed by (kind, A, B)
 _PROFILE_CACHE = _BoundedCache(65_536)
 
 
@@ -790,60 +783,52 @@ def clear_slice_caches():
         cached.cache_clear()
 
 
-def _cached_profile(kind: str, builder, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> frozenset[int]:
-    key = (kind, A, B, pad)
+def _cached_profile(kind: str, builder, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
+    key = (kind, A, B)
     hit = _PROFILE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    table = builder(A, B, pad=pad)
-    profile = table.profile()
-    _PROFILE_CACHE.put(key, profile)
-    # a padded scan contains the unpadded box, whose profile the reports read
-    if pad:
-        _PROFILE_CACHE.put((kind, A, B, 0), table.profile_within(DegreeBox.for_ideals(A, B).rho))
-    return profile
+    if hit is None:
+        hit = builder(A, B).profile()
+        _PROFILE_CACHE.put(key, hit)
+    return hit
 
 
-def ext_profile(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> frozenset[int]:
-    """Indices i with Ext^i(S/J, S/I) != 0, decided on the (padded) box."""
-    return _cached_profile("ext", ext_table, J, I, pad)
+def ext_profile(J: MonomialIdeal, I: MonomialIdeal) -> frozenset[int]:
+    """Indices i with Ext^i(S/J, S/I) != 0."""
+    return _cached_profile("ext", ext_table, J, I)
 
 
-def lc_profile(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> frozenset[int]:
+def lc_profile(a: MonomialIdeal, I: MonomialIdeal) -> frozenset[int]:
     """Indices i with nonvanishing i-th local cohomology of S/I supported on a."""
-    return _cached_profile("lc", lc_table, a, I, pad)
+    return _cached_profile("lc", lc_table, a, I)
 
 
-def ext_slice(J: MonomialIdeal, I: MonomialIdeal, i: int, b, pad: int = 0) -> int:
-    """Dimension of the degree-b slice of Ext^i(S/J, S/I)."""
-    _check_scan(J, I)
-    box = DegreeBox.for_ideals(J, I, pad=pad)
-    if not box.contains(b):
-        raise ValueError(f"degree {tuple(b)} violates the stabilization box {box.rho}")
-    dims = _slice_dims(_ext_activity, _ext_complex(J), J, I, np.asarray([b], dtype=np.int16), len(J.gens))
+def ext_vanishes(J: MonomialIdeal, I: MonomialIdeal, i: int) -> bool:
+    """Whether Ext^i(S/J, S/I) vanishes as a module."""
+    return i not in ext_profile(J, I)
+
+
+def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int) -> bool:
+    """Whether Ext^i(S/J, S/I) = 0 for every i < k."""
+    return all(i >= k for i in ext_profile(J, I))
+
+
+def _slice_at(activity, complex_of, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
+    """Level i of an activity kernel's complex at the single degree b, exact for any b the int16 grid holds."""
+    _check_scan(A, B)
+    b = tuple(int(x) for x in b)
+    if len(b) != A.ring.n:
+        raise ValueError("multidegree does not match the ring")
+    if any(abs(x) > MAX_EXPONENT + 1 for x in b):
+        raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
+    dims = _slice_dims(activity, complex_of(A), A, B, np.asarray([b], dtype=np.int16))
     return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0
 
 
-def ext_vanishes(J: MonomialIdeal, I: MonomialIdeal, i: int, pad: int = 0) -> bool:
-    """Whether Ext^i(S/J, S/I) vanishes as a module."""
-    return i not in ext_profile(J, I, pad)
-
-
-def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int, pad: int = 0) -> bool:
-    """Whether Ext^i(S/J, S/I) = 0 for every i < k (levels above k are not computed)."""
-    if k <= 0:
-        return True
-    table = _class_table(_ext_activity, _ext_thresholds, _ext_complex, J, I, pad, min(k, len(J.gens)))
-    return not table._class_dims[:k].any()
+def ext_slice(J: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int:
+    """Dimension of the degree-b slice of Ext^i(S/J, S/I)."""
+    return _slice_at(_ext_activity, _ext_complex, J, I, i, b)
 
 
 def local_cohomology_slice(a: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int:
     """Dimension of the degree-b slice of the i-th local cohomology of S/I supported on a."""
-    _check_scan(a, I)
-    b = tuple(int(x) for x in b)
-    if len(b) != a.ring.n:
-        raise ValueError("multidegree does not match the ring")
-    if any(abs(x) > MAX_EXPONENT + 1 for x in b):
-        raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
-    dims = _slice_dims(_cech_activity, _cech_complex(a), a, I, np.asarray([b], dtype=np.int16), len(a.gens))
-    return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0
+    return _slice_at(_cech_activity, _cech_complex, a, I, i, b)

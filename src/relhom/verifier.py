@@ -57,6 +57,7 @@ from .properties import (
     is_relative_regular_ring,
 )
 from .slices import (
+    DegreeBox,
     _cech_activity,
     _dense_profile,
     _ext_activity,
@@ -140,9 +141,9 @@ class InstanceAnalysis:
     """Everything the suites need about one corpus pair, computed once.
 
     The invariants are read from ``pair``, the analysis the report was
-    derived from; the dense-scan profiles at pad 0, the class-engine
-    profiles at pad 2 and pd(S/a) are computed here as independent
-    cross-checks.
+    derived from.  The dense-scan profiles on the unpadded box (``ext0``,
+    ``lc0``), the class-engine profiles, which cover all of Z^n (``ext2``,
+    ``lc2``), and pd(S/a) are kept here as independent cross-checks.
     """
 
     index: int
@@ -176,13 +177,12 @@ class InstanceAnalysis:
 def analyze_instance(index: int, a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> InstanceAnalysis:
     x = InstanceAnalysis(index, a, I)
     try:
-        # padded scans first: they also prime the unpadded profile cache
-        x.ext2 = ext_profile(a, I, pad=2)
-        x.lc2 = lc_profile(a, I, pad=2)
+        x.ext2 = ext_profile(a, I)
+        x.lc2 = lc_profile(a, I)
         x.ext0 = _dense_profile(_ext_activity, a, I)
         x.lc0 = _dense_profile(_cech_activity, a, I)
-        pair = PairAnalysis(a, I, degree_bound=degree_bound)
-        x.report = _report(pair)
+        pair = PairAnalysis(a, I, degree_bound)
+        x.report = _report(pair, DegreeBox.for_ideals(a, I))
         x.pd_a = pd_quotient(a)
         x.pair = pair
     except EngineDisagreementError as exc:

@@ -10,7 +10,8 @@ Betti numbers were once ranked from, and ``subset_lcms`` the lcm of every
 generator subset; ``oracle_lyubeznik_faces`` tests the definition of the
 Lyubeznik complex on every generator subset, ``layout_faces`` reads the
 faces back out of an engine face set, and ``lyubeznik_in_order`` builds the
-engine's layout in one given generator order.
+engine's layout in one given generator order.  ``oracle_minimal_primes``
+filters the associated primes of I itself by inclusion.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from relhom.invariants import (
     cd,
     sop_witness_by_support,
 )
-from relhom.monomials import MonomialIdeal, RingSpec, minimal_generators, sum_ideals, support
+from relhom.monomials import MonomialIdeal, RingSpec, associated_primes, minimal_generators, sum_ideals, support
 from relhom.slices import FaceLayout, _face_lcms, _face_levels, _face_set, _generator_rows, _member_rows
 
 
@@ -43,6 +44,13 @@ def oracle_member(e, gens) -> bool:
 
 def oracle_monomials(n: int, bound: int):
     return [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
+
+
+def oracle_minimal_primes(I: MonomialIdeal):
+    """The inclusion-minimal associated primes of I, in the order of ``associated_primes``."""
+    primes = associated_primes(I)
+    sets = [set(P.vars) for P in primes]
+    return tuple(P for P, s in zip(primes, sets) if not any(t < s for t in sets))
 
 
 def subset_lcms(gens, n: int) -> np.ndarray:
@@ -127,7 +135,7 @@ def oracle_rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def oracle_ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, max_level: int, layout) -> np.ndarray:
+def oracle_ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, layout) -> np.ndarray:
     """Ext activity with every face of the layout evaluated on its own, not once per distinct lcm.
 
     Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I;
@@ -136,8 +144,6 @@ def oracle_ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, ma
     faces = [T for level in layout_faces(layout.faces) for T in level]
     act = np.zeros((len(faces), grid.shape[0]), dtype=bool)
     for row, T in enumerate(faces):
-        if len(T) > max_level:
-            continue
         lcm = [max((J.gens[i][j] for i in T), default=0) for j in range(J.ring.n)]
         shifted = grid + np.asarray(lcm, dtype=np.int16)
         act[row] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)

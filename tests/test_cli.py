@@ -149,7 +149,7 @@ class TestInputErrors:
 
 
 def test_engine_disagreement_exit_code(capsys, monkeypatch):
-    def boom(a, i, pad):
+    def boom(a, i):
         raise EngineDisagreementError("test", {"left": 1, "right": 2})
 
     monkeypatch.setitem(__import__("relhom.cli", fromlist=["_CHECKERS"])._CHECKERS, "cm", boom)
@@ -271,6 +271,28 @@ class TestInputLimits:
         code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x,y", "--box-pad", "16000", "--slices")
         assert code == 2
         assert out == "" and "too large to scan" in err
+
+    def test_slice_dump_is_sized_by_levels(self, capsys):
+        # the 25-generator chain has 2^25 Taylor faces, but its dump is 26
+        # levels over 3 213 box degrees
+        chain = ",".join(f"x^{i}*y^{24 - i}" for i in range(25))
+        code, out, _ = run(capsys, "analyze", "--ring", "x,y", "--a", chain, "--i", "x^30", "--slices")
+        assert code == 0
+        assert "nonzero Ext slices" in out
+
+    def test_check_validates_the_box_of_the_pair_it_analyses(self, capsys):
+        # regular-ring reads (a, S), whose box fits; the others read (a, S/i)
+        argv = ["--ring", "x,y", "--a", "x", "--i", "x^16383", "--box-pad", "1"]
+        code, out, _ = run(capsys, "check", "regular-ring", *argv)
+        assert (code, out) == (0, "true\n")
+        for prop in ("cm", "maxcm", "gorenstein", "regular-module"):
+            code, out, err = run(capsys, "check", prop, *argv)
+            assert code == 2 and out == "" and "too large" in err
+
+    @pytest.mark.parametrize("prop", ["cm", "maxcm", "gorenstein", "regular-ring", "regular-module"])
+    def test_check_box_pad_past_the_grid_is_input_error(self, capsys, prop):
+        code, out, err = run(capsys, "check", prop, "--ring", "x,y", "--a", "x", "--box-pad", "20000")
+        assert code == 2 and out == "" and "too large" in err
 
     def test_largest_exponent_is_exact(self, capsys):
         code, out, _ = run(capsys, "analyze", "--ring", "x,y", "--a", "x^16383", "--i", "x^16383", "--json")

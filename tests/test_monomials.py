@@ -31,7 +31,7 @@ from relhom.monomials import (
     zero_ideal,
 )
 
-from conftest import oracle_member, oracle_monomials, random_proper_ideal
+from conftest import oracle_member, oracle_minimal_primes, oracle_monomials, random_proper_ideal
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -248,6 +248,20 @@ class TestPrimesAndDimension:
             mins = {frozenset(P.vars) for P in minimal_primes(A)}
             for s in mins:
                 assert not any(t < s for t in mins)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_minimal_primes_match_the_filtered_associated_primes(self, n):
+        # the minimal primes read from the radical against the associated
+        # primes of I filtered by inclusion, on squarefree and other ideals
+        ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+        rng = np.random.default_rng(110 + n)
+        squarefree = 0
+        for _ in range(40):
+            A = random_proper_ideal(rng, ring, int(rng.integers(1, 4)), 6)
+            squarefree += all(max(g) <= 1 for g in A.gens)
+            assert minimal_primes(A) == oracle_minimal_primes(A)
+        assert minimal_primes(zero_ideal(ring)) == oracle_minimal_primes(zero_ideal(ring))
+        assert 0 < squarefree < 40
 
     def test_prime_to_ideal_roundtrip(self, ring4):
         P = MonomialPrime(ring4, (1, 3))

@@ -1,5 +1,6 @@
 """Betti numbers, projective dimension and depth from the Lyubeznik complex."""
 
+import itertools
 import json
 import tracemalloc
 from math import comb
@@ -13,7 +14,13 @@ from relhom.monomials import RingSpec, minimal_generators, parse_ideal, unit_ide
 from relhom.slices import clear_slice_caches
 from relhom.taylor import betti_numbers, depth_quotient, pd_quotient
 
-from conftest import oracle_rank_mod_p, oracle_taylor_differentials, random_proper_ideal, subset_lcms
+from conftest import (
+    oracle_lyubeznik_faces,
+    oracle_rank_mod_p,
+    oracle_taylor_differentials,
+    random_proper_ideal,
+    subset_lcms,
+)
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -137,6 +144,47 @@ def test_oversized_taylor_complex_is_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Lyubeznik complex on 25 generators" in captured.err and "too large to scan" in captured.err
+
+
+def test_full_lyubeznik_complex_is_refused_at_once(monkeypatch):
+    # no generator of x0, ..., x24 divides the lcm of the others, so L is
+    # the whole simplex in every order and is refused before enumeration
+    names = tuple(f"x{i}" for i in range(25))
+    ideal = parse_ideal(RingSpec(names), ",".join(names))
+    betti_numbers.cache_clear()
+    clear_slice_caches()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="Lyubeznik complex on 25 generators has over 1048576 faces"):
+            betti_numbers(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the shortcut is exact: on random ideals whose generators each miss
+    # the lcm of the others, L is every subset in every candidate order, and
+    # such an ideal is refused under a smaller cap without enumerating
+    rng = np.random.default_rng(29)
+    seen = 0
+    for n in (2, 3, 4):
+        ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+        for _ in range(30):
+            gens = random_proper_ideal(rng, ring, 3, 6).gens
+            r = len(gens)
+            others = [[max((h[j] for h in gens[:q] + gens[q + 1 :]), default=0) for j in range(n)] for q in range(r)]
+            if r < 2 or any(all(x <= y for x, y in zip(g, m)) for g, m in zip(gens, others)):
+                continue
+            seen += 1
+            every = {frozenset(T) for k in range(r + 1) for T in itertools.combinations(range(r), k)}
+            assert all(oracle_lyubeznik_faces(gens, order) == every for order in slices._candidate_orders(r))
+            with monkeypatch.context() as patch:
+                patch.setattr(slices, "_MAX_FACES", (1 << r) - 1)
+                patch.setattr(slices, "_face_levels", None)  # enumerating would raise TypeError
+                slices._lyubeznik_faces.cache_clear()
+                with pytest.raises(ValueError, match="too large to scan"):
+                    slices.lyubeznik_layout.__wrapped__(gens, n)
+    slices._lyubeznik_faces.cache_clear()
+    assert seen >= 10
 
 
 def test_generator_chain_past_the_taylor_wall(capsys):
