@@ -252,13 +252,10 @@ def _cmd_corpus(args) -> int:
         squarefree=args.squarefree,
         count=args.count,
         seed=args.seed,
-    )
-    run = run_all_suites(
-        params,
         char=args.char,
-        fault_injection=args.fault_injection,
         degree_bound=args.degree_bound,
     )
+    run = run_all_suites(params, fault_injection=args.fault_injection)
     if args.out:
         with open(args.out, "w") as fh:
             for line in run.jsonl_lines:

@@ -4,13 +4,20 @@ Every invariant has one authoritative engine plus at least one independent
 cross-check; a mismatch raises :class:`EngineDisagreementError`, which is a
 bug signal and deliberately distinct from input validation errors.
 
+:class:`PairAnalysis` is the one place a pair's numbers are computed and
+cross-checked: it validates the pair once, keeps each engine's value
+(``ext_profile``, ``lc_profile``, ``localization_grade``, ``support_cd``,
+``pd_a``) and runs each cross-check on those values at most once.  The free
+functions ``grade``, ``cd``, ``a_id``, ``sop_witness_by_support`` and
+``invariant_record`` read a fresh analysis.
+
 Degenerate convention: when I is the unit ideal the module is zero, and
 grade / cd / a-id are reported as ``None``.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -97,23 +104,8 @@ def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
 
 
 def grade(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
-    """grade(a, S/I): the least index with nonvanishing Ext(S/a, S/I).
-
-    Cross-checked against the least nonvanishing local cohomology index and
-    against the localized-depth formula.
-    """
-    _check_pair(a, I)
-    if I.is_unit:
-        return None
-    by_ext = min(ext_profile(a, I))
-    by_cech = min(lc_profile(a, I))
-    by_depth = grade_by_localization(a, I)
-    if not (by_ext == by_cech == by_depth):
-        raise EngineDisagreementError(
-            f"grade({a}; {I})",
-            {"ext_box": by_ext, "cech_box": by_cech, "localization": by_depth},
-        )
-    return by_ext
+    """grade(a, S/I): the least index with nonvanishing Ext(S/a, S/I); see :attr:`PairAnalysis.grade`."""
+    return PairAnalysis(a, I).grade
 
 
 def cd_of_prime_quotient(a: MonomialIdeal, P: MonomialPrime) -> Optional[int]:
@@ -139,40 +131,13 @@ def cd_by_support(a: MonomialIdeal, I: MonomialIdeal) -> int:
 
 
 def cd(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
-    """cd(a, S/I): the largest nonvanishing local cohomology index.
-
-    Cross-checked against the minimal-primes fast path.
-    """
-    _check_pair(a, I)
-    if I.is_unit:
-        return None
-    by_cech = max(lc_profile(a, I))
-    by_primes = cd_by_support(a, I)
-    if by_cech != by_primes:
-        raise EngineDisagreementError(
-            f"cd({a}; {I})",
-            {"cech_box": by_cech, "minimal_primes_pd": by_primes},
-        )
-    return by_cech
+    """cd(a, S/I): the largest nonvanishing local cohomology index; see :attr:`PairAnalysis.cd`."""
+    return PairAnalysis(a, I).cd
 
 
 def a_id(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
-    """Relative injective dimension: the largest nonvanishing Ext index.
-
-    Must coincide with the projective dimension of S/a for every nonzero
-    module; that identity is checked, not assumed.
-    """
-    _check_pair(a, I)
-    if I.is_unit:
-        return None
-    by_ext = max(ext_profile(a, I))
-    expected = pd_quotient(a)
-    if by_ext != expected:
-        raise EngineDisagreementError(
-            f"a_id({a}; {I})",
-            {"ext_box": by_ext, "pd_of_quotient": expected},
-        )
-    return by_ext
+    """Relative injective dimension, the largest nonvanishing Ext index; see :attr:`PairAnalysis.a_id`."""
+    return PairAnalysis(a, I).a_id
 
 
 def is_monomial_regular_sequence(seq, I: MonomialIdeal) -> bool:
@@ -214,31 +179,15 @@ def _radical_supports(supports) -> frozenset[frozenset[int]]:
 
 
 def sop_witness_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> SopWitness:
-    """Search for a relative system of parameters at the level of supports.
-
-    A found witness (a length-cd sequence of monomials of a with the radical
-    of a + I) certifies that the arithmetic rank equals cd;
-    ``none_among_monomials`` is no proof of nonexistence.  Only the
-    squarefree support of each element affects the radical condition, and a
-    support is realizable by a monomial of a within the degree bound iff
-    some generator fits under it cheaply enough, so this finds a witness iff
-    an exhaustive search over the monomials of a does, at a fraction of the
-    cost; the returned witness may differ.
-    """
-    _check_pair(a, I)
-    return _sop_search(a, I, cd(a, I), degree_bound)
+    """Search for a relative system of parameters at the level of supports; see :attr:`PairAnalysis.sop`."""
+    return PairAnalysis(a, I, degree_bound).sop
 
 
-def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bound: int) -> SopWitness:
-    """The search of :func:`sop_witness_by_support` for the already-checked cd ``c``."""
-    if c is None:
-        raise ValueError("degenerate module: cd undefined")
-    if c == 0:
-        return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
+def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Every support realizable by a monomial of a within the degree bound,
+    with its least such monomial, in increasing order of that monomial."""
     n = a.ring.n
-    target = _radical_supports(map(support, sum_ideals(a, I).gens))
-    base = _radical_supports(map(support, I.gens))
-    achievable: list[tuple[frozenset[int], tuple[int, ...]]] = []
+    achievable = []
     for fbits in range(1, 1 << n):
         fset = frozenset(j for j in range(n) if (fbits >> j) & 1)
         best = None
@@ -250,10 +199,51 @@ def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bou
         if best is not None:
             achievable.append((fset, best))
     achievable.sort(key=lambda item: item[1])
-    for combo in itertools.combinations(achievable, c):
-        if _radical_supports(base.union(fs for fs, _ in combo)) == target:
-            return SopWitness(SOP_FOUND, tuple(e for _, e in combo), degree_bound)
-    return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
+    return achievable
+
+
+# a prefix is tested for the prune only when it has more completions than
+# this: one support cd costs about as much as a hundred radical tests
+_PRUNE_MIN_COMPLETIONS = 100
+
+
+def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bound: int) -> SopWitness:
+    """The search of :attr:`PairAnalysis.sop` for the already-checked cd ``c``.
+
+    Walks the length-c combinations of candidates depth first, in the order
+    of ``itertools.combinations``, so the first witness found is the
+    lexicographically first.  A prefix f_1..f_k (k < c) with more than
+    ``_PRUNE_MIN_COMPLETIONS`` completions is cut when
+    cd(a, S/(I + (f_1..f_k))) > c - k: the remaining c - k elements would
+    have to generate a up to radical modulo that ideal, so no completion of
+    the prefix is a witness.
+    """
+    if c is None:
+        raise ValueError("degenerate module: cd undefined")
+    if c == 0:
+        return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
+    target = _radical_supports(map(support, sum_ideals(a, I).gens))
+    base = _radical_supports(map(support, I.gens))
+    achievable = _sop_candidates(a, degree_bound)
+
+    def walk(start: int, prefix: tuple):
+        left = c - len(prefix)
+        if left == 0:
+            return prefix if _radical_supports(base.union(fs for fs, _ in prefix)) == target else None
+        if prefix and math.comb(len(achievable) - start, left) > _PRUNE_MIN_COMPLETIONS:
+            J = sum_ideals(I, minimal_generators(a.ring, [e for _, e in prefix]))
+            if cd_by_support(a, J) > left:
+                return None
+        for k in range(start, len(achievable) - left + 1):
+            found = walk(k + 1, prefix + (achievable[k],))
+            if found is not None:
+                return found
+        return None
+
+    found = walk(0, ())
+    if found is None:
+        return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
+    return SopWitness(SOP_FOUND, tuple(e for _, e in found), degree_bound)
 
 
 @dataclass(frozen=True)
@@ -289,10 +279,15 @@ class InvariantRecord:
 class PairAnalysis:
     """The cross-checked numbers of one pair (a, S/I), each computed at most once.
 
-    Each number is computed on first use through the engines above, so a
-    cross-check runs once per pair however many verdicts read its number.
-    ``ring`` is the analysis of (a, S) with the same degree bound.  The
-    inputs are validated up front, before any scan.
+    The inputs are validated here, once, before any scan.  Each engine's
+    value (the class-engine ``ext_profile`` and ``lc_profile``, the
+    ``localization_grade``, the ``support_cd`` and ``pd_a`` = pd(S/a)) is
+    computed on first use and kept, and ``grade``, ``cd`` and ``a_id`` run
+    their cross-checks on those values, so each cross-check runs once per
+    pair however many verdicts or corpus suites read its number.  ``ring``
+    is the analysis of (a, S) with the same degree bound.  For the unit
+    ideal I (the zero module) grade, cd and a-id are ``None`` and no engine
+    runs.
     """
 
     def __init__(self, a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4):
@@ -308,23 +303,94 @@ class PairAnalysis:
         return PairAnalysis(self.a, zero_ideal(self.a.ring), self.degree_bound)
 
     @cached_property
-    def grade(self) -> Optional[int]:
-        return grade(self.a, self.I)
-
-    @cached_property
-    def cd(self) -> Optional[int]:
-        return cd(self.a, self.I)
-
-    @cached_property
-    def a_id(self) -> Optional[int]:
-        return a_id(self.a, self.I)
-
-    @cached_property
     def ext_profile(self) -> frozenset[int]:
+        """Indices i with Ext^i(S/a, S/I) != 0, from the class engine."""
         return ext_profile(self.a, self.I)
 
     @cached_property
+    def lc_profile(self) -> frozenset[int]:
+        """Indices of the nonvanishing local cohomology of S/I supported on a, from the class engine."""
+        return lc_profile(self.a, self.I)
+
+    @cached_property
+    def localization_grade(self) -> int:
+        """grade by the localized-depth formula."""
+        return grade_by_localization(self.a, self.I)
+
+    @cached_property
+    def support_cd(self) -> int:
+        """cd by the minimal-primes fast path."""
+        return cd_by_support(self.a, self.I)
+
+    @cached_property
+    def pd_a(self) -> int:
+        """pd(S/a)."""
+        return pd_quotient(self.a)
+
+    @cached_property
+    def grade(self) -> Optional[int]:
+        """The least index with nonvanishing Ext(S/a, S/I).
+
+        Cross-checked against the least nonvanishing local cohomology index
+        and against the localized-depth formula.
+        """
+        if self.degenerate:
+            return None
+        by_ext, by_cech, by_depth = min(self.ext_profile), min(self.lc_profile), self.localization_grade
+        if not (by_ext == by_cech == by_depth):
+            raise EngineDisagreementError(
+                f"grade({self.a}; {self.I})",
+                {"ext_box": by_ext, "cech_box": by_cech, "localization": by_depth},
+            )
+        return by_ext
+
+    @cached_property
+    def cd(self) -> Optional[int]:
+        """The largest nonvanishing local cohomology index.
+
+        Cross-checked against the minimal-primes fast path.
+        """
+        if self.degenerate:
+            return None
+        by_cech, by_primes = max(self.lc_profile), self.support_cd
+        if by_cech != by_primes:
+            raise EngineDisagreementError(
+                f"cd({self.a}; {self.I})",
+                {"cech_box": by_cech, "minimal_primes_pd": by_primes},
+            )
+        return by_cech
+
+    @cached_property
+    def a_id(self) -> Optional[int]:
+        """Relative injective dimension: the largest nonvanishing Ext index.
+
+        Must coincide with the projective dimension of S/a for every nonzero
+        module; that identity is checked, not assumed.
+        """
+        if self.degenerate:
+            return None
+        by_ext, expected = max(self.ext_profile), self.pd_a
+        if by_ext != expected:
+            raise EngineDisagreementError(
+                f"a_id({self.a}; {self.I})",
+                {"ext_box": by_ext, "pd_of_quotient": expected},
+            )
+        return by_ext
+
+    @cached_property
     def sop(self) -> SopWitness:
+        """A relative system of parameters, searched at the level of supports.
+
+        A found witness (a length-cd sequence of monomials of a with the
+        radical of a + I) certifies that the arithmetic rank equals cd;
+        ``none_among_monomials`` is no proof of nonexistence.  Only the
+        squarefree support of each element affects the radical condition,
+        and a support is realizable by a monomial of a within the degree
+        bound iff some generator fits under it cheaply enough, so this finds
+        a witness iff an exhaustive search over the monomials of a does, at
+        a fraction of the cost; the returned witness may differ.  Raises
+        ValueError for the zero module.
+        """
         return _sop_search(self.a, self.I, self.cd, self.degree_bound)
 
     @cached_property

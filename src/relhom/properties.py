@@ -23,7 +23,7 @@ from .invariants import (
     SopWitness,
     cd_of_prime_quotient,
 )
-from .monomials import MonomialIdeal, _check_pair, associated_primes, format_monomial, zero_ideal
+from .monomials import MonomialIdeal, associated_primes, format_monomial, zero_ideal
 from .slices import DegreeBox
 
 __all__ = [
@@ -210,9 +210,8 @@ def full_report(
     verdicts (skipping not-applicable entries).  ``pad`` only widens the
     reported ``box``; no verdict or invariant depends on it.
     """
-    _check_pair(a, I)
-    box = DegreeBox.for_ideals(a, I, pad=pad)
-    return _report(PairAnalysis(a, I, degree_bound), box)
+    x = PairAnalysis(a, I, degree_bound)  # validates the pair before the box
+    return _report(x, DegreeBox.for_ideals(a, I, pad=pad))
 
 
 def _report(x: PairAnalysis, box: DegreeBox) -> PropertyReport:

@@ -51,9 +51,10 @@ edge classes of an axis.  So profiles, and every invariant read from them,
 take no box; ``pad`` belongs only to the listings of ``ext_table`` and
 ``lc_table``.  A SliceTable keeps the dimensions per class and expands
 them to every box degree only when ``degrees`` or ``dims`` is read
-(``dim_at`` looks its class up directly).  A single degree
-(``ext_slice``, ``local_cohomology_slice``) is exact anywhere in the int16
-range.
+(``dim_at`` looks its class up directly; ``dump`` lists the degrees of the
+nonzero classes only, and refuses more than ``_MAX_LISTING_RECORDS``).  A
+single degree (``ext_slice``, ``local_cohomology_slice``) is exact anywhere
+in the int16 range.
 
 The dense scan over every degree of the unpadded box (``_dense_profile``)
 stays as an independent engine: it runs on the full Taylor complex of the
@@ -675,19 +676,63 @@ class SliceTable:
             return 0
         return int(self.dims[i].sum())
 
+    def _class_bounds(self, axis: int) -> np.ndarray:
+        """Start of each class of the axis in its box values -rho..rho, plus the end.
+
+        Class ids increase with the value, so each class is an interval.
+        """
+        return np.searchsorted(self._ids[axis], np.arange(len(self._reps[axis]) + 1))
+
+    def _record_count(self) -> int:
+        """Number of {i, b, dim} records of :meth:`dump`: the box degrees of
+        every nonzero class, summed over the levels."""
+        sizes = np.ones(1)
+        for axis in range(len(self._reps)):
+            sizes = np.multiply.outer(sizes, np.diff(self._class_bounds(axis)).astype(float)).ravel()
+        # float: an exact count up to 2^53, and a count past the ceiling either way
+        return int(((self._class_dims != 0) @ sizes).sum())
+
+    def _records(self, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Degrees (lexicographic) and dims of the nonzero slices of one level of class dims.
+
+        Axis by axis, each degree prefix is extended by the values of every
+        class of the next axis under which some slice is nonzero, so only
+        prefixes of listed degrees are ever built.  ``prefix`` is the flat
+        class index of each row's prefix.
+        """
+        degrees = np.zeros((1, 0), dtype=np.int32)
+        prefix = np.zeros(1, dtype=np.int64)
+        rest = level.size  # classes per prefix over the axes still to come
+        for axis, reps in enumerate(self._reps):
+            classes = len(reps)
+            rest //= classes
+            live = (level.reshape(-1, classes, rest) != 0).any(axis=2)
+            rows, cls = np.nonzero(live[prefix])
+            bounds = self._class_bounds(axis)
+            starts, lengths = bounds[cls], bounds[cls + 1] - bounds[cls]
+            take = np.repeat(np.arange(rows.size), lengths)
+            values = np.arange(take.size) - np.repeat(np.cumsum(lengths) - lengths, lengths) + starts[take]
+            degrees = np.hstack([degrees[rows[take]], (values - self.box.rho[axis]).astype(np.int32)[:, None]])
+            prefix = (prefix[rows] * classes + cls)[take]
+        return degrees, level[prefix]
+
     def dump(self) -> list[dict]:
-        """All nonzero slices as {i, b, dim} records, deterministically ordered."""
+        """All nonzero slices as {i, b, dim} records, ordered by (i, b).
+
+        Walks the nonzero classes only, never the whole box; a listing of
+        more than ``_MAX_LISTING_RECORDS`` records is refused before any is
+        built.
+        """
+        count = self._record_count()
+        if count > _MAX_LISTING_RECORDS:
+            raise ValueError(
+                f"stabilization box {self.box.rho} lists {count} nonzero slices, over {_MAX_LISTING_RECORDS}: "
+                "too large to scan"
+            )
         out = []
-        for i in range(self.dims.shape[0]):
-            for idx in np.nonzero(self.dims[i])[0]:
-                out.append(
-                    {
-                        "i": int(i),
-                        "b": [int(x) for x in self.degrees[idx]],
-                        "dim": int(self.dims[i, idx]),
-                    }
-                )
-        out.sort(key=lambda rec: (rec["i"], rec["b"]))
+        for i, level in enumerate(self._class_dims):
+            degrees, dims = self._records(level)
+            out.extend({"i": i, "b": b, "dim": d} for b, d in zip(degrees.tolist(), dims.tolist()))
         return out
 
 
@@ -703,6 +748,11 @@ def _check_scan(A: MonomialIdeal, B: MonomialIdeal):
 # hard ceiling on (faces x box degrees) cells so oversized requests fail
 # fast instead of exhausting memory; generous for the intended desk scale
 _MAX_ACTIVITY_CELLS = 600_000_000
+
+# ceiling on the records of one slice listing (``SliceTable.dump``): each
+# record is a Python dict, and ``analyze --slices --json`` peaks near 1.4 kB
+# per record (345 MB RSS for 250 000 records in two variables)
+_MAX_LISTING_RECORDS = 250_000
 
 
 def _check_scan_size(shape, faces: int, what: str):

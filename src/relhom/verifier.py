@@ -26,10 +26,8 @@ from .invariants import (
     cd_by_support,
     cd_of_prime_quotient,
     grade,
-    grade_by_localization,
     is_monomial_regular_sequence,
     mu,
-    sop_witness_by_support,
 )
 from .monomials import (
     MonomialIdeal,
@@ -50,6 +48,7 @@ from .monomials import (
 )
 from .properties import (
     PropertyReport,
+    _generator_witness,
     _report,
     full_report,
     is_relative_cm,
@@ -64,7 +63,6 @@ from .slices import (
     ext_profile,
     ext_table,
     ext_vanishes_below,
-    lc_profile,
     lc_table,
 )
 from .taylor import depth_quotient, pd_quotient
@@ -88,7 +86,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorpusParams:
-    """Deterministic corpus description; identical params give identical corpora."""
+    """Deterministic corpus description; identical params give identical corpora.
+
+    ``char`` is the coefficient characteristic of the corpus ring and
+    ``degree_bound`` the bound of every parameter-system search the run makes.
+    """
 
     n: int = 4
     max_exponent: int = 3
@@ -96,9 +98,11 @@ class CorpusParams:
     squarefree: bool = False
     count: int = 200
     seed: int = 42
+    char: int = 32003
+    degree_bound: int = 4
 
-    def ring(self, char: int = 32003) -> RingSpec:
-        return RingSpec(tuple(f"x{j + 1}" for j in range(self.n)), char)
+    def ring(self) -> RingSpec:
+        return RingSpec(tuple(f"x{j + 1}" for j in range(self.n)), self.char)
 
 
 def random_ideal(params: CorpusParams, index: int, ring: Optional[RingSpec] = None) -> MonomialIdeal:
@@ -118,9 +122,9 @@ def random_ideal(params: CorpusParams, index: int, ring: Optional[RingSpec] = No
     return minimal_generators(ring, gens)
 
 
-def corpus_instances(params: CorpusParams, char: int = 32003) -> list[tuple[MonomialIdeal, MonomialIdeal]]:
+def corpus_instances(params: CorpusParams) -> list[tuple[MonomialIdeal, MonomialIdeal]]:
     """The corpus: for index k the pair uses streams 3k (relative ideal) and 3k+1."""
-    ring = params.ring(char)
+    ring = params.ring()
     return [(random_ideal(params, 3 * k, ring), random_ideal(params, 3 * k + 1, ring)) for k in range(params.count)]
 
 
@@ -128,10 +132,10 @@ def _auxiliary_ideal(params: CorpusParams, index: int, ring: RingSpec) -> Monomi
     return random_ideal(params, 3 * index + 2, ring)
 
 
-def corpus_digest(params: CorpusParams, char: int = 32003) -> str:
+def corpus_digest(params: CorpusParams) -> str:
     """SHA-256 over the canonical serializations of the corpus pairs."""
     h = hashlib.sha256()
-    for k, (a, i) in enumerate(corpus_instances(params, char)):
+    for k, (a, i) in enumerate(corpus_instances(params)):
         h.update(f"{k}:{format_ideal(a)}|{format_ideal(i)}\n".encode())
     return h.hexdigest()
 
@@ -140,10 +144,11 @@ def corpus_digest(params: CorpusParams, char: int = 32003) -> str:
 class InstanceAnalysis:
     """Everything the suites need about one corpus pair, computed once.
 
-    The invariants are read from ``pair``, the analysis the report was
-    derived from.  The dense-scan profiles on the unpadded box (``ext0``,
-    ``lc0``), the class-engine profiles, which cover all of Z^n (``ext2``,
-    ``lc2``), and pd(S/a) are kept here as independent cross-checks.
+    Every number of the pair, each engine's value behind it and the nested
+    analysis of (a, S) are read from ``pair``, the analysis the report was
+    derived from; no suite runs an engine on the pair again.  The profiles
+    of the dense scan over the unpadded box (``ext0``, ``lc0``) are kept
+    here as the independent side of the ``cross_engine`` suite.
     """
 
     index: int
@@ -153,22 +158,11 @@ class InstanceAnalysis:
     report: Optional[PropertyReport] = None
     pair: Optional[PairAnalysis] = None
     ext0: frozenset = frozenset()
-    ext2: frozenset = frozenset()
     lc0: frozenset = frozenset()
-    lc2: frozenset = frozenset()
-    pd_a: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    grade = property(lambda self: self.pair.grade)
-    cd = property(lambda self: self.pair.cd)
-    a_id = property(lambda self: self.pair.a_id)
-    mu = property(lambda self: self.pair.mu)
-    sop = property(lambda self: self.pair.sop)
-    grade_ring = property(lambda self: self.pair.ring.grade)
-    cd_ring = property(lambda self: self.pair.ring.cd)
 
     def echo(self) -> dict:
         return {"index": self.index, "a": format_ideal(self.a), "i": format_ideal(self.i)}
@@ -177,24 +171,18 @@ class InstanceAnalysis:
 def analyze_instance(index: int, a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> InstanceAnalysis:
     x = InstanceAnalysis(index, a, I)
     try:
-        x.ext2 = ext_profile(a, I)
-        x.lc2 = lc_profile(a, I)
+        pair = PairAnalysis(a, I, degree_bound)
         x.ext0 = _dense_profile(_ext_activity, a, I)
         x.lc0 = _dense_profile(_cech_activity, a, I)
-        pair = PairAnalysis(a, I, degree_bound)
         x.report = _report(pair, DegreeBox.for_ideals(a, I))
-        x.pd_a = pd_quotient(a)
         x.pair = pair
     except EngineDisagreementError as exc:
         x.error = str(exc)
     return x
 
 
-def build_analyses(params: CorpusParams, char: int = 32003, degree_bound: int = 4) -> list[InstanceAnalysis]:
-    return [
-        analyze_instance(k, a, i, degree_bound)
-        for k, (a, i) in enumerate(corpus_instances(params, char))
-    ]
+def build_analyses(params: CorpusParams) -> list[InstanceAnalysis]:
+    return [analyze_instance(k, a, i, params.degree_bound) for k, (a, i) in enumerate(corpus_instances(params))]
 
 
 @dataclass
@@ -250,7 +238,7 @@ def _suite_prop_2_11f(xs, ctx):
             continue
         ran += 1
         lhs = x.report.rel_cm
-        rhs = all(cd_of_prime_quotient(x.a, P) == x.grade for P in associated_primes(x.i))
+        rhs = all(cd_of_prime_quotient(x.a, P) == x.pair.grade for P in associated_primes(x.i))
         if lhs != rhs:
             out.append(_violation(x, {"cm": lhs}, {"ass_prime_criterion": rhs}))
     return ran, out, "two-sided", None
@@ -264,7 +252,7 @@ def _suite_lemma_2_3(xs, ctx):
         ran += 1
         rad_i = radical(x.i)
         torsion = all(rad_i.contains_monomial(g) for g in x.a.gens)
-        cd_zero = x.cd == 0
+        cd_zero = x.pair.cd == 0
         primes = associated_primes(x.i)
         some = any(P.contains_ideal(x.a) for P in primes)
         every = all(P.contains_ideal(x.a) for P in primes)
@@ -282,12 +270,12 @@ def _suite_lemma_2_3(xs, ctx):
 def _suite_lemma_2_6a(xs, ctx):
     out, ran = [], 0
     for x in xs:
-        if not (x.ok and x.sop is not None and x.sop.status == SOP_FOUND):
+        if not (x.ok and x.pair.sop.status == SOP_FOUND):
             continue
         ran += 1
-        c = x.cd
+        c = x.pair.cd
         current = x.i
-        for step, m in enumerate(x.sop.sequence, start=1):
+        for step, m in enumerate(x.pair.sop.sequence, start=1):
             current = sum_ideals(current, minimal_generators(x.a.ring, [m]))
             got = cd_by_support(x.a, current)
             if got != c - step:
@@ -299,10 +287,10 @@ def _suite_lemma_2_6a(xs, ctx):
 def _suite_lemma_2_7b(xs, ctx):
     out, ran = [], 0
     for x in xs:
-        if not (x.ok and x.sop is not None and x.sop.found):
+        if not (x.ok and x.pair.sop.found):
             continue
         ran += 1
-        regular = is_monomial_regular_sequence(x.sop.sequence, x.i)
+        regular = is_monomial_regular_sequence(x.pair.sop.sequence, x.i)
         if regular != (x.report.rel_cm is True):
             out.append(_violation(x, {"cm": x.report.rel_cm}, {"witness_regular": regular}))
     return ran, out, "found-witness direction, both implications on the witness", None
@@ -315,15 +303,15 @@ def _suite_prop_2_9d(xs, ctx):
         if not x.ok:
             continue
         aux = _auxiliary_ideal(params, x.index, x.a.ring)
-        modules = ((x.i, x.grade), (zero_ideal(x.a.ring), x.grade_ring))
+        modules = ((x.i, x.pair.grade), (zero_ideal(x.a.ring), x.pair.ring.grade))
         for candidate in (aux, sum_ideals(x.a, aux)):
             if candidate.is_unit:
                 continue
-            cd_n = cd_by_support(x.a, candidate)
-            if cd_n != grade_by_localization(x.a, candidate):
+            y = PairAnalysis(x.a, candidate, x.pair.degree_bound)
+            cd_n = y.support_cd
+            if cd_n != y.localization_grade:
                 continue  # hypothesis (relative CM) not certified
-            witness = sop_witness_by_support(x.a, candidate, ctx["degree_bound"])
-            if not witness.found:
+            if not y.sop.found:
                 continue  # cd = ara not certified
             for module_ideal, module_grade in modules:
                 ran += 1
@@ -348,8 +336,8 @@ def _suite_lemma_3_7a(xs, ctx):
         if not x.ok:
             continue
         ran += 1
-        if x.a_id != x.pd_a:
-            out.append(_violation(x, {"pd_of_relative_quotient": x.pd_a}, {"a_id": x.a_id}))
+        if x.pair.a_id != x.pair.pd_a:
+            out.append(_violation(x, {"pd_of_relative_quotient": x.pair.pd_a}, {"a_id": x.pair.a_id}))
     return ran, out, "two-sided", None
 
 
@@ -359,7 +347,7 @@ def _suite_lemma_3_9c(xs, ctx):
         if not x.ok:
             continue
         S = zero_ideal(x.a.ring)
-        for module_ideal, before in ((x.i, x.a_id), (S, max(ext_profile(x.a, S)))):
+        for module_ideal, before in ((x.i, x.pair.a_id), (S, max(x.pair.ring.ext_profile))):
             nzd = next((g for g in x.a.gens if quotient(module_ideal, g) == module_ideal), None)
             if nzd is None:
                 continue
@@ -385,7 +373,7 @@ def _suite_thm_4_1a(xs, ctx):
                 continue
             ran += 1
             lhs = pd_quotient(sum_ideals(module_ideal, x.a))
-            rhs = pd_quotient(module_ideal) + x.cd_ring
+            rhs = pd_quotient(module_ideal) + x.pair.ring.cd
             if lhs != rhs:
                 out.append(_violation(x, {"pd_sum": rhs}, {"pd_sum": lhs}))
     return ran, out, "relative-regular instances; modules S/i and S", None
@@ -397,9 +385,8 @@ def _suite_thm_4_4d(xs, ctx):
         if not x.ok:
             continue
         ran += 1
-        numeric = x.grade == x.grade_ring == x.mu
-        S = zero_ideal(x.a.ring)
-        witness = is_monomial_regular_sequence(x.a.gens, x.i) and is_monomial_regular_sequence(x.a.gens, S)
+        numeric = x.pair.grade == x.pair.ring.grade == x.pair.mu
+        witness = _generator_witness(x.pair)
         if numeric != witness:
             out.append(_violation(x, {"numeric": numeric}, {"generator_witness": witness}))
     return ran, out, "two-sided (monomial generating sets)", None
@@ -412,13 +399,13 @@ def _suite_prop_4_6f(xs, ctx):
             continue
         candidates = (
             (x.i, x.report.rel_regular_module, x.ext0),
-            (zero_ideal(x.a.ring), x.report.rel_regular_ring, ext_profile(x.a, zero_ideal(x.a.ring))),
+            (zero_ideal(x.a.ring), x.report.rel_regular_ring, x.pair.ring.ext_profile),
         )
         for module_ideal, regular, profile in candidates:
             if regular is not True:
                 continue
             ran += 1
-            c = x.cd_ring
+            c = x.pair.ring.cd
             if profile != frozenset({c}):
                 out.append(_violation(x, {"ext_profile": [c]}, {"ext_profile": sorted(profile)}))
                 continue
@@ -471,28 +458,23 @@ def _suite_cross_engine(xs, ctx):
             out.append({**x.echo(), "expected": "engine agreement", "actual": x.error})
             continue
         ran += 1
+        y = x.pair
         ext0 = frozenset(i + 1 for i in x.ext0) if fault else x.ext0
-        if ext0 != x.ext2:
-            out.append(_violation(x, {"ext_profile_padded": sorted(x.ext2)}, {"ext_profile": sorted(ext0)}))
-        if x.lc0 != x.lc2:
-            out.append(_violation(x, {"lc_profile_padded": sorted(x.lc2)}, {"lc_profile": sorted(x.lc0)}))
+        if ext0 != y.ext_profile:
+            out.append(_violation(x, {"ext_profile_padded": sorted(y.ext_profile)}, {"ext_profile": sorted(ext0)}))
+        if x.lc0 != y.lc_profile:
+            out.append(_violation(x, {"lc_profile_padded": sorted(y.lc_profile)}, {"lc_profile": sorted(x.lc0)}))
         agreements = {
             "grade_ext": min(x.ext0),
             "grade_cech": min(x.lc0),
-            "grade_localization": grade_by_localization(x.a, x.i),
+            "grade_localization": y.localization_grade,
         }
         if len(set(agreements.values())) != 1:
             out.append(_violation(x, "equal grade engines", agreements))
-        if max(x.lc0) != cd_by_support(x.a, x.i):
-            out.append(
-                _violation(
-                    x,
-                    {"cd_cech": max(x.lc0)},
-                    {"cd_minimal_primes": cd_by_support(x.a, x.i)},
-                )
-            )
-        if x.a_id != x.pd_a:
-            out.append(_violation(x, {"a_id": x.pd_a}, {"a_id": x.a_id}))
+        if max(x.lc0) != y.support_cd:
+            out.append(_violation(x, {"cd_cech": max(x.lc0)}, {"cd_minimal_primes": y.support_cd}))
+        if y.a_id != y.pd_a:
+            out.append(_violation(x, {"a_id": y.pd_a}, {"a_id": y.a_id}))
     return ran, out, "box invariance plus multi-engine agreement; disagreements land here", None
 
 
@@ -520,7 +502,6 @@ def run_suite(
     analyses: list[InstanceAnalysis],
     params: Optional[CorpusParams] = None,
     fault_injection: bool = False,
-    degree_bound: int = 4,
 ) -> SuiteResult:
     """Evaluate one suite over prepared analyses; empty violations means pass."""
     if name not in _SUITES:
@@ -530,7 +511,6 @@ def run_suite(
     ctx = {
         "params": params if params is not None else CorpusParams(count=len(analyses)),
         "fault_injection": fault_injection,
-        "degree_bound": degree_bound,
     }
     start = time.perf_counter()
     ran, violations, mode, nonvac = _SUITES[name](analyses, ctx)
@@ -554,17 +534,9 @@ class CorpusRun:
         return all(r.passed for r in self.suites.values())
 
 
-def run_all_suites(
-    params: CorpusParams = CorpusParams(),
-    char: int = 32003,
-    fault_injection: bool = False,
-    degree_bound: int = 4,
-) -> CorpusRun:
-    analyses = build_analyses(params, char, degree_bound)
-    suites = {
-        name: run_suite(name, analyses, params, fault_injection, degree_bound)
-        for name in SUITE_NAMES
-    }
+def run_all_suites(params: CorpusParams = CorpusParams(), fault_injection: bool = False) -> CorpusRun:
+    analyses = build_analyses(params)
+    suites = {name: run_suite(name, analyses, params, fault_injection) for name in SUITE_NAMES}
     per_instance: dict[int, dict[str, str]] = {x.index: {} for x in analyses}
     for name, result in suites.items():
         bad = {v.get("index") for v in result.violations}
@@ -597,7 +569,7 @@ def run_all_suites(
             if "note" in v:
                 entry["note"] = v["note"]
             counterexamples.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-    return CorpusRun(params, corpus_digest(params, char), analyses, suites, jsonl, counterexamples)
+    return CorpusRun(params, corpus_digest(params), analyses, suites, jsonl, counterexamples)
 
 
 # ---------------------------------------------------------------------------

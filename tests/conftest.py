@@ -3,7 +3,9 @@
 The oracles reimplement divisibility, membership and small modular ranks
 from scratch so that engine tests never check an implementation against
 itself.  ``sop_search`` and ``cech_piece`` are the brute-force forms of the
-parameter-system search and of one Cech localization piece;
+parameter-system search and of one Cech localization piece, and
+``oracle_sop_by_support`` walks every combination of the support-level
+search, without its prune;
 ``oracle_ext_activity`` is the per-face form of the Ext activity kernel;
 ``oracle_taylor_differentials`` builds the dense Taylor differentials that
 Betti numbers were once ranked from, and ``subset_lcms`` the lcm of every
@@ -27,6 +29,7 @@ from relhom.invariants import (
     SOP_NONE_AMONG_MONOMIALS,
     SopWitness,
     _radical_supports,
+    _sop_candidates,
     cd,
     sop_witness_by_support,
 )
@@ -212,6 +215,29 @@ def sop_search(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> Sop
         if _radical_supports([*map(support, I.gens), *map(support, combo)]) == target:
             return SopWitness(SOP_FOUND, combo, degree_bound)
     return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
+
+
+def oracle_sop_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> SopWitness:
+    """The support-level parameter-system search over every length-cd
+    combination of candidates, in ``itertools.combinations`` order: the
+    first witness found is the lexicographically first."""
+    c = cd(a, I)
+    if c == 0:
+        return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
+    target = _radical_supports(map(support, sum_ideals(a, I).gens))
+    base = _radical_supports(map(support, I.gens))
+    for combo in itertools.combinations(_sop_candidates(a, degree_bound), c):
+        if _radical_supports(base.union(fs for fs, _ in combo)) == target:
+            return SopWitness(SOP_FOUND, tuple(e for _, e in combo), degree_bound)
+    return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
+
+
+def cycle_pair(n: int) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """The edge ideal of the n-cycle on x0..x_{n-1}, with the relative ideal of its even vertices."""
+    ring = RingSpec(tuple(f"x{k}" for k in range(n)))
+    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    edges = [tuple(u + v for u, v in zip(unit[k], unit[(k + 1) % n])) for k in range(n)]
+    return minimal_generators(ring, unit[::2]), minimal_generators(ring, edges)
 
 
 def cech_piece(I: MonomialIdeal, T, b) -> int:

@@ -149,8 +149,8 @@ def test_criterion_5_cross_engine_equivalence(corpus_run):
         if not (
             min(x.ext0) == min(x.lc0) == grade_by_localization(x.a, x.i)  # (a)
             and max(x.lc0) == cd_by_support(x.a, x.i)                      # (b)
-            and x.a_id == pd_quotient(x.a)                                 # (c)
-            and x.ext0 == x.ext2 and x.lc0 == x.lc2                        # (d)
+            and x.pair.a_id == pd_quotient(x.a)                            # (c)
+            and x.ext0 == x.pair.ext_profile and x.lc0 == x.pair.lc_profile  # (d)
         ):
             explicit_ok = False
             break

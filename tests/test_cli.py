@@ -272,6 +272,20 @@ class TestInputLimits:
         assert code == 2
         assert out == "" and "too large to scan" in err
 
+    def test_sparse_listing_of_a_wide_box(self, capsys):
+        # 24 006 nonzero slices among 2.56e8 box degrees, listed from their classes
+        code, out, _ = run(
+            capsys, "analyze", "--ring", "x,y", "--a", "x", "--i", "x", "--box-pad", "8000", "--slices", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (len(payload["ext_slices"]), len(payload["lc_slices"])) == (16_004, 8_002)
+
+    def test_listing_past_the_record_ceiling_is_input_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--box-pad", "8000", "--slices")
+        assert code == 2
+        assert out == "" and "64032004 nonzero slices" in err
+
     def test_slice_dump_is_sized_by_levels(self, capsys):
         # the 25-generator chain has 2^25 Taylor faces, but its dump is 26
         # levels over 3 213 box degrees

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from relhom import invariants
 from relhom.invariants import (
     SOP_DEGENERATE_ZERO_LENGTH,
     SOP_FOUND,
@@ -20,7 +21,7 @@ from relhom.invariants import (
 )
 from relhom.monomials import RingSpec, parse_ideal, unit_ideal, zero_ideal
 
-from conftest import random_proper_ideal, sop_search
+from conftest import cycle_pair, oracle_sop_by_support, random_proper_ideal, sop_search
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -157,6 +158,39 @@ class TestSopSearch:
                 got = _radical_supports([*map(support, I.gens), *map(support, fast.sequence)])
                 assert got == target
                 assert all(a.contains_monomial(e) for e in fast.sequence)
+
+
+    def test_pruned_search_finds_the_first_witness(self):
+        # the prune only cuts prefixes no witness extends, so the walk returns
+        # the lexicographically first combination, as the full walk does;
+        # squarefree relative ideals in 5 variables reach cd 3 on S/I and S
+        ring = RingSpec(("a", "b", "c", "d", "e"))
+        rng = np.random.default_rng(83)
+        seen = set()
+        for _ in range(16):
+            a = random_proper_ideal(rng, ring, 1, 6)
+            for I in (random_proper_ideal(rng, ring, 2, 2), zero_ideal(ring)):
+                for bound in (2, 4):
+                    expected = oracle_sop_by_support(a, I, bound)
+                    assert sop_witness_by_support(a, I, bound) == expected
+                    seen.add((cd(a, I), expected.status))
+        assert {(3, SOP_FOUND), (3, SOP_NONE_AMONG_MONOMIALS), (2, SOP_NONE_AMONG_MONOMIALS)} <= seen
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_pruned_search_on_cycles(self, monkeypatch, n):
+        a, I = cycle_pair(n)
+        expected = oracle_sop_by_support(a, I)
+        cuts = []
+        support_cd = invariants.cd_by_support
+
+        def counted(*args):
+            cuts.append(args)
+            return support_cd(*args)
+
+        monkeypatch.setattr(invariants, "cd_by_support", counted)
+        assert sop_witness_by_support(a, I) == expected
+        assert expected.found == (n % 2 == 0)
+        assert len(cuts) > 1  # the prune ran, not only the pair's own cd
 
 
 class TestInvariantRecord:

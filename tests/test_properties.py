@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from relhom import invariants, properties
-from relhom.monomials import RingSpec, parse_ideal, unit_ideal, zero_ideal
+from relhom import invariants, properties, verifier
+from relhom.monomials import RingMismatchError, RingSpec, parse_ideal, unit_ideal, zero_ideal
 from relhom.properties import (
     full_report,
     is_relative_cm,
@@ -158,11 +158,21 @@ class TestFullReport:
         assert hits >= 3  # the check must not be vacuous
 
 
+def test_full_report_checks_the_pair_before_the_box(ring2):
+    # the analysis validates the pair; only then is the box built
+    with pytest.raises(RingMismatchError):
+        full_report(parse_ideal(ring2, "x"), parse_ideal(RingSpec(("x", "z")), "x"), pad=20000)
+    with pytest.raises(ValueError, match="too large"):
+        full_report(parse_ideal(ring2, "x"), parse_ideal(ring2, "y"), pad=20000)
+
+
 def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
-    # (a, S/I) and the nested (a, S) each run grade and cd once; the
-    # parameter-system search reuses the checked cd
+    # (a, S/I) and the nested (a, S) are each validated once and each run
+    # grade and cd once; the parameter-system search reuses the checked cd.
+    # A corpus instance computes no more than the report it carries.
     calls = Counter()
     for module, name in (
+        (invariants, "_check_pair"),
         (invariants, "grade_by_localization"),
         (invariants, "cd_by_support"),
         (invariants, "_sop_search"),
@@ -174,9 +184,13 @@ def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    full_report(parse_ideal(ring4, "y1, y2"), parse_ideal(ring4, C4))
-    assert calls["grade_by_localization"] == 2
-    assert calls["cd_by_support"] == 2
-    assert calls["_sop_search"] == 1
-    assert calls["associated_primes"] == 1
-    assert calls["is_monomial_regular_sequence"] >= 1
+    a, I = parse_ideal(ring4, "y1, y2"), parse_ideal(ring4, C4)
+    for analyse in (lambda: full_report(a, I), lambda: verifier.analyze_instance(0, a, I)):
+        calls.clear()
+        analyse()
+        assert calls["_check_pair"] == 2
+        assert calls["grade_by_localization"] == 2
+        assert calls["cd_by_support"] == 2
+        assert calls["_sop_search"] == 1
+        assert calls["associated_primes"] == 1
+        assert calls["is_monomial_regular_sequence"] >= 1

@@ -16,6 +16,7 @@ from relhom import monomials, slices, taylor
 from relhom.monomials import RingSpec, parse_ideal, support, unit_ideal, zero_ideal
 from relhom.slices import (
     DegreeBox,
+    SliceTable,
     _cech_activity,
     _ext_activity,
     _lattice_dims,
@@ -294,6 +295,36 @@ def test_class_tables_equal_the_dense_scan(n):
             dense = _dense_dims(_ext_activity, J, I, grid)
             for k in range(len(J.gens) + 2):
                 assert ext_vanishes_below(J, I, k) == (not dense[:k].any())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_listing_walks_the_nonzero_classes(n):
+    # the listing built from the nonzero classes equals the one read off the
+    # dense expansion over every box degree, record for record in (i, b) order
+    ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+    rng = np.random.default_rng(70 + n)
+    for trial in range(12):
+        J = random_proper_ideal(rng, ring, 3, 4)
+        I = zero_ideal(ring) if trial == 0 else random_proper_ideal(rng, ring, 3, 4)
+        for pad in (0, 1, 2):
+            for table in (ext_table(J, I, pad), lc_table(J, I, pad)):
+                dims, degrees = table.dims, table.degrees
+                expected = [
+                    {"i": i, "b": [int(v) for v in degrees[d]], "dim": int(dims[i, d])}
+                    for i in range(dims.shape[0])
+                    for d in np.flatnonzero(dims[i])
+                ]
+                assert table._record_count() == len(expected)
+                assert table.dump() == expected
+
+
+def test_listing_is_refused_before_any_record(monkeypatch, ring2):
+    table = lc_table(parse_ideal(ring2, "x"), zero_ideal(ring2), pad=3)
+    assert table._record_count() == 25  # H^1 at b_x <= -1, b_y >= 0 in the 11 x 9 box
+    monkeypatch.setattr(slices, "_MAX_LISTING_RECORDS", 24)
+    monkeypatch.setattr(SliceTable, "_records", lambda *args: pytest.fail("a record was built"))
+    with pytest.raises(ValueError, match="25 nonzero slices"):
+        table.dump()
 
 
 def test_ext_profile_scans_one_degree_per_class(monkeypatch):

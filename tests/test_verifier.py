@@ -1,11 +1,13 @@
 """Corpus generation, theorem suites, replays, JSONL serialization."""
 
 import json
+import sys
 
 import jsonschema
 import pytest
 
 import relhom.verifier as verifier
+from relhom import invariants
 from relhom.monomials import format_ideal
 from relhom.schemas import COUNTEREXAMPLE_SCHEMA, JSONL_LINE_SCHEMA
 from relhom.verifier import (
@@ -100,6 +102,38 @@ class TestSuites:
         run = run_all_suites(CorpusParams(count=5), fault_injection=True)
         indices = [v["index"] for v in run.suites["cross_engine"].violations]
         assert indices == sorted(indices)
+
+
+    def test_suites_read_the_pair_analysis(self, monkeypatch):
+        # the engine values of an instance pair live on its analysis: with
+        # every binding of these engines refusing to run, the suites that
+        # read them still give the same results
+        names = ("cross_engine", "thm_4_4d", "lemma_3_9c", "prop_4_6f")
+        expected = {name: run_suite(name, build_analyses(SMALL), SMALL) for name in names}
+        assert all(result.instances for result in expected.values())
+        analyses = build_analyses(SMALL)
+        engines = [getattr(invariants, name) for name in ("grade_by_localization", "cd_by_support", "is_monomial_regular_sequence")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an engine ran again on an analysed pair")
+
+        modules = [m for name, m in sys.modules.items() if name == "relhom" or name.startswith("relhom.")]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if any(value is engine for engine in engines):
+                    monkeypatch.setattr(module, attr, refuse)
+        for name in names:
+            got = run_suite(name, analyses, SMALL)
+            assert (got.instances, got.violations, got.non_vacuous) == (
+                expected[name].instances, expected[name].violations, expected[name].non_vacuous
+            )
+
+    def test_params_set_char_and_degree_bound(self):
+        run = run_all_suites(CorpusParams(count=3, char=2, degree_bound=2))
+        assert run.passed
+        for x, line in zip(run.analyses, run.jsonl_lines):
+            assert '"char":2' in line and x.pair.degree_bound == 2
+            assert json.loads(line)["report"]["witnesses"]["sop"]["degree_bound"] == 2
 
 
 class TestJsonl:
