@@ -31,7 +31,7 @@ from .properties import (
     is_relative_regular_module,
     is_relative_regular_ring,
 )
-from .slices import DegreeBox, ext_table, lc_table
+from .slices import DegreeBox, dump_tables, ext_table, lc_table
 from .verifier import EXAMPLE_IDS, CorpusParams, reproduce_example, run_all_suites
 
 __all__ = ["main"]
@@ -148,10 +148,8 @@ def _cmd_analyze(args) -> int:
     slices = None
     if args.slices and module_ideal.is_proper:
         # dumped first: a box too large to list fails before the report's work
-        slices = {
-            "ext": ext_table(a, module_ideal, pad=args.box_pad).dump(),
-            "local_cohomology": lc_table(a, module_ideal, pad=args.box_pad).dump(),
-        }
+        ext, lc = dump_tables(ext_table(a, module_ideal, pad=args.box_pad), lc_table(a, module_ideal, pad=args.box_pad))
+        slices = {"ext": ext, "local_cohomology": lc}
     report = full_report(a, module_ideal, pad=args.box_pad, degree_bound=args.degree_bound)
     if args.json:
         payload = {

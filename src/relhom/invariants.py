@@ -203,7 +203,10 @@ def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[frozenset
 
 
 # a prefix is tested for the prune only when it has more completions than
-# this: one support cd costs about as much as a hundred radical tests
+# this.  Search time (s) of the 15 wide pairs / 9-cycle / 10-cycle on one
+# AMD EPYC core, Python 3.11: threshold 0: 0.038 / 2.49 / 0.030; 10: 0.018 /
+# 1.16 / 0.030; 100: 0.011 / 1.16 / 0.030; 1000: 0.011 / 2.01 / 0.145;
+# testing only prefixes that leave >= 2 elements: 0.021 / 1.44 / 0.149
 _PRUNE_MIN_COMPLETIONS = 100
 
 

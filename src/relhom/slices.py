@@ -51,10 +51,11 @@ edge classes of an axis.  So profiles, and every invariant read from them,
 take no box; ``pad`` belongs only to the listings of ``ext_table`` and
 ``lc_table``.  A SliceTable keeps the dimensions per class and expands
 them to every box degree only when ``degrees`` or ``dims`` is read
-(``dim_at`` looks its class up directly; ``dump`` lists the degrees of the
-nonzero classes only, and refuses more than ``_MAX_LISTING_RECORDS``).  A
-single degree (``ext_slice``, ``local_cohomology_slice``) is exact anywhere
-in the int16 range.
+(``dim_at`` looks its class up directly; ``hilbert``, ``total`` and
+``dump`` read the nonzero classes only, and a listing of more than
+``_MAX_LISTING_RECORDS`` records, over all tables of ``dump_tables``, is
+refused).  A single degree (``ext_slice``, ``local_cohomology_slice``) is
+exact anywhere in the int16 range.
 
 The dense scan over every degree of the unpadded box (``_dense_profile``)
 stays as an independent engine: it runs on the full Taylor complex of the
@@ -664,17 +665,18 @@ class SliceTable:
 
     def hilbert(self, i: int) -> dict[tuple[int, ...], int]:
         """Nonzero slice dimensions of level i, keyed by multidegree."""
-        if i < 0 or i >= self.dims.shape[0]:
+        if i < 0 or i >= self._class_dims.shape[0]:
             return {}
-        out = {}
-        for idx in np.nonzero(self.dims[i])[0]:
-            out[tuple(int(x) for x in self.degrees[idx])] = int(self.dims[i, idx])
-        return out
+        level = self._class_dims[i]
+        _check_listing(int(self._class_sizes()[level != 0].sum()), self.box)
+        degrees, dims = self._records(level)
+        return dict(zip(map(tuple, degrees.tolist()), dims.tolist()))
 
     def total(self, i: int) -> int:
-        if i < 0 or i >= self.dims.shape[0]:
+        """Sum of the slice dimensions of level i over the box."""
+        if i < 0 or i >= self._class_dims.shape[0]:
             return 0
-        return int(self.dims[i].sum())
+        return int((self._class_dims[i].astype(object) * self._class_sizes()).sum())
 
     def _class_bounds(self, axis: int) -> np.ndarray:
         """Start of each class of the axis in its box values -rho..rho, plus the end.
@@ -683,14 +685,18 @@ class SliceTable:
         """
         return np.searchsorted(self._ids[axis], np.arange(len(self._reps[axis]) + 1))
 
+    def _class_sizes(self) -> np.ndarray:
+        """Box degrees in each class, in the flat class order, as exact Python ints."""
+        sizes = np.ones(1, dtype=object)
+        for axis in range(len(self._reps)):
+            sizes = np.multiply.outer(sizes, np.diff(self._class_bounds(axis)).astype(object)).ravel()
+        return sizes
+
     def _record_count(self) -> int:
         """Number of {i, b, dim} records of :meth:`dump`: the box degrees of
         every nonzero class, summed over the levels."""
-        sizes = np.ones(1)
-        for axis in range(len(self._reps)):
-            sizes = np.multiply.outer(sizes, np.diff(self._class_bounds(axis)).astype(float)).ravel()
-        # float: an exact count up to 2^53, and a count past the ceiling either way
-        return int(((self._class_dims != 0) @ sizes).sum())
+        sizes = self._class_sizes()
+        return sum(int(sizes[level != 0].sum()) for level in self._class_dims)
 
     def _records(self, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Degrees (lexicographic) and dims of the nonzero slices of one level of class dims.
@@ -717,23 +723,33 @@ class SliceTable:
         return degrees, level[prefix]
 
     def dump(self) -> list[dict]:
-        """All nonzero slices as {i, b, dim} records, ordered by (i, b).
+        """All nonzero slices as {i, b, dim} records, ordered by (i, b); see :func:`dump_tables`."""
+        return dump_tables(self)[0]
 
-        Walks the nonzero classes only, never the whole box; a listing of
-        more than ``_MAX_LISTING_RECORDS`` records is refused before any is
-        built.
-        """
-        count = self._record_count()
-        if count > _MAX_LISTING_RECORDS:
-            raise ValueError(
-                f"stabilization box {self.box.rho} lists {count} nonzero slices, over {_MAX_LISTING_RECORDS}: "
-                "too large to scan"
-            )
+    def _listing(self) -> list[dict]:
         out = []
         for i, level in enumerate(self._class_dims):
             degrees, dims = self._records(level)
             out.extend({"i": i, "b": b, "dim": d} for b, d in zip(degrees.tolist(), dims.tolist()))
         return out
+
+
+def dump_tables(*tables: SliceTable) -> list[list[dict]]:
+    """The :meth:`SliceTable.dump` listing of each table.
+
+    Walks the nonzero classes only, never the whole box.  Listings of more
+    than ``_MAX_LISTING_RECORDS`` records in all are refused before any
+    record of any table is built.
+    """
+    _check_listing(sum(table._record_count() for table in tables), tables[0].box)
+    return [table._listing() for table in tables]
+
+
+def _check_listing(count: int, box: DegreeBox):
+    if count > _MAX_LISTING_RECORDS:
+        raise ValueError(
+            f"stabilization box {box.rho} lists {count} nonzero slices, over {_MAX_LISTING_RECORDS}: too large to scan"
+        )
 
 
 def _check_scan(A: MonomialIdeal, B: MonomialIdeal):
@@ -749,7 +765,7 @@ def _check_scan(A: MonomialIdeal, B: MonomialIdeal):
 # fast instead of exhausting memory; generous for the intended desk scale
 _MAX_ACTIVITY_CELLS = 600_000_000
 
-# ceiling on the records of one slice listing (``SliceTable.dump``): each
+# ceiling on the records of one slice listing (``dump_tables``): each
 # record is a Python dict, and ``analyze --slices --json`` peaks near 1.4 kB
 # per record (345 MB RSS for 250 000 records in two variables)
 _MAX_LISTING_RECORDS = 250_000

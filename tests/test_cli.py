@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+from relhom import slices
 from relhom.cli import main
 from relhom.invariants import EngineDisagreementError
 from relhom.monomials import RingSpec, format_ideal, parse_ideal, unit_ideal
@@ -270,7 +271,10 @@ class TestInputLimits:
     def test_large_box_pad_slice_dump_is_input_error(self, capsys):
         code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x,y", "--box-pad", "16000", "--slices")
         assert code == 2
-        assert out == "" and "too large to scan" in err
+        assert out == ""
+        assert err == (
+            "error: stabilization box (16002, 16002) lists 256064005 nonzero slices, over 250000: too large to scan\n"
+        )
 
     def test_sparse_listing_of_a_wide_box(self, capsys):
         # 24 006 nonzero slices among 2.56e8 box degrees, listed from their classes
@@ -282,9 +286,20 @@ class TestInputLimits:
         assert (len(payload["ext_slices"]), len(payload["lc_slices"])) == (16_004, 8_002)
 
     def test_listing_past_the_record_ceiling_is_input_error(self, capsys):
+        # 64 032 004 local-cohomology and 8 002 Ext records
         code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--box-pad", "8000", "--slices")
         assert code == 2
-        assert out == "" and "64032004 nonzero slices" in err
+        assert out == "" and "64040006 nonzero slices" in err
+
+    def test_listing_ceiling_counts_both_tables(self, capsys, monkeypatch):
+        # 16 004 Ext and 8 002 local-cohomology records: each table is under
+        # the ceiling, their sum is not, and neither is built
+        monkeypatch.setattr(slices, "_MAX_LISTING_RECORDS", 20_000)
+        monkeypatch.setattr(slices.SliceTable, "_records", lambda *args: pytest.fail("a record was built"))
+        argv = ["analyze", "--ring", "x,y", "--a", "x", "--i", "x", "--box-pad", "8000", "--slices"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "24006 nonzero slices, over 20000" in err
 
     def test_slice_dump_is_sized_by_levels(self, capsys):
         # the 25-generator chain has 2^25 Taylor faces, but its dump is 26

@@ -299,8 +299,9 @@ def test_class_tables_equal_the_dense_scan(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_listing_walks_the_nonzero_classes(n):
-    # the listing built from the nonzero classes equals the one read off the
-    # dense expansion over every box degree, record for record in (i, b) order
+    # the listing, hilbert and total built from the nonzero classes equal
+    # those read off the dense expansion over every box degree, record for
+    # record in (i, b) order
     ring = RingSpec(tuple(f"x{j}" for j in range(n)))
     rng = np.random.default_rng(70 + n)
     for trial in range(12):
@@ -316,6 +317,9 @@ def test_listing_walks_the_nonzero_classes(n):
                 ]
                 assert table._record_count() == len(expected)
                 assert table.dump() == expected
+                for i in range(len(dims)):
+                    assert table.hilbert(i) == {tuple(r["b"]): r["dim"] for r in expected if r["i"] == i}
+                assert [table.total(i) for i in range(len(dims))] == dims.sum(axis=1).tolist()
 
 
 def test_listing_is_refused_before_any_record(monkeypatch, ring2):
@@ -325,6 +329,13 @@ def test_listing_is_refused_before_any_record(monkeypatch, ring2):
     monkeypatch.setattr(SliceTable, "_records", lambda *args: pytest.fail("a record was built"))
     with pytest.raises(ValueError, match="25 nonzero slices"):
         table.dump()
+    with pytest.raises(ValueError, match="25 nonzero slices"):
+        table.hilbert(1)
+    # the ceiling bounds the tables of one listing together
+    ext = ext_table(parse_ideal(ring2, "x"), zero_ideal(ring2), pad=3)
+    monkeypatch.setattr(slices, "_MAX_LISTING_RECORDS", max(25, ext._record_count()))
+    with pytest.raises(ValueError, match=f"{25 + ext._record_count()} nonzero slices"):
+        slices.dump_tables(ext, table)
 
 
 def test_ext_profile_scans_one_degree_per_class(monkeypatch):
