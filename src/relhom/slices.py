@@ -67,18 +67,23 @@ the 2^r Taylor faces, and the expansion of a table by its levels x box
 degrees.
 
 Each table runs its layers in bulk.  Ext activity depends on a face T only
-through lcm_T, so it is evaluated once per distinct lcm and gathered to the
-faces.  Degrees are grouped by activity pattern under a one-value key per
-degree.  Then the ranks for the whole table are computed together: each
-distinct pair of consecutive active levels is looked up in a bounded cache
-keyed by the face set's digest of the incidence between the two levels,
-and the missing incidence matrices go to ``rank_mod_p`` in zero-padded
-stacks of bounded size, eliminated in lock step.  A single incidence matrix
-above ``_MAX_RANK_MATRIX_CELLS`` is refused before any stack is built.
+through lcm_T, and Cech activity only through the support of lcm_T, so it
+is evaluated once per distinct value and gathered to the faces.  Both run
+one membership kernel (``_member_rows``): the staircase of I factors axis
+by axis, so per axis a small table of generator bit sets answers every
+grid value, and a row's membership is the AND of its axes' bit sets, one
+bit per generator rather than a byte per generator and variable.  Degrees
+are grouped by activity pattern under a one-value key per degree.  Then
+the ranks for the whole table are computed together: each distinct pair of
+consecutive active levels is looked up in a bounded cache keyed by the face
+set's digest of the incidence between the two levels, and the missing
+incidence matrices go to ``rank_mod_p`` in zero-padded stacks of bounded
+size, eliminated in lock step.  A single incidence matrix above
+``_MAX_RANK_MATRIX_CELLS`` is refused before any stack is built.
 
-The same kernel has a third caller besides the Ext and Cech tables:
-``taylor.betti_numbers`` ranks the lcm strands of the Lyubeznik complex,
-each strand one activity column.
+The dedup and rank layers have a third caller besides the Ext and Cech
+tables: ``taylor.betti_numbers`` ranks the lcm strands of the Lyubeznik
+complex, each strand one activity column.
 """
 
 from __future__ import annotations
@@ -398,14 +403,89 @@ def _cech_thresholds(a: MonomialIdeal, I: MonomialIdeal, j: int) -> list[int]:
     return [0, *(g[j] for g in I.gens)]
 
 
-def _member_rows(C: np.ndarray, gens) -> np.ndarray:
-    """Membership of each row of C in the monomial ideal with the given generators."""
-    if not gens:
-        return np.zeros(C.shape[0], dtype=bool)
-    if C.shape[1] == 0:
-        return np.ones(C.shape[0], dtype=bool)
-    G = np.asarray(gens, dtype=np.int16)
-    return (C[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
+# a shift past every int16 exponent: an axis shifted by it passes both tests
+# of ``_member_rows``, so it is left out of them
+_LEFT_OUT = 1 << 20
+
+# byte cap of the bit-set words one batch of shifts holds over the grid in
+# ``_member_rows``; it bounds the kernel's working memory
+_MAX_MEMBER_BATCH_BYTES = 1 << 20
+
+
+def _member_rows(grid: np.ndarray, gens, shifts: np.ndarray) -> np.ndarray:
+    """Which shifted rows of a degree grid are monomials of S/I, for I generated by ``gens``.
+
+    Entry (u, d) of the (shifts, rows) result is True iff b + s >= 0 and
+    x^(b + s) is not in I, for b = grid[d] and s = shifts[u].  An axis
+    shifted by ``_LEFT_OUT`` passes both tests, which leaves it out.
+
+    Both tests factor axis by axis.  A bit set holds one bit per generator
+    and a last bit for "nonnegative": on axis j the value v sets the bit of
+    every generator g with v >= g_j, and the last bit if v >= 0.  A row
+    passes iff the AND of its axes' bit sets is the last bit alone.  Per
+    axis only the sorted distinct values {0} u {g_j} matter, so one small
+    table per axis holds every bit set that axis can give.
+
+    The axes are cut into consecutive chunks whose distinct grid values span
+    at most as many combinations as the grid has rows, so the whole of a
+    product grid is one chunk.  Each row's position in the product of each
+    chunk is worked out once per call.  Per shift, a chunk's bit sets over
+    its whole product are the AND of its axes' table rows, and one gather
+    per chunk takes them to the grid rows.  Shifts go in batches whose words
+    over the grid stay under ``_MAX_MEMBER_BATCH_BYTES``.
+    """
+    rows, n = grid.shape
+    G = np.asarray(gens, dtype=np.int64).reshape(len(gens), n)
+    bits = len(gens) + 1
+    words = -(-bits // 64)
+
+    def pack(covered: np.ndarray) -> np.ndarray:
+        """Bit sets (..., words) of uint64 of a (..., bits) boolean array."""
+        packed = np.zeros((*covered.shape[:-1], words * 8), dtype=np.uint8)
+        packed[..., : -(-bits // 8)] = np.packbits(covered, axis=-1, bitorder="little")
+        return packed.view(np.uint64)
+
+    full = pack(np.ones(bits, dtype=bool))
+    alone = pack(np.arange(bits) == len(gens))
+    # per axis: the sorted thresholds, and the bit set of each count of thresholds passed
+    thresholds, sets = [], []
+    for j in range(n):
+        t = np.unique(np.append(G[:, j], 0))
+        thresholds.append(t)
+        covered = np.ones((t.size + 1, bits), dtype=bool)
+        covered[0] = False
+        covered[1:, :-1] = G[:, j] <= t[:, None]
+        sets.append(pack(covered))
+    # per axis the distinct grid values; per chunk each row's position in the product of its axes' values
+    values, chunks, keys = [], [[]], [np.zeros(rows, dtype=np.intp)]
+    span = 1
+    for j in range(n):
+        least = int(grid[:, j].min()) if rows else 0
+        column = np.subtract(grid[:, j], least, dtype=np.intp)
+        present = np.zeros(int(column.max(initial=0)) + 1, dtype=bool)
+        present[column] = True
+        values.append(np.flatnonzero(present) + least)
+        if chunks[-1] and span * values[j].size > max(rows, 1):
+            chunks.append([])
+            keys.append(np.zeros(rows, dtype=np.intp))
+            span = 1
+        chunks[-1].append(j)
+        span *= values[j].size
+        keys[-1] = keys[-1] * values[j].size + (np.cumsum(present) - 1)[column]
+    out = np.empty((shifts.shape[0], rows), dtype=bool)
+    step = max(1, _MAX_MEMBER_BATCH_BYTES // max(1, rows * full.nbytes))
+    for lo in range(0, shifts.shape[0], step):
+        batch = np.asarray(shifts[lo : lo + step], dtype=np.int64)
+        acc = None
+        for chunk, key in zip(chunks, keys):
+            table = np.broadcast_to(full, (batch.shape[0], 1, words))
+            for j in chunk:
+                passed = np.searchsorted(thresholds[j], values[j] + batch[:, j, None], side="right")
+                table = (table[:, :, None] & sets[j][passed][:, None]).reshape(batch.shape[0], -1, words)
+            part = np.take(table, key, axis=1)
+            acc = part if acc is None else np.bitwise_and(acc, part, out=acc)
+        out[lo : lo + step] = (acc == alone).all(axis=2)
+    return out
 
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -424,14 +504,10 @@ def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, layout: 
 
     Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I.
     That depends on T only through lcm_T, so activity is evaluated once per
-    distinct lcm and gathered to the faces.
+    distinct lcm, every axis shifted by it, and gathered to the faces.
     """
     first, inverse = _row_groups(layout.lcms)
-    distinct = np.empty((first.size, grid.shape[0]), dtype=bool)
-    for u, f in enumerate(first.tolist()):
-        shifted = grid + layout.lcms[f]
-        distinct[u] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
-    return distinct[inverse]
+    return _member_rows(grid, I.gens, layout.lcms[first])[inverse]
 
 
 def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, layout: FaceLayout) -> np.ndarray:
@@ -440,17 +516,12 @@ def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, layout:
     For face T let F be the union of its generators' supports, the support
     of lcm_T.  The localized piece at b is nonzero iff b_j >= 0 away from F
     and the restriction of b away from F avoids the ideal obtained from I
-    by inverting F.
+    by inverting F.  Inverting x_j erases it from I's generators, which is
+    the membership test with axis j left out.
     """
     inverted = layout.lcms > 0
     first, inverse = _row_groups(inverted)
-    distinct = np.empty((first.size, grid.shape[0]), dtype=bool)
-    for u, f in enumerate(first.tolist()):
-        outside = np.flatnonzero(~inverted[f])
-        sub = grid[:, outside]
-        erased = [tuple(g[j] for j in outside) for g in I.gens]
-        distinct[u] = (sub >= 0).all(axis=1) & ~_member_rows(sub, erased)
-    return distinct[inverse]
+    return _member_rows(grid, I.gens, np.where(inverted[first], _LEFT_OUT, 0))[inverse]
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

@@ -6,7 +6,10 @@ itself.  ``sop_search`` and ``cech_piece`` are the brute-force forms of the
 parameter-system search and of one Cech localization piece, and
 ``oracle_sop_by_support`` walks every combination of the support-level
 search, without its prune;
-``oracle_ext_activity`` is the per-face form of the Ext activity kernel;
+``oracle_member_rows`` tests every row against every generator at once, the
+membership test the activity kernels were built on, and
+``oracle_ext_activity`` and ``oracle_cech_activity`` are the per-face forms
+of the Ext and Cech activity kernels on it;
 ``oracle_taylor_differentials`` builds the dense Taylor differentials that
 Betti numbers were once ranked from, and ``subset_lcms`` the lcm of every
 generator subset; ``oracle_lyubeznik_faces`` tests the definition of the
@@ -34,7 +37,7 @@ from relhom.invariants import (
     sop_witness_by_support,
 )
 from relhom.monomials import MonomialIdeal, RingSpec, associated_primes, minimal_generators, sum_ideals, support
-from relhom.slices import FaceLayout, _face_lcms, _face_levels, _face_set, _generator_rows, _member_rows
+from relhom.slices import FaceLayout, _face_lcms, _face_levels, _face_set, _generator_rows
 
 
 def oracle_divides(a, b) -> bool:
@@ -43,6 +46,17 @@ def oracle_divides(a, b) -> bool:
 
 def oracle_member(e, gens) -> bool:
     return any(oracle_divides(g, e) for g in gens)
+
+
+def oracle_member_rows(C: np.ndarray, gens) -> np.ndarray:
+    """Membership of each row of C in the monomial ideal with the given generators,
+    by comparing every row with every generator at once."""
+    if not gens:
+        return np.zeros(C.shape[0], dtype=bool)
+    if C.shape[1] == 0:
+        return np.ones(C.shape[0], dtype=bool)
+    G = np.asarray(gens, dtype=np.int16)
+    return (C[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
 
 
 def oracle_monomials(n: int, bound: int):
@@ -149,7 +163,26 @@ def oracle_ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, la
     for row, T in enumerate(faces):
         lcm = [max((J.gens[i][j] for i in T), default=0) for j in range(J.ring.n)]
         shifted = grid + np.asarray(lcm, dtype=np.int16)
-        act[row] = (shifted >= 0).all(axis=1) & ~_member_rows(shifted, I.gens)
+        act[row] = (shifted >= 0).all(axis=1) & ~oracle_member_rows(shifted, I.gens)
+    return act
+
+
+def oracle_cech_activity(gens, I: MonomialIdeal, grid: np.ndarray, layout) -> np.ndarray:
+    """Cech activity with every face of a layout on the generators ``gens``
+    evaluated on its own, not once per inverted support.
+
+    For face T, F is the union of its generators' supports (the support of
+    lcm_T).  The piece at b is active iff b_j >= 0 off F and the
+    restriction of b off F is outside the ideal of I's generators with
+    their coordinates in F erased.
+    """
+    faces = [T for level in layout_faces(layout.faces) for T in level]
+    act = np.zeros((len(faces), grid.shape[0]), dtype=bool)
+    for row, T in enumerate(faces):
+        outside = [j for j in range(I.ring.n) if all(gens[i][j] == 0 for i in T)]
+        sub = grid[:, outside]
+        erased = [tuple(g[j] for j in outside) for g in I.gens]
+        act[row] = (sub >= 0).all(axis=1) & ~oracle_member_rows(sub, erased)
     return act
 
 

@@ -37,9 +37,11 @@ from conftest import (
     cech_piece,
     layout_faces,
     lyubeznik_in_order,
+    oracle_cech_activity,
     oracle_ext_activity,
     oracle_lyubeznik_faces,
     oracle_member,
+    oracle_member_rows,
     oracle_rank_mod_p,
     random_proper_ideal,
 )
@@ -437,8 +439,8 @@ def test_concurrent_slice_evaluation_matches_serial(ring4):
 
 # --- the batched activity, dedup and rank layers ------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_ext_activity_matches_the_per_subset_oracle(n):
+def _activity_cases(n):
+    """Seeded pairs (J, I) with random degrees inside their box padded by 1."""
     ring = RingSpec(tuple(f"x{j}" for j in range(n)))
     rng = np.random.default_rng(80 + n)
     for _ in range(12):
@@ -446,8 +448,71 @@ def test_ext_activity_matches_the_per_subset_oracle(n):
         I = random_proper_ideal(rng, ring, 3, 4)
         box = DegreeBox.for_ideals(J, I, pad=1)
         grid = rng.integers(-np.asarray(box.rho), np.asarray(box.rho) + 1, size=(40, n)).astype(np.int16)
+        yield J, I, grid
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ext_activity_matches_the_per_subset_oracle(n):
+    for J, I, grid in _activity_cases(n):
         for layout in (lyubeznik_layout(J.gens, n), taylor_layout(J.gens, n)):
             assert np.array_equal(_ext_activity(J, I, grid, layout), oracle_ext_activity(J, I, grid, layout))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cech_activity_matches_the_per_face_oracle(n):
+    # on the radical's generators, as the class tables run it, and on the
+    # relative ideal's own, as the dense scan does
+    for a, I, grid in _activity_cases(n):
+        for gens in (monomials.radical(a).gens, a.gens):
+            layout = taylor_layout(gens, n)
+            assert np.array_equal(_cech_activity(a, I, grid, layout), oracle_cech_activity(gens, I, grid, layout))
+
+
+def _expected_member_rows(grid, gens, shifts):
+    """``_member_rows`` from the broadcast oracle, one shift at a time, axes
+    shifted by ``_LEFT_OUT`` dropped from the row and erased from the generators."""
+    out = np.zeros((len(shifts), grid.shape[0]), dtype=bool)
+    for u, s in enumerate(shifts):
+        kept = [j for j in range(grid.shape[1]) if s[j] != slices._LEFT_OUT]
+        shifted = grid[:, kept].astype(np.int32) + np.asarray([s[j] for j in kept], dtype=np.int32)
+        erased = [tuple(g[j] for j in kept) for g in gens]
+        out[u] = (shifted >= 0).all(axis=1) & ~oracle_member_rows(shifted, erased)
+        for d in range(0, grid.shape[0], 7):
+            row = shifted[d].tolist()
+            assert out[u, d] == (min(row, default=0) >= 0 and not oracle_member(row, erased))
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
+def test_member_rows_matches_the_oracles_at_the_edges(monkeypatch, count):
+    # bit sets of one word and of several (the last generator, the only one
+    # of small degree, sits past the first word from 64 generators on),
+    # random rows, many of them negative, grids with and without columns,
+    # faces leaving out some or every axis, and degrees and shifts at the
+    # int16 limits; a small byte cap cuts the shifts into several batches
+    monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", 3000)
+    rng = np.random.default_rng(120 + count)
+    top = monomials.MAX_EXPONENT
+    for n in (0, 1, 3, 5):
+        gens = [tuple(rng.integers(3, 8, size=n).tolist()) for _ in range(count - 1)]
+        if gens and n:
+            gens[0] = (top, *gens[0][1:])
+        if count:
+            gens.append((1,) * n)
+        grid = rng.integers(-6, 9, size=(60, n))
+        if n:
+            grid[:4, 0] = [-top - 1, top + 1, 0, -1]
+        grid[4:8, :2] = top + 1
+        grid = grid.astype(np.int16)
+        shifts = rng.integers(0, 6, size=(9, n))
+        shifts[0] = 0
+        shifts[1] = slices._LEFT_OUT
+        shifts[2] = top
+        shifts[3, : n // 2] = slices._LEFT_OUT
+        expected = _expected_member_rows(grid, gens, shifts.tolist())
+        assert np.array_equal(slices._member_rows(grid, gens, shifts), expected)
+        # with every axis left out a row passes iff there are no generators
+        assert (expected[1] == (count == 0)).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
