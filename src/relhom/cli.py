@@ -13,16 +13,7 @@ import os
 import sys
 
 from .invariants import EngineDisagreementError
-from .monomials import (
-    MonomialIdeal,
-    ParseError,
-    RingMismatchError,
-    RingSpec,
-    _check_pair,
-    format_ideal,
-    parse_ideal,
-    zero_ideal,
-)
+from .monomials import MonomialIdeal, ParseError, RingMismatchError, RingSpec, format_ideal, parse_ideal
 from .properties import (
     full_report,
     is_relative_cm,
@@ -31,32 +22,18 @@ from .properties import (
     is_relative_regular_module,
     is_relative_regular_ring,
 )
-from .slices import DegreeBox, dump_tables, ext_table, lc_table
+from .slices import dump_tables, ext_table, lc_table
 from .verifier import EXAMPLE_IDS, CorpusParams, reproduce_example, run_all_suites
 
 __all__ = ["main"]
 
 
-def _add_ring_options(sub: argparse.ArgumentParser, need_a: bool = True, with_slices: bool = False):
+def _add_ring_options(sub: argparse.ArgumentParser):
     sub.add_argument("--ring", required=True, help="comma-separated variable names, e.g. x1,x2,y1,y2")
-    sub.add_argument("--a", required=need_a, help="the relative ideal in the monomial grammar")
+    sub.add_argument("--a", required=True, help="the relative ideal in the monomial grammar")
     sub.add_argument("--i", default="0", help="the defining ideal of the module S/i (default 0)")
     sub.add_argument("--char", type=int, default=32003, help="prime coefficient characteristic (default 32003)")
-    sub.add_argument(
-        "--box-pad",
-        type=int,
-        default=0,
-        help="widen the listed stabilization box (the report's box and --slices); no result depends on it",
-    )
-    sub.add_argument("--degree-bound", type=int, default=4, help="degree bound for parameter-system searches")
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub.add_argument("--out", help="also write the report to this file")
-    if with_slices:
-        sub.add_argument(
-            "--slices",
-            action="store_true",
-            help="include every nonzero Ext / local-cohomology slice as {i, b, dim} records",
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +41,20 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     analyze = commands.add_parser("analyze", help="invariants and property verdicts for one pair")
-    _add_ring_options(analyze, with_slices=True)
+    _add_ring_options(analyze)
+    analyze.add_argument(
+        "--box-pad",
+        type=int,
+        default=0,
+        help="widen the listed stabilization box (the report's box and --slices); no result depends on it",
+    )
+    analyze.add_argument("--degree-bound", type=int, default=4, help="degree bound for parameter-system searches")
+    analyze.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    analyze.add_argument(
+        "--slices",
+        action="store_true",
+        help="include every nonzero Ext / local-cohomology slice as {i, b, dim} records",
+    )
     analyze.set_defaults(func=_cmd_analyze)
 
     check = commands.add_parser("check", help="exit 0/1 according to one property")
@@ -200,11 +190,6 @@ _CHECKERS = {
 
 def _cmd_check(args) -> int:
     _, a, module_ideal = _parse_pair(args)
-    # no verdict reads the box, but --box-pad is still an input: it is
-    # checked before any work, on the pair the property analyses
-    analysed = zero_ideal(a.ring) if args.property == "regular-ring" else module_ideal
-    _check_pair(a, analysed)
-    DegreeBox.for_ideals(a, analysed, pad=args.box_pad)
     verdict = _CHECKERS[args.property](a, module_ideal)
     _emit("true" if verdict else "false", args.out)
     return 0 if verdict else 1

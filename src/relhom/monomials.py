@@ -63,6 +63,8 @@ class ParseError(ValueError):
         self.position = position
 
 
+# every ring a restriction or erasure builds re-checks its characteristic
+@lru_cache(maxsize=256)
 def _is_prime(m: int) -> bool:
     # Deterministic Miller-Rabin; the witness set is exact far beyond 2**31.
     if m < 2:

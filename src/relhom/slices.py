@@ -38,8 +38,9 @@ comparisons b_j >= t against a finite set of thresholds per axis:
 - Cech (b_j >= 0 off the inverted support, restriction outside the erased
   I): t in {0} u {I-exponents on x_j}.
 
-Values of b_j that pass the same thresholds form one class, and a product
-of classes has one activity pattern, hence one set of slice dimensions.
+Values of b_j that pass the same thresholds form one class, an interval
+from one threshold to the next, and a product of classes has one activity
+pattern, hence one set of slice dimensions.
 This is the combinatorics behind Takayama's formula for the local
 cohomology of S/I (Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 13).  The box -rho_j <= b_j <= rho_j, with rho_j = 1 + (largest
@@ -49,10 +50,10 @@ module vanishing exactly.  Each class is represented by its member of
 least |b_j|, which is the same for every pad: padding only widens the two
 edge classes of an axis.  So profiles, and every invariant read from them,
 take no box; ``pad`` belongs only to the listings of ``ext_table`` and
-``lc_table``.  A SliceTable keeps the dimensions per class and expands
-them to every box degree only when ``degrees`` or ``dims`` is read
-(``dim_at`` looks its class up directly; ``hilbert``, ``total`` and
-``dump`` read the nonzero classes only, and a listing of more than
+``lc_table``.  A SliceTable keeps the dimensions per class and each
+class's interval per axis, and never builds an array sized by the box:
+``dim_at`` looks its class up directly, and ``hilbert``, ``total`` and
+``dump`` read the nonzero classes only (a listing of more than
 ``_MAX_LISTING_RECORDS`` records, over all tables of ``dump_tables``, is
 refused).  A single degree (``ext_slice``, ``local_cohomology_slice``) is
 exact anywhere in the int16 range.
@@ -63,8 +64,7 @@ relative ideal's own generators, and the corpus cross-check compares it
 with the class engine, which covers all of Z^n.  The activity matrix of a
 class grid is bounded by ``_MAX_ACTIVITY_CELLS`` (faces x class degrees);
 the dense scan is bounded by the same ceiling over the whole box, counting
-the 2^r Taylor faces, and the expansion of a table by its levels x box
-degrees.
+the 2^r Taylor faces.
 
 Each table runs its layers in bulk.  Ext activity depends on a face T only
 through lcm_T, and Cech activity only through the support of lcm_T, so it
@@ -383,16 +383,14 @@ def _product_grid(axes) -> np.ndarray:
 def _axis_classes(r: int, thresholds) -> tuple[np.ndarray, np.ndarray]:
     """Threshold classes of the box values -r..r on one axis.
 
-    Returns the class id of each value (indexed by value + r; ids increase
-    with the value) and each class's representative, its member of least
-    absolute value.
+    A value's class is the set of thresholds it passes (v >= t), so each
+    class is an interval: it starts at -r or at a threshold in (-r, r] and
+    ends before the next start.  Returns each class's first value, in
+    increasing order, and its representative, its member of least absolute
+    value.
     """
-    values = np.arange(-r, r + 1)
-    passed = np.searchsorted(np.unique(thresholds), values, side="right")
-    ids = np.unique(passed, return_inverse=True)[1]
-    nearest_first = np.argsort(np.abs(values), kind="stable")
-    first = np.unique(ids[nearest_first], return_index=True)[1]
-    return ids, values[nearest_first[first]].astype(np.int16)
+    starts = np.array([-r, *sorted({int(t) for t in thresholds if -r < t <= r})])
+    return starts, np.clip(0, starts, np.append(starts[1:] - 1, r)).astype(np.int16)
 
 
 def _ext_thresholds(J: MonomialIdeal, I: MonomialIdeal, j: int) -> list[int]:
@@ -693,34 +691,17 @@ def _nonzero_levels(dims: np.ndarray) -> frozenset[int]:
 class SliceTable:
     """All slice dimensions of one complex over a degree box, stored per class.
 
-    Axis j splits the box values into classes (``_ids[j][v + rho_j]`` is
-    the class of value v) with representatives ``_reps[j]``; ``_class_dims``
-    holds the dimensions (levels, classes) at the product of the
-    representatives, in lexicographic order.
+    Axis j splits the box values into intervals: class k starts at
+    ``_starts[j][k]`` and ends before the next start (the last at rho_j),
+    with representative ``_reps[j][k]``; ``_class_dims`` holds the
+    dimensions (levels, classes) at the product of the representatives, in
+    lexicographic order.
     """
 
     box: DegreeBox
     _reps: tuple[np.ndarray, ...]
-    _ids: tuple[np.ndarray, ...]
+    _starts: tuple[np.ndarray, ...]
     _class_dims: np.ndarray
-
-    def _flat(self, per_axis) -> np.ndarray:
-        """Flat class indices of the product of per-axis class-id lists."""
-        shape = tuple(len(rep) for rep in self._reps)
-        return np.ravel(np.ravel_multi_index(np.ix_(*per_axis), shape))
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        """Every box degree, (D, n), lexicographic order."""
-        return self.box.degree_grid()
-
-    @cached_property
-    def dims(self) -> np.ndarray:
-        """Slice dimensions (levels, D) at every box degree."""
-        levels = self._class_dims.shape[0]
-        if math.prod(2 * r + 1 for r in self.box.rho) * levels > _MAX_ACTIVITY_CELLS:
-            raise ValueError(f"stabilization box {self.box.rho} with {levels} levels is too large to scan")
-        return self._class_dims[:, self._flat(self._ids)]
 
     def profile(self) -> frozenset[int]:
         """Indices with a nonvanishing slice somewhere in the box."""
@@ -731,8 +712,8 @@ class SliceTable:
             return 0
         if not self.box.contains(b):
             raise ValueError("degree outside the stabilization box")
-        cls = self._flat([[ids[int(v) + r]] for ids, v, r in zip(self._ids, b, self.box.rho)])
-        return int(self._class_dims[i, cls[0]])
+        cls = [np.searchsorted(starts, int(v), side="right") - 1 for starts, v in zip(self._starts, b)]
+        return int(self._class_dims[i, np.ravel_multi_index(cls, tuple(len(rep) for rep in self._reps))])
 
     def hilbert(self, i: int) -> dict[tuple[int, ...], int]:
         """Nonzero slice dimensions of level i, keyed by multidegree."""
@@ -750,11 +731,8 @@ class SliceTable:
         return int((self._class_dims[i].astype(object) * self._class_sizes()).sum())
 
     def _class_bounds(self, axis: int) -> np.ndarray:
-        """Start of each class of the axis in its box values -rho..rho, plus the end.
-
-        Class ids increase with the value, so each class is an interval.
-        """
-        return np.searchsorted(self._ids[axis], np.arange(len(self._reps[axis]) + 1))
+        """First value of each class of the axis, plus rho + 1, the end of the last."""
+        return np.append(self._starts[axis], self.box.rho[axis] + 1)
 
     def _class_sizes(self) -> np.ndarray:
         """Box degrees in each class, in the flat class order, as exact Python ints."""
@@ -789,7 +767,7 @@ class SliceTable:
             starts, lengths = bounds[cls], bounds[cls + 1] - bounds[cls]
             take = np.repeat(np.arange(rows.size), lengths)
             values = np.arange(take.size) - np.repeat(np.cumsum(lengths) - lengths, lengths) + starts[take]
-            degrees = np.hstack([degrees[rows[take]], (values - self.box.rho[axis]).astype(np.int32)[:, None]])
+            degrees = np.hstack([degrees[rows[take]], values.astype(np.int32)[:, None]])
             prefix = (prefix[rows] * classes + cls)[take]
         return degrees, level[prefix]
 
@@ -879,7 +857,7 @@ def _class_table(activity, thresholds, complex_of, A: MonomialIdeal, B: Monomial
     layout = complex_of(A)
     _check_scan_size(shape, layout.faces.size, f"class grid {shape} of the stabilization box {box.rho}")
     dims = _slice_dims(activity, layout, A, B, _product_grid(reps))
-    return SliceTable(box, reps, tuple(ids for ids, _ in classes), dims)
+    return SliceTable(box, reps, tuple(starts for starts, _ in classes), dims)
 
 
 def _dense_profile(activity, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:

@@ -10,6 +10,7 @@ is byte-deterministic for a fixed seed and flags (timings never enter it).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -90,6 +91,8 @@ class CorpusParams:
 
     ``char`` is the coefficient characteristic of the corpus ring and
     ``degree_bound`` the bound of every parameter-system search the run makes.
+    A draw needs a nonzero exponent vector, so there must be a variable and,
+    unless the corpus is squarefree, an exponent cap of at least 1.
     """
 
     n: int = 4
@@ -100,6 +103,15 @@ class CorpusParams:
     seed: int = 42
     char: int = 32003
     degree_bound: int = 4
+
+    def __post_init__(self):
+        lo, hi = self.gen_count_range
+        if self.n < 1:
+            raise ValueError(f"the number of variables (--n) must be at least 1, got {self.n}")
+        if not self.squarefree and self.max_exponent < 1:
+            raise ValueError(f"the exponent cap (--max-exponent) must be at least 1, got {self.max_exponent}")
+        if not 0 <= lo <= hi:
+            raise ValueError(f"the generator count range (--gens) needs 0 <= lo <= hi, got {lo},{hi}")
 
     def ring(self) -> RingSpec:
         return RingSpec(tuple(f"x{j + 1}" for j in range(self.n)), self.char)
@@ -411,13 +423,17 @@ def _suite_prop_4_6f(xs, ctx):
                 continue
             shift = tuple(sum(g[j] for g in x.a.gens) for j in range(x.a.ring.n))
             table = ext_table(x.a, module_ideal)
+            # the nonzero level-c slices, like ``table.hilbert(c)`` but not
+            # bounded by the listing ceiling: the loop below walks the box
+            degrees, dims = table._records(table._class_dims[c])
+            hilbert = dict(zip(map(tuple, degrees.tolist()), dims.tolist()))
             target = sum_ideals(module_ideal, x.a)
             bad = None
-            for row, b in enumerate(table.degrees):
-                shifted = tuple(int(v) + s for v, s in zip(b, shift))
+            for b in itertools.product(*(range(-r, r + 1) for r in table.box.rho)):
+                shifted = tuple(v + s for v, s in zip(b, shift))
                 expected = 1 if all(v >= 0 for v in shifted) and not target.contains_monomial(shifted) else 0
-                if int(table.dims[c, row]) != expected:
-                    bad = (tuple(int(v) for v in b), expected, int(table.dims[c, row]))
+                if hilbert.get(b, 0) != expected:
+                    bad = (b, expected, hilbert.get(b, 0))
                     break
             if bad is not None:
                 out.append(

@@ -6,6 +6,9 @@ itself.  ``sop_search`` and ``cech_piece`` are the brute-force forms of the
 parameter-system search and of one Cech localization piece, and
 ``oracle_sop_by_support`` walks every combination of the support-level
 search, without its prune;
+``oracle_axis_classes`` gives every box value of an axis its threshold
+class id, the construction slice tables were first built on, and
+``dense_expansion`` uses it to expand a table to every box degree;
 ``oracle_member_rows`` tests every row against every generator at once, the
 membership test the activity kernels were built on, and
 ``oracle_ext_activity`` and ``oracle_cech_activity`` are the per-face forms
@@ -57,6 +60,37 @@ def oracle_member_rows(C: np.ndarray, gens) -> np.ndarray:
         return np.ones(C.shape[0], dtype=bool)
     G = np.asarray(gens, dtype=np.int16)
     return (C[:, None, :] >= G[None, :, :]).all(axis=2).any(axis=1)
+
+
+def oracle_axis_classes(r: int, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold classes of the box values -r..r on one axis, value by value.
+
+    Returns the class id of each value (indexed by value + r; ids increase
+    with the value) and each class's representative, its member of least
+    absolute value.
+    """
+    values = np.arange(-r, r + 1)
+    passed = np.searchsorted(np.unique(thresholds), values, side="right")
+    ids = np.unique(passed, return_inverse=True)[1]
+    nearest_first = np.argsort(np.abs(values), kind="stable")
+    first = np.unique(ids[nearest_first], return_index=True)[1]
+    return ids, values[nearest_first[first]].astype(np.int16)
+
+
+def dense_expansion(table) -> tuple[np.ndarray, np.ndarray]:
+    """Every box degree of a slice table, (D, n) in lexicographic order, and
+    its dimensions (levels, D) there.
+
+    Each axis is classed value by value by ``oracle_axis_classes`` on the
+    table's class starts, which must give the table's representatives.
+    """
+    ids = []
+    for r, starts, reps in zip(table.box.rho, table._starts, table._reps):
+        axis_ids, axis_reps = oracle_axis_classes(r, starts)
+        assert np.array_equal(axis_reps, reps)
+        ids.append(axis_ids)
+    flat = np.ravel(np.ravel_multi_index(np.ix_(*ids), tuple(len(rep) for rep in table._reps)))
+    return table.box.degree_grid(), table._class_dims[:, flat]
 
 
 def oracle_monomials(n: int, bound: int):

@@ -1,6 +1,8 @@
 """Command-line interface: flags, exit codes, JSON output, round trips."""
 
 import json
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -141,6 +143,18 @@ class TestInputErrors:
     def test_char_zero_rejected_by_engines(self, capsys):
         code, _, _ = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--char", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "0"), ("--max-exponent", "0"), ("--gens", "3,1"), ("--max-exponent", "-1"), ("--n", "-1")]
+    )
+    def test_corpus_without_a_drawable_generator_is_refused(self, flag, value):
+        # a draw needs a nonzero exponent vector; these are refused before
+        # any pair is drawn, by the flag they name
+        proc = subprocess.run(
+            [sys.executable, "-m", "relhom", "corpus", f"{flag}={value}"], capture_output=True, text=True, timeout=30
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert flag in proc.stderr
 
     def test_unknown_property(self, capsys):
         assert main(["check", "frobnicate", "--ring", "x", "--a", "x"]) == 2
@@ -309,19 +323,14 @@ class TestInputLimits:
         assert code == 0
         assert "nonzero Ext slices" in out
 
-    def test_check_validates_the_box_of_the_pair_it_analyses(self, capsys):
-        # regular-ring reads (a, S), whose box fits; the others read (a, S/i)
-        argv = ["--ring", "x,y", "--a", "x", "--i", "x^16383", "--box-pad", "1"]
-        code, out, _ = run(capsys, "check", "regular-ring", *argv)
-        assert (code, out) == (0, "true\n")
-        for prop in ("cm", "maxcm", "gorenstein", "regular-module"):
-            code, out, err = run(capsys, "check", prop, *argv)
-            assert code == 2 and out == "" and "too large" in err
-
-    @pytest.mark.parametrize("prop", ["cm", "maxcm", "gorenstein", "regular-ring", "regular-module"])
-    def test_check_box_pad_past_the_grid_is_input_error(self, capsys, prop):
-        code, out, err = run(capsys, "check", prop, "--ring", "x,y", "--a", "x", "--box-pad", "20000")
-        assert code == 2 and out == "" and "too large" in err
+    def test_check_takes_no_box_options(self, capsys):
+        # no verdict reads the box, the parameter-system degree bound or a
+        # JSON form, so check has none of those options
+        argv = ["cm", "--ring", "x,y", "--a", "x", "--i", "x^16383"]
+        for extra in (["--box-pad", "1"], ["--degree-bound", "0"], ["--json"]):
+            code, out, _ = run(capsys, "check", *argv, *extra)
+            assert (code, out) == (2, "")
+        assert run(capsys, "check", *argv)[:2] == (0, "true\n")
 
     def test_largest_exponent_is_exact(self, capsys):
         code, out, _ = run(capsys, "analyze", "--ring", "x,y", "--a", "x^16383", "--i", "x^16383", "--json")

@@ -35,8 +35,10 @@ from relhom.slices import (
 
 from conftest import (
     cech_piece,
+    dense_expansion,
     layout_faces,
     lyubeznik_in_order,
+    oracle_axis_classes,
     oracle_cech_activity,
     oracle_ext_activity,
     oracle_lyubeznik_faces,
@@ -288,8 +290,9 @@ def test_class_tables_equal_the_dense_scan(n):
             grid = DegreeBox.for_ideals(J, I, pad=pad).degree_grid()
             for table, activity in ((ext_table(J, I, pad), _ext_activity), (lc_table(J, I, pad), _cech_activity)):
                 dense = _dense_dims(activity, J, I, grid)
-                assert np.array_equal(table.degrees, grid)
-                assert np.array_equal(table.dims, dense)
+                degrees, dims = dense_expansion(table)
+                assert np.array_equal(degrees, grid)
+                assert np.array_equal(dims, dense)
                 assert table.profile() == _nonzero_levels(dense)
                 for q in range(pad):
                     inside = (np.abs(grid) <= np.asarray(DegreeBox.for_ideals(J, I, pad=q).rho)).all(axis=1)
@@ -311,7 +314,7 @@ def test_listing_walks_the_nonzero_classes(n):
         I = zero_ideal(ring) if trial == 0 else random_proper_ideal(rng, ring, 3, 4)
         for pad in (0, 1, 2):
             for table in (ext_table(J, I, pad), lc_table(J, I, pad)):
-                dims, degrees = table.dims, table.degrees
+                degrees, dims = dense_expansion(table)
                 expected = [
                     {"i": i, "b": [int(v) for v in degrees[d]], "dim": int(dims[i, d])}
                     for i in range(dims.shape[0])
@@ -322,6 +325,21 @@ def test_listing_walks_the_nonzero_classes(n):
                 for i in range(len(dims)):
                     assert table.hilbert(i) == {tuple(r["b"]): r["dim"] for r in expected if r["i"] == i}
                 assert [table.total(i) for i in range(len(dims))] == dims.sum(axis=1).tolist()
+
+
+def test_axis_classes_are_the_intervals_between_thresholds():
+    # each class starts at -r or at a threshold inside the box; the classes
+    # and representatives equal those of classing every box value
+    rng = np.random.default_rng(80)
+    for r in [*range(1, 41), 16_000]:
+        for _ in range(25):
+            drawn = rng.integers(-2 * r - 2, 2 * r + 3, size=int(rng.integers(0, 10))).tolist()
+            thresholds = [0, *drawn, *drawn[: len(drawn) // 2]]
+            starts, reps = slices._axis_classes(r, thresholds)
+            ids, expected_reps = oracle_axis_classes(r, thresholds)
+            assert np.array_equal(reps, expected_reps) and reps.dtype == expected_reps.dtype
+            assert np.array_equal(np.searchsorted(starts, np.arange(-r, r + 1), side="right") - 1, ids)
+            assert np.array_equal(starts, np.flatnonzero(np.diff(ids, prepend=-1)) - r)
 
 
 def test_listing_is_refused_before_any_record(monkeypatch, ring2):
@@ -406,8 +424,8 @@ def test_slice_dimensions_are_nonnegative(ring4):
     for _ in range(5):
         a = random_proper_ideal(rng, ring4, 2, 4)
         I = random_proper_ideal(rng, ring4, 2, 4)
-        assert (ext_table(a, I).dims >= 0).all()
-        assert (lc_table(a, I).dims >= 0).all()
+        assert (dense_expansion(ext_table(a, I))[1] >= 0).all()
+        assert (dense_expansion(lc_table(a, I))[1] >= 0).all()
 
 
 def test_degree_box_bounds(ring2):
@@ -665,7 +683,7 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
             layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
             act = _ext_activity(J, I, grid, layout)
             assert np.array_equal(_lattice_dims(act, layout.faces, J.ring.char), expected)
-        assert np.array_equal(ext_table(J, I).dims, expected)
+        assert np.array_equal(dense_expansion(ext_table(J, I))[1], expected)
 
 
 def test_rank_cache_keys_name_the_layout(ring4):

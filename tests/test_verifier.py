@@ -1,5 +1,7 @@
 """Corpus generation, theorem suites, replays, JSONL serialization."""
 
+import dataclasses
+import itertools
 import json
 import sys
 
@@ -192,3 +194,29 @@ def test_cross_engine_consults_the_dense_scan(monkeypatch):
     params = CorpusParams(count=5)
     result = run_suite("cross_engine", build_analyses(params), params)
     assert {v["index"] for v in result.violations} == set(range(5))
+
+
+def test_prop_4_6f_names_the_first_mismatching_degree(monkeypatch):
+    # one middle class of level c changed in every Ext table the suite reads:
+    # each violation names the lexicographically first box degree whose
+    # dimension differs from the shifted Hilbert indicator, with both values
+    ext_table = verifier.ext_table
+    changed = []
+
+    def corrupted(J, I, pad=0):
+        table = ext_table(J, I, pad)
+        (c,) = table.profile()
+        dims = table._class_dims.copy()
+        dims[c, dims.shape[1] // 2] += 1
+        changed.append((c, table, dataclasses.replace(table, _class_dims=dims)))
+        return changed[-1][2]
+
+    monkeypatch.setattr(verifier, "ext_table", corrupted)
+    result = run_suite("prop_4_6f", build_analyses(SMALL), SMALL)
+    assert result.instances == len(changed) == len(result.violations) > 0
+    for (c, table, bad), violation in zip(changed, result.violations):
+        box = [range(-r, r + 1) for r in table.box.rho]
+        b = next(b for b in itertools.product(*box) if table.dim_at(c, b) != bad.dim_at(c, b))
+        assert violation["expected"] == {"degree": b, "dim": table.dim_at(c, b)}
+        assert violation["actual"] == {"dim": bad.dim_at(c, b)}
+        assert violation["note"] == "shifted Hilbert mismatch"
