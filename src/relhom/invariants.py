@@ -26,8 +26,8 @@ from .monomials import (
     MonomialIdeal,
     MonomialPrime,
     _check_pair,
+    _minimal,
     degree,
-    erase_to_one,
     erase_to_zero,
     minimal_generators,
     minimal_primes,
@@ -39,7 +39,7 @@ from .monomials import (
     zero_ideal,
 )
 from .slices import ext_profile, lc_profile
-from .taylor import depth_quotient, pd_quotient
+from .taylor import depth_quotient, pd_quotient, pd_relabelled, relabelled
 
 __all__ = [
     "EngineDisagreementError",
@@ -79,24 +79,33 @@ def mu(a: MonomialIdeal) -> int:
     return len(a.gens)
 
 
+def _mask(e) -> int:
+    """The support of an exponent vector as a bitmask over the variables."""
+    return sum(1 << j for j, x in enumerate(e) if x)
+
+
 def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
     """grade as the least localized depth over monomial primes containing a.
 
     Localizing S/I at the prime on a variable set F inverts the other
     variables; depth there is |F| minus the projective dimension of the
-    localized ideal over the small polynomial ring.  Primes with zero
-    localization are skipped.
+    localized ideal over the small polynomial ring.  Every F is visited,
+    as a bitmask: F qualifies when it meets the support of every generator
+    of a, and its localization is zero (F is skipped) when a generator of I
+    has its support outside F.  The localized ideal is I's generators with
+    the variables outside F erased, and its pd is read from the Betti cache
+    keyed up to relabelling (``taylor.relabelled``).
     """
-    n = a.ring.n
+    n, p = a.ring.n, a.ring.char
+    # F must meet every generator of a, and every generator of I lest the localization be zero
+    supports = [_mask(g) for g in (*a.gens, *I.gens)]
     best: Optional[int] = None
     for fbits in range(1 << n):
-        fset = frozenset(j for j in range(n) if (fbits >> j) & 1)
-        if not all(support(g) & fset for g in a.gens):
+        if not all(m & fbits for m in supports):
             continue
-        local = erase_to_one(I, frozenset(range(n)) - fset)
-        if local.is_unit:
-            continue
-        d = len(fset) - pd_quotient(local)
+        keep = [j for j in range(n) if fbits >> j & 1]
+        local = _minimal([tuple(g[j] for j in keep) for g in I.gens])
+        d = fbits.bit_count() - pd_relabelled(*relabelled(local), p)
         if best is None or d < best:
             best = d
     assert best is not None  # F = all variables always qualifies for proper I

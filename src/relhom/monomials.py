@@ -150,14 +150,7 @@ class MonomialIdeal:
     def __post_init__(self):
         gens = tuple(tuple(int(x) for x in g) for g in self.gens)
         object.__setattr__(self, "gens", gens)
-        n = self.ring.n
-        for g in gens:
-            if len(g) != n:
-                raise ValueError(f"exponent vector {g} does not match ring with {n} variables")
-            if any(x < 0 for x in g):
-                raise ValueError(f"negative exponent in {g}")
-            if any(x > MAX_EXPONENT for x in g):
-                raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
+        _check_exponents(gens, self.ring.n)
         if list(gens) != sorted(set(gens)):
             raise ValueError("generators are not in canonical sorted order")
         for a in gens:
@@ -238,18 +231,49 @@ def _check_pair(a: MonomialIdeal, I: MonomialIdeal):
         raise ValueError("the relative ideal must be proper")
 
 
+def _check_exponents(gens, n: int):
+    """Refuse exponent vectors of the wrong length, with a negative entry or
+    with an entry over ``MAX_EXPONENT``."""
+    for g in gens:
+        if len(g) != n:
+            raise ValueError(f"exponent vector {g} does not match ring with {n} variables")
+        if any(x < 0 for x in g):
+            raise ValueError(f"negative exponent in {g}")
+        if any(x > MAX_EXPONENT for x in g):
+            raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
+
+
+def _minimal(gens) -> list[tuple[int, ...]]:
+    """The divisibility-minimal members of exponent tuples, once each, sorted lexicographically.
+
+    A proper divisor has a smaller degree, so in order of degree each tuple
+    is tested against the tuples kept before it only.
+    """
+    kept: list[tuple[int, ...]] = []
+    for g in sorted(gens, key=sum):
+        if not any(_divides(h, g) for h in kept):
+            kept.append(g)
+    return sorted(kept)
+
+
 def minimal_generators(ring: RingSpec, gens) -> MonomialIdeal:
     """Canonical ideal from arbitrary exponent vectors.
 
     Keeps the divisibility-minimal subset, sorted lexicographically.
-    Idempotent; the empty input gives the zero ideal.
+    Idempotent; the empty input gives the zero ideal.  The result is
+    canonical by construction, so only its exponents are checked, not its
+    order and minimality again.
     """
     gens = sorted(set(tuple(int(x) for x in g) for g in gens))
     for g in gens:
         if len(g) != ring.n:
             raise ValueError(f"exponent vector {g} does not match ring with {ring.n} variables")
-    minimal = [g for g in gens if not any(h != g and _divides(h, g) for h in gens)]
-    return MonomialIdeal(ring, tuple(minimal))
+    minimal = tuple(_minimal(gens))
+    _check_exponents(minimal, ring.n)
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "ring", ring)
+    object.__setattr__(ideal, "gens", minimal)
+    return ideal
 
 
 def zero_ideal(ring: RingSpec) -> MonomialIdeal:

@@ -72,8 +72,11 @@ is evaluated once per distinct value and gathered to the faces.  Both run
 one membership kernel (``_member_rows``): the staircase of I factors axis
 by axis, so per axis a small table of generator bit sets answers every
 grid value, and a row's membership is the AND of its axes' bit sets, one
-bit per generator rather than a byte per generator and variable.  Degrees
-are grouped by activity pattern under a one-value key per degree.  Then
+bit per generator rather than a byte per generator and variable.  The
+per-axis tables depend only on I's generators, so they are built once per
+generator tuple, in a bounded cache.  Degrees are grouped by activity
+pattern under a one-value key per degree: a pattern of at most 8 bytes is
+one unsigned integer, a longer one its raw bytes.  Then
 the ranks for the whole table are computed together: each distinct pair of
 consecutive active levels is looked up in a bounded cache keyed by the face
 set's digest of the incidence between the two levels, and the missing
@@ -376,8 +379,11 @@ def _product_grid(axes) -> np.ndarray:
     """The product of per-axis int16 value arrays as a (D, n) array, lexicographic order."""
     if not axes:
         return np.zeros((1, 0), dtype=np.int16)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    sizes = tuple(len(values) for values in axes)
+    grid = np.empty((*sizes, len(axes)), dtype=np.int16)
+    for j, values in enumerate(axes):
+        grid[..., j] = np.reshape(values, [-1 if k == j else 1 for k in range(len(axes))])
+    return grid.reshape(-1, len(axes))
 
 
 def _axis_classes(r: int, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -389,8 +395,10 @@ def _axis_classes(r: int, thresholds) -> tuple[np.ndarray, np.ndarray]:
     increasing order, and its representative, its member of least absolute
     value.
     """
-    starts = np.array([-r, *sorted({int(t) for t in thresholds if -r < t <= r})])
-    return starts, np.clip(0, starts, np.append(starts[1:] - 1, r)).astype(np.int16)
+    starts = [-r, *sorted({int(t) for t in thresholds if -r < t <= r})]
+    ends = [start - 1 for start in starts[1:]] + [r]
+    reps = [min(max(0, start), end) for start, end in zip(starts, ends)]
+    return np.array(starts), np.array(reps, dtype=np.int16)
 
 
 def _ext_thresholds(J: MonomialIdeal, I: MonomialIdeal, j: int) -> list[int]:
@@ -410,6 +418,40 @@ _LEFT_OUT = 1 << 20
 _MAX_MEMBER_BATCH_BYTES = 1 << 20
 
 
+def _pack(covered: np.ndarray) -> np.ndarray:
+    """Bit sets (..., words) of uint64 of a (..., bits) boolean array, one bit per entry."""
+    words = -(-covered.shape[-1] // 64)
+    packed = np.zeros((*covered.shape[:-1], words * 8), dtype=np.uint8)
+    packed[..., : -(-covered.shape[-1] // 8)] = np.packbits(covered, axis=-1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+# the tables of recent generator tuples; the default corpus asks for about
+# 520 distinct ones
+@lru_cache(maxsize=4096)
+def _member_tables(gens: tuple, n: int):
+    """The per-axis tables of ``_member_rows`` for the generators.
+
+    Per axis the sorted distinct values {0} u {g_j}, and the bit set of each
+    count of them passed (row k: the first k passed); then the bit sets of
+    every bit and of the last bit alone.  Read-only, since they are shared.
+    """
+    bits = len(gens) + 1
+    thresholds, sets = [], []
+    for j in range(n):
+        column = [g[j] for g in gens]
+        t = sorted({0, *column})
+        covered = np.ones((len(t) + 1, bits), dtype=bool)
+        covered[0] = False
+        covered[1:, :-1] = np.asarray(column, dtype=np.int64) <= np.asarray(t, dtype=np.int64)[:, None]
+        thresholds.append(np.array(t, dtype=np.int64))
+        sets.append(_pack(covered))
+    full, alone = _pack(np.ones(bits, dtype=bool)), _pack(np.arange(bits) == len(gens))
+    for array in (*thresholds, *sets, full, alone):
+        array.flags.writeable = False
+    return tuple(thresholds), tuple(sets), full, alone
+
+
 def _member_rows(grid: np.ndarray, gens, shifts: np.ndarray) -> np.ndarray:
     """Which shifted rows of a degree grid are monomials of S/I, for I generated by ``gens``.
 
@@ -422,7 +464,8 @@ def _member_rows(grid: np.ndarray, gens, shifts: np.ndarray) -> np.ndarray:
     every generator g with v >= g_j, and the last bit if v >= 0.  A row
     passes iff the AND of its axes' bit sets is the last bit alone.  Per
     axis only the sorted distinct values {0} u {g_j} matter, so one small
-    table per axis holds every bit set that axis can give.
+    table per axis holds every bit set that axis can give; the tables are
+    built once per generator tuple (``_member_tables``).
 
     The axes are cut into consecutive chunks whose distinct grid values span
     at most as many combinations as the grid has rows, so the whole of a
@@ -433,27 +476,8 @@ def _member_rows(grid: np.ndarray, gens, shifts: np.ndarray) -> np.ndarray:
     over the grid stay under ``_MAX_MEMBER_BATCH_BYTES``.
     """
     rows, n = grid.shape
-    G = np.asarray(gens, dtype=np.int64).reshape(len(gens), n)
-    bits = len(gens) + 1
-    words = -(-bits // 64)
-
-    def pack(covered: np.ndarray) -> np.ndarray:
-        """Bit sets (..., words) of uint64 of a (..., bits) boolean array."""
-        packed = np.zeros((*covered.shape[:-1], words * 8), dtype=np.uint8)
-        packed[..., : -(-bits // 8)] = np.packbits(covered, axis=-1, bitorder="little")
-        return packed.view(np.uint64)
-
-    full = pack(np.ones(bits, dtype=bool))
-    alone = pack(np.arange(bits) == len(gens))
-    # per axis: the sorted thresholds, and the bit set of each count of thresholds passed
-    thresholds, sets = [], []
-    for j in range(n):
-        t = np.unique(np.append(G[:, j], 0))
-        thresholds.append(t)
-        covered = np.ones((t.size + 1, bits), dtype=bool)
-        covered[0] = False
-        covered[1:, :-1] = G[:, j] <= t[:, None]
-        sets.append(pack(covered))
+    thresholds, sets, full, alone = _member_tables(tuple(map(tuple, gens)), n)
+    words = full.size
     # per axis the distinct grid values; per chunk each row's position in the product of its axes' values
     values, chunks, keys = [], [[]], [np.zeros(rows, dtype=np.intp)]
     span = 1
@@ -489,10 +513,19 @@ def _member_rows(grid: np.ndarray, gens, shifts: np.ndarray) -> np.ndarray:
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct value of a 2-d array, and the group of every row.
 
-    Rows are keyed by one value each, their raw bytes.
+    Rows are keyed by one value each: a row of at most 8 bytes by its bytes
+    zero-padded to one unsigned integer, a longer one by its raw bytes.
+    Groups come in the order of their keys.
     """
     rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    width = rows.shape[1] * rows.itemsize
+    if width <= 8:
+        size = 1 << max(0, width - 1).bit_length()  # 1, 2, 4 or 8 bytes
+        padded = np.zeros((rows.shape[0], size), dtype=np.uint8)
+        padded[:, :width] = rows.view(np.uint8).reshape(rows.shape[0], width)
+        keys = padded.view(f"u{size}").ravel()
+    else:
+        keys = rows.view(np.dtype((np.void, width))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return first, inverse.ravel()
 
@@ -638,7 +671,7 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, faces: FaceSet, p: i
         chunks.append(sequence[start:])
         for chunk in chunks:
             stack = np.zeros((chunk.size, tall[chunk].max(), short[chunk].max()), dtype=np.int64)
-            for k in np.unique(level_of[chunk]).tolist():
+            for k in sorted(set(level_of[chunk].tolist())):
                 slots = np.flatnonzero(level_of[chunk] == k)
                 picked = column[chunk[slots]]
                 lo = by_size[offsets[k] : offsets[k + 1], picked]
@@ -894,7 +927,7 @@ _PROFILE_CACHE = _BoundedCache(65_536)
 def clear_slice_caches():
     _PROFILE_CACHE.cache_clear()
     _RANK_CACHE.cache_clear()
-    for cached in (lyubeznik_layout, taylor_layout, _lyubeznik_faces, _taylor_faces):
+    for cached in (lyubeznik_layout, taylor_layout, _lyubeznik_faces, _taylor_faces, _member_tables):
         cached.cache_clear()
 
 

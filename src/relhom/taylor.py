@@ -12,6 +12,15 @@ whose activity pattern is one column, which is what the slice kernel
 adds 1 to beta of its size.  Betti numbers give the projective dimension
 and (by Auslander-Buchsbaum) depth.  The resolution is used un-minimized:
 Betti numbers do not depend on the chosen resolution.
+
+Betti numbers do not change when the variables are relabelled or unused
+variables are added, so they are computed and cached on a relabelled form
+of the generators (``relabelled``): the unused variables dropped, the rest
+ordered by their sorted exponent columns, the rows sorted.  Equal forms
+are the same ideal up to relabelling, so a hit is always sound; the
+default corpus asks for the Betti numbers of 2 604 distinct ideals, which
+have 1 204 forms.  The localization grade reads pd on these forms
+directly (``pd_relabelled``), without building a ring or an ideal.
 """
 
 from __future__ import annotations
@@ -23,21 +32,30 @@ import numpy as np
 from .monomials import MonomialIdeal
 from .slices import _check_scan_size, _lattice_dims, _row_groups, lyubeznik_layout
 
-__all__ = ["betti_numbers", "pd_quotient", "depth_quotient"]
+__all__ = ["betti_numbers", "pd_quotient", "depth_quotient", "relabelled", "pd_relabelled"]
 
 
-# bounded for long-running processes; the default corpus fills about 3 000 entries
+def relabelled(gens) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Minimal generators of a proper ideal up to relabelling the variables, and the variables kept.
+
+    The variables no generator uses are dropped, the rest are ordered by
+    their sorted exponent columns, and the rows are sorted.  Betti numbers
+    depend only on this form: two ideals with equal forms are the same
+    ideal after a relabelling, however ties between columns are broken.
+    """
+    columns = sorted((column for column in zip(*gens) if any(column)), key=sorted)
+    return tuple(sorted(zip(*columns))), len(columns)
+
+
+# bounded for long-running processes; the default corpus fills about 1 200 entries
 @lru_cache(maxsize=32_768)
-def betti_numbers(I: MonomialIdeal) -> tuple[int, ...]:
-    """Total Betti numbers (beta_0..beta_r) of S/I over GF(char)."""
-    if I.is_unit:
-        raise ValueError("the unit ideal presents the zero module")
-    p = I.ring.char
+def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
+    """Total Betti numbers of S/I over GF(p), for I generated by the rows of ``relabelled`` in k variables."""
     if p == 0:
         raise ValueError("prime characteristic required by the rank engine")
-    if not I.gens:
+    if not rows:
         return (1,)
-    layout = lyubeznik_layout(I.gens, I.ring.n)
+    layout = lyubeznik_layout(rows, k)
     faces = layout.faces
     _, strand = _row_groups(layout.lcms)
     size = np.bincount(strand)
@@ -47,7 +65,7 @@ def betti_numbers(I: MonomialIdeal) -> tuple[int, ...]:
         # one activity column per strand of two or more faces
         column = np.cumsum(size > 1) - 1
         count = int(column[-1]) + 1
-        _check_scan_size((count,), faces.size, f"Lyubeznik complex on {len(I.gens)} generators")
+        _check_scan_size((count,), faces.size, f"Lyubeznik complex on {len(rows)} generators")
         members = np.flatnonzero(shared)
         active = np.zeros((faces.size, count), dtype=bool)
         active[members, column[strand[members]]] = True
@@ -55,10 +73,29 @@ def betti_numbers(I: MonomialIdeal) -> tuple[int, ...]:
     return tuple(betti.tolist())
 
 
+def pd_relabelled(rows: tuple, k: int, p: int) -> int:
+    """Projective dimension of S/I for I given as by ``relabelled``: the top nonvanishing Betti index."""
+    return max(i for i, b in enumerate(_betti_relabelled(rows, k, p)) if b)
+
+
+def betti_numbers(I: MonomialIdeal) -> tuple[int, ...]:
+    """Total Betti numbers (beta_0..beta_r) of S/I over GF(char).
+
+    Cached up to relabelling (see ``relabelled``): ``cache_info`` and
+    ``cache_clear`` are those of that cache.
+    """
+    if I.is_unit:
+        raise ValueError("the unit ideal presents the zero module")
+    return _betti_relabelled(*relabelled(I.gens), I.ring.char)
+
+
+betti_numbers.cache_info = _betti_relabelled.cache_info
+betti_numbers.cache_clear = _betti_relabelled.cache_clear
+
+
 def pd_quotient(I: MonomialIdeal) -> int:
     """Projective dimension of S/I: the top nonvanishing Betti index."""
-    betti = betti_numbers(I)
-    return max(i for i, b in enumerate(betti) if b)
+    return max(i for i, b in enumerate(betti_numbers(I)) if b)
 
 
 def depth_quotient(I: MonomialIdeal) -> int:

@@ -20,6 +20,10 @@ Lyubeznik complex on every generator subset, ``layout_faces`` reads the
 faces back out of an engine face set, and ``lyubeznik_in_order`` builds the
 engine's layout in one given generator order.  ``oracle_minimal_primes``
 filters the associated primes of I itself by inclusion.
+``oracle_grade_by_localization`` builds every localized ideal as a ring and
+an ideal, the localization grade before it read pd from the Betti cache,
+and ``oracle_row_groups`` keys every row by a ``void`` view of its bytes,
+the row grouping before small rows were keyed by one integer.
 """
 
 from __future__ import annotations
@@ -39,8 +43,17 @@ from relhom.invariants import (
     cd,
     sop_witness_by_support,
 )
-from relhom.monomials import MonomialIdeal, RingSpec, associated_primes, minimal_generators, sum_ideals, support
+from relhom.monomials import (
+    MonomialIdeal,
+    RingSpec,
+    associated_primes,
+    erase_to_one,
+    minimal_generators,
+    sum_ideals,
+    support,
+)
 from relhom.slices import FaceLayout, _face_lcms, _face_levels, _face_set, _generator_rows
+from relhom.taylor import pd_quotient
 
 
 def oracle_divides(a, b) -> bool:
@@ -91,6 +104,35 @@ def dense_expansion(table) -> tuple[np.ndarray, np.ndarray]:
         ids.append(axis_ids)
     flat = np.ravel(np.ravel_multi_index(np.ix_(*ids), tuple(len(rep) for rep in table._reps)))
     return table.box.degree_grid(), table._class_dims[:, flat]
+
+
+def oracle_grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
+    """grade as the least localized depth over monomial primes containing a,
+    one variable subset F at a time: the localized ideal is built by
+    ``erase_to_one`` in the ring on F, and skipped when it is the unit ideal."""
+    n = a.ring.n
+    best = None
+    for fbits in range(1 << n):
+        fset = frozenset(j for j in range(n) if (fbits >> j) & 1)
+        if not all(support(g) & fset for g in a.gens):
+            continue
+        local = erase_to_one(I, frozenset(range(n)) - fset)
+        if local.is_unit:
+            continue
+        d = len(fset) - pd_quotient(local)
+        if best is None or d < best:
+            best = d
+    assert best is not None  # F = all variables always qualifies for proper I
+    return best
+
+
+def oracle_row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct value of a 2-d array, and the group of
+    every row, keyed by a ``void`` view of each row's raw bytes."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 def oracle_monomials(n: int, bound: int):

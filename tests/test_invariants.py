@@ -19,9 +19,16 @@ from relhom.invariants import (
     mu,
     sop_witness_by_support,
 )
-from relhom.monomials import RingSpec, parse_ideal, unit_ideal, zero_ideal
+from relhom.monomials import RingSpec, minimal_generators, parse_ideal, unit_ideal, zero_ideal
+from relhom.verifier import CorpusParams, corpus_instances
 
-from conftest import cycle_pair, oracle_sop_by_support, random_proper_ideal, sop_search
+from conftest import (
+    cycle_pair,
+    oracle_grade_by_localization,
+    oracle_sop_by_support,
+    random_proper_ideal,
+    sop_search,
+)
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -54,6 +61,24 @@ class TestGrade:
     def test_localization_engine_alone(self, ring4, edge):
         assert grade_by_localization(parse_ideal(ring4, "y1, y2"), edge) == 1
         assert grade_by_localization(edge, zero_ideal(ring4)) == 2
+
+    def test_localization_matches_the_oracle(self):
+        # the default corpus, then seeded pairs in one to five variables:
+        # random, with I = 0, and with a generator of a on every variable
+        pairs = [(a, I) for a, I in corpus_instances(CorpusParams()) if I.is_proper]
+        assert len(pairs) == 200
+        rng = np.random.default_rng(411)
+        for n in (1, 2, 3, 5):
+            ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+            for _ in range(6):
+                a, I = random_proper_ideal(rng, ring, 3, 4), random_proper_ideal(rng, ring, 3, 5)
+                full = tuple(int(v) for v in rng.integers(1, 4, size=n))
+                powers = [tuple(4 * (k == j) for k in range(n)) for j in range(n)]
+                spread = minimal_generators(ring, [full, *powers])
+                assert full in spread.gens
+                pairs += [(a, I), (a, zero_ideal(ring)), (spread, I)]
+        for a, I in pairs:
+            assert grade_by_localization(a, I) == oracle_grade_by_localization(a, I)
 
     def test_engines_agree_on_random(self, ring4):
         rng = np.random.default_rng(53)

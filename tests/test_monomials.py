@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relhom.monomials import (
+    MAX_EXPONENT,
     MonomialIdeal,
     MonomialPrime,
     ParseError,
@@ -86,6 +87,39 @@ class TestMinimalGenerators:
     def test_noncanonical_construction_rejected(self, ring2):
         with pytest.raises(ValueError):
             MonomialIdeal(ring2, ((1, 1), (1, 0)))
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            (((1, 0), (0, 1)), "canonical sorted order"),
+            (((1, 1), (1, 1)), "canonical sorted order"),
+            (((0, 1), (0, 2)), "divisibility-minimal"),
+            (((0, 1), (1, 1)), "divisibility-minimal"),
+            (((-1, 2),), "negative exponent"),
+            (((0, MAX_EXPONENT + 1),), "exceeds the limit"),
+            (((1, 2, 3),), "does not match ring"),
+        ],
+    )
+    def test_hand_built_ideal_is_checked(self, ring2, gens, message):
+        # an ideal built directly, not by minimal_generators, is checked in full
+        with pytest.raises(ValueError, match=message):
+            MonomialIdeal(ring2, gens)
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([(1, 2, 3)], "does not match ring"),
+            ([(2, 0), (1,)], "does not match ring"),
+            ([(0, -1)], "negative exponent"),
+            ([(3, 1), (1, -1)], r"negative exponent in \(1, -1\)"),
+            ([(MAX_EXPONENT + 1, 0)], "exceeds the limit"),
+            ([(0, 5), (MAX_EXPONENT + 1, 0)], "exceeds the limit"),
+        ],
+    )
+    def test_minimal_generators_checks_exponents(self, ring2, gens, message):
+        with pytest.raises(ValueError, match=message):
+            minimal_generators(ring2, gens)
+        assert minimal_generators(ring2, [(0, MAX_EXPONENT), (MAX_EXPONENT, 0)]).mu == 2
 
 
 class TestIntersect:

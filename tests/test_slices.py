@@ -45,6 +45,7 @@ from conftest import (
     oracle_member,
     oracle_member_rows,
     oracle_rank_mod_p,
+    oracle_row_groups,
     random_proper_ideal,
 )
 
@@ -711,3 +712,28 @@ def test_rank_cache_keys_name_the_layout(ring4):
                 dims, betti = expected[J]
                 assert np.array_equal(ext_table(J, I)._class_dims, dims)
                 assert taylor.betti_numbers(J) == betti
+
+
+@pytest.mark.parametrize("width", [*range(10), 16])
+def test_row_groups_partition_matches_the_void_key_oracle(width):
+    # rows of 0-9 and 16 bytes, as bytes, as bools and (even widths) as
+    # int16 with negative entries; few distinct values, so groups repeat,
+    # and bytes 0 and 255, so a key that dropped or mixed up a byte would show
+    rng = np.random.default_rng(500 + width)
+    cases = [rng.integers(0, 3, size=(count, width)).astype(np.uint8) for count in (0, 1, 600)]
+    cases.append(rng.choice([0, 255], size=(300, width)).astype(np.uint8))
+    cases.append(rng.integers(0, 2, size=(300, width)).astype(bool))
+    if width % 2 == 0:
+        cases.append(rng.integers(-2, 2, size=(400, width // 2)).astype(np.int16))
+    for rows in cases:
+        first, inverse = slices._row_groups(rows)
+        assert inverse.shape == (rows.shape[0],)
+        assert np.array_equal(rows[first][inverse], rows)
+        if width:
+            # both give each group's first row, so equal first-member maps mean equal partitions
+            expected_first, expected_inverse = oracle_row_groups(rows)
+            assert np.array_equal(first[inverse], expected_first[expected_inverse])
+        else:
+            # a void view of 0-byte rows has no elements, so the oracle groups
+            # nothing; every such row is the same value
+            assert first.tolist() == [0][: rows.shape[0]] and not inverse.any()

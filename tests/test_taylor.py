@@ -124,6 +124,39 @@ def test_betti_numbers_match_the_dense_oracle(p):
     assert shared >= 5
 
 
+def test_betti_numbers_are_cached_up_to_relabelling():
+    # a relabelled copy of an ideal, and a copy with unused variables added,
+    # read the cache entry of the original: one hit and no miss each, with
+    # the Betti numbers of the dense oracle.  The key orders the variables
+    # by their sorted exponent columns, so the ideals here have no two equal
+    # sorted columns; a tie may cost a miss, never a wrong hit.
+    rng = np.random.default_rng(73)
+    ring = RingSpec(("x1", "x2", "y1", "y2"))
+    wider = RingSpec(("u", "x1", "v", "x2", "y1", "w", "y2"))
+    ideals = []
+    while len(ideals) < 8:
+        ideal = random_proper_ideal(rng, ring, 3, 6)
+        columns = [tuple(sorted(column)) for column in zip(*ideal.gens)]
+        if len(set(columns)) == len(columns):
+            ideals.append(ideal)
+    for ideal in ideals:
+        perm = rng.permutation(4).tolist()
+        copies = [
+            minimal_generators(ring, [tuple(g[k] for k in perm) for g in ideal.gens]),
+            minimal_generators(wider, [(0, g[0], 0, g[1], g[2], 0, g[3]) for g in ideal.gens]),
+        ]
+        betti_numbers.cache_clear()
+        expected = betti_numbers(ideal)
+        assert expected == oracle_betti(ideal)
+        for copy in copies:
+            before = betti_numbers.cache_info()
+            assert betti_numbers(copy) == expected
+            after = betti_numbers.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+            assert oracle_betti(copy) == expected
+    assert betti_numbers.cache_info().currsize == 1
+
+
 def test_oversized_taylor_complex_is_refused(capsys):
     # 25 variables: the Lyubeznik complex is the whole 2^25-face Taylor
     # complex in every generator order, so it is refused while enumerated,
