@@ -150,13 +150,18 @@ class MonomialIdeal:
     def __post_init__(self):
         gens = tuple(tuple(int(x) for x in g) for g in self.gens)
         object.__setattr__(self, "gens", gens)
-        _check_exponents(gens, self.ring.n)
+        n = self.ring.n
+        for g in gens:
+            if len(g) != n:
+                raise ValueError(f"exponent vector {g} does not match ring with {n} variables")
+            if any(x < 0 for x in g):
+                raise ValueError(f"negative exponent in {g}")
+            if any(x > MAX_EXPONENT for x in g):
+                raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
         if list(gens) != sorted(set(gens)):
             raise ValueError("generators are not in canonical sorted order")
-        for a in gens:
-            for b in gens:
-                if a != b and _divides(a, b):
-                    raise ValueError("generators are not divisibility-minimal")
+        if len(_minimal(gens)) != len(gens):
+            raise ValueError("generators are not divisibility-minimal")
 
     @property
     def is_zero(self) -> bool:
@@ -231,18 +236,6 @@ def _check_pair(a: MonomialIdeal, I: MonomialIdeal):
         raise ValueError("the relative ideal must be proper")
 
 
-def _check_exponents(gens, n: int):
-    """Refuse exponent vectors of the wrong length, with a negative entry or
-    with an entry over ``MAX_EXPONENT``."""
-    for g in gens:
-        if len(g) != n:
-            raise ValueError(f"exponent vector {g} does not match ring with {n} variables")
-        if any(x < 0 for x in g):
-            raise ValueError(f"negative exponent in {g}")
-        if any(x > MAX_EXPONENT for x in g):
-            raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
-
-
 def _minimal(gens) -> list[tuple[int, ...]]:
     """The divisibility-minimal members of exponent tuples, once each, sorted lexicographically.
 
@@ -260,20 +253,13 @@ def minimal_generators(ring: RingSpec, gens) -> MonomialIdeal:
     """Canonical ideal from arbitrary exponent vectors.
 
     Keeps the divisibility-minimal subset, sorted lexicographically.
-    Idempotent; the empty input gives the zero ideal.  The result is
-    canonical by construction, so only its exponents are checked, not its
-    order and minimality again.
+    Idempotent; the empty input gives the zero ideal.
     """
     gens = sorted(set(tuple(int(x) for x in g) for g in gens))
     for g in gens:
         if len(g) != ring.n:
             raise ValueError(f"exponent vector {g} does not match ring with {ring.n} variables")
-    minimal = tuple(_minimal(gens))
-    _check_exponents(minimal, ring.n)
-    ideal = object.__new__(MonomialIdeal)
-    object.__setattr__(ideal, "ring", ring)
-    object.__setattr__(ideal, "gens", minimal)
-    return ideal
+    return MonomialIdeal(ring, tuple(_minimal(gens)))
 
 
 def zero_ideal(ring: RingSpec) -> MonomialIdeal:

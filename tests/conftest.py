@@ -22,8 +22,7 @@ engine's layout in one given generator order.  ``oracle_minimal_primes``
 filters the associated primes of I itself by inclusion.
 ``oracle_grade_by_localization`` builds every localized ideal as a ring and
 an ideal, the localization grade before it read pd from the Betti cache,
-and ``oracle_row_groups`` keys every row by a ``void`` view of its bytes,
-the row grouping before small rows were keyed by one integer.
+and ``oracle_row_groups`` groups rows by their bytes in a dict.
 """
 
 from __future__ import annotations
@@ -126,13 +125,10 @@ def oracle_grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
     return best
 
 
-def oracle_row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct value of a 2-d array, and the group of
-    every row, keyed by a ``void`` view of each row's raw bytes."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+def oracle_row_groups(rows: np.ndarray) -> list[int]:
+    """For every row of a 2-d array, the index of the first row equal to it."""
+    first: dict[bytes, int] = {}
+    return [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
 
 
 def oracle_monomials(n: int, bound: int):

@@ -714,9 +714,9 @@ def test_rank_cache_keys_name_the_layout(ring4):
                 assert taylor.betti_numbers(J) == betti
 
 
-@pytest.mark.parametrize("width", [*range(10), 16])
-def test_row_groups_partition_matches_the_void_key_oracle(width):
-    # rows of 0-9 and 16 bytes, as bytes, as bools and (even widths) as
+@pytest.mark.parametrize("width", [*range(1, 10), 16])
+def test_row_groups_partition_matches_the_oracle(width):
+    # rows of 1-9 and 16 bytes, as bytes, as bools and (even widths) as
     # int16 with negative entries; few distinct values, so groups repeat,
     # and bytes 0 and 255, so a key that dropped or mixed up a byte would show
     rng = np.random.default_rng(500 + width)
@@ -728,12 +728,5 @@ def test_row_groups_partition_matches_the_void_key_oracle(width):
     for rows in cases:
         first, inverse = slices._row_groups(rows)
         assert inverse.shape == (rows.shape[0],)
-        assert np.array_equal(rows[first][inverse], rows)
-        if width:
-            # both give each group's first row, so equal first-member maps mean equal partitions
-            expected_first, expected_inverse = oracle_row_groups(rows)
-            assert np.array_equal(first[inverse], expected_first[expected_inverse])
-        else:
-            # a void view of 0-byte rows has no elements, so the oracle groups
-            # nothing; every such row is the same value
-            assert first.tolist() == [0][: rows.shape[0]] and not inverse.any()
+        assert sorted(first.tolist()) == sorted(set(oracle_row_groups(rows)))
+        assert first[inverse].tolist() == oracle_row_groups(rows)
