@@ -66,16 +66,20 @@ class grid is bounded by ``_MAX_ACTIVITY_CELLS`` (faces x class degrees);
 the dense scan is bounded by the same ceiling over the whole box, counting
 the 2^r Taylor faces.
 
-Each table runs its layers in bulk.  Ext activity depends on a face T only
+Each table runs its layers in bulk, on its per-axis values (a ``_Product``)
+rather than on a (degrees, n) grid.  Ext activity depends on a face T only
 through lcm_T, and Cech activity only through the support of lcm_T, so it
-is evaluated once per distinct value and gathered to the faces.  Both run
-one membership kernel (``_member_rows``): the staircase of I factors axis
-by axis, so per axis a small table of generator bit sets answers every
-grid value, and a row's membership is the AND of its axes' bit sets, one
-bit per generator rather than a byte per generator and variable.  The
-per-axis tables depend only on I's generators, so they are built once per
-generator tuple, in a bounded cache.  Degrees are grouped by activity
-pattern under a one-value key per degree.  Then
+is evaluated once per distinct value, one row each, and every face reads
+the row of its value.  Both run one membership kernel (``_member_rows``):
+the staircase of I factors axis by axis, so per axis a small table of
+generator bit sets answers every value of the axis, and the bit sets over
+the product are the AND of the axes' table rows, taken as an outer product
+in lexicographic order, one bit per generator rather than a byte per
+generator and variable.  The per-axis tables depend only on I's
+generators, so they are built once per generator tuple, in a bounded
+cache.  Degrees are grouped by activity pattern under a one-value key per
+degree, read from the rows of distinct values, and only the distinct
+patterns are then gathered to the faces.  Then
 the ranks for the whole table are computed together: each distinct pair of
 consecutive active levels is looked up in a bounded cache keyed by the face
 set's digest of the incidence between the two levels, and the missing
@@ -369,20 +373,15 @@ class DegreeBox:
     def contains(self, b) -> bool:
         return len(b) == len(self.rho) and all(-r <= x <= r for x, r in zip(b, self.rho))
 
-    def degree_grid(self) -> np.ndarray:
-        """All box degrees as an (D, n) int16 array, lexicographic order."""
-        return _product_grid([np.arange(-r, r + 1, dtype=np.int16) for r in self.rho])
 
+class _Product(tuple):
+    """Per-axis int16 value arrays standing for their product grid, in
+    lexicographic order.  ``shape`` is that of the (degrees, n) grid, which
+    is never built."""
 
-def _product_grid(axes) -> np.ndarray:
-    """The product of per-axis int16 value arrays as a (D, n) array, lexicographic order."""
-    if not axes:
-        return np.zeros((1, 0), dtype=np.int16)
-    sizes = tuple(len(values) for values in axes)
-    grid = np.empty((*sizes, len(axes)), dtype=np.int16)
-    for j, values in enumerate(axes):
-        grid[..., j] = np.reshape(values, [-1 if k == j else 1 for k in range(len(axes))])
-    return grid.reshape(-1, len(axes))
+    @property
+    def shape(self) -> tuple[int, int]:
+        return math.prod(len(values) for values in self), len(self)
 
 
 def _axis_classes(r: int, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +411,7 @@ def _cech_thresholds(a: MonomialIdeal, I: MonomialIdeal, j: int) -> list[int]:
 # of ``_member_rows``, so it is left out of them
 _LEFT_OUT = 1 << 20
 
-# byte cap of the bit-set words one batch of shifts holds over the grid in
+# byte cap of the bit-set words one batch of shifts holds over the product in
 # ``_member_rows``; it bounds the kernel's working memory
 _MAX_MEMBER_BATCH_BYTES = 1 << 20
 
@@ -451,61 +450,42 @@ def _member_tables(gens: tuple, n: int):
     return tuple(thresholds), tuple(sets), full, alone
 
 
-def _member_rows(grid: np.ndarray, gens, shifts: np.ndarray) -> np.ndarray:
-    """Which shifted rows of a degree grid are monomials of S/I, for I generated by ``gens``.
+def _member_rows(axes, gens, shifts: np.ndarray) -> np.ndarray:
+    """Which shifted degrees of a product grid are monomials of S/I, for I generated by ``gens``.
 
-    Entry (u, d) of the (shifts, rows) result is True iff b + s >= 0 and
-    x^(b + s) is not in I, for b = grid[d] and s = shifts[u].  An axis
-    shifted by ``_LEFT_OUT`` passes both tests, which leaves it out.
+    ``axes`` holds one array of values per variable; the grid is their
+    product in lexicographic order.  Entry (u, d) of the (shifts, degrees)
+    result is True iff b + s >= 0 and x^(b + s) is not in I, for b the d-th
+    degree of the product and s = shifts[u].  An axis shifted by
+    ``_LEFT_OUT`` passes both tests, which leaves it out.
 
     Both tests factor axis by axis.  A bit set holds one bit per generator
     and a last bit for "nonnegative": on axis j the value v sets the bit of
-    every generator g with v >= g_j, and the last bit if v >= 0.  A row
+    every generator g with v >= g_j, and the last bit if v >= 0.  A degree
     passes iff the AND of its axes' bit sets is the last bit alone.  Per
     axis only the sorted distinct values {0} u {g_j} matter, so one small
     table per axis holds every bit set that axis can give; the tables are
     built once per generator tuple (``_member_tables``).
 
-    The axes are cut into consecutive chunks whose distinct grid values span
-    at most as many combinations as the grid has rows, so the whole of a
-    product grid is one chunk.  Each row's position in the product of each
-    chunk is worked out once per call.  Per shift, a chunk's bit sets over
-    its whole product are the AND of its axes' table rows, and one gather
-    per chunk takes them to the grid rows.  Shifts go in batches whose words
-    over the grid stay under ``_MAX_MEMBER_BATCH_BYTES``.
+    Per shift, the bit sets over the product are the AND of the axes' table
+    rows, taken axis by axis as an outer product, so they come out in
+    lexicographic order.  Shifts go in batches whose words over the product
+    stay under ``_MAX_MEMBER_BATCH_BYTES``.
     """
-    rows, n = grid.shape
-    thresholds, sets, full, alone = _member_tables(tuple(map(tuple, gens)), n)
+    thresholds, sets, full, alone = _member_tables(tuple(map(tuple, gens)), len(axes))
     words = full.size
-    # per axis the distinct grid values; per chunk each row's position in the product of its axes' values
-    values, chunks, keys = [], [[]], [np.zeros(rows, dtype=np.intp)]
-    span = 1
-    for j in range(n):
-        least = int(grid[:, j].min()) if rows else 0
-        column = np.subtract(grid[:, j], least, dtype=np.intp)
-        present = np.zeros(int(column.max(initial=0)) + 1, dtype=bool)
-        present[column] = True
-        values.append(np.flatnonzero(present) + least)
-        if chunks[-1] and span * values[j].size > max(rows, 1):
-            chunks.append([])
-            keys.append(np.zeros(rows, dtype=np.intp))
-            span = 1
-        chunks[-1].append(j)
-        span *= values[j].size
-        keys[-1] = keys[-1] * values[j].size + (np.cumsum(present) - 1)[column]
-    out = np.empty((shifts.shape[0], rows), dtype=bool)
-    step = max(1, _MAX_MEMBER_BATCH_BYTES // max(1, rows * full.nbytes))
+    degrees = math.prod(len(values) for values in axes)
+    out = np.empty((shifts.shape[0], degrees), dtype=bool)
+    step = max(1, _MAX_MEMBER_BATCH_BYTES // max(1, degrees * full.nbytes))
     for lo in range(0, shifts.shape[0], step):
         batch = np.asarray(shifts[lo : lo + step], dtype=np.int64)
-        acc = None
-        for chunk, key in zip(chunks, keys):
-            table = np.broadcast_to(full, (batch.shape[0], 1, words))
-            for j in chunk:
-                passed = np.searchsorted(thresholds[j], values[j] + batch[:, j, None], side="right")
-                table = (table[:, :, None] & sets[j][passed][:, None]).reshape(batch.shape[0], -1, words)
-            part = np.take(table, key, axis=1)
-            acc = part if acc is None else np.bitwise_and(acc, part, out=acc)
-        out[lo : lo + step] = (acc == alone).all(axis=2)
+        table, span = np.broadcast_to(full, (batch.shape[0], 1, words)), 1
+        for j, values in enumerate(axes):
+            shifted = np.asarray(values, dtype=np.int64) + batch[:, j, None]
+            passed = np.searchsorted(thresholds[j], shifted, side="right")
+            span *= len(values)
+            table = (table[:, :, None] & sets[j][passed][:, None]).reshape(batch.shape[0], span, words)
+        out[lo : lo + step] = (table == alone).all(axis=2)
     return out
 
 
@@ -520,29 +500,28 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
-def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, layout: FaceLayout) -> np.ndarray:
-    """Component activity of Hom(L, S/I) per degree, for a complex L of faces on the generators of J.
+def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, axes: _Product, lcms: np.ndarray) -> np.ndarray:
+    """Component activity of Hom(L, S/I) per distinct face lcm, for a complex L of faces on the generators of J.
 
-    Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I.
-    That depends on T only through lcm_T, so activity is evaluated once per
-    distinct lcm, every axis shifted by it, and gathered to the faces.
+    Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I,
+    so it depends on T only through lcm_T.  Row u of the (lcms, degrees)
+    result is the activity of the faces of lcm ``lcms[u]``, every axis
+    shifted by it.
     """
-    first, inverse = _row_groups(layout.lcms)
-    return _member_rows(grid, I.gens, layout.lcms[first])[inverse]
+    return _member_rows(axes, I.gens, lcms)
 
 
-def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, grid: np.ndarray, layout: FaceLayout) -> np.ndarray:
-    """Component activity of the Cech complex on the generators of ``layout``, with S/I coefficients.
+def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, axes: _Product, supports: np.ndarray) -> np.ndarray:
+    """Component activity of a Cech complex with S/I coefficients per distinct face support.
 
     For face T let F be the union of its generators' supports, the support
     of lcm_T.  The localized piece at b is nonzero iff b_j >= 0 away from F
     and the restriction of b away from F avoids the ideal obtained from I
     by inverting F.  Inverting x_j erases it from I's generators, which is
-    the membership test with axis j left out.
+    the membership test with axis j left out.  Row u of the (supports,
+    degrees) result is the activity of the faces with F = ``supports[u]``.
     """
-    inverted = layout.lcms > 0
-    first, inverse = _row_groups(inverted)
-    return _member_rows(grid, I.gens, np.where(inverted[first], _LEFT_OUT, 0))[inverse]
+    return _member_rows(axes, I.gens, np.where(supports, _LEFT_OUT, 0))
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -630,15 +609,19 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, faces: FaceSet, p: i
         live = np.flatnonzero(lo.any(axis=0) & hi.any(axis=0))
         if not live.size:
             continue
-        rows = np.ascontiguousarray(np.packbits(by_size[offsets[k] : offsets[k + 2], live], axis=0).T)
-        first, inverse = _row_groups(rows)
-        level_ranks = np.zeros(first.size, dtype=np.int64)
+        bits = np.ascontiguousarray(np.packbits(by_size[offsets[k] : offsets[k + 2], live], axis=0).T)
+        width, data = bits.shape[1], bits.tobytes()
+        groups: dict[bytes, tuple[int, int]] = {}  # packed bits -> class, its first live column
+        inverse = np.array(
+            [groups.setdefault(data[c * width : (c + 1) * width], (len(groups), c))[0] for c in range(live.size)]
+        )
+        level_ranks = np.zeros(len(groups), dtype=np.int64)
         prefix = b"%d,%d," % (p, k) + faces.digests[k]
-        for j, f in enumerate(first.tolist()):
-            key = prefix + rows[f].tobytes()
+        for packed, (j, c) in groups.items():
+            key = prefix + packed
             hit = _RANK_CACHE.get(key)
             if hit is None:
-                missing.append((level_ranks, j, k, live[f], key))
+                missing.append((level_ranks, j, k, live[c], key))
             else:
                 level_ranks[j] = hit
         found.append((k, live, inverse, level_ranks))
@@ -688,16 +671,36 @@ _incidence_rank.cache_info = _RANK_CACHE.cache_info
 _incidence_rank.cache_clear = _RANK_CACHE.cache_clear
 
 
-def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int) -> np.ndarray:
+# the place of each of eight rows within a byte of ``_packed_columns``
+_BIT_PLACES = np.arange(8, dtype=np.uint8)[:, None]
+
+
+def _packed_columns(active: np.ndarray) -> np.ndarray:
+    """The columns of a 2-d boolean array as rows of bytes, eight entries to
+    a byte, the first in the lowest bit.  Rows are packed eight at a time,
+    each a contiguous OR over the columns."""
+    bits = active.view(np.uint8)
+    packed = np.empty((-(-active.shape[0] // 8), active.shape[1]), dtype=np.uint8)
+    for k in range(packed.shape[0]):
+        block = bits[8 * k : 8 * k + 8]
+        np.bitwise_or.reduce(block << _BIT_PLACES[: block.shape[0]], axis=0, out=packed[k])
+    return packed.T
+
+
+def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) -> np.ndarray:
     """Cohomology dimensions (one row per level of ``faces``, per degree) of face complexes.
 
-    ``active`` is a (faces, degrees) boolean array in the order of
-    ``faces``.  Degrees are grouped by identical activity pattern under a
-    one-value key per degree, the raw bytes of its packed column.  One
+    ``active`` is a (rows, degrees) boolean array, and ``rows`` gives each
+    face, in the order of ``faces``, the row it reads: face f is active at
+    degree d iff ``active[rows[f], d]``.  Degrees are grouped by identical
+    column of ``active`` under a one-value key per degree, the raw bytes of
+    its packed column, before anything is gathered to the faces; only the
+    distinct columns are.  When every row is read by some face, two degrees
+    share a column iff they share an activity pattern on the faces.  One
     ``_incidence_rank`` call ranks the level pairs of every distinct pattern.
     """
-    first, inverse = _row_groups(np.packbits(active, axis=0).T)
-    by_size = active[:, first]
+    first, inverse = _row_groups(_packed_columns(active))
+    by_size = active[:, first][rows]
     sizes = faces.per_level(by_size)
     ranks = _incidence_rank(by_size, sizes, faces, p)
     dims = sizes.astype(np.int32)
@@ -851,40 +854,49 @@ def _check_scan_size(shape, faces: int, what: str):
         raise ValueError(f"{what} with {faces} faces is too large to scan")
 
 
-def _ext_complex(J: MonomialIdeal) -> FaceLayout:
-    return lyubeznik_layout(J.gens, J.ring.n)
+def _complex(kind: str, A: MonomialIdeal) -> FaceLayout:
+    """The complex of a kind of table on A: the Lyubeznik complex of A for
+    Ext ("ext"), the Cech complex on the radical of A for local cohomology
+    ("lc"), which depends on A only up to radical."""
+    if kind == "ext":
+        return lyubeznik_layout(A.gens, A.ring.n)
+    return taylor_layout(radical(A).gens, A.ring.n)
 
 
-def _cech_complex(a: MonomialIdeal) -> FaceLayout:
-    # local cohomology depends on a only up to radical
-    return taylor_layout(radical(a).gens, a.ring.n)
+def _slice_dims(kind: str, layout: FaceLayout, A: MonomialIdeal, B: MonomialIdeal, axes: _Product) -> np.ndarray:
+    """Slice dimensions (levels 0..len(A.gens), per degree of the product
+    ``axes``) of the Ext or Cech complex on a layout; levels the complex
+    lacks (the Cech complex on the radical of A may have fewer) are zero.
 
-
-def _slice_dims(activity, layout: FaceLayout, A: MonomialIdeal, B: MonomialIdeal, grid: np.ndarray) -> np.ndarray:
-    """Slice dimensions (levels 0..len(A.gens), per degree of ``grid``) of an
-    activity kernel on a complex; levels the complex lacks (the Cech complex
-    on the radical of A may have fewer) are zero."""
-    dims = _lattice_dims(activity(A, B, grid, layout), layout.faces, A.ring.char)
+    Ext activity depends on a face only through its lcm, and Cech activity
+    only through the support of its lcm, so the kernel runs once per
+    distinct value and ``_lattice_dims`` reads each face's row.
+    """
+    keys = layout.lcms if kind == "ext" else layout.lcms > 0
+    first, rows = _row_groups(keys)
+    activity = _ext_activity if kind == "ext" else _cech_activity
+    dims = _lattice_dims(activity(A, B, axes, keys[first]), layout.faces, A.ring.char, rows)
     if dims.shape[0] == len(A.gens) + 1:
         return dims
     return np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
 
 
-def _class_table(activity, thresholds, complex_of, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:
-    """Run an activity kernel on one representative degree per threshold class."""
+def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:
+    """Run the kernel of a kind of table on one representative degree per threshold class."""
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B, pad=pad)
+    thresholds = _ext_thresholds if kind == "ext" else _cech_thresholds
     classes = [_axis_classes(r, thresholds(A, B, j)) for j, r in enumerate(box.rho)]
-    reps = tuple(rep for _, rep in classes)
+    reps = _Product(rep for _, rep in classes)
     shape = tuple(len(rep) for rep in reps)
-    layout = complex_of(A)
+    layout = _complex(kind, A)
     _check_scan_size(shape, layout.faces.size, f"class grid {shape} of the stabilization box {box.rho}")
-    dims = _slice_dims(activity, layout, A, B, _product_grid(reps))
+    dims = _slice_dims(kind, layout, A, B, reps)
     return SliceTable(box, reps, tuple(starts for starts, _ in classes), dims)
 
 
-def _dense_profile(activity, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
-    """The profile from an activity kernel run on every degree of the unpadded box.
+def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
+    """The profile of a kind of table from its kernel run on every degree of the unpadded box.
 
     The engine the class grid replaced, kept as the independent side of the
     corpus cross-check.  It runs on the full Taylor complex of A's own
@@ -894,20 +906,19 @@ def _dense_profile(activity, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[in
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B)
     _check_scan_size([2 * r + 1 for r in box.rho], 1 << len(A.gens), f"stabilization box {box.rho}")
-    layout = taylor_layout(A.gens, A.ring.n)
-    act = activity(A, B, box.degree_grid(), layout)
-    return _nonzero_levels(_lattice_dims(act, layout.faces, A.ring.char))
+    axes = _Product(np.arange(-r, r + 1, dtype=np.int16) for r in box.rho)
+    return _nonzero_levels(_slice_dims(kind, taylor_layout(A.gens, A.ring.n), A, B, axes))
 
 
 def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     """Slice dimensions of Ext^i(S/J, S/I), listed over the stabilization box widened by ``pad``."""
-    return _class_table(_ext_activity, _ext_thresholds, _ext_complex, J, I, pad)
+    return _class_table("ext", J, I, pad)
 
 
 def lc_table(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     """Slice dimensions of the local cohomology of S/I supported on a, listed
     over the stabilization box widened by ``pad``."""
-    return _class_table(_cech_activity, _cech_thresholds, _cech_complex, a, I, pad)
+    return _class_table("lc", a, I, pad)
 
 
 # profiles keyed by (kind, A, B)
@@ -950,23 +961,23 @@ def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int) -> bool:
     return all(i >= k for i in ext_profile(J, I))
 
 
-def _slice_at(activity, complex_of, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
-    """Level i of an activity kernel's complex at the single degree b, exact for any b the int16 grid holds."""
+def _slice_at(kind: str, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
+    """Level i of the Ext or Cech complex at the single degree b, exact for any b the int16 grid holds."""
     _check_scan(A, B)
     b = tuple(int(x) for x in b)
     if len(b) != A.ring.n:
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):
         raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
-    dims = _slice_dims(activity, complex_of(A), A, B, np.asarray([b], dtype=np.int16))
+    dims = _slice_dims(kind, _complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
     return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0
 
 
 def ext_slice(J: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int:
     """Dimension of the degree-b slice of Ext^i(S/J, S/I)."""
-    return _slice_at(_ext_activity, _ext_complex, J, I, i, b)
+    return _slice_at("ext", J, I, i, b)
 
 
 def local_cohomology_slice(a: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int:
     """Dimension of the degree-b slice of the i-th local cohomology of S/I supported on a."""
-    return _slice_at(_cech_activity, _cech_complex, a, I, i, b)
+    return _slice_at("lc", a, I, i, b)

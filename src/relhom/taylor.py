@@ -62,14 +62,12 @@ def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
     shared = size[strand] > 1
     betti = faces.per_level(~shared)
     if shared.any():
-        # one activity column per strand of two or more faces
-        column = np.cumsum(size > 1) - 1
-        count = int(column[-1]) + 1
-        _check_scan_size((count,), faces.size, f"Lyubeznik complex on {len(rows)} generators")
-        members = np.flatnonzero(shared)
-        active = np.zeros((faces.size, count), dtype=bool)
-        active[members, column[strand[members]]] = True
-        betti += _lattice_dims(active, faces, p).sum(axis=1)
+        # one activity column per strand of two or more faces, one row per strand
+        wide = np.flatnonzero(size > 1)
+        _check_scan_size((wide.size,), faces.size, f"Lyubeznik complex on {len(rows)} generators")
+        active = np.zeros((size.size, wide.size), dtype=bool)
+        active[wide, np.arange(wide.size)] = True
+        betti += _lattice_dims(active, faces, p, strand).sum(axis=1)
     return tuple(betti.tolist())
 
 

@@ -57,11 +57,8 @@ from .properties import (
 )
 from .slices import (
     DegreeBox,
-    _cech_activity,
     _dense_profile,
-    _ext_activity,
     _member_rows,
-    _product_grid,
     ext_profile,
     ext_table,
     ext_vanishes_below,
@@ -185,8 +182,8 @@ def analyze_instance(index: int, a: MonomialIdeal, I: MonomialIdeal, degree_boun
     x = InstanceAnalysis(index, a, I)
     try:
         pair = PairAnalysis(a, I, degree_bound)
-        x.ext0 = _dense_profile(_ext_activity, a, I)
-        x.lc0 = _dense_profile(_cech_activity, a, I)
+        x.ext0 = _dense_profile("ext", a, I)
+        x.lc0 = _dense_profile("lc", a, I)
         x.report = _report(pair, DegreeBox.for_ideals(a, I))
         x.pair = pair
     except EngineDisagreementError as exc:
@@ -421,15 +418,15 @@ def _first_shifted_mismatch(table, c: int, target, shift):
     for j, (own, r) in enumerate(zip(table._starts, table.box.rho)):
         shifted = {t - shift[j] for t in (0, *(g[j] for g in target.gens))}
         starts.append(np.array(sorted({*own.tolist(), *(t for t in shifted if -r < t <= r)}), dtype=np.int16))
-    cells = _product_grid(starts)
-    expected = _member_rows(cells, target.gens, np.array([shift]))[0]
+    expected = _member_rows(starts, target.gens, np.array([shift]))[0]
     classes = [np.searchsorted(own, values, side="right") - 1 for own, values in zip(table._starts, starts)]
     flat = np.ravel_multi_index(np.ix_(*classes), tuple(len(own) for own in table._starts)).ravel()
     tabled = table._class_dims[c, flat]
     bad = np.flatnonzero(tabled != expected)
     if not bad.size:
         return None
-    return tuple(cells[bad[0]].tolist()), int(expected[bad[0]]), int(tabled[bad[0]])
+    cell = np.unravel_index(bad[0], tuple(len(values) for values in starts))
+    return tuple(int(values[k]) for values, k in zip(starts, cell)), int(expected[bad[0]]), int(tabled[bad[0]])
 
 
 def _suite_prop_4_6f(xs, ctx):

@@ -8,7 +8,9 @@ parameter-system search and of one Cech localization piece, and
 search, without its prune;
 ``oracle_axis_classes`` gives every box value of an axis its threshold
 class id, the construction slice tables were first built on, and
-``dense_expansion`` uses it to expand a table to every box degree;
+``dense_expansion`` uses it to expand a table to every box degree, which
+``degree_grid`` lists as the product of the box axes built by
+``product_grid``, the engines' grid before they ran on per-axis values;
 ``oracle_member_rows`` tests every row against every generator at once, the
 membership test the activity kernels were built on, and
 ``oracle_ext_activity`` and ``oracle_cech_activity`` are the per-face forms
@@ -102,7 +104,28 @@ def dense_expansion(table) -> tuple[np.ndarray, np.ndarray]:
         assert np.array_equal(axis_reps, reps)
         ids.append(axis_ids)
     flat = np.ravel(np.ravel_multi_index(np.ix_(*ids), tuple(len(rep) for rep in table._reps)))
-    return table.box.degree_grid(), table._class_dims[:, flat]
+    return degree_grid(table.box), table._class_dims[:, flat]
+
+
+def product_grid(axes) -> np.ndarray:
+    """The product of per-axis value arrays as a (D, n) int16 array, lexicographic order."""
+    if not axes:
+        return np.zeros((1, 0), dtype=np.int16)
+    sizes = tuple(len(values) for values in axes)
+    grid = np.empty((*sizes, len(axes)), dtype=np.int16)
+    for j, values in enumerate(axes):
+        grid[..., j] = np.reshape(values, [-1 if k == j else 1 for k in range(len(axes))])
+    return grid.reshape(-1, len(axes))
+
+
+def box_axes(box) -> list[np.ndarray]:
+    """The values -rho_j..rho_j of every axis of a degree box, as int16."""
+    return [np.arange(-r, r + 1, dtype=np.int16) for r in box.rho]
+
+
+def degree_grid(box) -> np.ndarray:
+    """All degrees of a degree box as an (D, n) int16 array, lexicographic order."""
+    return product_grid(box_axes(box))
 
 
 def oracle_grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:

@@ -20,6 +20,7 @@ from relhom.slices import (
     _cech_activity,
     _ext_activity,
     _lattice_dims,
+    _Product,
     clear_slice_caches,
     ext_profile,
     ext_slice,
@@ -34,7 +35,9 @@ from relhom.slices import (
 )
 
 from conftest import (
+    box_axes,
     cech_piece,
+    degree_grid,
     dense_expansion,
     layout_faces,
     lyubeznik_in_order,
@@ -46,6 +49,7 @@ from conftest import (
     oracle_member_rows,
     oracle_rank_mod_p,
     oracle_row_groups,
+    product_grid,
     random_proper_ideal,
 )
 
@@ -266,10 +270,9 @@ def test_lc_slices_match_oracle(ring2):
                 assert local_cohomology_slice(a, I, i, b) == dim
 
 
-def _dense_dims(activity, A, B, grid):
-    # the full Taylor complex on A's own generators, as in the corpus cross-check
-    layout = taylor_layout(A.gens, A.ring.n)
-    return _lattice_dims(activity(A, B, grid, layout), layout.faces, A.ring.char)
+def _dense_dims(kind, A, B, box):
+    # the full Taylor complex on A's own generators over every box degree, as in the corpus cross-check
+    return slices._slice_dims(kind, taylor_layout(A.gens, A.ring.n), A, B, _Product(box_axes(box)))
 
 
 def _nonzero_levels(dims):
@@ -288,9 +291,10 @@ def test_class_tables_equal_the_dense_scan(n):
         J = random_proper_ideal(rng, ring, 3, 4)
         I = zero_ideal(ring) if trial == 0 else random_proper_ideal(rng, ring, 3, 4)
         for pad in (0, 1, 2):
-            grid = DegreeBox.for_ideals(J, I, pad=pad).degree_grid()
-            for table, activity in ((ext_table(J, I, pad), _ext_activity), (lc_table(J, I, pad), _cech_activity)):
-                dense = _dense_dims(activity, J, I, grid)
+            box = DegreeBox.for_ideals(J, I, pad=pad)
+            grid = degree_grid(box)
+            for table, kind in ((ext_table(J, I, pad), "ext"), (lc_table(J, I, pad), "lc")):
+                dense = _dense_dims(kind, J, I, box)
                 degrees, dims = dense_expansion(table)
                 assert np.array_equal(degrees, grid)
                 assert np.array_equal(dims, dense)
@@ -298,7 +302,7 @@ def test_class_tables_equal_the_dense_scan(n):
                 for q in range(pad):
                     inside = (np.abs(grid) <= np.asarray(DegreeBox.for_ideals(J, I, pad=q).rho)).all(axis=1)
                     assert table.profile() == _nonzero_levels(dense[:, inside])
-            dense = _dense_dims(_ext_activity, J, I, grid)
+            dense = _dense_dims("ext", J, I, box)
             for k in range(len(J.gens) + 2):
                 assert ext_vanishes_below(J, I, k) == (not dense[:k].any())
 
@@ -365,9 +369,9 @@ def test_ext_profile_scans_one_degree_per_class(monkeypatch):
     scanned = []
     activity = slices._ext_activity
 
-    def recording(J, I, grid, layout):
-        scanned.append(grid.shape[0])
-        return activity(J, I, grid, layout)
+    def recording(J, I, axes, lcms):
+        scanned.append(axes.shape[0])
+        return activity(J, I, axes, lcms)
 
     monkeypatch.setattr(slices, "_ext_activity", recording)
     clear_slice_caches()
@@ -459,32 +463,39 @@ def test_concurrent_slice_evaluation_matches_serial(ring4):
 # --- the batched activity, dedup and rank layers ------------------------------
 
 def _activity_cases(n):
-    """Seeded pairs (J, I) with random degrees inside their box padded by 1."""
+    """Seeded pairs (J, I) with random per-axis values inside their box
+    padded by 1: one to four values per axis, unsorted and possibly repeated."""
     ring = RingSpec(tuple(f"x{j}" for j in range(n)))
     rng = np.random.default_rng(80 + n)
     for _ in range(12):
         J = random_proper_ideal(rng, ring, 2, 6)
         I = random_proper_ideal(rng, ring, 3, 4)
         box = DegreeBox.for_ideals(J, I, pad=1)
-        grid = rng.integers(-np.asarray(box.rho), np.asarray(box.rho) + 1, size=(40, n)).astype(np.int16)
-        yield J, I, grid
+        yield J, I, [rng.integers(-r, r + 1, size=rng.integers(1, 5)).astype(np.int16) for r in box.rho]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ext_activity_matches_the_per_subset_oracle(n):
-    for J, I, grid in _activity_cases(n):
+    # one row per distinct lcm, read by each face through its group
+    for J, I, axes in _activity_cases(n):
         for layout in (lyubeznik_layout(J.gens, n), taylor_layout(J.gens, n)):
-            assert np.array_equal(_ext_activity(J, I, grid, layout), oracle_ext_activity(J, I, grid, layout))
+            first, rows = slices._row_groups(layout.lcms)
+            active = _ext_activity(J, I, _Product(axes), layout.lcms[first])
+            assert active.shape == (first.size, product_grid(axes).shape[0])
+            assert np.array_equal(active[rows], oracle_ext_activity(J, I, product_grid(axes), layout))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cech_activity_matches_the_per_face_oracle(n):
     # on the radical's generators, as the class tables run it, and on the
-    # relative ideal's own, as the dense scan does
-    for a, I, grid in _activity_cases(n):
+    # relative ideal's own, as the dense scan does; one row per distinct support
+    for a, I, axes in _activity_cases(n):
         for gens in (monomials.radical(a).gens, a.gens):
             layout = taylor_layout(gens, n)
-            assert np.array_equal(_cech_activity(a, I, grid, layout), oracle_cech_activity(gens, I, grid, layout))
+            supports = layout.lcms > 0
+            first, rows = slices._row_groups(supports)
+            active = _cech_activity(a, I, _Product(axes), supports[first])
+            assert np.array_equal(active[rows], oracle_cech_activity(gens, I, product_grid(axes), layout))
 
 
 def _expected_member_rows(grid, gens, shifts):
@@ -506,31 +517,35 @@ def _expected_member_rows(grid, gens, shifts):
 def test_member_rows_matches_the_oracles_at_the_edges(monkeypatch, count):
     # bit sets of one word and of several (the last generator, the only one
     # of small degree, sits past the first word from 64 generators on),
-    # random rows, many of them negative, grids with and without columns,
-    # faces leaving out some or every axis, and degrees and shifts at the
-    # int16 limits; a small byte cap cuts the shifts into several batches
-    monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", 3000)
+    # random per-axis values, many of them negative, unsorted and repeated,
+    # products with and without axes, faces leaving out some or every axis,
+    # and values and shifts at the int16 limits; the byte cap is set so the
+    # nine shifts go in batches of four, the last one short
     rng = np.random.default_rng(120 + count)
     top = monomials.MAX_EXPONENT
+    words = -(-(count + 1) // 64)
     for n in (0, 1, 3, 5):
         gens = [tuple(rng.integers(3, 8, size=n).tolist()) for _ in range(count - 1)]
         if gens and n:
             gens[0] = (top, *gens[0][1:])
         if count:
             gens.append((1,) * n)
-        grid = rng.integers(-6, 9, size=(60, n))
+        axes = [rng.integers(-6, 9, size=rng.integers(1, 5)) for _ in range(n)]
         if n:
-            grid[:4, 0] = [-top - 1, top + 1, 0, -1]
-        grid[4:8, :2] = top + 1
-        grid = grid.astype(np.int16)
+            axes[0] = np.array([-top - 1, top + 1, 0, -1, *axes[0]])
+        if n > 1:
+            axes[1] = np.array([top + 1, *axes[1]])
+        axes = [values.astype(np.int16) for values in axes]
+        grid = product_grid(axes)
+        monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", 4 * grid.shape[0] * words * 8)
         shifts = rng.integers(0, 6, size=(9, n))
         shifts[0] = 0
         shifts[1] = slices._LEFT_OUT
         shifts[2] = top
         shifts[3, : n // 2] = slices._LEFT_OUT
         expected = _expected_member_rows(grid, gens, shifts.tolist())
-        assert np.array_equal(slices._member_rows(grid, gens, shifts), expected)
-        # with every axis left out a row passes iff there are no generators
+        assert np.array_equal(slices._member_rows(axes, gens, shifts), expected)
+        # with every axis left out a degree passes iff there are no generators
         assert (expected[1] == (count == 0)).all()
 
 
@@ -549,9 +564,46 @@ def test_lattice_dims_match_the_oracle_on_random_patterns(p):
         faces = [T for level in layout_faces(face_set) for T in level]
         columns = rng.random((len(faces), 12)) < rng.uniform(0.2, 0.8)
         active = columns[:, rng.integers(0, 12, size=30)]
-        dims = _lattice_dims(active, face_set, p)
+        dims = _lattice_dims(active, face_set, p, np.arange(len(faces)))
         for d in range(active.shape[1]):
             expected = _complex_dims([faces[m] for m in np.flatnonzero(active[:, d])], r, p, is_complex=False)
+            assert dims[:, d].tolist() == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_lattice_dims_read_shared_rows_through_the_face_map(monkeypatch, p):
+    # random patterns on fewer rows than faces, several faces reading one
+    # row: the distinct rows with the face map must give the dimensions, and
+    # send the ranks the same patterns, as the activity gathered to the faces
+    rng = np.random.default_rng(200 + p)
+    ring = RingSpec(("x", "y", "z"))
+    face_sets = [slices._taylor_faces(r) for r in range(2, 8)]
+    face_sets += [lyubeznik_layout(random_proper_ideal(rng, ring, 3, 8).gens, 3).faces for _ in range(4)]
+    ranked = []
+    rank = slices._incidence_rank
+
+    def recording(by_size, sizes, faces, p):
+        ranked.append(sorted(column.tobytes() for column in np.packbits(by_size, axis=0).T))
+        return rank(by_size, sizes, faces, p)
+
+    monkeypatch.setattr(slices, "_incidence_rank", recording)
+    for face_set in face_sets:
+        count = face_set.size
+        shared = int(rng.integers(1, count))
+        # every row is read by some face; the rest read random rows
+        rows = rng.permutation(np.concatenate([np.arange(shared), rng.integers(0, shared, size=count - shared)]))
+        columns = rng.random((shared, 10)) < rng.uniform(0.2, 0.8)
+        active = columns[:, rng.integers(0, 10, size=40)]
+        clear_slice_caches()
+        dims = _lattice_dims(active, face_set, p, rows)
+        clear_slice_caches()
+        gathered = _lattice_dims(active[rows], face_set, p, np.arange(count))
+        assert np.array_equal(dims, gathered)
+        assert ranked[-2] == ranked[-1]
+        r = len(face_set.offsets) - 2
+        faces = [T for level in layout_faces(face_set) for T in level]
+        for d in range(active.shape[1]):
+            expected = _complex_dims([faces[m] for m in np.flatnonzero(active[rows, d])], r, p, is_complex=False)
             assert dims[:, d].tolist() == expected
 
 
@@ -677,13 +729,12 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
     for _ in range(10):
         J = random_proper_ideal(rng, ring, 3, 7)
         I = random_proper_ideal(rng, ring, 3, 3)
-        grid = DegreeBox.for_ideals(J, I).degree_grid()
-        expected = _dense_dims(_ext_activity, J, I, grid)
+        box = DegreeBox.for_ideals(J, I)
+        expected = _dense_dims("ext", J, I, box)
         orders = [*slices._candidate_orders(len(J.gens)), tuple(rng.permutation(len(J.gens)).tolist())]
         for order in orders:
             layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
-            act = _ext_activity(J, I, grid, layout)
-            assert np.array_equal(_lattice_dims(act, layout.faces, J.ring.char), expected)
+            assert np.array_equal(slices._slice_dims("ext", layout, J, I, _Product(box_axes(box))), expected)
         assert np.array_equal(dense_expansion(ext_table(J, I))[1], expected)
 
 
