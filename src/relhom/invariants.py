@@ -181,12 +181,6 @@ SOP_NONE_AMONG_MONOMIALS = "none_among_monomials"
 SOP_DEGENERATE_ZERO_LENGTH = "degenerate_zero_length"
 
 
-def _radical_supports(supports) -> frozenset[frozenset[int]]:
-    """Minimal antichain of a family of supports; a canonical form of the radical."""
-    supports = set(supports)
-    return frozenset(s for s in supports if not any(t < s for t in supports))
-
-
 def sop_witness_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> SopWitness:
     """Search for a relative system of parameters at the level of supports; see :attr:`PairAnalysis.sop`."""
     return PairAnalysis(a, I, degree_bound).sop
@@ -211,6 +205,11 @@ def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[frozenset
     return achievable
 
 
+def _cover_bits(target: list[int], masks) -> int:
+    """Bit b is set iff one of the supports ``masks`` lies in ``target[b]`` (all bitmasks)."""
+    return sum(1 << b for b, t in enumerate(target) if any(m | t == t for m in masks))
+
+
 # a prefix is tested for the prune only when it has more completions than
 # this.  Search time (s) of the 15 wide pairs / 9-cycle / 10-cycle on one
 # AMD EPYC core, Python 3.11: threshold 0: 0.038 / 2.49 / 0.030; 10: 0.018 /
@@ -229,30 +228,38 @@ def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bou
     cd(a, S/(I + (f_1..f_k))) > c - k: the remaining c - k elements would
     have to generate a up to radical modulo that ideal, so no completion of
     the prefix is a witness.
+
+    A leaf is tested by cover bits: each minimal support of rad(a + I), the
+    target, has one bit, and a support sets the bits of the target supports
+    that contain it.  Every chosen support contains a target support, and
+    the target is an antichain, so the radical of I plus the prefix is the
+    target iff the bits of I's generators and of the prefix cover them all.
     """
     if c is None:
         raise ValueError("degenerate module: cd undefined")
     if c == 0:
         return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
-    target = _radical_supports(map(support, sum_ideals(a, I).gens))
-    base = _radical_supports(map(support, I.gens))
+    target = [_mask(g) for g in radical(sum_ideals(a, I)).gens]
+    full = (1 << len(target)) - 1
+    base = _cover_bits(target, [_mask(g) for g in I.gens])
     achievable = _sop_candidates(a, degree_bound)
+    bits = [_cover_bits(target, [_mask(e)]) for _, e in achievable]
 
-    def walk(start: int, prefix: tuple):
+    def walk(start: int, prefix: tuple, covered: int):
         left = c - len(prefix)
         if left == 0:
-            return prefix if _radical_supports(base.union(fs for fs, _ in prefix)) == target else None
+            return prefix if covered == full else None
         if prefix and math.comb(len(achievable) - start, left) > _PRUNE_MIN_COMPLETIONS:
             J = sum_ideals(I, minimal_generators(a.ring, [e for _, e in prefix]))
             if cd_by_support(a, J) > left:
                 return None
         for k in range(start, len(achievable) - left + 1):
-            found = walk(k + 1, prefix + (achievable[k],))
+            found = walk(k + 1, prefix + (achievable[k],), covered | bits[k])
             if found is not None:
                 return found
         return None
 
-    found = walk(0, ())
+    found = walk(0, (), base)
     if found is None:
         return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
     return SopWitness(SOP_FOUND, tuple(e for _, e in found), degree_bound)

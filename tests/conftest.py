@@ -25,6 +25,8 @@ filters the associated primes of I itself by inclusion.
 ``oracle_grade_by_localization`` builds every localized ideal as a ring and
 an ideal, the localization grade before it read pd from the Betti cache,
 and ``oracle_row_groups`` groups rows by their bytes in a dict.
+``radical_supports`` takes the minimal antichain of a support family, the
+radical comparison the parameter-system search made before cover bits.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from relhom.invariants import (
     SOP_FOUND,
     SOP_NONE_AMONG_MONOMIALS,
     SopWitness,
-    _radical_supports,
     _sop_candidates,
     cd,
     sop_witness_by_support,
@@ -55,6 +56,12 @@ from relhom.monomials import (
 )
 from relhom.slices import FaceLayout, _face_lcms, _face_levels, _face_set, _generator_rows
 from relhom.taylor import pd_quotient
+
+
+def radical_supports(supports) -> frozenset[frozenset[int]]:
+    """Minimal antichain of a family of supports; a canonical form of the radical."""
+    supports = set(supports)
+    return frozenset(s for s in supports if not any(t < s for t in supports))
 
 
 def oracle_divides(a, b) -> bool:
@@ -329,9 +336,9 @@ def sop_search(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> Sop
     c = cd(a, I)
     if c is None:
         raise ValueError("degenerate module: cd undefined")
-    target = _radical_supports(map(support, sum_ideals(a, I).gens))
+    target = radical_supports(map(support, sum_ideals(a, I).gens))
     if c == 0:
-        assert _radical_supports(map(support, I.gens)) == target
+        assert radical_supports(map(support, I.gens)) == target
         return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
     # support-level feasibility decides existence outright (the radical test
     # only sees squarefree supports), so an infeasible search exits without
@@ -340,7 +347,7 @@ def sop_search(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> Sop
         return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
     candidates = [e for e in oracle_monomials(a.ring.n, degree_bound) if any(e) and a.contains_monomial(e)]
     for combo in itertools.combinations(candidates, c):
-        if _radical_supports([*map(support, I.gens), *map(support, combo)]) == target:
+        if radical_supports([*map(support, I.gens), *map(support, combo)]) == target:
             return SopWitness(SOP_FOUND, combo, degree_bound)
     return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
 
@@ -352,10 +359,10 @@ def oracle_sop_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int 
     c = cd(a, I)
     if c == 0:
         return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
-    target = _radical_supports(map(support, sum_ideals(a, I).gens))
-    base = _radical_supports(map(support, I.gens))
+    target = radical_supports(map(support, sum_ideals(a, I).gens))
+    base = radical_supports(map(support, I.gens))
     for combo in itertools.combinations(_sop_candidates(a, degree_bound), c):
-        if _radical_supports(base.union(fs for fs, _ in combo)) == target:
+        if radical_supports(base.union(fs for fs, _ in combo)) == target:
             return SopWitness(SOP_FOUND, tuple(e for _, e in combo), degree_bound)
     return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
 

@@ -19,13 +19,14 @@ from relhom.invariants import (
     mu,
     sop_witness_by_support,
 )
-from relhom.monomials import RingSpec, minimal_generators, parse_ideal, unit_ideal, zero_ideal
+from relhom.monomials import RingSpec, minimal_generators, parse_ideal, sum_ideals, support, unit_ideal, zero_ideal
 from relhom.verifier import CorpusParams, corpus_instances
 
 from conftest import (
     cycle_pair,
     oracle_grade_by_localization,
     oracle_sop_by_support,
+    radical_supports,
     random_proper_ideal,
     sop_search,
 )
@@ -176,14 +177,34 @@ class TestSopSearch:
             assert slow.found == fast.found
             if fast.status == SOP_FOUND:
                 # any found witness must itself certify the radical condition
-                from relhom.invariants import _radical_supports
-                from relhom.monomials import support, sum_ideals
-
-                target = _radical_supports(map(support, sum_ideals(a, I).gens))
-                got = _radical_supports([*map(support, I.gens), *map(support, fast.sequence)])
+                target = radical_supports(map(support, sum_ideals(a, I).gens))
+                got = radical_supports([*map(support, I.gens), *map(support, fast.sequence)])
                 assert got == target
                 assert all(a.contains_monomial(e) for e in fast.sequence)
 
+
+    def test_cover_bits_decide_antichain_equality(self):
+        # a family whose every support contains one of an antichain's has
+        # that antichain as its minimal elements iff the cover bits of the
+        # family are full
+        rng = np.random.default_rng(61)
+        outcomes = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            drawn = [frozenset(np.flatnonzero(rng.random(n) < 0.4).tolist()) for _ in range(int(rng.integers(1, 6)))]
+            target = sorted(radical_supports(s for s in drawn if s))
+            if not target:
+                continue
+            family = []
+            for _ in range(int(rng.integers(0, 8))):
+                t = target[int(rng.integers(len(target)))]
+                family.append(t | frozenset(np.flatnonzero(rng.random(n) < 0.2).tolist()))
+            masks = [sum(1 << j for j in s) for s in family]
+            covered = invariants._cover_bits([sum(1 << j for j in t) for t in target], masks)
+            expected = radical_supports(family) == frozenset(target)
+            assert (covered == (1 << len(target)) - 1) == expected
+            outcomes.add(expected)
+        assert outcomes == {False, True}
 
     def test_pruned_search_finds_the_first_witness(self):
         # the prune only cuts prefixes no witness extends, so the walk returns

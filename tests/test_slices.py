@@ -670,7 +670,8 @@ def test_layout_faces_match_the_lyubeznik_definition():
         for _ in range(10):
             gens = random_proper_ideal(rng, ring, 3, 8).gens
             counts = []
-            for order in [*slices._candidate_orders(len(gens)), tuple(rng.permutation(len(gens)).tolist())]:
+            candidates = slices._candidate_orders(slices._generator_rows(gens, n))
+            for order in [*candidates, tuple(rng.permutation(len(gens)).tolist())]:
                 layout = lyubeznik_in_order(gens, n, order, slices._MAX_FACES)
                 faces = layout_faces(layout.faces)
                 assert {T for level in faces for T in level} == oracle_lyubeznik_faces(gens, order)
@@ -690,7 +691,7 @@ def test_layout_faces_match_the_lyubeznik_definition():
             chosen = lyubeznik_layout(gens, n)
             fewest = min(counts[:-1])
             assert chosen.faces.size == fewest
-            assert chosen.faces.order == slices._candidate_orders(len(gens))[counts.index(fewest)]
+            assert chosen.faces.order == candidates[counts.index(fewest)]
             assert {T for level in layout_faces(chosen.faces) for T in level} == oracle_lyubeznik_faces(
                 gens, chosen.faces.order
             )
@@ -700,15 +701,75 @@ def test_layout_faces_match_the_lyubeznik_definition():
             assert {T for level in layout_faces(full.faces) for T in level} == set(map(frozenset, _subsets(len(gens))))
 
 
+def chain(r: int) -> tuple[tuple[int, int], ...]:
+    """The generators x^i * y^(r - 1 - i) of a chain."""
+    return tuple((i, r - 1 - i) for i in range(r))
+
+
 def test_candidate_orders_on_the_chain():
-    # lexicographic, middle first and recursive bisection; the bisection
-    # order shrinks the 2^25 Taylor faces of x^i * y^(24 - i) to 246
-    assert slices._candidate_orders(6) == [(0, 1, 2, 3, 4, 5), (2, 3, 1, 4, 0, 5), (2, 0, 1, 4, 3, 5)]
-    assert slices._candidate_orders(2) == [(0, 1)]
-    chain = tuple((i, 24 - i) for i in range(25))
-    counts = [lyubeznik_in_order(chain, 2, order, 1 << 16) for order in slices._candidate_orders(25)]
-    assert counts[0] is None and [layout.faces.size for layout in counts[1:]] == [16_382, 246]
-    assert lyubeznik_layout(chain, 2).faces.size == 246
+    # on x^i * y^(5 - i) generator i divides lcm(m_j, m_k) iff j <= i <= k,
+    # so the divisibility order is the middle-first one and is listed once;
+    # two generators give every order the same faces, so one order is tried
+    assert slices._candidate_orders(np.array(chain(6))) == [(2, 3, 1, 4, 0, 5), (0, 1, 2, 3, 4, 5), (2, 0, 1, 4, 3, 5)]
+    assert slices._candidate_orders(np.array(chain(2))) == [(0, 1)]
+    assert [slices._candidate_orders(np.zeros((r, 3), dtype=np.uint8)) for r in (0, 1)] == [[()], [(0,)]]
+    # x^i * y^(24 - i): the divisibility and middle-first orders (ties
+    # broken the other way round) keep 16 382 of its 2^25 Taylor faces,
+    # lexicographic more than 2^16 and recursive bisection 246, which wins
+    orders = slices._candidate_orders(np.array(chain(25)))
+    assert orders[0][:5] == (12, 11, 13, 10, 14) and orders[2][:5] == (12, 13, 11, 14, 10)
+    counts = [lyubeznik_in_order(chain(25), 2, order, 1 << 16) for order in orders]
+    assert counts[1] is None and [counts[k].faces.size for k in (0, 2, 3)] == [16_382, 16_382, 246]
+    assert lyubeznik_layout(chain(25), 2).faces.size == 246
+
+
+def test_divisibility_order_is_counted_in_chunks(monkeypatch):
+    # a cap of one cell counts one generator at a time and gives the order
+    # of the unchunked count, on the 100-generator chain and on random ideals
+    rng = np.random.default_rng(107)
+    cases = [np.array(chain(100))]
+    cases += [np.array(random_proper_ideal(rng, RingSpec(("x", "y", "z", "w")), 3, 12).gens) for _ in range(10)]
+    expected = [slices._candidate_orders(G)[0] for G in cases]
+    monkeypatch.setattr(slices, "_CANDIDATE_CELLS", 1)
+    assert [slices._candidate_orders(G)[0] for G in cases] == expected
+    assert expected[0][:4] == (49, 50, 48, 51)
+
+
+def fixed_orders(r: int) -> list[list[int]]:
+    """Lexicographic, middle first and recursive bisection on r generators."""
+    middle = (r - 1) // 2
+    bisection = [[]]  # the order of each prefix 0..k-1, built by splitting at the lower middle
+    for k in range(1, r + 1):
+        m = (k - 1) // 2
+        bisection.append([m, *bisection[m], *(m + 1 + i for i in bisection[k - m - 1])])
+    return [list(range(r)), sorted(range(r), key=lambda i: (abs(i - middle), -i)), bisection[r]]
+
+
+def test_divisibility_order_never_grows_the_complex():
+    # the chosen complex has no more faces than any of the three fixed
+    # orders, and fewer than all of them on some random ideals
+    rng = np.random.default_rng(109)
+    smaller = 0
+    for n in (3, 4, 5, 6):
+        ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+        for _ in range(12):
+            gens = random_proper_ideal(rng, ring, 3, 10).gens
+            fixed = fixed_orders(len(gens))
+            sizes = [lyubeznik_in_order(gens, n, order, slices._MAX_FACES).faces.size for order in fixed]
+            chosen = lyubeznik_layout(gens, n).faces.size
+            assert chosen <= min(sizes)
+            smaller += chosen < min(sizes)
+    assert smaller >= 5
+
+
+def test_divisibility_order_on_the_quadrics():
+    # all ten degree-2 monomials in 4 variables: 68 Lyubeznik faces, where
+    # the best of the three fixed orders keeps 108
+    quadrics = tuple(sorted(e for e in itertools.product(range(3), repeat=4) if sum(e) == 2))
+    assert lyubeznik_layout(quadrics, 4).faces.size == 68
+    G = slices._generator_rows(quadrics, 4)
+    orders = slices._candidate_orders(G)
+    assert [lyubeznik_in_order(quadrics, 4, order, slices._MAX_FACES).faces.size for order in orders] == [68, 208, 108, 120]
 
 
 def test_face_sets_are_shared_by_column_rank_pattern():
@@ -731,7 +792,9 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
         I = random_proper_ideal(rng, ring, 3, 3)
         box = DegreeBox.for_ideals(J, I)
         expected = _dense_dims("ext", J, I, box)
-        orders = [*slices._candidate_orders(len(J.gens)), tuple(rng.permutation(len(J.gens)).tolist())]
+        # the divisibility order, the three fixed orders and a random one
+        orders = slices._candidate_orders(slices._generator_rows(J.gens, 3))
+        orders.append(tuple(rng.permutation(len(J.gens)).tolist()))
         for order in orders:
             layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
             assert np.array_equal(slices._slice_dims("ext", layout, J, I, _Product(box_axes(box))), expected)
@@ -744,7 +807,7 @@ def test_rank_cache_keys_name_the_layout(ring4):
     # other, though level sizes and activity bits can coincide
     cases = [
         ([(0, 1, 1, 1), (1, 0, 2, 1), (1, 1, 2, 0), (2, 0, 0, 0)], [(0, 0, 0, 2), (0, 2, 0, 1), (1, 0, 0, 1), (2, 0, 1, 0)], [(2, 1, 1, 1)]),
-        ([(1, 0, 2, 2), (1, 2, 0, 1), (2, 0, 1, 2), (2, 2, 1, 0)], [(0, 0, 1, 1), (0, 1, 2, 0), (2, 1, 0, 2), (2, 2, 1, 0)], [(1, 2, 0, 1), (2, 0, 0, 2), (2, 1, 1, 1)]),
+        ([(0, 1, 0, 1), (0, 1, 1, 0), (2, 0, 1, 1), (2, 2, 0, 0)], [(0, 1, 0, 2), (0, 1, 1, 1), (1, 2, 2, 0), (2, 0, 0, 2)], [(0, 1, 1, 1), (1, 0, 2, 2)]),
         ([(0, 0, 2, 2), (0, 2, 1, 2), (1, 2, 1, 1), (2, 0, 0, 1)], [(0, 2, 1, 1), (1, 0, 2, 2), (1, 1, 0, 2), (2, 1, 1, 0)], [(0, 1, 0, 2), (0, 1, 2, 1)]),
     ]
     for first, second, module in cases:
