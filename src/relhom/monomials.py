@@ -8,6 +8,10 @@ results can be shared freely across threads.
 Conventions: the empty generator tuple is the zero ideal, a single
 all-zero exponent vector is the unit ideal.  Variable subsets are given by
 position, never by name.
+
+Associated primes are read off the irreducible decomposition; minimal
+primes are the minimal vertex covers of the generator supports, taken on
+n-bit masks without any decomposition.
 """
 
 from __future__ import annotations
@@ -140,8 +144,9 @@ def _lcm(a, b):
 class MonomialIdeal:
     """A monomial ideal in canonical form.
 
-    ``gens`` must already be divisibility-minimal and sorted; use
-    :func:`minimal_generators` to build one from arbitrary exponent vectors.
+    ``gens`` must already be divisibility-minimal and sorted, which the
+    constructor checks in full; use :func:`minimal_generators` to build one
+    from arbitrary exponent vectors.
     """
 
     ring: RingSpec
@@ -150,14 +155,7 @@ class MonomialIdeal:
     def __post_init__(self):
         gens = tuple(tuple(int(x) for x in g) for g in self.gens)
         object.__setattr__(self, "gens", gens)
-        n = self.ring.n
-        for g in gens:
-            if len(g) != n:
-                raise ValueError(f"exponent vector {g} does not match ring with {n} variables")
-            if any(x < 0 for x in g):
-                raise ValueError(f"negative exponent in {g}")
-            if any(x > MAX_EXPONENT for x in g):
-                raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
+        _check_exponents(gens, self.ring.n)
         if list(gens) != sorted(set(gens)):
             raise ValueError("generators are not in canonical sorted order")
         if len(_minimal(gens)) != len(gens):
@@ -224,6 +222,17 @@ class MonomialPrime:
         return format_ideal(self.to_ideal())
 
 
+def _check_exponents(gens, n: int):
+    """Each exponent vector, in order, has n entries, none negative or above ``MAX_EXPONENT``."""
+    for g in gens:
+        if len(g) != n:
+            raise ValueError(f"exponent vector {g} does not match ring with {n} variables")
+        if g and min(g) < 0:
+            raise ValueError(f"negative exponent in {g}")
+        if g and max(g) > MAX_EXPONENT:
+            raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
+
+
 def _check_ring(A: MonomialIdeal, B: MonomialIdeal):
     if A.ring != B.ring:
         raise RingMismatchError("ideals live over different rings")
@@ -253,13 +262,21 @@ def minimal_generators(ring: RingSpec, gens) -> MonomialIdeal:
     """Canonical ideal from arbitrary exponent vectors.
 
     Keeps the divisibility-minimal subset, sorted lexicographically.
-    Idempotent; the empty input gives the zero ideal.
+    Idempotent; the empty input gives the zero ideal.  Every vector must
+    match the ring, and every kept one is checked for sign and
+    ``MAX_EXPONENT``; the result is canonical by construction, so it is not
+    minimized a second time by the constructor's check.
     """
     gens = sorted(set(tuple(int(x) for x in g) for g in gens))
     for g in gens:
         if len(g) != ring.n:
             raise ValueError(f"exponent vector {g} does not match ring with {ring.n} variables")
-    return MonomialIdeal(ring, tuple(_minimal(gens)))
+    kept = tuple(_minimal(gens))
+    _check_exponents(kept, ring.n)
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "ring", ring)
+    object.__setattr__(ideal, "gens", kept)
+    return ideal
 
 
 def zero_ideal(ring: RingSpec) -> MonomialIdeal:
@@ -368,10 +385,28 @@ def associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
 def minimal_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     """The minimal primes of I, sorted by (size, variables).
 
-    They are those of rad(I), and the irredundant irreducible components of
-    a squarefree ideal are exactly its minimal primes.
+    The prime on the variables F contains I iff F meets the support of every
+    generator, so the minimal primes are the minimal vertex covers of the
+    hypergraph of generator supports, whose minimal edges generate rad(I)
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1).  They are
+    built on n-bit masks one edge at a time: of the minimal covers of the
+    edges so far, those that meet the next edge stay, every other one is
+    extended by each variable of the edge, and the extensions that contain
+    another cover are dropped.  ``associated_primes`` keeps the
+    decomposition, and its inclusion-minimal members are these.
     """
-    return associated_primes(radical(I))
+    if not I.is_proper:
+        raise ValueError("the unit ideal has no associated primes")
+    covers = [0]
+    for edge in sorted({sum(1 << j for j, x in enumerate(g) if x) for g in I.gens}):
+        kept = [c for c in covers if c & edge]
+        grown = {c | 1 << j for c in covers if not c & edge for j in range(I.ring.n) if edge >> j & 1}
+        for c in sorted(grown, key=int.bit_count):
+            if not any(k & c == k for k in kept):
+                kept.append(c)
+        covers = kept
+    primes = sorted((tuple(j for j in range(I.ring.n) if c >> j & 1) for c in covers), key=lambda v: (len(v), v))
+    return tuple(MonomialPrime(I.ring, vs) for vs in primes)
 
 
 def quotient_dimension(I: MonomialIdeal) -> int:

@@ -26,11 +26,12 @@ cohomology does not), so ``lyubeznik_layout`` keeps the first order with
 the fewest faces among four candidates: the divisibility order (the
 generators that divide the most lcms of two generators first, since a face
 is dropped when an earlier generator divides its lcm), then three fixed
-orders that ignore the exponents.  Face sets depend on the generators
-only through how exponents compare within each variable, so they are
-cached per column-rank pattern, and layouts per generator tuple, in bounded
-caches.  A complex of more than ``_MAX_FACES`` faces is refused while it
-is enumerated.
+orders that ignore the exponents.  With three generators the divisibility
+order is provably the one kept, so it is the only one enumerated.  Face
+sets depend on the generators only through how exponents compare within
+each variable, so they are cached per column-rank pattern, and layouts per
+generator tuple, in bounded caches.  A complex of more than ``_MAX_FACES``
+faces is refused while it is enumerated.
 
 The engines evaluate one degree per threshold class, not every degree.
 Whether a face is active at b depends on each b_j only through
@@ -73,21 +74,23 @@ Each table runs its layers in bulk, on its per-axis values (a ``_Product``)
 rather than on a (degrees, n) grid.  Ext activity depends on a face T only
 through lcm_T, and Cech activity only through the support of lcm_T, so it
 is evaluated once per distinct value, one row each, and every face reads
-the row of its value.  Both run one membership kernel (``_member_rows``):
-the staircase of I factors axis by axis, so per axis a small table of
-generator bit sets answers every value of the axis, and the bit sets over
-the product are the AND of the axes' table rows, taken as an outer product
-in lexicographic order, one bit per generator rather than a byte per
-generator and variable.  The per-axis tables depend only on I's
-generators, so they are built once per generator tuple, in a bounded
-cache.  Degrees are grouped by activity pattern under a one-value key per
-degree, read from the rows of distinct values, and only the distinct
-patterns are then gathered to the faces.  Then
-the ranks for the whole table are computed together: each distinct pair of
-consecutive active levels is looked up in a bounded cache keyed by the face
-set's digest of the incidence between the two levels, and the missing
-incidence matrices go to ``rank_mod_p`` in zero-padded stacks of bounded
-size, eliminated in lock step.  A single incidence matrix above
+the row of its value; each layout groups its faces by the value of a kind
+once, on first use by that kind, and keeps the grouping.  Both run one
+membership kernel (``_member_rows``): the staircase of I factors axis by
+axis, so per axis a small table of generator bit sets answers every value
+of the axis, and the bit sets over the product are the AND of the axes'
+table rows, taken as an outer product in lexicographic order, one bit per
+generator rather than a byte per generator and variable.  The per-axis
+tables depend only on I's generators, so they are built once per
+generator tuple, in a bounded cache.  Degrees are grouped by activity
+pattern under a one-value key per degree, read from the rows of distinct
+values (an unsigned integer for up to 64 rows, whose sort is much faster
+than that of bytes), and only the distinct patterns are then gathered to
+the faces.  Then the ranks for the whole table are computed together:
+each distinct pair of consecutive active levels is looked up in a bounded
+cache keyed by the face set's digest of the incidence between the two
+levels, and the missing incidence matrices go to ``rank_mod_p`` in
+zero-padded stacks of bounded size, eliminated in lock step.  A single incidence matrix above
 ``_MAX_RANK_MATRIX_CELLS`` is refused before any stack is built.
 
 The dedup and rank layers have a third caller besides the Ext and Cech
@@ -103,7 +106,6 @@ import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -196,11 +198,32 @@ class FaceSet:
         )
 
 
-class FaceLayout(NamedTuple):
-    """A face set on particular generators, with the lcm exponent of every face."""
+@dataclass(frozen=True, eq=False)
+class FaceLayout:
+    """A face set on particular generators, with the lcm exponent of every face.
+
+    Ext activity and Betti strands read a face through its lcm, and Cech
+    activity through the support of its lcm, so each kind groups the faces
+    by that value.  Each grouping is derived on first use by the kind that
+    reads it, and then kept with the layout, which is cached per generator
+    tuple: the distinct values, one row each, and the row of every face.
+    """
 
     faces: FaceSet
     lcms: np.ndarray
+
+    @cached_property
+    def lcm_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct face lcms and the row of every face among them."""
+        first, rows = _row_groups(self.lcms)
+        return self.lcms[first], rows
+
+    @cached_property
+    def support_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct supports of the face lcms and the row of every face among them."""
+        supports = self.lcms > 0
+        first, rows = _row_groups(supports)
+        return supports[first], rows
 
 
 def _candidate_orders(G: np.ndarray) -> list[tuple[int, ...]]:
@@ -315,8 +338,12 @@ def _lyubeznik_faces(pattern: bytes, r: int, n: int) -> FaceSet:
         others = np.where(G < top[1], top[1], top[0])
         if not (G <= others).all(axis=1).any():
             raise ValueError(too_large)
+    orders = _candidate_orders(G)
+    if r == 3:
+        # the divisibility order always has the fewest faces (see lyubeznik_layout)
+        orders = orders[:1]
     best, cap = None, _MAX_FACES
-    for order in reversed(_candidate_orders(G)):
+    for order in reversed(orders):
         levels = _face_levels(G[list(order)], True, cap)
         if levels is not None:
             best, cap = (order, levels), 1 + sum(len(level[0]) for level in levels)
@@ -351,7 +378,12 @@ def lyubeznik_layout(gens, n: int) -> FaceLayout:
     found so far as its cap, latest order first, so a large complex is
     abandoned as soon as it passes a smaller one, and the divisibility
     order, the only one that reads the exponents, runs last under the cap
-    of the three fixed orders.
+    of the three fixed orders.  With three generators x, y, z in that
+    order, L has 6 faces, plus {y, z} and {x, y, z} exactly when x does
+    not divide lcm(y, z); the divisibility order puts first a generator
+    that divides the lcm of the other two, if one does, so it always has
+    the fewest faces and, being first, is kept: it is the only order
+    enumerated.
 
     Whether a generator divides the lcm of others depends only on how the
     exponents compare within each variable, so the candidate orders, the
@@ -515,14 +547,37 @@ def _member_rows(axes, gens, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
+# the unsigned integer of each row width (bytes) that is a key without a copy
+_INTEGER_KEYS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a 2-d array, made of its raw bytes: equal keys iff equal rows.
+
+    A row of at most 8 bytes is one unsigned integer, which sorts much
+    faster than bytes; a wider row is its bytes as one ``void`` value.  A
+    C-ordered row of 1, 2, 4 or 8 bytes is viewed as its integer in place,
+    and a row of another width up to 8 bytes is copied into zero-padded
+    8-byte keys.
+    """
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
+    if width in _INTEGER_KEYS:
+        return rows.view(_INTEGER_KEYS[width]).ravel()
+    if width < 8:
+        padded = np.zeros((rows.shape[0], 8), dtype=np.uint8)
+        padded[:, :width] = rows.view(np.uint8).reshape(rows.shape[0], width)
+        return padded.view(np.uint64).ravel()
+    return rows.view(np.dtype((np.void, width))).ravel()
+
+
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct value of a 2-d array, and the group of every row.
 
-    Rows are keyed by one value each, their raw bytes.
+    Groups come in the order of the rows' keys (``_row_keys``), so callers
+    read only the pairing of ``first`` and the groups.
     """
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     return first, inverse.ravel()
 
 
@@ -702,15 +757,20 @@ _BIT_PLACES = np.arange(8, dtype=np.uint8)[:, None]
 
 
 def _packed_columns(active: np.ndarray) -> np.ndarray:
-    """The columns of a 2-d boolean array as rows of bytes, eight entries to
-    a byte, the first in the lowest bit.  Rows are packed eight at a time,
-    each a contiguous OR over the columns."""
+    """The columns of a 2-d boolean array as C-ordered rows of bytes, eight
+    entries to a byte, the first in the lowest bit.  Rows are packed eight
+    at a time, each an OR over the columns written straight into its byte
+    of every row.  A row of at most 8 bytes is zero-padded to 1, 2, 4 or 8
+    bytes, so ``_row_groups`` keys it as an integer without a copy."""
     bits = active.view(np.uint8)
-    packed = np.empty((-(-active.shape[0] // 8), active.shape[1]), dtype=np.uint8)
-    for k in range(packed.shape[0]):
+    used = -(-active.shape[0] // 8)
+    width = used if used > 8 else next(w for w in _INTEGER_KEYS if w >= used)
+    packed = np.empty((active.shape[1], width), dtype=np.uint8)
+    packed[:, used:] = 0
+    for k in range(used):
         block = bits[8 * k : 8 * k + 8]
-        np.bitwise_or.reduce(block << _BIT_PLACES[: block.shape[0]], axis=0, out=packed[k])
-    return packed.T
+        np.bitwise_or.reduce(block << _BIT_PLACES[: block.shape[0]], axis=0, out=packed[:, k])
+    return packed
 
 
 def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) -> np.ndarray:
@@ -719,11 +779,12 @@ def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) 
     ``active`` is a (rows, degrees) boolean array, and ``rows`` gives each
     face, in the order of ``faces``, the row it reads: face f is active at
     degree d iff ``active[rows[f], d]``.  Degrees are grouped by identical
-    column of ``active`` under a one-value key per degree, the raw bytes of
-    its packed column, before anything is gathered to the faces; only the
-    distinct columns are.  When every row is read by some face, two degrees
-    share a column iff they share an activity pattern on the faces.  One
-    ``_incidence_rank`` call ranks the level pairs of every distinct pattern.
+    column of ``active`` under a one-value key per degree, its packed column
+    (an integer up to 64 rows), before anything is gathered to the faces;
+    only the distinct columns are.  When every row is read by some face, two
+    degrees share a column iff they share an activity pattern on the faces.
+    One ``_incidence_rank`` call ranks the level pairs of every distinct
+    pattern.
     """
     first, inverse = _row_groups(_packed_columns(active))
     by_size = active[:, first][rows]
@@ -896,12 +957,16 @@ def _slice_dims(kind: str, layout: FaceLayout, A: MonomialIdeal, B: MonomialIdea
 
     Ext activity depends on a face only through its lcm, and Cech activity
     only through the support of its lcm, so the kernel runs once per
-    distinct value and ``_lattice_dims`` reads each face's row.
+    distinct value, read from the layout's grouping of that kind, and
+    ``_lattice_dims`` reads each face's row.
     """
-    keys = layout.lcms if kind == "ext" else layout.lcms > 0
-    first, rows = _row_groups(keys)
-    activity = _ext_activity if kind == "ext" else _cech_activity
-    dims = _lattice_dims(activity(A, B, axes, keys[first]), layout.faces, A.ring.char, rows)
+    if kind == "ext":
+        lcms, rows = layout.lcm_groups
+        active = _ext_activity(A, B, axes, lcms)
+    else:
+        supports, rows = layout.support_groups
+        active = _cech_activity(A, B, axes, supports)
+    dims = _lattice_dims(active, layout.faces, A.ring.char, rows)
     if dims.shape[0] == len(A.gens) + 1:
         return dims
     return np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])

@@ -9,9 +9,11 @@ lcm, so the complex splits into one strand per distinct lcm, and beta_i is
 the sum over strands of dim H_i of the strand.  A strand is a face complex
 whose activity pattern is one column, which is what the slice kernel
 ``_lattice_dims`` ranks; a strand of a single face has no differential and
-adds 1 to beta of its size.  Betti numbers give the projective dimension
-and (by Auslander-Buchsbaum) depth.  The resolution is used un-minimized:
-Betti numbers do not depend on the chosen resolution.
+adds 1 to beta of its size.  The strands are the layout's lcm grouping
+(``FaceLayout.lcm_groups``), which is kept with the cached layout, so Ext
+tables on the same generators reuse it.  Betti numbers give the projective
+dimension and (by Auslander-Buchsbaum) depth.  The resolution is used
+un-minimized: Betti numbers do not depend on the chosen resolution.
 
 Betti numbers do not change when the variables are relabelled or unused
 variables are added, so they are computed and cached on a relabelled form
@@ -30,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .monomials import MonomialIdeal
-from .slices import _check_scan_size, _lattice_dims, _row_groups, lyubeznik_layout
+from .slices import _check_scan_size, _lattice_dims, lyubeznik_layout
 
 __all__ = ["betti_numbers", "pd_quotient", "depth_quotient", "relabelled", "pd_relabelled"]
 
@@ -57,7 +59,7 @@ def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
         return (1,)
     layout = lyubeznik_layout(rows, k)
     faces = layout.faces
-    _, strand = _row_groups(layout.lcms)
+    _, strand = layout.lcm_groups
     size = np.bincount(strand)
     shared = size[strand] > 1
     betti = faces.per_level(~shared)

@@ -144,8 +144,13 @@ def _auxiliary_ideal(params: CorpusParams, index: int, ring: RingSpec) -> Monomi
 
 def corpus_digest(params: CorpusParams) -> str:
     """SHA-256 over the canonical serializations of the corpus pairs."""
+    return _pairs_digest(corpus_instances(params))
+
+
+def _pairs_digest(pairs) -> str:
+    """``corpus_digest`` of the corpus pairs (a, I) in index order, already drawn."""
     h = hashlib.sha256()
-    for k, (a, i) in enumerate(corpus_instances(params)):
+    for k, (a, i) in enumerate(pairs):
         h.update(f"{k}:{format_ideal(a)}|{format_ideal(i)}\n".encode())
     return h.hexdigest()
 
@@ -598,7 +603,8 @@ def run_all_suites(params: CorpusParams = CorpusParams(), fault_injection: bool 
             if "note" in v:
                 entry["note"] = v["note"]
             counterexamples.append(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-    return CorpusRun(params, corpus_digest(params), analyses, suites, jsonl, counterexamples)
+    digest = _pairs_digest((x.a, x.i) for x in analyses)
+    return CorpusRun(params, digest, analyses, suites, jsonl, counterexamples)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ generator subset; ``oracle_lyubeznik_faces`` tests the definition of the
 Lyubeznik complex on every generator subset, ``layout_faces`` reads the
 faces back out of an engine face set, and ``lyubeznik_in_order`` builds the
 engine's layout in one given generator order.  ``oracle_minimal_primes``
-filters the associated primes of I itself by inclusion.
+filters the associated primes of I itself by inclusion, and
+``oracle_radical_primes`` reads the minimal primes off the decomposition of
+rad(I), as the engine did before it took the minimal vertex covers.
 ``oracle_grade_by_localization`` builds every localized ideal as a ring and
 an ideal, the localization grade before it read pd from the Betti cache,
 and ``oracle_row_groups`` groups rows by their bytes in a dict.
@@ -51,6 +53,7 @@ from relhom.monomials import (
     associated_primes,
     erase_to_one,
     minimal_generators,
+    radical,
     sum_ideals,
     support,
 )
@@ -163,6 +166,12 @@ def oracle_row_groups(rows: np.ndarray) -> list[int]:
 
 def oracle_monomials(n: int, bound: int):
     return [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
+
+
+def oracle_radical_primes(I: MonomialIdeal):
+    """The minimal primes of I from the decomposition: the associated primes
+    of rad(I), the path ``minimal_primes`` took before vertex covers."""
+    return associated_primes(radical(I))
 
 
 def oracle_minimal_primes(I: MonomialIdeal):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from relhom import monomials
 from relhom.monomials import (
     MAX_EXPONENT,
     MonomialIdeal,
@@ -32,7 +33,9 @@ from relhom.monomials import (
     zero_ideal,
 )
 
-from conftest import oracle_member, oracle_minimal_primes, oracle_monomials, random_proper_ideal
+from relhom.verifier import CorpusParams, corpus_instances
+
+from conftest import oracle_member, oracle_minimal_primes, oracle_monomials, oracle_radical_primes, random_proper_ideal
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -120,6 +123,17 @@ class TestMinimalGenerators:
         with pytest.raises(ValueError, match=message):
             minimal_generators(ring2, gens)
         assert minimal_generators(ring2, [(0, MAX_EXPONENT), (MAX_EXPONENT, 0)]).mu == 2
+
+    def test_minimal_generators_minimizes_once(self, ring2, monkeypatch):
+        # the result is canonical by construction, so the constructor's
+        # minimality check does not run on it; a direct construction runs it
+        calls = []
+        original = monomials._minimal
+        monkeypatch.setattr(monomials, "_minimal", lambda gens: calls.append(1) or original(gens))
+        A = minimal_generators(ring2, [(2, 1), (1, 1), (0, 3), (1, 1)])
+        assert A.gens == ((0, 3), (1, 1)) and len(calls) == 1
+        assert MonomialIdeal(ring2, A.gens) == A and hash(MonomialIdeal(ring2, A.gens)) == hash(A)
+        assert len(calls) == 3
 
 
 class TestIntersect:
@@ -296,6 +310,33 @@ class TestPrimesAndDimension:
             assert minimal_primes(A) == oracle_minimal_primes(A)
         assert minimal_primes(zero_ideal(ring)) == oracle_minimal_primes(zero_ideal(ring))
         assert 0 < squarefree < 40
+
+    def test_vertex_covers_match_the_decomposition(self):
+        # every ideal of the default corpus, 100 squarefree ideals in 5
+        # variables and the 10- and 12-cycles: the minimal vertex covers of
+        # the generator supports are the associated primes of the radical,
+        # and each is an associated prime of I
+        ideals = [I for pair in corpus_instances(CorpusParams()) for I in pair]
+        rng = np.random.default_rng(130)
+        ring5 = RingSpec(tuple(f"x{j}" for j in range(5)))
+        ideals += [random_proper_ideal(rng, ring5, 1, 8) for _ in range(100)]
+        for n in (10, 12):
+            ring = RingSpec(tuple(f"x{k}" for k in range(n)))
+            ideals.append(parse_ideal(ring, ", ".join(f"x{k}*x{(k + 1) % n}" for k in range(n))))
+        for I in ideals:
+            primes = minimal_primes(I)
+            assert primes == oracle_radical_primes(I)
+            assert set(primes) <= set(associated_primes(I))
+        # the smallest vertex covers of the 10-cycle are its two sets of
+        # every other vertex
+        sizes = [len(P.vars) for P in minimal_primes(ideals[-2])]
+        assert len(ideals) == 502 and sizes[:3] == [5, 5, 6]
+
+    def test_minimal_primes_edge_cases(self, ring2):
+        assert minimal_primes(zero_ideal(ring2)) == (MonomialPrime(ring2, ()),)
+        assert minimal_primes(parse_ideal(ring2, "x^3*y^2")) == (MonomialPrime(ring2, (0,)), MonomialPrime(ring2, (1,)))
+        with pytest.raises(ValueError, match="unit ideal"):
+            minimal_primes(unit_ideal(ring2))
 
     def test_prime_to_ideal_roundtrip(self, ring4):
         P = MonomialPrime(ring4, (1, 3))

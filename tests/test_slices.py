@@ -762,6 +762,31 @@ def test_divisibility_order_never_grows_the_complex():
     assert smaller >= 5
 
 
+def test_three_generators_take_the_divisibility_order():
+    # with three generators only the divisibility order is enumerated: over
+    # every minimal triple with exponents <= 4 in 2 variables and <= 2 in 3
+    # it has the fewest faces of all six orders, and it is the order the
+    # rule "first candidate with the fewest faces" picks among the candidates
+    checked = 0
+    for n, top in ((2, 4), (3, 2)):
+        monomials_ = [e for e in itertools.product(range(top + 1), repeat=n) if any(e)]
+        for gens in itertools.combinations(monomials_, 3):
+            if any(all(x <= y for x, y in zip(g, h)) for g, h in itertools.permutations(gens, 2)):
+                continue
+            G = slices._generator_rows(gens, n)
+            sizes = {
+                order: lyubeznik_in_order(gens, n, order, slices._MAX_FACES).faces.size
+                for order in itertools.permutations(range(3))
+            }
+            candidates = slices._candidate_orders(G)
+            fewest = min(sizes[order] for order in candidates)
+            chosen = lyubeznik_layout(gens, n).faces
+            assert chosen.size == min(sizes.values()) == fewest
+            assert chosen.order == next(order for order in candidates if sizes[order] == fewest)
+            checked += 1
+    assert checked > 400
+
+
 def test_divisibility_order_on_the_quadrics():
     # all ten degree-2 monomials in 4 variables: 68 Lyubeznik faces, where
     # the best of the three fixed orders keeps 108
@@ -828,19 +853,47 @@ def test_rank_cache_keys_name_the_layout(ring4):
                 assert taylor.betti_numbers(J) == betti
 
 
-@pytest.mark.parametrize("width", [*range(1, 10), 16])
+@pytest.mark.parametrize("width", range(1, 17))
 def test_row_groups_partition_matches_the_oracle(width):
-    # rows of 1-9 and 16 bytes, as bytes, as bools and (even widths) as
-    # int16 with negative entries; few distinct values, so groups repeat,
-    # and bytes 0 and 255, so a key that dropped or mixed up a byte would show
+    # rows of 1-16 bytes, as bytes, as bools, (even widths) as int16 with
+    # negative entries and as a strided view; few distinct values, so groups
+    # repeat, and bytes 0 and 255, so a key that dropped or mixed up a byte
+    # would show.  Rows of up to 8 bytes are keyed by one unsigned integer
+    # (viewed in place at 1, 2, 4 and 8 bytes, zero-padded otherwise), wider
+    # rows by their bytes as one void value
     rng = np.random.default_rng(500 + width)
     cases = [rng.integers(0, 3, size=(count, width)).astype(np.uint8) for count in (0, 1, 600)]
     cases.append(rng.choice([0, 255], size=(300, width)).astype(np.uint8))
     cases.append(rng.integers(0, 2, size=(300, width)).astype(bool))
+    cases.append(rng.choice([0, 255], size=(2 * width, 300)).astype(np.uint8)[::2].T)
     if width % 2 == 0:
         cases.append(rng.integers(-2, 2, size=(400, width // 2)).astype(np.int16))
     for rows in cases:
+        keys = slices._row_keys(rows)
+        assert keys.shape == (rows.shape[0],)
+        if width <= 8:
+            assert keys.dtype.kind == "u" and keys.dtype.itemsize == (width if width in (1, 2, 4, 8) else 8)
+        else:
+            assert keys.dtype.kind == "V" and keys.dtype.itemsize == width
         first, inverse = slices._row_groups(rows)
         assert inverse.shape == (rows.shape[0],)
         assert sorted(first.tolist()) == sorted(set(oracle_row_groups(rows)))
         assert first[inverse].tolist() == oracle_row_groups(rows)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17, 24, 25, 33, 64, 65, 130])
+def test_packed_columns_are_padded_integer_keys(count):
+    # each column's bits, the first row in the lowest bit, as a C-ordered
+    # row of 1, 2, 4 or 8 bytes up to 64 rows, the unused bytes zero, so
+    # ``_row_groups`` views it as an integer without a copy; wider columns
+    # keep their exact byte count
+    rng = np.random.default_rng(520 + count)
+    active = rng.integers(0, 2, size=(count, 90)).astype(bool)
+    packed = slices._packed_columns(active)
+    used = -(-count // 8)
+    assert packed.flags.c_contiguous and packed.shape[0] == 90
+    assert packed.shape[1] == (used if used > 8 else min(w for w in (1, 2, 4, 8) if w >= used))
+    expected = np.packbits(active, axis=0, bitorder="little").T
+    assert np.array_equal(packed[:, :used], expected.reshape(90, used)) and not packed[:, used:].any()
+    first, inverse = slices._row_groups(packed)
+    assert first[inverse].tolist() == oracle_row_groups(active.T)

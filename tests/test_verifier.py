@@ -66,6 +66,16 @@ class TestDigest:
     def test_depends_on_seed(self):
         assert corpus_digest(SMALL) != corpus_digest(CorpusParams(count=12, seed=43))
 
+    def test_run_digests_the_pairs_it_drew(self, monkeypatch):
+        # a run draws the two ideals of each pair once (streams 3k and
+        # 3k + 1; 3k + 2 is a suite's auxiliary ideal) and digests the pairs
+        # its analyses hold, which gives the digest of the parameters
+        drawn = []
+        monkeypatch.setattr(verifier, "random_ideal", lambda *args: drawn.append(args[1]) or random_ideal(*args))
+        run = run_all_suites(SMALL)
+        assert sorted(index for index in drawn if index % 3 != 2) == [k for k in range(3 * SMALL.count) if k % 3 != 2]
+        assert run.digest == corpus_digest(SMALL)
+
     def test_frozen_default_digest(self):
         # pins the generation scheme; update deliberately if the scheme changes
         assert (
