@@ -41,7 +41,6 @@ from .monomials import (
     quotient,
     quotient_dimension,
     radical,
-    radical_equal,
     saturation,
     sum_ideals,
     unit_ideal,

@@ -186,9 +186,10 @@ def sop_witness_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int
     return PairAnalysis(a, I, degree_bound).sop
 
 
-def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """Every support realizable by a monomial of a within the degree bound,
-    with its least such monomial, in increasing order of that monomial."""
+def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[int, ...]]:
+    """For every support realizable by a monomial of a within the degree
+    bound, its least such monomial, in increasing order; each has exactly
+    that support."""
     n = a.ring.n
     achievable = []
     for fbits in range(1, 1 << n):
@@ -200,9 +201,8 @@ def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[frozenset
                 if degree(e) <= degree_bound and (best is None or e < best):
                     best = e
         if best is not None:
-            achievable.append((fset, best))
-    achievable.sort(key=lambda item: item[1])
-    return achievable
+            achievable.append(best)
+    return sorted(achievable)
 
 
 def _cover_bits(target: list[int], masks) -> int:
@@ -229,9 +229,11 @@ def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bou
     have to generate a up to radical modulo that ideal, so no completion of
     the prefix is a witness.
 
-    A leaf is tested by cover bits: each minimal support of rad(a + I), the
-    target, has one bit, and a support sets the bits of the target supports
-    that contain it.  Every chosen support contains a target support, and
+    The candidates are monomials (``_sop_candidates``), one per realizable
+    support, and are read through their supports.  A leaf is tested by
+    cover bits: each minimal support of rad(a + I), the target, has one
+    bit, and a support sets the bits of the target supports that contain
+    it.  Every chosen support contains a target support, and
     the target is an antichain, so the radical of I plus the prefix is the
     target iff the bits of I's generators and of the prefix cover them all.
     """
@@ -243,14 +245,14 @@ def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bou
     full = (1 << len(target)) - 1
     base = _cover_bits(target, [_mask(g) for g in I.gens])
     achievable = _sop_candidates(a, degree_bound)
-    bits = [_cover_bits(target, [_mask(e)]) for _, e in achievable]
+    bits = [_cover_bits(target, [_mask(e)]) for e in achievable]
 
     def walk(start: int, prefix: tuple, covered: int):
         left = c - len(prefix)
         if left == 0:
             return prefix if covered == full else None
         if prefix and math.comb(len(achievable) - start, left) > _PRUNE_MIN_COMPLETIONS:
-            J = sum_ideals(I, minimal_generators(a.ring, [e for _, e in prefix]))
+            J = sum_ideals(I, minimal_generators(a.ring, prefix))
             if cd_by_support(a, J) > left:
                 return None
         for k in range(start, len(achievable) - left + 1):
@@ -262,7 +264,7 @@ def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bou
     found = walk(0, (), base)
     if found is None:
         return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
-    return SopWitness(SOP_FOUND, tuple(e for _, e in found), degree_bound)
+    return SopWitness(SOP_FOUND, found, degree_bound)
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,10 @@ __all__ = [
     "quotient",
     "saturation",
     "radical",
-    "radical_equal",
     "irreducible_decomposition",
     "associated_primes",
     "minimal_primes",
     "quotient_dimension",
-    "ideal_height",
     "erase_to_zero",
     "erase_to_one",
     "parse_ideal",
@@ -262,17 +260,14 @@ def minimal_generators(ring: RingSpec, gens) -> MonomialIdeal:
     """Canonical ideal from arbitrary exponent vectors.
 
     Keeps the divisibility-minimal subset, sorted lexicographically.
-    Idempotent; the empty input gives the zero ideal.  Every vector must
-    match the ring, and every kept one is checked for sign and
-    ``MAX_EXPONENT``; the result is canonical by construction, so it is not
-    minimized a second time by the constructor's check.
+    Idempotent; the empty input gives the zero ideal.  Every vector is
+    checked against the ring, for sign and for ``MAX_EXPONENT``, including
+    those that are not kept; the result is canonical by construction, so it
+    is not minimized a second time by the constructor's check.
     """
     gens = sorted(set(tuple(int(x) for x in g) for g in gens))
-    for g in gens:
-        if len(g) != ring.n:
-            raise ValueError(f"exponent vector {g} does not match ring with {ring.n} variables")
+    _check_exponents(gens, ring.n)
     kept = tuple(_minimal(gens))
-    _check_exponents(kept, ring.n)
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "ring", ring)
     object.__setattr__(ideal, "gens", kept)
@@ -334,11 +329,6 @@ def saturation(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
 def radical(A: MonomialIdeal) -> MonomialIdeal:
     """Radical: generated by the squarefree supports of the generators."""
     return minimal_generators(A.ring, [tuple(1 if x else 0 for x in g) for g in A.gens])
-
-
-def radical_equal(A: MonomialIdeal, B: MonomialIdeal) -> bool:
-    _check_ring(A, B)
-    return radical(A) == radical(B)
 
 
 # bounded for long-running processes; the default corpus fills about 3 000 entries
@@ -412,10 +402,6 @@ def minimal_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
 def quotient_dimension(I: MonomialIdeal) -> int:
     """Krull dimension of S/I for proper I."""
     return I.ring.n - min(len(P.vars) for P in minimal_primes(I))
-
-
-def ideal_height(I: MonomialIdeal) -> int:
-    return I.ring.n - quotient_dimension(I)
 
 
 def erase_to_zero(A: MonomialIdeal, F) -> MonomialIdeal:

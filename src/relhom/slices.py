@@ -23,11 +23,11 @@ A ``FaceSet`` lists a complex's faces level by level, never as 2^r rows,
 with each face's boundary in the level below; a ``FaceLayout`` adds the lcm
 of every face.  The size of L depends on the generator order (its
 cohomology does not), so ``lyubeznik_layout`` keeps the first order with
-the fewest faces among four candidates: the divisibility order (the
-generators that divide the most lcms of two generators first, since a face
-is dropped when an earlier generator divides its lcm), then three fixed
-orders that ignore the exponents.  With three generators the divisibility
-order is provably the one kept, so it is the only one enumerated.  Face
+the fewest faces of two candidates: the divisibility order (the generators
+that divide the most lcms of two generators first, since a face is dropped
+when an earlier generator divides its lcm), then recursive bisection, which
+ignores the exponents.  With three generators the divisibility order is
+provably the one kept, so it is the only one enumerated.  Face
 sets depend on the generators only through how exponents compare within
 each variable, so they are cached per column-rank pattern, and layouts per
 generator tuple, in bounded caches.  A complex of more than ``_MAX_FACES``
@@ -64,23 +64,24 @@ exact anywhere in the int16 range.
 
 The dense scan over every degree of the unpadded box (``_dense_profile``)
 stays as an independent engine: it runs on the full Taylor complex of the
-relative ideal's own generators, and the corpus cross-check compares it
-with the class engine, which covers all of Z^n.  The activity matrix of a
-class grid is bounded by ``_MAX_ACTIVITY_CELLS`` (faces x class degrees);
-the dense scan is bounded by the same ceiling over the whole box, counting
-the 2^r Taylor faces.
+relative ideal's own generators (for local cohomology, of their supports),
+and the corpus cross-check compares it with the class engine, which covers
+all of Z^n.  The activity matrix of a class grid is bounded by
+``_MAX_ACTIVITY_CELLS`` (faces x class degrees); the dense scan is bounded
+by the same ceiling over the whole box, counting the 2^r Taylor faces.
 
 Each table runs its layers in bulk, on its per-axis values (a ``_Product``)
 rather than on a (degrees, n) grid.  Ext activity depends on a face T only
-through lcm_T, and Cech activity only through the support of lcm_T, so it
-is evaluated once per distinct value, one row each, and every face reads
-the row of its value; each layout groups its faces by the value of a kind
-once, on first use by that kind, and keeps the grouping.  Both run one
-membership kernel (``_member_rows``): the staircase of I factors axis by
-axis, so per axis a small table of generator bit sets answers every value
-of the axis, and the bit sets over the product are the AND of the axes'
-table rows, taken as an outer product in lexicographic order, one bit per
-generator rather than a byte per generator and variable.  The per-axis
+through lcm_T, and Cech activity only through the support of lcm_T, which
+is lcm_T itself on the squarefree generators the Cech complex is built on,
+so both are evaluated once per distinct face lcm, one row each, and every
+face reads the row of its lcm; each layout groups its faces by lcm once, on
+first use, and keeps the grouping.  Both run one membership kernel
+(``_member_rows``): the staircase of I factors axis by axis, so per axis a
+small table of generator bit sets answers every value of the axis, and the
+bit sets over the product are the AND of the axes' table rows, taken as an
+outer product in lexicographic order, one bit per generator rather than a
+byte per generator and variable.  The per-axis
 tables depend only on I's generators, so they are built once per
 generator tuple, in a bounded cache.  Degrees are grouped by activity
 pattern under a one-value key per degree, read from the rows of distinct
@@ -202,11 +203,10 @@ class FaceSet:
 class FaceLayout:
     """A face set on particular generators, with the lcm exponent of every face.
 
-    Ext activity and Betti strands read a face through its lcm, and Cech
-    activity through the support of its lcm, so each kind groups the faces
-    by that value.  Each grouping is derived on first use by the kind that
-    reads it, and then kept with the layout, which is cached per generator
-    tuple: the distinct values, one row each, and the row of every face.
+    Ext activity, Cech activity (on squarefree generators, whose lcms are
+    their supports) and Betti strands read a face through its lcm, so the
+    faces are grouped by lcm on first use, and the grouping is kept with the
+    layout, which is cached per generator tuple.
     """
 
     faces: FaceSet
@@ -218,13 +218,6 @@ class FaceLayout:
         first, rows = _row_groups(self.lcms)
         return self.lcms[first], rows
 
-    @cached_property
-    def support_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct supports of the face lcms and the row of every face among them."""
-        supports = self.lcms > 0
-        first, rows = _row_groups(supports)
-        return supports[first], rows
-
 
 def _candidate_orders(G: np.ndarray) -> list[tuple[int, ...]]:
     """The generator orders tried for the Lyubeznik complex of the generator rows G, in preference order.
@@ -233,16 +226,14 @@ def _candidate_orders(G: np.ndarray) -> list[tuple[int, ...]]:
     generators each divides, most first, ties by position.  A face is
     dropped when an earlier generator divides its lcm, so the generators
     that divide the most lcms go first.  It is skipped for r <= 2, where
-    every order gives the same faces.  Then three fixed orders:
-    lexicographic; middle first (the lower middle, then alternately the next
-    above and the next below); and recursive bisection (the lower middle,
-    then the same for the part below it and for the part above it).
-    Divisibility depends only on how exponents compare within each
-    variable, so a column-rank pattern of the generators gives the same
-    orders as their exponents.
+    every order gives the same faces.  Then recursive bisection (the lower
+    middle, then the same for the part below it and for the part above it),
+    which keeps a chain of generators small where the divisibility order
+    does not.  Divisibility depends only on how exponents compare within
+    each variable, so a column-rank pattern of the generators gives the
+    same orders as their exponents.
     """
     r = G.shape[0]
-    middle = (r - 1) // 2
 
     def bisection(lo: int, hi: int) -> list[int]:
         if lo >= hi:
@@ -250,7 +241,7 @@ def _candidate_orders(G: np.ndarray) -> list[tuple[int, ...]]:
         m = (lo + hi - 1) // 2
         return [m, *bisection(lo, m), *bisection(m + 1, hi)]
 
-    orders = [tuple(range(r)), tuple(sorted(range(r), key=lambda i: (abs(i - middle), -i))), tuple(bisection(0, r))]
+    orders = [tuple(bisection(0, r))]
     if r > 2:
         # per generator, the ordered pairs (j, k) whose lcm it divides: twice
         # the pairs j < k, plus one for j = k (only itself, as the generators
@@ -262,7 +253,7 @@ def _candidate_orders(G: np.ndarray) -> list[tuple[int, ...]]:
             [(G[lo : lo + step, None, None] <= lcms).all(axis=3).sum(axis=(1, 2)) for lo in range(0, r, step)]
         )
         orders.insert(0, tuple(np.argsort(-counts, kind="stable").tolist()))
-    return [order for k, order in enumerate(orders) if order not in orders[:k]]
+    return list(dict.fromkeys(orders))
 
 
 def _face_levels(G: np.ndarray, lyubeznik: bool, cap: int):
@@ -373,12 +364,10 @@ def lyubeznik_layout(gens, n: int) -> FaceLayout:
     S/(gens) (Lyubeznik 1988; Mermin, "Three simplicial resolutions",
     2012).  Its size depends on the generator order, its (co)homology does
     not: of the orders of ``_candidate_orders`` (the divisibility order,
-    then lexicographic, middle first and bisection) the first with the
-    fewest faces is kept.  Each order is enumerated under the fewest faces
-    found so far as its cap, latest order first, so a large complex is
-    abandoned as soon as it passes a smaller one, and the divisibility
-    order, the only one that reads the exponents, runs last under the cap
-    of the three fixed orders.  With three generators x, y, z in that
+    then bisection) the first with the fewest faces is kept.  Bisection is
+    enumerated first and the divisibility order under its face count as
+    the cap, so a large complex is abandoned as soon as it passes the
+    smaller one.  With three generators x, y, z in that
     order, L has 6 faces, plus {y, z} and {x, y, z} exactly when x does
     not divide lcm(y, z); the divisibility order puts first a generator
     that divides the lcm of the other two, if one does, so it always has
@@ -554,21 +543,17 @@ _INTEGER_KEYS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row of a 2-d array, made of its raw bytes: equal keys iff equal rows.
 
-    A row of at most 8 bytes is one unsigned integer, which sorts much
-    faster than bytes; a wider row is its bytes as one ``void`` value.  A
-    C-ordered row of 1, 2, 4 or 8 bytes is viewed as its integer in place,
-    and a row of another width up to 8 bytes is copied into zero-padded
-    8-byte keys.
+    A row of 1, 2, 4 or 8 bytes is viewed in place as one unsigned integer,
+    which sorts much faster than bytes (``_packed_columns`` pads every
+    activity pattern of up to 64 rows to such a width); a row of any other
+    width is its bytes as one ``void`` value.  Rows of no bytes (a ring
+    without variables) are all equal, so their keys are zeros.
     """
     rows = np.ascontiguousarray(rows)
     width = rows.shape[1] * rows.itemsize
-    if width in _INTEGER_KEYS:
-        return rows.view(_INTEGER_KEYS[width]).ravel()
-    if width < 8:
-        padded = np.zeros((rows.shape[0], 8), dtype=np.uint8)
-        padded[:, :width] = rows.view(np.uint8).reshape(rows.shape[0], width)
-        return padded.view(np.uint64).ravel()
-    return rows.view(np.dtype((np.void, width))).ravel()
+    if not width:
+        return np.zeros(rows.shape[0], dtype=np.uint8)
+    return rows.view(_INTEGER_KEYS.get(width, np.dtype((np.void, width)))).ravel()
 
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -593,7 +578,7 @@ def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, axes: _Product, lcms: np.n
 
 
 def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, axes: _Product, supports: np.ndarray) -> np.ndarray:
-    """Component activity of a Cech complex with S/I coefficients per distinct face support.
+    """Component activity of a Cech complex with S/I coefficients per face support.
 
     For face T let F be the union of its generators' supports, the support
     of lcm_T.  The localized piece at b is nonzero iff b_j >= 0 away from F
@@ -805,14 +790,12 @@ class SliceTable:
     """All slice dimensions of one complex over a degree box, stored per class.
 
     Axis j splits the box values into intervals: class k starts at
-    ``_starts[j][k]`` and ends before the next start (the last at rho_j),
-    with representative ``_reps[j][k]``; ``_class_dims`` holds the
-    dimensions (levels, classes) at the product of the representatives, in
-    lexicographic order.
+    ``_starts[j][k]`` and ends before the next start (the last at rho_j);
+    ``_class_dims`` holds the dimensions (levels, classes) of the product of
+    the classes, in lexicographic order.
     """
 
     box: DegreeBox
-    _reps: tuple[np.ndarray, ...]
     _starts: tuple[np.ndarray, ...]
     _class_dims: np.ndarray
 
@@ -825,8 +808,15 @@ class SliceTable:
             return 0
         if not self.box.contains(b):
             raise ValueError("degree outside the stabilization box")
-        cls = [np.searchsorted(starts, int(v), side="right") - 1 for starts, v in zip(self._starts, b)]
-        return int(self._class_dims[i, np.ravel_multi_index(cls, tuple(len(rep) for rep in self._reps))])
+        return int(self._product_dims([[int(v)] for v in b])[i, 0])
+
+    def _product_dims(self, axes) -> np.ndarray:
+        """The dimensions (levels, degrees) at the product of per-axis box
+        values, in lexicographic order: each value is looked up in its
+        axis's classes."""
+        classes = [np.searchsorted(starts, values, side="right") - 1 for starts, values in zip(self._starts, axes)]
+        flat = np.ravel_multi_index(np.ix_(*classes), tuple(len(starts) for starts in self._starts))
+        return self._class_dims[:, flat.ravel()]
 
     def hilbert(self, i: int) -> dict[tuple[int, ...], int]:
         """Nonzero slice dimensions of level i, keyed by multidegree."""
@@ -850,7 +840,7 @@ class SliceTable:
     def _class_sizes(self) -> np.ndarray:
         """Box degrees in each class, in the flat class order, as exact Python ints."""
         sizes = np.ones(1, dtype=object)
-        for axis in range(len(self._reps)):
+        for axis in range(len(self._starts)):
             sizes = np.multiply.outer(sizes, np.diff(self._class_bounds(axis)).astype(object)).ravel()
         return sizes
 
@@ -871,8 +861,8 @@ class SliceTable:
         degrees = np.zeros((1, 0), dtype=np.int32)
         prefix = np.zeros(1, dtype=np.int64)
         rest = level.size  # classes per prefix over the axes still to come
-        for axis, reps in enumerate(self._reps):
-            classes = len(reps)
+        for axis in range(len(self._starts)):
+            classes = len(self._starts[axis])
             rest //= classes
             live = (level.reshape(-1, classes, rest) != 0).any(axis=2)
             rows, cls = np.nonzero(live[prefix])
@@ -956,16 +946,16 @@ def _slice_dims(kind: str, layout: FaceLayout, A: MonomialIdeal, B: MonomialIdea
     lacks (the Cech complex on the radical of A may have fewer) are zero.
 
     Ext activity depends on a face only through its lcm, and Cech activity
-    only through the support of its lcm, so the kernel runs once per
-    distinct value, read from the layout's grouping of that kind, and
-    ``_lattice_dims`` reads each face's row.
+    only through the support of its lcm (the layout's lcm itself, as the
+    Cech complex is built on squarefree generators), so the kernel runs once
+    per distinct lcm of the layout's grouping, and ``_lattice_dims`` reads
+    each face's row.
     """
+    lcms, rows = layout.lcm_groups
     if kind == "ext":
-        lcms, rows = layout.lcm_groups
         active = _ext_activity(A, B, axes, lcms)
     else:
-        supports, rows = layout.support_groups
-        active = _cech_activity(A, B, axes, supports)
+        active = _cech_activity(A, B, axes, lcms > 0)
     dims = _lattice_dims(active, layout.faces, A.ring.char, rows)
     if dims.shape[0] == len(A.gens) + 1:
         return dims
@@ -983,7 +973,7 @@ def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> Sli
     layout = _complex(kind, A)
     _check_scan_size(shape, layout.faces.size, f"class grid {shape} of the stabilization box {box.rho}")
     dims = _slice_dims(kind, layout, A, B, reps)
-    return SliceTable(box, reps, tuple(starts for starts, _ in classes), dims)
+    return SliceTable(box, tuple(starts for starts, _ in classes), dims)
 
 
 def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
@@ -991,14 +981,17 @@ def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[i
 
     The engine the class grid replaced, kept as the independent side of the
     corpus cross-check.  It runs on the full Taylor complex of A's own
-    generators, so it shares neither the class grid nor the Lyubeznik
-    complex or the radical with the class tables.
+    generators for Ext, and of their supports, in A's order, for local
+    cohomology (localizing at x^g is localizing at x^supp(g)), so it shares
+    neither the class grid nor the Lyubeznik complex or the radical with
+    the class tables.
     """
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B)
     _check_scan_size([2 * r + 1 for r in box.rho], 1 << len(A.gens), f"stabilization box {box.rho}")
     axes = _Product(np.arange(-r, r + 1, dtype=np.int16) for r in box.rho)
-    return _nonzero_levels(_slice_dims(kind, taylor_layout(A.gens, A.ring.n), A, B, axes))
+    gens = A.gens if kind == "ext" else tuple(tuple(int(e > 0) for e in g) for g in A.gens)
+    return _nonzero_levels(_slice_dims(kind, taylor_layout(gens, A.ring.n), A, B, axes))
 
 
 def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:

@@ -29,6 +29,8 @@ an ideal, the localization grade before it read pd from the Betti cache,
 and ``oracle_row_groups`` groups rows by their bytes in a dict.
 ``radical_supports`` takes the minimal antichain of a support family, the
 radical comparison the parameter-system search made before cover bits.
+``radical_equal`` compares two ideals up to radical and ``ideal_height``
+gives the height of an ideal; only tests use them.
 """
 
 from __future__ import annotations
@@ -53,12 +55,21 @@ from relhom.monomials import (
     associated_primes,
     erase_to_one,
     minimal_generators,
+    quotient_dimension,
     radical,
     sum_ideals,
     support,
 )
 from relhom.slices import FaceLayout, _face_lcms, _face_levels, _face_set, _generator_rows
 from relhom.taylor import pd_quotient
+
+
+def radical_equal(A: MonomialIdeal, B: MonomialIdeal) -> bool:
+    return radical(A) == radical(B)
+
+
+def ideal_height(I: MonomialIdeal) -> int:
+    return I.ring.n - quotient_dimension(I)
 
 
 def radical_supports(supports) -> frozenset[frozenset[int]]:
@@ -106,14 +117,10 @@ def dense_expansion(table) -> tuple[np.ndarray, np.ndarray]:
     its dimensions (levels, D) there.
 
     Each axis is classed value by value by ``oracle_axis_classes`` on the
-    table's class starts, which must give the table's representatives.
+    table's class starts.
     """
-    ids = []
-    for r, starts, reps in zip(table.box.rho, table._starts, table._reps):
-        axis_ids, axis_reps = oracle_axis_classes(r, starts)
-        assert np.array_equal(axis_reps, reps)
-        ids.append(axis_ids)
-    flat = np.ravel(np.ravel_multi_index(np.ix_(*ids), tuple(len(rep) for rep in table._reps)))
+    ids = [oracle_axis_classes(r, starts)[0] for r, starts in zip(table.box.rho, table._starts)]
+    flat = np.ravel(np.ravel_multi_index(np.ix_(*ids), tuple(len(starts) for starts in table._starts)))
     return degree_grid(table.box), table._class_dims[:, flat]
 
 
@@ -371,8 +378,8 @@ def oracle_sop_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int 
     target = radical_supports(map(support, sum_ideals(a, I).gens))
     base = radical_supports(map(support, I.gens))
     for combo in itertools.combinations(_sop_candidates(a, degree_bound), c):
-        if radical_supports(base.union(fs for fs, _ in combo)) == target:
-            return SopWitness(SOP_FOUND, tuple(e for _, e in combo), degree_bound)
+        if radical_supports(base.union(map(support, combo))) == target:
+            return SopWitness(SOP_FOUND, combo, degree_bound)
     return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
 
 

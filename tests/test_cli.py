@@ -251,6 +251,12 @@ class TestInputLimits:
         assert code == 2
         assert out == "" and "exceeds the limit" in err
 
+    def test_overflowing_redundant_generator_is_input_error(self, capsys):
+        # y^20000 is divisible by y, so it is not kept, but it is still out of range
+        code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--i", "y, y^20000")
+        assert code == 2
+        assert out == "" and "exceeds the limit" in err
+
     def test_overflowing_exponent_is_input_error(self, capsys):
         code, _, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--i", "x^40000")
         assert code == 2

@@ -25,6 +25,7 @@ from relhom.verifier import CorpusParams, corpus_instances
 from conftest import (
     cycle_pair,
     oracle_grade_by_localization,
+    oracle_monomials,
     oracle_sop_by_support,
     radical_supports,
     random_proper_ideal,
@@ -221,6 +222,21 @@ class TestSopSearch:
                     assert sop_witness_by_support(a, I, bound) == expected
                     seen.add((cd(a, I), expected.status))
         assert {(3, SOP_FOUND), (3, SOP_NONE_AMONG_MONOMIALS), (2, SOP_NONE_AMONG_MONOMIALS)} <= seen
+
+    def test_candidates_are_the_least_monomial_of_each_support(self):
+        # per support F, the least monomial of a within the degree bound whose
+        # support is F, found among every monomial of the bound; candidates
+        # come in increasing order and their supports are distinct
+        for params in (CorpusParams(count=40), CorpusParams(n=5, squarefree=True, count=20, seed=7)):
+            for a, _ in corpus_instances(params):
+                for bound in (2, 4):
+                    least = {}
+                    for e in sorted(oracle_monomials(a.ring.n, bound)):
+                        if any(e) and a.contains_monomial(e):
+                            least.setdefault(support(e), e)
+                    candidates = invariants._sop_candidates(a, bound)
+                    assert candidates == sorted(least.values())
+                    assert len({support(e) for e in candidates}) == len(candidates)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_pruned_search_on_cycles(self, monkeypatch, n):

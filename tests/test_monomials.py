@@ -16,7 +16,6 @@ from relhom.monomials import (
     erase_to_zero,
     format_ideal,
     format_monomial,
-    ideal_height,
     intersect,
     irreducible_decomposition,
     minimal_generators,
@@ -25,7 +24,6 @@ from relhom.monomials import (
     quotient,
     quotient_dimension,
     radical,
-    radical_equal,
     saturation,
     sum_ideals,
     support,
@@ -35,7 +33,15 @@ from relhom.monomials import (
 
 from relhom.verifier import CorpusParams, corpus_instances
 
-from conftest import oracle_member, oracle_minimal_primes, oracle_monomials, oracle_radical_primes, random_proper_ideal
+from conftest import (
+    ideal_height,
+    oracle_member,
+    oracle_minimal_primes,
+    oracle_monomials,
+    oracle_radical_primes,
+    radical_equal,
+    random_proper_ideal,
+)
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 
@@ -117,6 +123,9 @@ class TestMinimalGenerators:
             ([(3, 1), (1, -1)], r"negative exponent in \(1, -1\)"),
             ([(MAX_EXPONENT + 1, 0)], "exceeds the limit"),
             ([(0, 5), (MAX_EXPONENT + 1, 0)], "exceeds the limit"),
+            # vectors that are not kept are checked too
+            ([(0, 1), (0, 20000)], "exceeds the limit"),
+            ([(1, 0), (2, -1)], "negative exponent"),
         ],
     )
     def test_minimal_generators_checks_exponents(self, ring2, gens, message):

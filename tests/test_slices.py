@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from relhom import monomials, slices, taylor
-from relhom.monomials import RingSpec, parse_ideal, support, unit_ideal, zero_ideal
+from relhom.monomials import RingSpec, parse_ideal, radical, support, unit_ideal, zero_ideal
 from relhom.slices import (
     DegreeBox,
     SliceTable,
@@ -33,6 +33,7 @@ from relhom.slices import (
     lyubeznik_layout,
     taylor_layout,
 )
+from relhom.verifier import CorpusParams, corpus_instances
 
 from conftest import (
     box_axes,
@@ -279,6 +280,33 @@ def _nonzero_levels(dims):
     return frozenset(int(i) for i in np.flatnonzero(dims.any(axis=1)))
 
 
+def support_grouped_lc_dims(a, I, box):
+    """Cech dimensions over every box degree on the Taylor complex of a's own
+    generators, each face reading the activity row of its lcm's support,
+    grouped in a dict: the dense scan before it ran on the supports."""
+    layout = taylor_layout(a.gens, a.ring.n)
+    supports = layout.lcms > 0
+    first = oracle_row_groups(supports)
+    distinct = sorted(set(first))
+    rows = np.searchsorted(distinct, first)
+    active = _cech_activity(a, I, _Product(box_axes(box)), supports[distinct])
+    return _lattice_dims(active, layout.faces, a.ring.char, rows)
+
+
+def test_cech_profiles_equal_the_support_grouped_oracle():
+    # the class engine (on the squarefree generators of rad(a)) and the
+    # dense scan (on the supports of a's generators) both group faces by
+    # lcm; on the 200 default-corpus pairs, 187 with a non-squarefree a,
+    # both equal the faces of a's own generators grouped by support
+    squarefree = 0
+    for a, I in corpus_instances(CorpusParams()):
+        expected = _nonzero_levels(support_grouped_lc_dims(a, I, DegreeBox.for_ideals(a, I)))
+        assert lc_profile(a, I) == expected
+        assert slices._dense_profile("lc", a, I) == expected
+        squarefree += radical(a) == a
+    assert squarefree == 13
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_class_tables_equal_the_dense_scan(n):
     # the class engine (Lyubeznik complex for Ext, Cech complex on the
@@ -332,6 +360,21 @@ def test_listing_walks_the_nonzero_classes(n):
                 assert [table.total(i) for i in range(len(dims))] == dims.sum(axis=1).tolist()
 
 
+def test_class_lookup_matches_the_dense_expansion(ring3):
+    # the table's one class lookup, over the product of every box axis and
+    # at single degrees through dim_at, against classing each box value
+    rng = np.random.default_rng(88)
+    for _ in range(8):
+        J = random_proper_ideal(rng, ring3, 3, 4)
+        I = random_proper_ideal(rng, ring3, 3, 3)
+        for table in (ext_table(J, I, pad=1), lc_table(J, I, pad=1)):
+            degrees, dims = dense_expansion(table)
+            assert np.array_equal(table._product_dims(box_axes(table.box)), dims)
+            for k in rng.integers(0, len(degrees), size=20).tolist():
+                b = degrees[k].tolist()
+                assert [table.dim_at(i, b) for i in range(dims.shape[0])] == dims[:, k].tolist()
+
+
 def test_axis_classes_are_the_intervals_between_thresholds():
     # each class starts at -r or at a threshold inside the box; the classes
     # and representatives equal those of classing every box value
@@ -380,8 +423,9 @@ def test_ext_profile_scans_one_degree_per_class(monkeypatch):
 
 
 def test_box_enlargement_never_changes_profiles(ring4):
-    # padding only widens the edge classes: the class representatives and
-    # their dimensions, hence every profile, are the same for every pad
+    # padding only widens the edge classes: the classes past the first start
+    # of each axis and their dimensions, hence every profile, are the same
+    # for every pad
     rng = np.random.default_rng(43)
     for _ in range(8):
         a = random_proper_ideal(rng, ring4, 3, 4)
@@ -390,7 +434,7 @@ def test_box_enlargement_never_changes_profiles(ring4):
             tables = [build(a, I, pad) for pad in (0, 1, 2)]
             for table in tables[1:]:
                 assert np.array_equal(table._class_dims, tables[0]._class_dims)
-                assert all(np.array_equal(rep, rep0) for rep, rep0 in zip(table._reps, tables[0]._reps))
+                assert all(np.array_equal(s[1:], s0[1:]) for s, s0 in zip(table._starts, tables[0]._starts))
 
 
 def test_resolution_independence_of_grade(ring4):
@@ -708,19 +752,20 @@ def chain(r: int) -> tuple[tuple[int, int], ...]:
 
 def test_candidate_orders_on_the_chain():
     # on x^i * y^(5 - i) generator i divides lcm(m_j, m_k) iff j <= i <= k,
-    # so the divisibility order is the middle-first one and is listed once;
-    # two generators give every order the same faces, so one order is tried
-    assert slices._candidate_orders(np.array(chain(6))) == [(2, 3, 1, 4, 0, 5), (0, 1, 2, 3, 4, 5), (2, 0, 1, 4, 3, 5)]
+    # so the divisibility order puts the middle first, then alternately the
+    # next above and the next below; two generators give every order the
+    # same faces, so one order is tried
+    assert slices._candidate_orders(np.array(chain(6))) == [(2, 3, 1, 4, 0, 5), (2, 0, 1, 4, 3, 5)]
     assert slices._candidate_orders(np.array(chain(2))) == [(0, 1)]
     assert [slices._candidate_orders(np.zeros((r, 3), dtype=np.uint8)) for r in (0, 1)] == [[()], [(0,)]]
-    # x^i * y^(24 - i): the divisibility and middle-first orders (ties
-    # broken the other way round) keep 16 382 of its 2^25 Taylor faces,
-    # lexicographic more than 2^16 and recursive bisection 246, which wins
+    # x^i * y^(24 - i): the divisibility order keeps 16 382 of its 2^25
+    # Taylor faces and recursive bisection 246, which wins; on the
+    # 100-generator chain bisection keeps 3 734
     orders = slices._candidate_orders(np.array(chain(25)))
-    assert orders[0][:5] == (12, 11, 13, 10, 14) and orders[2][:5] == (12, 13, 11, 14, 10)
-    counts = [lyubeznik_in_order(chain(25), 2, order, 1 << 16) for order in orders]
-    assert counts[1] is None and [counts[k].faces.size for k in (0, 2, 3)] == [16_382, 16_382, 246]
+    assert len(orders) == 2 and orders[0][:5] == (12, 11, 13, 10, 14)
+    assert [lyubeznik_in_order(chain(25), 2, order, 1 << 16).faces.size for order in orders] == [16_382, 246]
     assert lyubeznik_layout(chain(25), 2).faces.size == 246
+    assert lyubeznik_layout(chain(100), 2).faces.size == 3_734
 
 
 def test_divisibility_order_is_counted_in_chunks(monkeypatch):
@@ -735,30 +780,30 @@ def test_divisibility_order_is_counted_in_chunks(monkeypatch):
     assert expected[0][:4] == (49, 50, 48, 51)
 
 
-def fixed_orders(r: int) -> list[list[int]]:
-    """Lexicographic, middle first and recursive bisection on r generators."""
-    middle = (r - 1) // 2
-    bisection = [[]]  # the order of each prefix 0..k-1, built by splitting at the lower middle
+def bisection_order(r: int) -> list[int]:
+    """Recursive bisection on r generators."""
+    orders = [[]]  # the order of each prefix 0..k-1, built by splitting at the lower middle
     for k in range(1, r + 1):
         m = (k - 1) // 2
-        bisection.append([m, *bisection[m], *(m + 1 + i for i in bisection[k - m - 1])])
-    return [list(range(r)), sorted(range(r), key=lambda i: (abs(i - middle), -i)), bisection[r]]
+        orders.append([m, *orders[m], *(m + 1 + i for i in orders[k - m - 1])])
+    return orders[r]
 
 
 def test_divisibility_order_never_grows_the_complex():
-    # the chosen complex has no more faces than any of the three fixed
-    # orders, and fewer than all of them on some random ideals
+    # the chosen complex has no more faces than in bisection order, and
+    # fewer on some random ideals
     rng = np.random.default_rng(109)
     smaller = 0
     for n in (3, 4, 5, 6):
         ring = RingSpec(tuple(f"x{j}" for j in range(n)))
         for _ in range(12):
             gens = random_proper_ideal(rng, ring, 3, 10).gens
-            fixed = fixed_orders(len(gens))
-            sizes = [lyubeznik_in_order(gens, n, order, slices._MAX_FACES).faces.size for order in fixed]
+            order = bisection_order(len(gens))
+            assert slices._candidate_orders(slices._generator_rows(gens, n))[-1] == tuple(order)
+            size = lyubeznik_in_order(gens, n, order, slices._MAX_FACES).faces.size
             chosen = lyubeznik_layout(gens, n).faces.size
-            assert chosen <= min(sizes)
-            smaller += chosen < min(sizes)
+            assert chosen <= size
+            smaller += chosen < size
     assert smaller >= 5
 
 
@@ -788,13 +833,13 @@ def test_three_generators_take_the_divisibility_order():
 
 
 def test_divisibility_order_on_the_quadrics():
-    # all ten degree-2 monomials in 4 variables: 68 Lyubeznik faces, where
-    # the best of the three fixed orders keeps 108
+    # all ten degree-2 monomials in 4 variables: 68 Lyubeznik faces in the
+    # divisibility order, where bisection keeps 120
     quadrics = tuple(sorted(e for e in itertools.product(range(3), repeat=4) if sum(e) == 2))
     assert lyubeznik_layout(quadrics, 4).faces.size == 68
     G = slices._generator_rows(quadrics, 4)
     orders = slices._candidate_orders(G)
-    assert [lyubeznik_in_order(quadrics, 4, order, slices._MAX_FACES).faces.size for order in orders] == [68, 208, 108, 120]
+    assert [lyubeznik_in_order(quadrics, 4, order, slices._MAX_FACES).faces.size for order in orders] == [68, 120]
 
 
 def test_face_sets_are_shared_by_column_rank_pattern():
@@ -817,7 +862,7 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
         I = random_proper_ideal(rng, ring, 3, 3)
         box = DegreeBox.for_ideals(J, I)
         expected = _dense_dims("ext", J, I, box)
-        # the divisibility order, the three fixed orders and a random one
+        # the divisibility order, bisection and a random one
         orders = slices._candidate_orders(slices._generator_rows(J.gens, 3))
         orders.append(tuple(rng.permutation(len(J.gens)).tolist()))
         for order in orders:
@@ -858,9 +903,9 @@ def test_row_groups_partition_matches_the_oracle(width):
     # rows of 1-16 bytes, as bytes, as bools, (even widths) as int16 with
     # negative entries and as a strided view; few distinct values, so groups
     # repeat, and bytes 0 and 255, so a key that dropped or mixed up a byte
-    # would show.  Rows of up to 8 bytes are keyed by one unsigned integer
-    # (viewed in place at 1, 2, 4 and 8 bytes, zero-padded otherwise), wider
-    # rows by their bytes as one void value
+    # would show.  Rows of 1, 2, 4 or 8 bytes are keyed by one unsigned
+    # integer viewed in place, rows of every other width by their bytes as
+    # one void value
     rng = np.random.default_rng(500 + width)
     cases = [rng.integers(0, 3, size=(count, width)).astype(np.uint8) for count in (0, 1, 600)]
     cases.append(rng.choice([0, 255], size=(300, width)).astype(np.uint8))
@@ -871,14 +916,19 @@ def test_row_groups_partition_matches_the_oracle(width):
     for rows in cases:
         keys = slices._row_keys(rows)
         assert keys.shape == (rows.shape[0],)
-        if width <= 8:
-            assert keys.dtype.kind == "u" and keys.dtype.itemsize == (width if width in (1, 2, 4, 8) else 8)
-        else:
-            assert keys.dtype.kind == "V" and keys.dtype.itemsize == width
+        assert keys.dtype.kind == ("u" if width in (1, 2, 4, 8) else "V") and keys.dtype.itemsize == width
         first, inverse = slices._row_groups(rows)
         assert inverse.shape == (rows.shape[0],)
         assert sorted(first.tolist()) == sorted(set(oracle_row_groups(rows)))
         assert first[inverse].tolist() == oracle_row_groups(rows)
+
+
+def test_rows_of_no_bytes_share_one_key():
+    # a ring without variables has lcm rows of no bytes: one key each, all
+    # equal, so its complexes still have one activity row
+    assert slices._row_keys(np.zeros((3, 0), dtype=np.int16)).tolist() == [0, 0, 0]
+    ring = RingSpec(())
+    assert ext_profile(zero_ideal(ring), zero_ideal(ring)) == lc_profile(zero_ideal(ring), zero_ideal(ring)) == {0}
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17, 24, 25, 33, 64, 65, 130])
