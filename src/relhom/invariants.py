@@ -7,9 +7,9 @@ bug signal and deliberately distinct from input validation errors.
 :class:`PairAnalysis` is the one place a pair's numbers are computed and
 cross-checked: it validates the pair once, keeps each engine's value
 (``ext_profile``, ``lc_profile``, ``localization_grade``, ``support_cd``,
-``pd_a``) and runs each cross-check on those values at most once.  The free
-functions ``grade``, ``cd``, ``a_id``, ``sop_witness_by_support`` and
-``invariant_record`` read a fresh analysis.
+``pd_a``, ``ass_primes``) and runs each cross-check on those values at
+most once.  The free functions ``grade``, ``cd``, ``a_id``,
+``sop_witness_by_support`` and ``invariant_record`` read a fresh analysis.
 
 Degenerate convention: when I is the unit ideal the module is zero, and
 grade / cd / a-id are reported as ``None``.
@@ -26,7 +26,9 @@ from .monomials import (
     MonomialIdeal,
     MonomialPrime,
     _check_pair,
+    _mask,
     _minimal,
+    associated_primes,
     degree,
     erase_to_zero,
     minimal_generators,
@@ -79,22 +81,19 @@ def mu(a: MonomialIdeal) -> int:
     return len(a.gens)
 
 
-def _mask(e) -> int:
-    """The support of an exponent vector as a bitmask over the variables."""
-    return sum(1 << j for j, x in enumerate(e) if x)
-
-
 def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
     """grade as the least localized depth over monomial primes containing a.
 
     Localizing S/I at the prime on a variable set F inverts the other
     variables; depth there is |F| minus the projective dimension of the
-    localized ideal over the small polynomial ring.  Every F is visited,
-    as a bitmask: F qualifies when it meets the support of every generator
-    of a, and its localization is zero (F is skipped) when a generator of I
-    has its support outside F.  The localized ideal is I's generators with
-    the variables outside F erased, and its pd is read from the Betti cache
-    keyed up to relabelling (``taylor.relabelled``).
+    localized ideal over the small polynomial ring.  The sets F are visited
+    as bitmasks in increasing order: F qualifies when it meets the support
+    of every generator of a, and its localization is zero (F is skipped)
+    when a generator of I has its support outside F.  The localized ideal
+    is I's generators with the variables outside F erased, and its pd is
+    read from the Betti cache keyed up to relabelling
+    (``taylor.relabelled``).  That pd is at most |F|, so no depth is below
+    0 and the scan stops at the first F of depth 0.
     """
     n, p = a.ring.n, a.ring.char
     # F must meet every generator of a, and every generator of I lest the localization be zero
@@ -106,6 +105,8 @@ def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
         keep = [j for j in range(n) if fbits >> j & 1]
         local = _minimal([tuple(g[j] for j in keep) for g in I.gens])
         d = fbits.bit_count() - pd_relabelled(*relabelled(local), p)
+        if d == 0:
+            return 0
         if best is None or d < best:
             best = d
     assert best is not None  # F = all variables always qualifies for proper I
@@ -302,8 +303,9 @@ class PairAnalysis:
 
     The inputs are validated here, once, before any scan.  Each engine's
     value (the class-engine ``ext_profile`` and ``lc_profile``, the
-    ``localization_grade``, the ``support_cd`` and ``pd_a`` = pd(S/a)) is
-    computed on first use and kept, and ``grade``, ``cd`` and ``a_id`` run
+    ``localization_grade``, the ``support_cd``, ``pd_a`` = pd(S/a) and the
+    associated primes ``ass_primes`` of S/I) is computed on first use and
+    kept, and ``grade``, ``cd``, ``a_id`` and ``ass_prime_criterion`` run
     their cross-checks on those values, so each cross-check runs once per
     pair however many verdicts or corpus suites read its number.  ``ring``
     is the analysis of (a, S) with the same degree bound.  For the unit
@@ -347,6 +349,17 @@ class PairAnalysis:
     def pd_a(self) -> int:
         """pd(S/a)."""
         return pd_quotient(self.a)
+
+    @cached_property
+    def ass_primes(self) -> tuple[MonomialPrime, ...]:
+        """The associated primes of S/I, from the polarization covers."""
+        return associated_primes(self.I)
+
+    @cached_property
+    def ass_prime_criterion(self) -> bool:
+        """Whether cd(a, S/P) equals the grade for every associated prime P of
+        S/I, the relative-CM criterion of Prop. 2.11(f)."""
+        return all(cd_of_prime_quotient(self.a, P) == self.grade for P in self.ass_primes)
 
     @cached_property
     def grade(self) -> Optional[int]:

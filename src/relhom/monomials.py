@@ -9,9 +9,10 @@ Conventions: the empty generator tuple is the zero ideal, a single
 all-zero exponent vector is the unit ideal.  Variable subsets are given by
 position, never by name.
 
-Associated primes are read off the irreducible decomposition; minimal
-primes are the minimal vertex covers of the generator supports, taken on
-n-bit masks without any decomposition.
+The irreducible decomposition is read off the minimal vertex covers of the
+polarization, and the associated primes are the radicals of its
+components; the minimal primes are the minimal vertex covers of the
+generator supports.  Both cover sets are taken on bitmasks by one helper.
 """
 
 from __future__ import annotations
@@ -331,38 +332,71 @@ def radical(A: MonomialIdeal) -> MonomialIdeal:
     return minimal_generators(A.ring, [tuple(1 if x else 0 for x in g) for g in A.gens])
 
 
-# bounded for long-running processes; the default corpus fills about 3 000 entries
+def _mask(e) -> int:
+    """The support of an exponent vector as a bitmask over the variables."""
+    return sum(1 << j for j, x in enumerate(e) if x)
+
+
+def _minimal_covers(edges) -> list[int]:
+    """The minimal vertex covers of a hypergraph whose edges are bitmasks, as bitmasks.
+
+    One edge at a time: of the minimal covers of the edges so far, those that
+    meet the next edge stay, every other one is extended by each vertex of the
+    edge, and the extensions that contain another cover are dropped.  No
+    edges give the empty cover; an empty edge gives no cover.
+    """
+    covers = [0]
+    for edge in sorted(set(edges)):
+        kept = [c for c in covers if c & edge]
+        grown = {c | 1 << j for c in covers if not c & edge for j in range(edge.bit_length()) if edge >> j & 1}
+        for c in sorted(grown, key=int.bit_count):
+            if not any(k & c == k for k in kept):
+                kept.append(c)
+        covers = kept
+    return covers
+
+
+# bounded for long-running processes; the default corpus fills about 200 entries
 @lru_cache(maxsize=32_768)
 def irreducible_decomposition(A: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
-    """Irredundant irreducible components, in a deterministic order.
+    """Irredundant irreducible components, sorted by their generators.
 
-    Splits the lexicographically first generator with mixed support on its
-    first variable block, A = (A + <u>) cap (A + <v>); components generated
-    by pure variable powers; a component containing another is pruned.
+    Read off the polarization of A (Faridi, "Monomial ideals via square-free
+    monomial ideals", 2006; Herzog-Hibi, Monomial Ideals, 1.6), taken on
+    the distinct exponent values only: for every variable j and every
+    distinct nonzero exponent e of x_j among the generators there is one
+    polarized variable x_{j,e}, and a generator g contains x_{j,e} iff
+    e <= g_j.  The polarized ideal is squarefree, so its components are its
+    minimal vertex covers, and x_{j,e} -> x_j^e turns each into an
+    irreducible component of A (a minimal cover holds at most one x_{j,e}
+    per j).  The components that contain another are dropped.
     """
     if A.is_zero or not A.is_proper:
         raise ValueError("irreducible decomposition needs a proper nonzero ideal")
-    split = None
-    for g in A.gens:
-        if len(support(g)) >= 2:
-            split = g
-            break
-    if split is None:
-        return (A,)
-    j = min(support(split))
-    u = tuple(split[j] if k == j else 0 for k in range(len(split)))
-    v = tuple(0 if k == j else split[k] for k in range(len(split)))
-    parts = set()
-    parts.update(irreducible_decomposition(sum_ideals(A, MonomialIdeal(A.ring, (u,)))))
-    parts.update(irreducible_decomposition(sum_ideals(A, MonomialIdeal(A.ring, (v,)))))
-    pruned = [C for C in parts if not any(D != C and C.contains_ideal(D) for D in parts)]
-    return tuple(sorted(pruned, key=lambda C: C.gens))
+    n = A.ring.n
+    # bit b stands for x_j^e, (j, e) = powers[b]; the bits of one variable are
+    # consecutive and increase with e
+    powers = [(j, e) for j in range(n) for e in sorted({g[j] for g in A.gens} - {0})]
+    covers = _minimal_covers(sum(1 << b for b, (j, e) in enumerate(powers) if e <= g[j]) for g in A.gens)
+    # x_j^f lies in the component of cover C iff C holds some x_{j,e} with e <= f,
+    # so C contains the component of D iff D's bits lie in C's upward closure
+    upward = [sum(1 << k for k in range(b, len(powers)) if powers[k][0] == j) for b, (j, _) in enumerate(powers)]
+    closures = [sum(upward[b] for b in range(len(powers)) if c >> b & 1) for c in covers]
+    components = []
+    for c, closed in zip(covers, closures):
+        if any(d != c and d & closed == d for d in covers):
+            continue
+        gens = [tuple(e if k == j else 0 for k in range(n)) for b, (j, e) in enumerate(powers) if c >> b & 1]
+        components.append(minimal_generators(A.ring, gens))
+    return tuple(sorted(components, key=lambda C: C.gens))
 
 
 def associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
-    """Radicals of the irredundant irreducible components of I.
+    """The associated primes of I, sorted by (size, variables).
 
-    The zero ideal has the single associated prime <0>.
+    They are the radicals of the irredundant irreducible components, that
+    is the variable sets of the components' generators.  The zero ideal has
+    the single associated prime <0>.
     """
     if not I.is_proper:
         raise ValueError("the unit ideal has no associated primes")
@@ -378,23 +412,13 @@ def minimal_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     The prime on the variables F contains I iff F meets the support of every
     generator, so the minimal primes are the minimal vertex covers of the
     hypergraph of generator supports, whose minimal edges generate rad(I)
-    (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1).  They are
-    built on n-bit masks one edge at a time: of the minimal covers of the
-    edges so far, those that meet the next edge stay, every other one is
-    extended by each variable of the edge, and the extensions that contain
-    another cover are dropped.  ``associated_primes`` keeps the
-    decomposition, and its inclusion-minimal members are these.
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1), taken on
+    n-bit masks by the cover helper that ``irreducible_decomposition`` runs
+    on the polarization.  They are the inclusion-minimal associated primes.
     """
     if not I.is_proper:
         raise ValueError("the unit ideal has no associated primes")
-    covers = [0]
-    for edge in sorted({sum(1 << j for j, x in enumerate(g) if x) for g in I.gens}):
-        kept = [c for c in covers if c & edge]
-        grown = {c | 1 << j for c in covers if not c & edge for j in range(I.ring.n) if edge >> j & 1}
-        for c in sorted(grown, key=int.bit_count):
-            if not any(k & c == k for k in kept):
-                kept.append(c)
-        covers = kept
+    covers = _minimal_covers(_mask(g) for g in I.gens)
     primes = sorted((tuple(j for j in range(I.ring.n) if c >> j & 1) for c in covers), key=lambda v: (len(v), v))
     return tuple(MonomialPrime(I.ring, vs) for vs in primes)
 

@@ -21,9 +21,8 @@ from .invariants import (
     InvariantRecord,
     PairAnalysis,
     SopWitness,
-    cd_of_prime_quotient,
 )
-from .monomials import MonomialIdeal, associated_primes, format_monomial, zero_ideal
+from .monomials import MonomialIdeal, format_monomial, zero_ideal
 from .slices import DegreeBox
 
 __all__ = [
@@ -45,11 +44,10 @@ def _cm(x: PairAnalysis) -> bool:
     if x.degenerate:
         return True
     by_definition = x.grade == x.cd
-    by_ass_primes = all(cd_of_prime_quotient(x.a, P) == x.grade for P in associated_primes(x.I))
-    if by_definition != by_ass_primes:
+    if by_definition != x.ass_prime_criterion:
         raise EngineDisagreementError(
             f"relative CM({x.a}; {x.I})",
-            {"grade_eq_cd": by_definition, "ass_prime_criterion": by_ass_primes},
+            {"grade_eq_cd": by_definition, "ass_prime_criterion": x.ass_prime_criterion},
         )
     return by_definition
 

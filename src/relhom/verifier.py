@@ -24,7 +24,6 @@ from .invariants import (
     a_id,
     cd,
     cd_by_support,
-    cd_of_prime_quotient,
     grade,
     is_monomial_regular_sequence,
     mu,
@@ -253,7 +252,7 @@ def _suite_prop_2_11f(xs, ctx):
             continue
         ran += 1
         lhs = x.report.rel_cm
-        rhs = all(cd_of_prime_quotient(x.a, P) == x.pair.grade for P in associated_primes(x.i))
+        rhs = x.pair.ass_prime_criterion
         if lhs != rhs:
             out.append(_violation(x, {"cm": lhs}, {"ass_prime_criterion": rhs}))
     return ran, out, "two-sided", None
@@ -268,7 +267,7 @@ def _suite_lemma_2_3(xs, ctx):
         rad_i = radical(x.i)
         torsion = all(rad_i.contains_monomial(g) for g in x.a.gens)
         cd_zero = x.pair.cd == 0
-        primes = associated_primes(x.i)
+        primes = x.pair.ass_primes
         some = any(P.contains_ideal(x.a) for P in primes)
         every = all(P.contains_ideal(x.a) for P in primes)
         if not (torsion == cd_zero == some == every):

@@ -20,10 +20,14 @@ Betti numbers were once ranked from, and ``subset_lcms`` the lcm of every
 generator subset; ``oracle_lyubeznik_faces`` tests the definition of the
 Lyubeznik complex on every generator subset, ``layout_faces`` reads the
 faces back out of an engine face set, and ``lyubeznik_in_order`` builds the
-engine's layout in one given generator order.  ``oracle_minimal_primes``
-filters the associated primes of I itself by inclusion, and
-``oracle_radical_primes`` reads the minimal primes off the decomposition of
-rad(I), as the engine did before it took the minimal vertex covers.
+engine's layout in one given generator order.  ``oracle_irreducible_decomposition``
+is the recursive splitter the irreducible decomposition was computed by
+before it read the minimal vertex covers of the polarization, and
+``oracle_associated_primes`` takes the radicals of its components;
+``oracle_minimal_primes`` filters those primes of I itself by inclusion,
+and ``oracle_radical_primes`` reads the minimal primes off the splitter's
+decomposition of rad(I), as the engine did before it took the minimal
+vertex covers.
 ``oracle_grade_by_localization`` builds every localized ideal as a ring and
 an ideal, the localization grade before it read pd from the Betti cache,
 and ``oracle_row_groups`` groups rows by their bytes in a dict.
@@ -36,6 +40,7 @@ gives the height of an ideal; only tests use them.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -51,8 +56,8 @@ from relhom.invariants import (
 )
 from relhom.monomials import (
     MonomialIdeal,
+    MonomialPrime,
     RingSpec,
-    associated_primes,
     erase_to_one,
     minimal_generators,
     quotient_dimension,
@@ -175,15 +180,52 @@ def oracle_monomials(n: int, bound: int):
     return [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
 
 
+# the splitter meets the same sums again and again
+@lru_cache(maxsize=32_768)
+def oracle_irreducible_decomposition(A: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
+    """Irredundant irreducible components, in a deterministic order.
+
+    Splits the lexicographically first generator with mixed support on its
+    first variable block, A = (A + <u>) cap (A + <v>); components generated
+    by pure variable powers; a component containing another is pruned.
+    """
+    if A.is_zero or not A.is_proper:
+        raise ValueError("irreducible decomposition needs a proper nonzero ideal")
+    split = None
+    for g in A.gens:
+        if len(support(g)) >= 2:
+            split = g
+            break
+    if split is None:
+        return (A,)
+    j = min(support(split))
+    u = tuple(split[j] if k == j else 0 for k in range(len(split)))
+    v = tuple(0 if k == j else split[k] for k in range(len(split)))
+    parts = set()
+    parts.update(oracle_irreducible_decomposition(sum_ideals(A, MonomialIdeal(A.ring, (u,)))))
+    parts.update(oracle_irreducible_decomposition(sum_ideals(A, MonomialIdeal(A.ring, (v,)))))
+    pruned = [C for C in parts if not any(D != C and C.contains_ideal(D) for D in parts)]
+    return tuple(sorted(pruned, key=lambda C: C.gens))
+
+
+def oracle_associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
+    """The radicals of the splitter's components, sorted by (size, variables);
+    <0> alone for the zero ideal."""
+    if I.is_zero:
+        return (MonomialPrime(I.ring, ()),)
+    seen = {tuple(sorted(set().union(*map(support, C.gens)))) for C in oracle_irreducible_decomposition(I)}
+    return tuple(MonomialPrime(I.ring, vs) for vs in sorted(seen, key=lambda v: (len(v), v)))
+
+
 def oracle_radical_primes(I: MonomialIdeal):
-    """The minimal primes of I from the decomposition: the associated primes
-    of rad(I), the path ``minimal_primes`` took before vertex covers."""
-    return associated_primes(radical(I))
+    """The minimal primes of I from the splitter: the associated primes of
+    rad(I), the path ``minimal_primes`` took before vertex covers."""
+    return oracle_associated_primes(radical(I))
 
 
 def oracle_minimal_primes(I: MonomialIdeal):
-    """The inclusion-minimal associated primes of I, in the order of ``associated_primes``."""
-    primes = associated_primes(I)
+    """The inclusion-minimal associated primes of I from the splitter, in the order of ``associated_primes``."""
+    primes = oracle_associated_primes(I)
     sets = [set(P.vars) for P in primes]
     return tuple(P for P, s in zip(primes, sets) if not any(t < s for t in sets))
 

@@ -82,6 +82,17 @@ class TestGrade:
         for a, I in pairs:
             assert grade_by_localization(a, I) == oracle_grade_by_localization(a, I)
 
+    def test_localization_stops_at_the_first_depth_zero(self, ring3, monkeypatch):
+        # a = (yz), I = (xy, xz): the qualifying F are {x,y}, {x,z}, {y,z} and
+        # {x,y,z}, in scan order, of localized depths 1, 1, 0 and 1; no depth
+        # is below 0, so pd is read for the first three only
+        a, I = parse_ideal(ring3, "y*z"), parse_ideal(ring3, "x*y, x*z")
+        reads = []
+        original = invariants.pd_relabelled
+        monkeypatch.setattr(invariants, "pd_relabelled", lambda *args: reads.append(args) or original(*args))
+        assert grade_by_localization(a, I) == 0 == oracle_grade_by_localization(a, I)
+        assert len(reads) == 3
+
     def test_engines_agree_on_random(self, ring4):
         rng = np.random.default_rng(53)
         for _ in range(15):

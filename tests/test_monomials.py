@@ -35,6 +35,8 @@ from relhom.verifier import CorpusParams, corpus_instances
 
 from conftest import (
     ideal_height,
+    oracle_associated_primes,
+    oracle_irreducible_decomposition,
     oracle_member,
     oracle_minimal_primes,
     oracle_monomials,
@@ -269,6 +271,29 @@ class TestDecomposition:
             assert back == A
             for C in comps:
                 assert all(len(support(g)) == 1 for g in C.gens)
+
+    def test_components_and_primes_match_the_splitter(self):
+        # the polarization covers against the recursive splitter, components
+        # in order, on the default, seed-11 and n = 3 (exponents <= 8)
+        # corpora, 100 squarefree ideals in 5 variables, the 8- and 10-cycles
+        # x_j^2*x_(j+1), and one ideal with exponents at MAX_EXPONENT
+        corpora = (CorpusParams(), CorpusParams(seed=11), CorpusParams(n=3, max_exponent=8))
+        ideals = [I for params in corpora for pair in corpus_instances(params) for I in pair]
+        rng = np.random.default_rng(140)
+        ring5 = RingSpec(tuple(f"x{j}" for j in range(5)))
+        ideals += [random_proper_ideal(rng, ring5, 1, 8) for _ in range(100)]
+        for n in (8, 10):
+            ring = RingSpec(tuple(f"x{k}" for k in range(n)))
+            ideals.append(parse_ideal(ring, ", ".join(f"x{k}^2*x{(k + 1) % n}" for k in range(n))))
+        m = MAX_EXPONENT
+        ring3 = RingSpec(("x", "y", "z"))
+        ideals.append(parse_ideal(ring3, f"x^{m}*y, y^{m}*z, x*z^{m}, x^{m - 1}*y^2*z^3"))
+        assert len(ideals) == 1303 and not any(I.is_zero for I in ideals)
+        for I in ideals:
+            assert irreducible_decomposition(I) == oracle_irreducible_decomposition(I)
+            assert associated_primes(I) == oracle_associated_primes(I)
+        # the 10-cycle has 123 components and as many associated primes
+        assert len(associated_primes(ideals[-2])) == 123
 
     def test_rejects_zero_and_unit(self, ring2):
         with pytest.raises(ValueError):

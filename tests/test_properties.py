@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from relhom import invariants, properties, verifier
+from relhom import invariants, verifier
 from relhom.monomials import RingMismatchError, RingSpec, parse_ideal, unit_ideal, zero_ideal
 from relhom.properties import (
     full_report,
@@ -169,7 +169,9 @@ def test_full_report_checks_the_pair_before_the_box(ring2):
 def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
     # (a, S/I) and the nested (a, S) are each validated once and each run
     # grade and cd once; the parameter-system search reuses the checked cd.
-    # A corpus instance computes no more than the report it carries.
+    # A corpus instance computes no more than the report it carries, and the
+    # associated-prime criterion is evaluated once per pair: the suites that
+    # read it, or the associated primes, evaluate nothing again.
     calls = Counter()
     for module, name in (
         (invariants, "_check_pair"),
@@ -177,7 +179,8 @@ def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
         (invariants, "cd_by_support"),
         (invariants, "_sop_search"),
         (invariants, "is_monomial_regular_sequence"),
-        (properties, "associated_primes"),
+        (invariants, "associated_primes"),
+        (invariants, "cd_of_prime_quotient"),
     ):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
@@ -187,10 +190,15 @@ def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
     a, I = parse_ideal(ring4, "y1, y2"), parse_ideal(ring4, C4)
     for analyse in (lambda: full_report(a, I), lambda: verifier.analyze_instance(0, a, I)):
         calls.clear()
-        analyse()
+        x = analyse()
         assert calls["_check_pair"] == 2
         assert calls["grade_by_localization"] == 2
         assert calls["cd_by_support"] == 2
         assert calls["_sop_search"] == 1
         assert calls["associated_primes"] == 1
         assert calls["is_monomial_regular_sequence"] >= 1
+    before = Counter(calls)
+    for name in ("prop_2_11f", "lemma_2_3"):
+        result = verifier.run_suite(name, [x])
+        assert result.passed and result.instances == 1
+    assert calls == before
