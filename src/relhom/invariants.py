@@ -30,7 +30,6 @@ from .monomials import (
     _minimal,
     associated_primes,
     degree,
-    erase_to_zero,
     minimal_generators,
     minimal_primes,
     quotient,
@@ -121,15 +120,16 @@ def grade(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
 def cd_of_prime_quotient(a: MonomialIdeal, P: MonomialPrime) -> Optional[int]:
     """Cohomological dimension of a on the quotient by a monomial prime.
 
-    The image of a in the residue polynomial ring is a monomial ideal, and
-    cd there equals the projective dimension of the quotient by its radical
-    (local cohomology only sees the radical).  The unit image means the
-    quotient module is not supported on a; the contribution is skipped.
+    The image of a in the residue polynomial ring is generated by a's
+    generators that avoid P, and cd there equals pd of the quotient by its
+    radical, generated by their supports (local cohomology only sees the
+    radical), read from the Betti cache.  The unit image means the quotient
+    module is not supported on a; the contribution is skipped.
     """
-    img = erase_to_zero(a, P.vars)
-    if img.is_unit:
+    supports = [tuple(int(e > 0) for e in g) for g in a.gens if not any(g[j] for j in P.vars)]
+    if any(not any(s) for s in supports):
         return None
-    return pd_quotient(radical(img))
+    return pd_relabelled(*relabelled(_minimal(supports)), a.ring.char)
 
 
 def cd_by_support(a: MonomialIdeal, I: MonomialIdeal) -> int:

@@ -1,23 +1,31 @@
 """Degreewise Ext and local-cohomology slices over a finite stabilization box.
 
-Both engines share one mechanism.  In a fixed multidegree b, each complex
-has components indexed by the faces of a simplicial complex on a generating
-set; every component is 0- or 1-dimensional, and each differential entry is
-an incidence sign exactly when both endpoints are nonzero.  So a degree is
+Both kinds of table are one computation, Hom(L, S/I) for a free resolution
+L of a monomial quotient.  In a fixed multidegree b its components are
+indexed by the faces of a simplicial complex on a generating set; every
+component is 0- or 1-dimensional, and each differential entry is an
+incidence sign exactly when both endpoints are nonzero.  So a degree is
 fully described by its activity pattern (which faces are nonzero),
 cohomology dimensions are rank computations over GF(char), and degrees
 sharing a pattern share all ranks.
 
-The complexes are smaller than the full Taylor complex on 2^r subsets:
+L is the Lyubeznik complex of the generators, smaller than the full Taylor
+complex on 2^r subsets: the subsets T = {i1 < ... < is} such that no
+generator m_q with q < i_t divides lcm(m_{i_t}, ..., m_{i_s}), for every
+t < s.  L is closed under subsets, and the Taylor differential restricted
+to it is a free resolution of S/J (Lyubeznik, JPAA 1988; Mermin, "Three
+simplicial resolutions", 2012), so every Ext dimension is unchanged.
 
-- Ext(S/J, S/I) is Hom(L, S/I) for the Lyubeznik complex L of J's
-  generators: the subsets T = {i1 < ... < is} such that no generator m_q
-  with q < i_t divides lcm(m_{i_t}, ..., m_{i_s}), for every t < s.  L is
-  closed under subsets, and the Taylor differential restricted to it is a
-  free resolution of S/J (Lyubeznik, JPAA 1988; Mermin, "Three simplicial
-  resolutions", 2012), so every Ext dimension is unchanged.
-- Local cohomology is the Cech complex on the minimal generators of rad(a),
-  since H_a = H_rad(a); its dimensions are padded to len(a.gens) + 1 levels.
+Local cohomology is Ext against a Frobenius power: the powers rad(a)^[k]
+(each minimal generator raised to the k-th power) are cofinal with the
+powers of a, so H^i_a(S/I) = lim_k Ext^i(S/rad(a)^[k], S/I) (Brodmann-Sharp,
+Local Cohomology, Thm 1.3.8; Mustata, "Local cohomology at monomial
+ideals", 2000).  Once k passes every exponent and box bound, a face of lcm
+k*F is active at b iff b_j >= 0 off F and b restricted off F avoids I with
+the axes of F erased: the Cech piece inverting F, so in each degree the
+limit is reached.  The tables take k = ``_LEFT_OUT`` on the Lyubeznik faces
+of rad(a), which are those of rad(a)^[k] (scaling keeps how exponents
+compare within each variable), and pad to len(a.gens) + 1 levels.
 
 A ``FaceSet`` lists a complex's faces level by level, never as 2^r rows,
 with each face's boundary in the level below; a ``FaceLayout`` adds the lcm
@@ -34,25 +42,20 @@ generator tuple, in bounded caches.  A complex of more than ``_MAX_FACES``
 faces is refused while it is enumerated.
 
 The engines evaluate one degree per threshold class, not every degree.
-Whether a face is active at b depends on each b_j only through
-comparisons b_j >= t against a finite set of thresholds per axis:
-
-- Ext (b + lcm_T >= 0 and x^(b + lcm_T) outside I): t = c - alpha with
-  c in {0} u {I-exponents on x_j} and alpha in {0} u {J-exponents on x_j};
-- Cech (b_j >= 0 off the inverted support, restriction outside the erased
-  I): t in {0} u {I-exponents on x_j}.
-
-Values of b_j that pass the same thresholds form one class, an interval
-from one threshold to the next, and a product of classes has one activity
-pattern, hence one set of slice dimensions.
-This is the combinatorics behind Takayama's formula for the local
-cohomology of S/I (Miller-Sturmfels, Combinatorial Commutative Algebra,
-ch. 13).  The box -rho_j <= b_j <= rho_j, with rho_j = 1 + (largest
-x_j-exponent among the participating minimal generators), holds every
-threshold strictly inside, so it meets every class of Z^n and decides
-module vanishing exactly.  Each class is represented by its member of
-least |b_j|, which is the same for every pad: padding only widens the two
-edge classes of an axis.  So profiles, and every invariant read from them,
+Face T is active at b iff b + s_T >= 0 and x^(b + s_T) is outside I, for
+s_T its lcm (scaled for local cohomology), which depends on each b_j only
+through comparisons b_j >= c - s, c in {0} u {I-exponents on x_j} and s in
+the column j of the face shifts; a threshold c - ``_LEFT_OUT`` lies outside
+every box.  Values of b_j that pass the same thresholds form one class, an
+interval from one threshold to the next, and a product of classes has one
+activity pattern, hence one set of slice dimensions.  This is the
+combinatorics behind Takayama's formula for the local cohomology of S/I
+(Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 13).  The box
+-rho_j <= b_j <= rho_j, with rho_j = 1 + (largest x_j-exponent among the
+participating minimal generators), holds every threshold strictly inside,
+so it meets every class of Z^n and decides module vanishing exactly.  Each
+class is represented by its member of least |b_j|, which is the same for
+every pad: padding only widens the two edge classes of an axis.  So profiles, and every invariant read from them,
 take no box; ``pad`` belongs only to the listings of ``ext_table`` and
 ``lc_table``.  A SliceTable keeps the dimensions per class and each
 class's interval per axis, and never builds an array sized by the box:
@@ -71,17 +74,15 @@ all of Z^n.  The activity matrix of a class grid is bounded by
 by the same ceiling over the whole box, counting the 2^r Taylor faces.
 
 Each table runs its layers in bulk, on its per-axis values (a ``_Product``)
-rather than on a (degrees, n) grid.  Ext activity depends on a face T only
-through lcm_T, and Cech activity only through the support of lcm_T, which
-is lcm_T itself on the squarefree generators the Cech complex is built on,
-so both are evaluated once per distinct face lcm, one row each, and every
-face reads the row of its lcm; each layout groups its faces by lcm once, on
-first use, and keeps the grouping.  Both run one membership kernel
-(``_member_rows``): the staircase of I factors axis by axis, so per axis a
-small table of generator bit sets answers every value of the axis, and the
-bit sets over the product are the AND of the axes' table rows, taken as an
-outer product in lexicographic order, one bit per generator rather than a
-byte per generator and variable.  The per-axis
+rather than on a (degrees, n) grid.  Activity depends on a face T only
+through lcm_T, so it is evaluated once per distinct face lcm, one row each,
+and every face reads the row of its lcm; each layout groups its faces by
+lcm once, on first use, and keeps the grouping.  Activity is one
+membership kernel (``_member_rows``): the staircase of I factors axis by
+axis, so per axis a small table of generator bit sets answers every value
+of the axis, and the bit sets over the product are the AND of the axes'
+table rows, taken as an outer product in lexicographic order, one bit per
+generator rather than a byte per generator and variable.  The per-axis
 tables depend only on I's generators, so they are built once per
 generator tuple, in a bounded cache.  Degrees are grouped by activity
 pattern under a one-value key per degree, read from the rows of distinct
@@ -94,9 +95,9 @@ levels, and the missing incidence matrices go to ``rank_mod_p`` in
 zero-padded stacks of bounded size, eliminated in lock step.  A single incidence matrix above
 ``_MAX_RANK_MATRIX_CELLS`` is refused before any stack is built.
 
-The dedup and rank layers have a third caller besides the Ext and Cech
-tables: ``taylor.betti_numbers`` ranks the lcm strands of the Lyubeznik
-complex, each strand one activity column.
+The dedup and rank layers have a second caller besides the tables:
+``taylor.betti_numbers`` ranks the lcm strands of the Lyubeznik complex,
+each strand one activity column.
 """
 
 from __future__ import annotations
@@ -203,10 +204,10 @@ class FaceSet:
 class FaceLayout:
     """A face set on particular generators, with the lcm exponent of every face.
 
-    Ext activity, Cech activity (on squarefree generators, whose lcms are
-    their supports) and Betti strands read a face through its lcm, so the
-    faces are grouped by lcm on first use, and the grouping is kept with the
-    layout, which is cached per generator tuple.
+    Table activity (on the lcms, or for local cohomology on the lcms
+    scaled by ``_LEFT_OUT``) and Betti strands read a face through its lcm,
+    so the faces are grouped by lcm on first use, and the grouping is kept
+    with the layout, which is cached per generator tuple.
     """
 
     faces: FaceSet
@@ -446,16 +447,15 @@ def _axis_classes(r: int, thresholds) -> tuple[np.ndarray, np.ndarray]:
     return np.array(starts), np.array(reps, dtype=np.int16)
 
 
-def _ext_thresholds(J: MonomialIdeal, I: MonomialIdeal, j: int) -> list[int]:
-    return [c - alpha for c in {0, *(g[j] for g in I.gens)} for alpha in {0, *(h[j] for h in J.gens)}]
+def _thresholds(I: MonomialIdeal, shifts: np.ndarray, j: int) -> list[int]:
+    """The thresholds of axis j for faces shifted by the rows of ``shifts``:
+    c - s for c in {0} u {I-exponents on x_j} and s in the shift column j."""
+    return [c - s for c in {0, *(g[j] for g in I.gens)} for s in np.unique(shifts[:, j]).tolist()]
 
 
-def _cech_thresholds(a: MonomialIdeal, I: MonomialIdeal, j: int) -> list[int]:
-    return [0, *(g[j] for g in I.gens)]
-
-
-# a shift past every int16 exponent: an axis shifted by it passes both tests
-# of ``_member_rows``, so it is left out of them
+# the Frobenius exponent of the local-cohomology tables: a shift past every
+# int16 exponent, so an axis shifted by it passes both tests of
+# ``_member_rows`` and every threshold c - _LEFT_OUT lies outside the box
 _LEFT_OUT = 1 << 20
 
 # byte cap of the bit-set words one batch of shifts holds over the product in
@@ -575,19 +575,6 @@ def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, axes: _Product, lcms: np.n
     shifted by it.
     """
     return _member_rows(axes, I.gens, lcms)
-
-
-def _cech_activity(a: MonomialIdeal, I: MonomialIdeal, axes: _Product, supports: np.ndarray) -> np.ndarray:
-    """Component activity of a Cech complex with S/I coefficients per face support.
-
-    For face T let F be the union of its generators' supports, the support
-    of lcm_T.  The localized piece at b is nonzero iff b_j >= 0 away from F
-    and the restriction of b away from F avoids the ideal obtained from I
-    by inverting F.  Inverting x_j erases it from I's generators, which is
-    the membership test with axis j left out.  Row u of the (supports,
-    degrees) result is the activity of the faces with F = ``supports[u]``.
-    """
-    return _member_rows(axes, I.gens, np.where(supports, _LEFT_OUT, 0))
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -931,31 +918,27 @@ def _check_scan_size(shape, faces: int, what: str):
         raise ValueError(f"{what} with {faces} faces is too large to scan")
 
 
-def _complex(kind: str, A: MonomialIdeal) -> FaceLayout:
-    """The complex of a kind of table on A: the Lyubeznik complex of A for
-    Ext ("ext"), the Cech complex on the radical of A for local cohomology
-    ("lc"), which depends on A only up to radical."""
+def _complex(kind: str, A: MonomialIdeal) -> tuple[FaceLayout, int]:
+    """The complex of a kind of table on A and the scale of its face lcms:
+    the Lyubeznik complex of A for Ext ("ext"), and for local cohomology
+    ("lc") that of rad(A) scaled by ``_LEFT_OUT``, its Frobenius power."""
     if kind == "ext":
-        return lyubeznik_layout(A.gens, A.ring.n)
-    return taylor_layout(radical(A).gens, A.ring.n)
+        return lyubeznik_layout(A.gens, A.ring.n), 1
+    return lyubeznik_layout(radical(A).gens, A.ring.n), _LEFT_OUT
 
 
-def _slice_dims(kind: str, layout: FaceLayout, A: MonomialIdeal, B: MonomialIdeal, axes: _Product) -> np.ndarray:
+def _slice_dims(layout: FaceLayout, scale: int, A: MonomialIdeal, B: MonomialIdeal, axes: _Product) -> np.ndarray:
     """Slice dimensions (levels 0..len(A.gens), per degree of the product
-    ``axes``) of the Ext or Cech complex on a layout; levels the complex
-    lacks (the Cech complex on the radical of A may have fewer) are zero.
+    ``axes``) of Hom into S/B of a complex on a layout, its face lcms scaled
+    by ``scale``; levels the complex lacks (one on the radical of A may have
+    fewer) are zero.
 
-    Ext activity depends on a face only through its lcm, and Cech activity
-    only through the support of its lcm (the layout's lcm itself, as the
-    Cech complex is built on squarefree generators), so the kernel runs once
-    per distinct lcm of the layout's grouping, and ``_lattice_dims`` reads
-    each face's row.
+    Activity depends on a face only through its lcm, so the kernel runs
+    once per distinct lcm of the layout's grouping, and ``_lattice_dims``
+    reads each face's row.
     """
     lcms, rows = layout.lcm_groups
-    if kind == "ext":
-        active = _ext_activity(A, B, axes, lcms)
-    else:
-        active = _cech_activity(A, B, axes, lcms > 0)
+    active = _ext_activity(A, B, axes, lcms.astype(np.int64) * scale)
     dims = _lattice_dims(active, layout.faces, A.ring.char, rows)
     if dims.shape[0] == len(A.gens) + 1:
         return dims
@@ -966,13 +949,13 @@ def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> Sli
     """Run the kernel of a kind of table on one representative degree per threshold class."""
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B, pad=pad)
-    thresholds = _ext_thresholds if kind == "ext" else _cech_thresholds
-    classes = [_axis_classes(r, thresholds(A, B, j)) for j, r in enumerate(box.rho)]
+    layout, scale = _complex(kind, A)
+    shifts = layout.lcm_groups[0].astype(np.int64) * scale
+    classes = [_axis_classes(r, _thresholds(B, shifts, j)) for j, r in enumerate(box.rho)]
     reps = _Product(rep for _, rep in classes)
     shape = tuple(len(rep) for rep in reps)
-    layout = _complex(kind, A)
     _check_scan_size(shape, layout.faces.size, f"class grid {shape} of the stabilization box {box.rho}")
-    dims = _slice_dims(kind, layout, A, B, reps)
+    dims = _slice_dims(layout, scale, A, B, reps)
     return SliceTable(box, tuple(starts for starts, _ in classes), dims)
 
 
@@ -981,17 +964,17 @@ def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[i
 
     The engine the class grid replaced, kept as the independent side of the
     corpus cross-check.  It runs on the full Taylor complex of A's own
-    generators for Ext, and of their supports, in A's order, for local
-    cohomology (localizing at x^g is localizing at x^supp(g)), so it shares
-    neither the class grid nor the Lyubeznik complex or the radical with
-    the class tables.
+    generators for Ext, and of their supports, in A's order, scaled by
+    ``_LEFT_OUT`` for local cohomology (localizing at x^g is localizing at
+    x^supp(g)), so it shares neither the class grid nor the Lyubeznik
+    complex or the radical with the class tables.
     """
     _check_scan(A, B)
     box = DegreeBox.for_ideals(A, B)
     _check_scan_size([2 * r + 1 for r in box.rho], 1 << len(A.gens), f"stabilization box {box.rho}")
     axes = _Product(np.arange(-r, r + 1, dtype=np.int16) for r in box.rho)
-    gens = A.gens if kind == "ext" else tuple(tuple(int(e > 0) for e in g) for g in A.gens)
-    return _nonzero_levels(_slice_dims(kind, taylor_layout(gens, A.ring.n), A, B, axes))
+    gens, scale = (A.gens, 1) if kind == "ext" else (tuple(tuple(int(e > 0) for e in g) for g in A.gens), _LEFT_OUT)
+    return _nonzero_levels(_slice_dims(taylor_layout(gens, A.ring.n), scale, A, B, axes))
 
 
 def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
@@ -1046,14 +1029,14 @@ def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int) -> bool:
 
 
 def _slice_at(kind: str, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
-    """Level i of the Ext or Cech complex at the single degree b, exact for any b the int16 grid holds."""
+    """Level i of a kind of table at the single degree b, exact for any b the int16 grid holds."""
     _check_scan(A, B)
     b = tuple(int(x) for x in b)
     if len(b) != A.ring.n:
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):
         raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
-    dims = _slice_dims(kind, _complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
+    dims = _slice_dims(*_complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
     return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0
 
 

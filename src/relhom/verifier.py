@@ -162,13 +162,14 @@ class InstanceAnalysis:
     analysis of (a, S) are read from ``pair``, the analysis the report was
     derived from; no suite runs an engine on the pair again.  The profiles
     of the dense scan over the unpadded box (``ext0``, ``lc0``) are kept
-    here as the independent side of the ``cross_engine`` suite.
+    here as the independent side of the ``cross_engine`` suite, and the
+    disagreement that ended an analysis as ``failure``.
     """
 
     index: int
     a: MonomialIdeal
     i: MonomialIdeal
-    error: Optional[str] = None
+    failure: Optional[EngineDisagreementError] = None
     report: Optional[PropertyReport] = None
     pair: Optional[PairAnalysis] = None
     ext0: frozenset = frozenset()
@@ -176,7 +177,7 @@ class InstanceAnalysis:
 
     @property
     def ok(self) -> bool:
-        return self.error is None
+        return self.failure is None
 
     def echo(self) -> dict:
         return {"index": self.index, "a": format_ideal(self.a), "i": format_ideal(self.i)}
@@ -191,7 +192,7 @@ def analyze_instance(index: int, a: MonomialIdeal, I: MonomialIdeal, degree_boun
         x.report = _report(pair, DegreeBox.for_ideals(a, I))
         x.pair = pair
     except EngineDisagreementError as exc:
-        x.error = str(exc)
+        x.failure = exc
     return x
 
 
@@ -245,17 +246,31 @@ def _suite_thm_2_19_chain(xs, ctx):
     return ran, out, "two-sided on computed verdicts", None
 
 
-def _suite_prop_2_11f(xs, ctx):
+def _identity_suite(xs, what: str, keys, names, sides):
+    """A two-sided suite on an identity the analysis itself checks.
+
+    An analysed pair gives its two sides through ``sides``; a pair whose
+    analysis ended in the disagreement on ``what(...)`` gives the values of
+    that error under ``keys``.  ``names`` label the sides in a violation.
+    """
     out, ran = [], 0
     for x in xs:
-        if not x.ok:
+        if x.failure is not None and x.failure.what.startswith(what + "("):
+            lhs, rhs = (x.failure.values[key] for key in keys)
+        elif x.ok:
+            lhs, rhs = sides(x)
+        else:
             continue
         ran += 1
-        lhs = x.report.rel_cm
-        rhs = x.pair.ass_prime_criterion
         if lhs != rhs:
-            out.append(_violation(x, {"cm": lhs}, {"ass_prime_criterion": rhs}))
+            out.append(_violation(x, {names[0]: lhs}, {names[1]: rhs}))
     return ran, out, "two-sided", None
+
+
+def _suite_prop_2_11f(xs, ctx):
+    # properties._cm raises where the two sides differ
+    keys, names = ("grade_eq_cd", "ass_prime_criterion"), ("cm", "ass_prime_criterion")
+    return _identity_suite(xs, "relative CM", keys, names, lambda x: (x.report.rel_cm, x.pair.ass_prime_criterion))
 
 
 def _suite_lemma_2_3(xs, ctx):
@@ -345,14 +360,9 @@ def _suite_prop_2_9d(xs, ctx):
 
 
 def _suite_lemma_3_7a(xs, ctx):
-    out, ran = [], 0
-    for x in xs:
-        if not x.ok:
-            continue
-        ran += 1
-        if x.pair.a_id != x.pair.pd_a:
-            out.append(_violation(x, {"pd_of_relative_quotient": x.pair.pd_a}, {"a_id": x.pair.a_id}))
-    return ran, out, "two-sided", None
+    # PairAnalysis.a_id raises where the two sides differ
+    keys, names = ("pd_of_quotient", "ext_box"), ("pd_of_relative_quotient", "a_id")
+    return _identity_suite(xs, "a_id", keys, names, lambda x: (x.pair.pd_a, x.pair.a_id))
 
 
 def _suite_lemma_3_9c(xs, ctx):
@@ -486,7 +496,7 @@ def _suite_cross_engine(xs, ctx):
     out, ran = [], 0
     for x in xs:
         if not x.ok:
-            out.append({**x.echo(), "expected": "engine agreement", "actual": x.error})
+            out.append({**x.echo(), "expected": "engine agreement", "actual": str(x.failure)})
             continue
         ran += 1
         y = x.pair
@@ -585,8 +595,8 @@ def run_all_suites(params: CorpusParams = CorpusParams(), fault_injection: bool 
             "report": x.report.to_json(x.a.ring) if x.report else None,
             "suites": per_instance[x.index],
         }
-        if x.error:
-            line["error"] = x.error
+        if x.failure is not None:
+            line["error"] = str(x.failure)
         base_lines[x.index] = line
     jsonl = [json.dumps(base_lines[x.index], sort_keys=True, separators=(",", ":")) for x in analyses]
     # counterexamples reuse the instance schema plus the suite verdict fields

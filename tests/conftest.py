@@ -14,7 +14,10 @@ class id, the construction slice tables were first built on, and
 ``oracle_member_rows`` tests every row against every generator at once, the
 membership test the activity kernels were built on, and
 ``oracle_ext_activity`` and ``oracle_cech_activity`` are the per-face forms
-of the Ext and Cech activity kernels on it;
+of the Ext and Cech activity kernels on it, and ``oracle_cech_class_dims``
+is the local-cohomology table as it was computed before it ran on the
+Lyubeznik complex: the Cech complex on every subset of rad(a)'s generators
+with its own threshold rule;
 ``oracle_taylor_differentials`` builds the dense Taylor differentials that
 Betti numbers were once ranked from, and ``subset_lcms`` the lcm of every
 generator subset; ``oracle_lyubeznik_faces`` tests the definition of the
@@ -30,7 +33,9 @@ decomposition of rad(I), as the engine did before it took the minimal
 vertex covers.
 ``oracle_grade_by_localization`` builds every localized ideal as a ring and
 an ideal, the localization grade before it read pd from the Betti cache,
-and ``oracle_row_groups`` groups rows by their bytes in a dict.
+``oracle_cd_of_prime_quotient`` builds the image of a modulo a prime as an
+ideal and takes its radical, as the engine did before it read pd from the
+Betti cache, and ``oracle_row_groups`` groups rows by their bytes in a dict.
 ``radical_supports`` takes the minimal antichain of a support family, the
 radical comparison the parameter-system search made before cover bits.
 ``radical_equal`` compares two ideals up to radical and ``ideal_height``
@@ -45,6 +50,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from relhom import slices
 from relhom.invariants import (
     SOP_DEGENERATE_ZERO_LENGTH,
     SOP_FOUND,
@@ -59,6 +65,7 @@ from relhom.monomials import (
     MonomialPrime,
     RingSpec,
     erase_to_one,
+    erase_to_zero,
     minimal_generators,
     quotient_dimension,
     radical,
@@ -168,6 +175,13 @@ def oracle_grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
             best = d
     assert best is not None  # F = all variables always qualifies for proper I
     return best
+
+
+def oracle_cd_of_prime_quotient(a: MonomialIdeal, P: MonomialPrime):
+    """cd of a on S/P: pd of the quotient by the radical of a's image in the
+    ring on the variables outside P, or None for a unit image."""
+    image = erase_to_zero(a, P.vars)
+    return None if image.is_unit else pd_quotient(radical(image))
 
 
 def oracle_row_groups(rows: np.ndarray) -> list[int]:
@@ -344,6 +358,22 @@ def oracle_cech_activity(gens, I: MonomialIdeal, grid: np.ndarray, layout) -> np
         erased = [tuple(g[j] for j in outside) for g in I.gens]
         act[row] = (sub >= 0).all(axis=1) & ~oracle_member_rows(sub, erased)
     return act
+
+
+def oracle_cech_class_dims(a: MonomialIdeal, I: MonomialIdeal):
+    """The class starts and dimensions of a local-cohomology table from the
+    Cech complex on every subset of rad(a)'s generators.
+
+    Axis j is classed by the Cech thresholds {0} u {I-exponents on x_j}, and
+    the complex is run at one representative per class of the product: each
+    face inverts the support of its lcm, which is the Ext activity of that
+    lcm scaled by ``_LEFT_OUT``.
+    """
+    box = slices.DegreeBox.for_ideals(a, I)
+    classes = [slices._axis_classes(r, [0, *(g[j] for g in I.gens)]) for j, r in enumerate(box.rho)]
+    layout = slices.taylor_layout(radical(a).gens, a.ring.n)
+    dims = slices._slice_dims(layout, slices._LEFT_OUT, a, I, slices._Product(rep for _, rep in classes))
+    return tuple(starts for starts, _ in classes), dims
 
 
 def oracle_taylor_differentials(I: MonomialIdeal) -> list[np.ndarray]:

@@ -37,6 +37,20 @@ class TestAnalyze:
         assert report["rel_cm"] is True
         assert report["rel_max_cm"] is False
 
+    def test_complete_graph_edge_ideal_is_computed(self, capsys):
+        # a is the edge ideal of K6: 15 squarefree generators, whose full
+        # Cech complex needs an incidence matrix of 41 409 225 cells, past
+        # the rank ceiling; local cohomology runs on the Lyubeznik complex
+        # of a's Frobenius power instead, and grade = cd = a_id = 5, the
+        # height and the projective dimension of S/a
+        ring = ",".join(f"x{k}" for k in range(6))
+        edges = ",".join(f"x{i}*x{j}" for i in range(6) for j in range(i + 1, 6))
+        code, out, _ = run(capsys, "analyze", "--ring", ring, "--a", edges, "--i", "0", "--json")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert [report["invariants"][key] for key in ("grade", "cd", "a_id")] == [5, 5, 5]
+        assert report["rel_cm"] is True
+
     def test_printed_ideals_round_trip(self, capsys):
         code, out, _ = run(capsys, "analyze", *RING4, "--a", "y1,y2", "--i", C4, "--json")
         assert code == 0

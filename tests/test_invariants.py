@@ -1,5 +1,7 @@
 """grade / cd / relative injective dimension / parameter systems."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from relhom.invariants import (
     a_id,
     cd,
     cd_by_support,
+    cd_of_prime_quotient,
     grade,
     grade_by_localization,
     invariant_record,
@@ -19,11 +22,12 @@ from relhom.invariants import (
     mu,
     sop_witness_by_support,
 )
-from relhom.monomials import RingSpec, minimal_generators, parse_ideal, sum_ideals, support, unit_ideal, zero_ideal
+from relhom.monomials import MonomialPrime, RingSpec, minimal_generators, parse_ideal, sum_ideals, support, unit_ideal, zero_ideal
 from relhom.verifier import CorpusParams, corpus_instances
 
 from conftest import (
     cycle_pair,
+    oracle_cd_of_prime_quotient,
     oracle_grade_by_localization,
     oracle_monomials,
     oracle_sop_by_support,
@@ -117,6 +121,23 @@ class TestCd:
 
     def test_degenerate(self, ring2):
         assert cd(parse_ideal(ring2, "x"), unit_ideal(ring2)) is None
+
+    def test_prime_quotient_matches_the_oracle(self):
+        # every prime on a variable set of the default corpus's rings, and
+        # of five-variable squarefree pairs, against the image built as an
+        # ideal and its radical; the unit relative ideal has a unit image
+        cases = 0
+        for params in (CorpusParams(count=60), CorpusParams(n=5, squarefree=True, count=20)):
+            ring = params.ring()
+            primes = [MonomialPrime(ring, F) for k in range(ring.n + 1) for F in itertools.combinations(range(ring.n), k)]
+            for a, _ in corpus_instances(params):
+                for P in primes:
+                    assert cd_of_prime_quotient(a, P) == oracle_cd_of_prime_quotient(a, P)
+                    cases += 1
+        assert cases == 60 * 16 + 20 * 32
+        ring = RingSpec(("x", "y"))
+        for F in ((), (0,), (0, 1)):
+            assert cd_of_prime_quotient(unit_ideal(ring), MonomialPrime(ring, F)) is None
 
 
 class TestRelativeInjectiveDimension:

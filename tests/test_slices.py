@@ -17,7 +17,6 @@ from relhom.monomials import RingSpec, parse_ideal, radical, support, unit_ideal
 from relhom.slices import (
     DegreeBox,
     SliceTable,
-    _cech_activity,
     _ext_activity,
     _lattice_dims,
     _Product,
@@ -44,6 +43,7 @@ from conftest import (
     lyubeznik_in_order,
     oracle_axis_classes,
     oracle_cech_activity,
+    oracle_cech_class_dims,
     oracle_ext_activity,
     oracle_lyubeznik_faces,
     oracle_member,
@@ -273,7 +273,8 @@ def test_lc_slices_match_oracle(ring2):
 
 def _dense_dims(kind, A, B, box):
     # the full Taylor complex on A's own generators over every box degree, as in the corpus cross-check
-    return slices._slice_dims(kind, taylor_layout(A.gens, A.ring.n), A, B, _Product(box_axes(box)))
+    scale = 1 if kind == "ext" else slices._LEFT_OUT
+    return slices._slice_dims(taylor_layout(A.gens, A.ring.n), scale, A, B, _Product(box_axes(box)))
 
 
 def _nonzero_levels(dims):
@@ -289,7 +290,7 @@ def support_grouped_lc_dims(a, I, box):
     first = oracle_row_groups(supports)
     distinct = sorted(set(first))
     rows = np.searchsorted(distinct, first)
-    active = _cech_activity(a, I, _Product(box_axes(box)), supports[distinct])
+    active = _ext_activity(a, I, _Product(box_axes(box)), np.where(supports[distinct], slices._LEFT_OUT, 0))
     return _lattice_dims(active, layout.faces, a.ring.char, rows)
 
 
@@ -305,6 +306,36 @@ def test_cech_profiles_equal_the_support_grouped_oracle():
         assert slices._dense_profile("lc", a, I) == expected
         squarefree += radical(a) == a
     assert squarefree == 13
+
+
+# the corpora the Lyubeznik local-cohomology tables are checked on against
+# the Cech complex, each with its number of pairs whose rad(a) has a
+# Lyubeznik complex smaller than the Taylor complex
+LC_CORPORA = {
+    "default": (CorpusParams(), 11),
+    "seed11": (CorpusParams(seed=11), 14),
+    "squarefree5": (CorpusParams(n=5, gen_count_range=(2, 7), squarefree=True), 33),
+    "n3e8": (CorpusParams(n=3, max_exponent=8), 2),
+    "n5g39": (CorpusParams(n=5, gen_count_range=(3, 9), count=100), 44),
+}
+
+
+@pytest.mark.parametrize("name", LC_CORPORA)
+def test_lc_tables_equal_the_cech_oracle(name):
+    # Ext against the Frobenius power of rad(a) on its Lyubeznik complex has
+    # the class starts and dimensions of the Cech complex on every subset of
+    # rad(a)'s generators
+    params, expected_smaller = LC_CORPORA[name]
+    smaller = 0
+    for a, I in corpus_instances(params):
+        table = lc_table(a, I)
+        starts, dims = oracle_cech_class_dims(a, I)
+        assert len(table._starts) == len(starts)
+        assert all(np.array_equal(s, t) for s, t in zip(table._starts, starts))
+        assert np.array_equal(table._class_dims, dims)
+        gens = radical(a).gens
+        smaller += lyubeznik_layout(gens, a.ring.n).faces.size < 1 << len(gens)
+    assert smaller == expected_smaller
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -538,7 +569,7 @@ def test_cech_activity_matches_the_per_face_oracle(n):
             layout = taylor_layout(gens, n)
             supports = layout.lcms > 0
             first, rows = slices._row_groups(supports)
-            active = _cech_activity(a, I, _Product(axes), supports[first])
+            active = _ext_activity(a, I, _Product(axes), np.where(supports[first], slices._LEFT_OUT, 0))
             assert np.array_equal(active[rows], oracle_cech_activity(gens, I, product_grid(axes), layout))
 
 
@@ -867,7 +898,7 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
         orders.append(tuple(rng.permutation(len(J.gens)).tolist()))
         for order in orders:
             layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
-            assert np.array_equal(slices._slice_dims("ext", layout, J, I, _Product(box_axes(box))), expected)
+            assert np.array_equal(slices._slice_dims(layout, 1, J, I, _Product(box_axes(box))), expected)
         assert np.array_equal(dense_expansion(ext_table(J, I))[1], expected)
 
 

@@ -230,3 +230,43 @@ def test_prop_4_6f_names_the_first_mismatching_degree(monkeypatch):
         assert violation["expected"] == {"degree": b, "dim": table.dim_at(c, b)}
         assert violation["actual"] == {"dim": bad.dim_at(c, b)}
         assert violation["note"] == "shifted Hilbert mismatch"
+
+
+def _flipped_on_one_pair(monkeypatch, name, change):
+    """Replace the PairAnalysis property ``name`` by one that returns ``change``
+    of its value on the first corpus pair of SMALL with a nonzero module,
+    and the value itself elsewhere; returns that pair's index."""
+    index, (a, I) = next((k, pair) for k, pair in enumerate(corpus_instances(SMALL)) if pair[1].is_proper)
+    original = getattr(invariants.PairAnalysis, name).func
+
+    def flipped(self):
+        value = original(self)
+        return change(value) if (self.a, self.I) == (a, I) else value
+
+    monkeypatch.setattr(invariants.PairAnalysis, name, property(flipped))
+    return index
+
+
+@pytest.mark.parametrize(
+    ("suite", "name", "change", "fields"),
+    [
+        ("prop_2_11f", "ass_prime_criterion", lambda v: not v, ("cm", "ass_prime_criterion")),
+        ("lemma_3_7a", "pd_a", lambda v: v + 1, ("pd_of_relative_quotient", "a_id")),
+    ],
+    ids=["prop_2_11f", "lemma_3_7a"],
+)
+def test_suite_counts_the_disagreement_its_identity_raised(monkeypatch, suite, name, change, fields):
+    # the pair's analysis ends in an engine disagreement on the very identity
+    # the suite checks; the suite reports it as its violation, with the two
+    # sides the disagreement carried, and cross_engine as a disagreement
+    index = _flipped_on_one_pair(monkeypatch, name, change)
+    analyses = build_analyses(SMALL)
+    assert [x.index for x in analyses if not x.ok] == [index]
+    result = run_suite(suite, analyses, SMALL)
+    assert result.instances == sum(x.ok for x in analyses) + 1
+    (violation,) = result.violations
+    assert violation["index"] == index
+    (expected,), (actual,) = violation["expected"].values(), violation["actual"].values()
+    assert tuple(violation["expected"]) + tuple(violation["actual"]) == fields
+    assert expected != actual
+    assert [v["index"] for v in run_suite("cross_engine", analyses, SMALL).violations] == [index]
