@@ -14,9 +14,7 @@ from .invariants import (
     SopWitness,
     a_id,
     cd,
-    cd_by_support,
     grade,
-    grade_by_localization,
     invariant_record,
     is_monomial_regular_sequence,
     mu,

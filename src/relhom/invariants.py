@@ -8,8 +8,10 @@ bug signal and deliberately distinct from input validation errors.
 cross-checked: it validates the pair once, keeps each engine's value
 (``ext_profile``, ``lc_profile``, ``localization_grade``, ``support_cd``,
 ``pd_a``, ``ass_primes``) and runs each cross-check on those values at
-most once.  The free functions ``grade``, ``cd``, ``a_id``,
+most once.  The free functions ``mu``, ``grade``, ``cd``, ``a_id``,
 ``sop_witness_by_support`` and ``invariant_record`` read a fresh analysis.
+``grade_by_localization``, ``cd_by_support`` and ``cd_of_prime_quotient``
+check nothing; they are internal, and run on the pair of an analysis.
 
 Degenerate convention: when I is the unit ideal the module is zero, and
 grade / cd / a-id are reported as ``None``.
@@ -17,14 +19,17 @@ grade / cd / a-id are reported as ``None``.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 from .monomials import (
     MonomialIdeal,
     MonomialPrime,
+    _check_module,
     _check_pair,
     _mask,
     _minimal,
@@ -36,7 +41,6 @@ from .monomials import (
     quotient_dimension,
     radical,
     sum_ideals,
-    support,
     zero_ideal,
 )
 from .slices import ext_profile, lc_profile
@@ -51,10 +55,7 @@ __all__ = [
     "InvariantRecord",
     "mu",
     "grade",
-    "grade_by_localization",
     "cd",
-    "cd_by_support",
-    "cd_of_prime_quotient",
     "a_id",
     "is_monomial_regular_sequence",
     "sop_witness_by_support",
@@ -74,10 +75,8 @@ class EngineDisagreementError(RuntimeError):
 
 
 def mu(a: MonomialIdeal) -> int:
-    """Minimal number of generators."""
-    if a.is_unit:
-        raise ValueError("the relative ideal must be proper")
-    return len(a.gens)
+    """Minimal number of generators of the relative ideal; see :attr:`PairAnalysis.mu`."""
+    return PairAnalysis(a, zero_ideal(a.ring)).mu
 
 
 def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
@@ -93,22 +92,28 @@ def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
     read from the Betti cache keyed up to relabelling
     (``taylor.relabelled``).  That pd is at most |F|, so no depth is below
     0 and the scan stops at the first F of depth 0.
+    Only subsets of the variables some generator uses are visited: another
+    variable adds 1 to |F| and nothing to the pd.  The caller has checked
+    the pair and that I is proper.
     """
     n, p = a.ring.n, a.ring.char
     # F must meet every generator of a, and every generator of I lest the localization be zero
     supports = [_mask(g) for g in (*a.gens, *I.gens)]
-    best: Optional[int] = None
-    for fbits in range(1 << n):
-        if not all(m & fbits for m in supports):
-            continue
-        keep = [j for j in range(n) if fbits >> j & 1]
-        local = _minimal([tuple(g[j] for j in keep) for g in I.gens])
-        d = fbits.bit_count() - pd_relabelled(*relabelled(local), p)
-        if d == 0:
-            return 0
-        if best is None or d < best:
-            best = d
-    assert best is not None  # F = all variables always qualifies for proper I
+    used = reduce(operator.or_, supports, 0)
+    best, fbits = None, 0
+    while True:
+        if all(m & fbits for m in supports):
+            keep = [j for j in range(n) if fbits >> j & 1]
+            local = _minimal([tuple(g[j] for j in keep) for g in I.gens])
+            d = fbits.bit_count() - pd_relabelled(*relabelled(local), p)
+            if d == 0:
+                return 0
+            if best is None or d < best:
+                best = d
+        fbits = (fbits - used) & used  # the next subset of the used variables
+        if not fbits:
+            break
+    assert best is not None  # F = the used variables qualifies for proper I
     return best
 
 
@@ -124,7 +129,8 @@ def cd_of_prime_quotient(a: MonomialIdeal, P: MonomialPrime) -> Optional[int]:
     generators that avoid P, and cd there equals pd of the quotient by its
     radical, generated by their supports (local cohomology only sees the
     radical), read from the Betti cache.  The unit image means the quotient
-    module is not supported on a; the contribution is skipped.
+    module is not supported on a; the contribution is skipped.  The caller
+    has checked that a and P share a ring with a prime characteristic.
     """
     supports = [tuple(int(e > 0) for e in g) for g in a.gens if not any(g[j] for j in P.vars)]
     if any(not any(s) for s in supports):
@@ -133,7 +139,8 @@ def cd_of_prime_quotient(a: MonomialIdeal, P: MonomialPrime) -> Optional[int]:
 
 
 def cd_by_support(a: MonomialIdeal, I: MonomialIdeal) -> int:
-    """cd via minimal primes: the maximum of cd on the minimal support quotients."""
+    """cd via minimal primes: the maximum of cd on the minimal support quotients
+    (the caller has checked the pair and that I is proper)."""
     vals = [cd_of_prime_quotient(a, P) for P in minimal_primes(I)]
     vals = [v for v in vals if v is not None]
     assert vals, "a proper relative ideal always contributes on some minimal prime"
@@ -190,20 +197,20 @@ def sop_witness_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int
 def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[int, ...]]:
     """For every support realizable by a monomial of a within the degree
     bound, its least such monomial, in increasing order; each has exactly
-    that support."""
-    n = a.ring.n
-    achievable = []
-    for fbits in range(1, 1 << n):
-        fset = frozenset(j for j in range(n) if (fbits >> j) & 1)
-        best = None
-        for g in a.gens:
-            if support(g) <= fset:
-                e = tuple(g[j] + (1 if j in fset and g[j] == 0 else 0) for j in range(n))
-                if degree(e) <= degree_bound and (best is None or e < best):
-                    best = e
-        if best is not None:
-            achievable.append(best)
-    return sorted(achievable)
+    that support.  A generator g realizes exactly the supports supp(g) u E,
+    E at most degree_bound - deg(g) variables outside supp(g), least by g
+    times the variables of E; only those are visited.
+    """
+    best: dict[int, tuple[int, ...]] = {}
+    for g in a.gens:
+        outside = [j for j, x in enumerate(g) if not x]
+        for k in range(min(degree_bound - degree(g), len(outside)) + 1):
+            for extra in itertools.combinations(outside, k):
+                e = tuple(x + (j in extra) for j, x in enumerate(g))
+                key = _mask(e)
+                if key not in best or e < best[key]:
+                    best[key] = e
+    return sorted(best.values())
 
 
 def _cover_bits(target: list[int], masks) -> int:
@@ -220,7 +227,7 @@ _PRUNE_MIN_COMPLETIONS = 100
 
 
 def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bound: int) -> SopWitness:
-    """The search of :attr:`PairAnalysis.sop` for the already-checked cd ``c``.
+    """The search of :attr:`PairAnalysis.sop` for the already-checked cd ``c`` of a nonzero module.
 
     Walks the length-c combinations of candidates depth first, in the order
     of ``itertools.combinations``, so the first witness found is the
@@ -238,8 +245,6 @@ def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bou
     the target is an antichain, so the radical of I plus the prefix is the
     target iff the bits of I's generators and of the prefix cover them all.
     """
-    if c is None:
-        raise ValueError("degenerate module: cd undefined")
     if c == 0:
         return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
     target = [_mask(g) for g in radical(sum_ideals(a, I)).gens]
@@ -315,8 +320,8 @@ class PairAnalysis:
 
     def __init__(self, a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4):
         _check_pair(a, I)
-        self.a, self.I, self.degree_bound = a, I, degree_bound
-        self.mu = mu(a)
+        self.a, self.I, self.degree_bound = a, I, operator.index(degree_bound)
+        self.mu = len(a.gens)  # the minimal number of generators
         self.degenerate = I.is_unit  # the module is zero
 
     @cached_property
@@ -337,12 +342,14 @@ class PairAnalysis:
 
     @cached_property
     def localization_grade(self) -> int:
-        """grade by the localized-depth formula."""
+        """grade by the localized-depth formula; the module must be nonzero."""
+        _check_module(self.I)
         return grade_by_localization(self.a, self.I)
 
     @cached_property
     def support_cd(self) -> int:
-        """cd by the minimal-primes fast path."""
+        """cd by the minimal-primes fast path; the module must be nonzero."""
+        _check_module(self.I)
         return cd_by_support(self.a, self.I)
 
     @cached_property
@@ -425,6 +432,7 @@ class PairAnalysis:
         a fraction of the cost; the returned witness may differ.  Raises
         ValueError for the zero module.
         """
+        _check_module(self.I)
         return _sop_search(self.a, self.I, self.cd, self.degree_bound)
 
     @cached_property

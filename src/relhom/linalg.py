@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .monomials import _is_prime
 
 __all__ = ["rank_mod_p"]
 
@@ -22,7 +26,8 @@ def rank_mod_p(matrix, p: int):
     p < 2**31, each update combines products of two such entries, and every
     product stays below 2**62, so no sum or difference of two wraps.
     """
-    if not 2 <= p < 2**31:
+    p = operator.index(p)
+    if not _is_prime(p):
         raise ValueError("modulus must be a prime below 2**31")
     a = np.array(matrix, dtype=np.int64, copy=True)
     a %= p

@@ -17,6 +17,8 @@ generator supports.  Both cover sets are taken on bitmasks by one helper.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,27 +71,10 @@ class ParseError(ValueError):
 # every ring a restriction or erasure builds re-checks its characteristic
 @lru_cache(maxsize=256)
 def _is_prime(m: int) -> bool:
-    # Deterministic Miller-Rabin; the witness set is exact far beyond 2**31.
-    if m < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17):
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 3, 5, 7, 11, 13, 17):
-        x = pow(base, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether m is a prime below 2**31, the bound of every characteristic
+    and modulus, by trial division up to sqrt(m): at most about 46 000
+    divisions, once per value."""
+    return 2 <= m < 2**31 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
 @dataclass(frozen=True)
@@ -107,9 +92,10 @@ class RingSpec:
     def __post_init__(self):
         names = tuple(str(s) for s in self.names)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "char", operator.index(self.char))
         if len(set(names)) != len(names):
             raise ValueError("variable names must be pairwise distinct")
-        if self.char != 0 and not (2 <= self.char < 2**31 and _is_prime(self.char)):
+        if self.char != 0 and not _is_prime(self.char):
             raise ValueError("characteristic must be 0 or a prime below 2**31")
 
     @property
@@ -152,9 +138,8 @@ class MonomialIdeal:
     gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gens = tuple(tuple(int(x) for x in g) for g in self.gens)
+        gens = _check_exponents(self.gens, self.ring.n)
         object.__setattr__(self, "gens", gens)
-        _check_exponents(gens, self.ring.n)
         if list(gens) != sorted(set(gens)):
             raise ValueError("generators are not in canonical sorted order")
         if len(_minimal(gens)) != len(gens):
@@ -178,9 +163,7 @@ class MonomialIdeal:
         return len(self.gens)
 
     def contains_monomial(self, e) -> bool:
-        e = tuple(e)
-        if len(e) != self.ring.n:
-            raise ValueError("exponent vector does not match the ring")
+        (e,) = _check_exponents([e], self.ring.n)
         return any(_divides(g, e) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
@@ -210,38 +193,54 @@ class MonomialPrime:
         return minimal_generators(self.ring, gens)
 
     def contains_monomial(self, e) -> bool:
+        (e,) = _check_exponents([e], self.ring.n)
         return bool(support(e) & set(self.vars))
 
     def contains_ideal(self, A: MonomialIdeal) -> bool:
-        if self.ring != A.ring:
-            raise RingMismatchError("prime and ideal live over different rings")
+        _check_ring(self, A)
         return all(self.contains_monomial(g) for g in A.gens)
 
     def __str__(self) -> str:
         return format_ideal(self.to_ideal())
 
 
-def _check_exponents(gens, n: int):
-    """Each exponent vector, in order, has n entries, none negative or above ``MAX_EXPONENT``."""
-    for g in gens:
+# the input rules: every public entry calls these, before any work, and no check of its own
+def _check_exponents(gens, n: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent-vector rule: each vector, in order, has n integer entries
+    (``operator.index``), none negative or above ``MAX_EXPONENT``.  Returns
+    the vectors as tuples of ints."""
+    out = tuple(tuple(map(operator.index, g)) for g in gens)
+    for g in out:
         if len(g) != n:
             raise ValueError(f"exponent vector {g} does not match ring with {n} variables")
         if g and min(g) < 0:
             raise ValueError(f"negative exponent in {g}")
         if g and max(g) > MAX_EXPONENT:
             raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
+    return out
 
 
-def _check_ring(A: MonomialIdeal, B: MonomialIdeal):
+def _check_ring(A, B):
+    """The same-ring rule, for ideals and primes alike."""
     if A.ring != B.ring:
         raise RingMismatchError("ideals live over different rings")
 
 
+def _check_module(I: MonomialIdeal):
+    """The module rule for S/I: a nonzero module and a prime characteristic."""
+    if I.is_unit:
+        raise ValueError("the unit ideal presents the zero module")
+    if I.ring.char == 0:
+        raise ValueError("prime characteristic required by the rank engine")
+
+
 def _check_pair(a: MonomialIdeal, I: MonomialIdeal):
-    """Input check of a pair (a, S/I): one ring and a proper relative ideal."""
+    """The pair rule for (a, S/I): one ring, and the module rule for S/a,
+    that is a proper relative ideal and a prime characteristic."""
     _check_ring(a, I)
     if a.is_unit:
         raise ValueError("the relative ideal must be proper")
+    _check_module(a)
 
 
 def _minimal(gens) -> list[tuple[int, ...]]:
@@ -266,9 +265,7 @@ def minimal_generators(ring: RingSpec, gens) -> MonomialIdeal:
     those that are not kept; the result is canonical by construction, so it
     is not minimized a second time by the constructor's check.
     """
-    gens = sorted(set(tuple(int(x) for x in g) for g in gens))
-    _check_exponents(gens, ring.n)
-    kept = tuple(_minimal(gens))
+    kept = tuple(_minimal(_check_exponents(sorted(set(map(tuple, gens))), ring.n)))
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "ring", ring)
     object.__setattr__(ideal, "gens", kept)
@@ -303,9 +300,7 @@ def quotient(A: MonomialIdeal, m) -> MonomialIdeal:
 
     m is a nonzero-divisor on S/A exactly when (A : m) == A.
     """
-    m = tuple(int(x) for x in m)
-    if len(m) != A.ring.n:
-        raise ValueError("exponent vector does not match the ring")
+    (m,) = _check_exponents([m], A.ring.n)
     return minimal_generators(A.ring, [tuple(max(g[j] - m[j], 0) for j in range(len(m))) for g in A.gens])
 
 

@@ -104,15 +104,17 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
 from .linalg import rank_mod_p
-from .monomials import MAX_EXPONENT, MonomialIdeal, _check_pair, radical
+from .monomials import MAX_EXPONENT, MonomialIdeal, _check_exponents, _check_module, _check_pair, radical
 
 __all__ = [
     "DegreeBox",
@@ -352,7 +354,7 @@ def _taylor_faces(r: int) -> FaceSet:
 
 
 def _generator_rows(gens, n: int) -> np.ndarray:
-    return np.asarray(gens, dtype=np.int16).reshape(len(gens), n)
+    return np.array(_check_exponents(gens, n), dtype=np.int16).reshape(len(gens), n)
 
 
 # the layouts of recent generator tuples; the default corpus asks for about
@@ -390,8 +392,9 @@ def lyubeznik_layout(gens, n: int) -> FaceLayout:
 @lru_cache(maxsize=4096)
 def taylor_layout(gens, n: int) -> FaceLayout:
     """The full simplex on the generators (in n variables) in their given order: the Taylor complex."""
+    G = _generator_rows(gens, n)
     faces = _taylor_faces(len(gens))
-    return FaceLayout(faces, _face_lcms(faces, _generator_rows(gens, n)))
+    return FaceLayout(faces, _face_lcms(faces, G))
 
 
 @dataclass(frozen=True)
@@ -401,7 +404,7 @@ class DegreeBox:
     rho: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(int(r) for r in self.rho))
+        object.__setattr__(self, "rho", tuple(map(operator.index, self.rho)))
         if any(r < 1 for r in self.rho):
             raise ValueError("box bounds must be positive")
         # a scanned degree plus a subset lcm stays within int16
@@ -793,9 +796,10 @@ class SliceTable:
     def dim_at(self, i: int, b) -> int:
         if i < 0 or i >= self._class_dims.shape[0]:
             return 0
+        b = tuple(map(operator.index, b))
         if not self.box.contains(b):
             raise ValueError("degree outside the stabilization box")
-        return int(self._product_dims([[int(v)] for v in b])[i, 0])
+        return int(self._product_dims([[v] for v in b])[i, 0])
 
     def _product_dims(self, axes) -> np.ndarray:
         """The dimensions (levels, degrees) at the product of per-axis box
@@ -804,6 +808,25 @@ class SliceTable:
         classes = [np.searchsorted(starts, values, side="right") - 1 for starts, values in zip(self._starts, axes)]
         flat = np.ravel_multi_index(np.ix_(*classes), tuple(len(starts) for starts in self._starts))
         return self._class_dims[:, flat.ravel()]
+
+    def first_shifted_mismatch(self, i: int, target: MonomialIdeal, shift) -> Optional[tuple]:
+        """The lexicographically first box degree b where level i differs
+        from the indicator of x^(b + shift) being a monomial of S/target,
+        with the expected and the tabled dimension; None if none.  Both are
+        constant on each class of the table's starts merged with the
+        indicator's thresholds (those of a face of lcm ``shift``), so they
+        are compared once per class, at its first degree.
+        """
+        shifts = np.array([shift], dtype=np.int64)
+        axes = enumerate(zip(self._starts, self.box.rho))
+        starts = [_axis_classes(r, [*own.tolist(), *_thresholds(target, shifts, j)])[0] for j, (own, r) in axes]
+        expected = _member_rows(starts, target.gens, shifts)[0]
+        tabled = self._product_dims(starts)[i]
+        bad = np.flatnonzero(tabled != expected)
+        if not bad.size:
+            return None
+        cell = np.unravel_index(bad[0], tuple(map(len, starts)))
+        return tuple(int(values[k]) for values, k in zip(starts, cell)), int(expected[bad[0]]), int(tabled[bad[0]])
 
     def hilbert(self, i: int) -> dict[tuple[int, ...], int]:
         """Nonzero slice dimensions of level i, keyed by multidegree."""
@@ -891,15 +914,6 @@ def _check_listing(count: int, box: DegreeBox):
         )
 
 
-def _check_scan(A: MonomialIdeal, B: MonomialIdeal):
-    """A pair the degree-box engines can scan: both ideals proper, prime characteristic."""
-    _check_pair(A, B)
-    if B.is_unit:
-        raise ValueError("both ideals must be proper")
-    if A.ring.char == 0:
-        raise ValueError("prime characteristic required by the rank engine")
-
-
 # hard ceiling on (faces x box degrees) cells so oversized requests fail
 # fast instead of exhausting memory; generous for the intended desk scale
 _MAX_ACTIVITY_CELLS = 600_000_000
@@ -947,7 +961,8 @@ def _slice_dims(layout: FaceLayout, scale: int, A: MonomialIdeal, B: MonomialIde
 
 def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:
     """Run the kernel of a kind of table on one representative degree per threshold class."""
-    _check_scan(A, B)
+    _check_pair(A, B)
+    _check_module(B)
     box = DegreeBox.for_ideals(A, B, pad=pad)
     layout, scale = _complex(kind, A)
     shifts = layout.lcm_groups[0].astype(np.int64) * scale
@@ -969,7 +984,8 @@ def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[i
     x^supp(g)), so it shares neither the class grid nor the Lyubeznik
     complex or the radical with the class tables.
     """
-    _check_scan(A, B)
+    _check_pair(A, B)
+    _check_module(B)
     box = DegreeBox.for_ideals(A, B)
     _check_scan_size([2 * r + 1 for r in box.rho], 1 << len(A.gens), f"stabilization box {box.rho}")
     axes = _Product(np.arange(-r, r + 1, dtype=np.int16) for r in box.rho)
@@ -1030,8 +1046,9 @@ def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int) -> bool:
 
 def _slice_at(kind: str, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
     """Level i of a kind of table at the single degree b, exact for any b the int16 grid holds."""
-    _check_scan(A, B)
-    b = tuple(int(x) for x in b)
+    _check_pair(A, B)
+    _check_module(B)
+    b = tuple(map(operator.index, b))
     if len(b) != A.ring.n:
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):

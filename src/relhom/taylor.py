@@ -31,10 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, _check_module
 from .slices import _check_scan_size, _lattice_dims, lyubeznik_layout
 
-__all__ = ["betti_numbers", "pd_quotient", "depth_quotient", "relabelled", "pd_relabelled"]
+__all__ = ["betti_numbers", "pd_quotient", "depth_quotient"]
 
 
 def relabelled(gens) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -52,9 +52,8 @@ def relabelled(gens) -> tuple[tuple[tuple[int, ...], ...], int]:
 # bounded for long-running processes; the default corpus fills about 1 200 entries
 @lru_cache(maxsize=32_768)
 def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
-    """Total Betti numbers of S/I over GF(p), for I generated by the rows of ``relabelled`` in k variables."""
-    if p == 0:
-        raise ValueError("prime characteristic required by the rank engine")
+    """Total Betti numbers of S/I over GF(p), for I generated by the rows of ``relabelled`` in k variables
+    (the callers have checked the module rule)."""
     if not rows:
         return (1,)
     layout = lyubeznik_layout(rows, k)
@@ -74,7 +73,8 @@ def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
 
 
 def pd_relabelled(rows: tuple, k: int, p: int) -> int:
-    """Projective dimension of S/I for I given as by ``relabelled``: the top nonvanishing Betti index."""
+    """Projective dimension of S/I for I given as by ``relabelled``: the top nonvanishing Betti index
+    (the localization engines read it on checked pairs)."""
     return max(i for i, b in enumerate(_betti_relabelled(rows, k, p)) if b)
 
 
@@ -84,8 +84,7 @@ def betti_numbers(I: MonomialIdeal) -> tuple[int, ...]:
     Cached up to relabelling (see ``relabelled``): ``cache_info`` and
     ``cache_clear`` are those of that cache.
     """
-    if I.is_unit:
-        raise ValueError("the unit ideal presents the zero module")
+    _check_module(I)
     return _betti_relabelled(*relabelled(I.gens), I.ring.char)
 
 

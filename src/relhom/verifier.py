@@ -57,7 +57,6 @@ from .properties import (
 from .slices import (
     DegreeBox,
     _dense_profile,
-    _member_rows,
     ext_profile,
     ext_table,
     ext_vanishes_below,
@@ -416,31 +415,6 @@ def _suite_thm_4_4d(xs, ctx):
     return ran, out, "two-sided (monomial generating sets)", None
 
 
-def _first_shifted_mismatch(table, c: int, target, shift):
-    """The lexicographically first box degree b where level c of an Ext table
-    differs from the indicator of x^(b + shift) being a monomial of
-    S/target, with the expected and the tabled dimension; None if none.
-
-    On axis j the indicator changes only at the thresholds t - shift_j, for
-    t in {0} u {target exponents on x_j}, and the table only at its class
-    starts.  So both are constant on each cell of the product of the
-    intervals between the merged starts, and are compared once per cell.
-    The lexicographically first degree of a union of cells is the least
-    first degree of a cell.
-    """
-    starts = []
-    for j, (own, r) in enumerate(zip(table._starts, table.box.rho)):
-        shifted = {t - shift[j] for t in (0, *(g[j] for g in target.gens))}
-        starts.append(np.array(sorted({*own.tolist(), *(t for t in shifted if -r < t <= r)}), dtype=np.int16))
-    expected = _member_rows(starts, target.gens, np.array([shift]))[0]
-    tabled = table._product_dims(starts)[c]
-    bad = np.flatnonzero(tabled != expected)
-    if not bad.size:
-        return None
-    cell = np.unravel_index(bad[0], tuple(len(values) for values in starts))
-    return tuple(int(values[k]) for values, k in zip(starts, cell)), int(expected[bad[0]]), int(tabled[bad[0]])
-
-
 def _suite_prop_4_6f(xs, ctx):
     out, ran = [], 0
     for x in xs:
@@ -459,7 +433,7 @@ def _suite_prop_4_6f(xs, ctx):
                 out.append(_violation(x, {"ext_profile": [c]}, {"ext_profile": sorted(profile)}))
                 continue
             shift = [sum(g[j] for g in x.a.gens) for j in range(x.a.ring.n)]
-            bad = _first_shifted_mismatch(ext_table(x.a, module_ideal), c, sum_ideals(module_ideal, x.a), shift)
+            bad = ext_table(x.a, module_ideal).first_shifted_mismatch(c, sum_ideals(module_ideal, x.a), shift)
             if bad is not None:
                 out.append(
                     _violation(x, {"degree": bad[0], "dim": bad[1]}, {"dim": bad[2]}, "shifted Hilbert mismatch")

@@ -32,7 +32,10 @@ and ``oracle_radical_primes`` reads the minimal primes off the splitter's
 decomposition of rad(I), as the engine did before it took the minimal
 vertex covers.
 ``oracle_grade_by_localization`` builds every localized ideal as a ring and
-an ideal, the localization grade before it read pd from the Betti cache,
+an ideal, over every subset of all the variables, the localization grade
+before it read pd from the Betti cache and visited only the used variables,
+and ``oracle_sop_candidates`` finds the parameter-system candidates by the
+loop over every support, before they were enumerated per generator;
 ``oracle_cd_of_prime_quotient`` builds the image of a modulo a prime as an
 ideal and takes its radical, as the engine did before it read pd from the
 Betti cache, and ``oracle_row_groups`` groups rows by their bytes in a dict.
@@ -438,6 +441,25 @@ def sop_search(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> Sop
         if radical_supports([*map(support, I.gens), *map(support, combo)]) == target:
             return SopWitness(SOP_FOUND, combo, degree_bound)
     return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
+
+
+def oracle_sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[int, ...]]:
+    """For every nonempty support F, the least g + (the variables of F
+    outside supp(g)) over the generators g with supp(g) in F, within the
+    degree bound; in increasing order."""
+    n = a.ring.n
+    achievable = []
+    for fbits in range(1, 1 << n):
+        fset = frozenset(j for j in range(n) if (fbits >> j) & 1)
+        best = None
+        for g in a.gens:
+            if support(g) <= fset:
+                e = tuple(g[j] + (1 if j in fset and g[j] == 0 else 0) for j in range(n))
+                if sum(e) <= degree_bound and (best is None or e < best):
+                    best = e
+        if best is not None:
+            achievable.append(best)
+    return sorted(achievable)
 
 
 def oracle_sop_by_support(a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4) -> SopWitness:

@@ -31,6 +31,7 @@ from conftest import (
     oracle_grade_by_localization,
     oracle_monomials,
     oracle_sop_by_support,
+    oracle_sop_candidates,
     radical_supports,
     random_proper_ideal,
     sop_search,
@@ -85,6 +86,23 @@ class TestGrade:
                 pairs += [(a, I), (a, zero_ideal(ring)), (spread, I)]
         for a, I in pairs:
             assert grade_by_localization(a, I) == oracle_grade_by_localization(a, I)
+
+    def test_localization_over_the_used_variables(self):
+        # pairs in 7 variables whose generators use only x0, x2, x3 and x5:
+        # the scan over subsets of the used variables agrees with the scan
+        # over all 2^7 subsets and with the grade in the ring of the used ones
+        rng = np.random.default_rng(5)
+        ring, small = RingSpec(tuple(f"x{j}" for j in range(7))), RingSpec(("x0", "x2", "x3", "x5"))
+        used = (0, 2, 3, 5)
+
+        def spread(A):
+            return minimal_generators(ring, [tuple(g[used.index(j)] if j in used else 0 for j in range(7)) for g in A.gens])
+
+        for _ in range(12):
+            a, I = random_proper_ideal(rng, small, 3, 4), random_proper_ideal(rng, small, 3, 5)
+            for J in (I, zero_ideal(small)):
+                expected = grade_by_localization(a, J)
+                assert grade_by_localization(spread(a), spread(J)) == expected == oracle_grade_by_localization(spread(a), spread(J))
 
     def test_localization_stops_at_the_first_depth_zero(self, ring3, monkeypatch):
         # a = (yz), I = (xy, xz): the qualifying F are {x,y}, {x,z}, {y,z} and
@@ -269,6 +287,23 @@ class TestSopSearch:
                     candidates = invariants._sop_candidates(a, bound)
                     assert candidates == sorted(least.values())
                     assert len({support(e) for e in candidates}) == len(candidates)
+
+    def test_candidates_match_the_loop_over_every_support(self):
+        # four corpora at five degree bounds: the per-generator enumeration
+        # finds the list of the loop over all 2^n supports
+        corpora = (
+            CorpusParams(),
+            CorpusParams(seed=11),
+            CorpusParams(n=5, squarefree=True, gen_count_range=(2, 7)),
+            CorpusParams(n=3, max_exponent=8),
+        )
+        cases = 0
+        for params in corpora:
+            for a, _ in corpus_instances(params):
+                for bound in (0, 1, 2, 4, 6):
+                    assert invariants._sop_candidates(a, bound) == oracle_sop_candidates(a, bound)
+                    cases += 1
+        assert cases == 4_000
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_pruned_search_on_cycles(self, monkeypatch, n):
