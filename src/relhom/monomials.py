@@ -182,10 +182,7 @@ class MonomialPrime:
     vars: tuple[int, ...]
 
     def __post_init__(self):
-        vs = tuple(sorted(set(int(v) for v in self.vars)))
-        object.__setattr__(self, "vars", vs)
-        if vs and not (0 <= vs[0] and vs[-1] < self.ring.n):
-            raise ValueError("variable index out of range")
+        object.__setattr__(self, "vars", tuple(sorted(_check_variables(self.vars, self.ring.n))))
 
     def to_ideal(self) -> MonomialIdeal:
         n = self.ring.n
@@ -217,6 +214,15 @@ def _check_exponents(gens, n: int) -> tuple[tuple[int, ...], ...]:
             raise ValueError(f"negative exponent in {g}")
         if g and max(g) > MAX_EXPONENT:
             raise ValueError(f"exponent in {g} exceeds the limit {MAX_EXPONENT}")
+    return out
+
+
+def _check_variables(F, n: int) -> frozenset[int]:
+    """The variable-position rule: each position is an integer
+    (``operator.index``) in 0..n-1.  Returns the positions as a set of ints."""
+    out = frozenset(map(operator.index, F))
+    if any(not 0 <= v < n for v in out):
+        raise ValueError(f"variable index out of range for a ring with {n} variables: {sorted(out)}")
     return out
 
 
@@ -429,7 +435,7 @@ def erase_to_zero(A: MonomialIdeal, F) -> MonomialIdeal:
     Drops every generator whose support meets F; the result lives in the
     ring on the remaining variables.
     """
-    F = frozenset(F)
+    F = _check_variables(F, A.ring.n)
     keep = [j for j in range(A.ring.n) if j not in F]
     gens = [tuple(g[j] for j in keep) for g in A.gens if not (support(g) & F)]
     return minimal_generators(A.ring.restrict(keep), gens)
@@ -441,7 +447,7 @@ def erase_to_one(A: MonomialIdeal, F) -> MonomialIdeal:
     Models localization at the prime on the complementary variables; the
     result lives in the ring on the remaining variables.
     """
-    F = frozenset(F)
+    F = _check_variables(F, A.ring.n)
     keep = [j for j in range(A.ring.n) if j not in F]
     gens = [tuple(g[j] for j in keep) for g in A.gens]
     return minimal_generators(A.ring.restrict(keep), gens)

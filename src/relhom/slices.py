@@ -88,11 +88,15 @@ generator tuple, in a bounded cache.  Degrees are grouped by activity
 pattern under a one-value key per degree, read from the rows of distinct
 values (an unsigned integer for up to 64 rows, whose sort is much faster
 than that of bytes), and only the distinct patterns are then gathered to
-the faces.  Then the ranks for the whole table are computed together:
-each distinct pair of consecutive active levels is looked up in a bounded
-cache keyed by the face set's digest of the incidence between the two
-levels, and the missing incidence matrices go to ``rank_mod_p`` in
-zero-padded stacks of bounded size, eliminated in lock step.  A single incidence matrix above
+the faces.  The dimensions of a pattern depend only on p, the face set's
+incidence structure and which faces are active, so each pattern's column
+of dimensions is looked up in one memo, bounded in entries and in bytes,
+keyed by p, the digest of the whole face set (every level's size, so the
+level count, and every boundary map) and the pattern's packed bits.  The
+default corpus looks up about 19 000 patterns, of which about 3 700 miss.
+Only the missed patterns are ranked, all of a table's together: their
+incidence matrices go to ``rank_mod_p`` in zero-padded stacks of bounded
+size, eliminated in lock step.  A single incidence matrix above
 ``_MAX_RANK_MATRIX_CELLS`` is refused before any stack is built.
 
 The dedup and rank layers have a second caller besides the tables:
@@ -189,6 +193,12 @@ class FaceSet:
             keys = tails.astype(np.int64) * r + first
             down.append(faces)
         return tuple(down)
+
+    @cached_property
+    def digest(self) -> bytes:
+        """Names the whole incidence structure: the size of every level, so
+        also the level count, and the digest of every pair of levels."""
+        return hashlib.blake2b(self.offsets.tobytes() + b"".join(self.digests), digest_size=16).digest()
 
     @cached_property
     def digests(self) -> tuple[bytes, ...]:
@@ -450,10 +460,11 @@ def _axis_classes(r: int, thresholds) -> tuple[np.ndarray, np.ndarray]:
     return np.array(starts), np.array(reps, dtype=np.int16)
 
 
-def _thresholds(I: MonomialIdeal, shifts: np.ndarray, j: int) -> list[int]:
+def _thresholds(I: MonomialIdeal, shifts: np.ndarray, j: int) -> set[int]:
     """The thresholds of axis j for faces shifted by the rows of ``shifts``:
     c - s for c in {0} u {I-exponents on x_j} and s in the shift column j."""
-    return [c - s for c in {0, *(g[j] for g in I.gens)} for s in np.unique(shifts[:, j]).tolist()]
+    column = set(shifts[:, j].tolist())
+    return {c - s for c in {0, *(g[j] for g in I.gens)} for s in column}
 
 
 # the Frobenius exponent of the local-cohomology tables: a shift past every
@@ -584,16 +595,23 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _BoundedCache:
-    """A thread-safe mapping of at most ``maxsize`` entries that drops the oldest first."""
+    """A thread-safe mapping that drops the oldest entries first.
 
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
+    It holds at most ``maxsize`` entries and, given ``maxbytes``, keys and
+    values (both bytes) of at most ``maxbytes`` bytes in all.
+    """
+
+    def __init__(self, maxsize: int, maxbytes: Optional[int] = None):
+        self.maxsize, self.maxbytes = maxsize, maxbytes
         self._entries: OrderedDict = OrderedDict()  # oldest first
         self._lock = threading.Lock()
-        self._hits = self._misses = 0
+        self._hits = self._misses = self._bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _weight(self, key, value) -> int:
+        return 0 if self.maxbytes is None else len(key) + len(value)
 
     def get(self, key):
         """The entry of ``key``, or None; counts a hit or a miss."""
@@ -607,9 +625,13 @@ class _BoundedCache:
 
     def put(self, key, value):
         with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= self._weight(key, old)
             self._entries[key] = value
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            self._bytes += self._weight(key, value)
+            while len(self._entries) > self.maxsize or (self.maxbytes is not None and self._bytes > self.maxbytes):
+                self._bytes -= self._weight(*self._entries.popitem(last=False))
 
     def cache_info(self) -> _CacheInfo:
         with self._lock:
@@ -618,12 +640,17 @@ class _BoundedCache:
     def cache_clear(self):
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = 0
+            self._hits = self._misses = self._bytes = 0
 
 
-# ranks of level pairs, keyed by p, k, the face set's digest of levels k and
-# k + 1 and their packed activity
-_RANK_CACHE = _BoundedCache(200_000)
+# the dimensions column (int32 per level) of each face-activity pattern,
+# keyed by p, the face set's digest and the pattern's packed bits; the
+# default corpus leaves about 3 700 entries.  Keys and values grow with the
+# faces (the 100-generator chain's 3 734 faces give 467 pattern bytes plus
+# a prefix of at most 27, and a 404-byte column), so the payload is capped
+# in bytes as well: at worst 8 MiB of keys and values plus about 140 bytes
+# of Python objects per entry, about 13 MB in all
+_DIMS_CACHE = _BoundedCache(32_768, maxbytes=1 << 23)
 
 # byte cap of one stack of incidence matrices handed to rank_mod_p; it bounds
 # the elimination's working memory; a single larger matrix goes alone, up to
@@ -645,86 +672,56 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, faces: FaceSet, p: i
     result is the rank of the map from the active faces of size k to the
     active faces of size k + 1 in pattern u.
 
-    Each distinct pair of active levels is looked up once in the bounded
-    rank cache, keyed by p, k, the face set's digest of the incidence between
-    levels k and k + 1, and the packed activity of both levels.  The missing
-    ones are built from each face's boundary, oriented with no more columns
-    than rows, sorted by shape and ranked by ``rank_mod_p`` in zero-padded
-    stacks of at most ``_MAX_RANK_STACK_BYTES``.  A missing matrix of more
-    than ``_MAX_RANK_MATRIX_CELLS`` cells raises ValueError before any
-    stack is built.
+    Every pair of consecutive levels that are both active is built from
+    each face's boundary, oriented with no more columns than rows, sorted
+    by shape and ranked by ``rank_mod_p`` in zero-padded stacks of at most
+    ``_MAX_RANK_STACK_BYTES``.  A matrix of more than
+    ``_MAX_RANK_MATRIX_CELLS`` cells raises ValueError before any stack is
+    built.  ``cache_info`` and ``cache_clear`` are those of the memo of
+    ``_lattice_dims``, which calls this on the patterns it misses.
     """
     offsets, down = faces.offsets, faces.down
     r = sizes.shape[0] - 1
-    count = by_size.shape[1]
-    ranks = np.zeros((r, count), dtype=np.int64)
-    found = []  # per level: k, live columns, class of each, rank of each class
-    missing = []  # per uncached class: its level's rank array, class, k, a column, key
-    for k in range(r):
-        lo, hi = by_size[offsets[k] : offsets[k + 1]], by_size[offsets[k + 1] : offsets[k + 2]]
-        live = np.flatnonzero(lo.any(axis=0) & hi.any(axis=0))
-        if not live.size:
-            continue
-        bits = np.ascontiguousarray(np.packbits(by_size[offsets[k] : offsets[k + 2], live], axis=0).T)
-        width, data = bits.shape[1], bits.tobytes()
-        groups: dict[bytes, tuple[int, int]] = {}  # packed bits -> class, its first live column
-        inverse = np.array(
-            [groups.setdefault(data[c * width : (c + 1) * width], (len(groups), c))[0] for c in range(live.size)]
-        )
-        level_ranks = np.zeros(len(groups), dtype=np.int64)
-        prefix = b"%d,%d," % (p, k) + faces.digests[k]
-        for packed, (j, c) in groups.items():
-            key = prefix + packed
-            hit = _RANK_CACHE.get(key)
-            if hit is None:
-                missing.append((level_ranks, j, k, live[c], key))
-            else:
-                level_ranks[j] = hit
-        found.append((k, live, inverse, level_ranks))
-    if missing:
-        level_of = np.array([m[2] for m in missing])
-        column = np.array([m[3] for m in missing])
-        width, height = sizes[level_of, column], sizes[level_of + 1, column]
-        tall, short = np.maximum(width, height), np.minimum(width, height)
-        largest = int((tall * short).max())
-        if largest > _MAX_RANK_MATRIX_CELLS:
-            raise ValueError(f"an incidence matrix of {largest} cells on {r} generators is too large to rank")
-        # cut the pairs, ordered by shape, into int64 stacks under the byte cap
-        sequence = np.lexsort((short, tall))
-        chunks, start, cols = [], 0, 0
-        for pos, idx in enumerate(sequence.tolist()):
-            cols = max(cols, int(short[idx]))
-            if pos > start and (pos - start + 1) * int(tall[idx]) * cols * 8 > _MAX_RANK_STACK_BYTES:
-                chunks.append(sequence[start:pos])
-                start, cols = pos, int(short[idx])
-        chunks.append(sequence[start:])
-        for chunk in chunks:
-            stack = np.zeros((chunk.size, tall[chunk].max(), short[chunk].max()), dtype=np.int64)
-            for k in sorted(set(level_of[chunk].tolist())):
-                slots = np.flatnonzero(level_of[chunk] == k)
-                picked = column[chunk[slots]]
-                lo = by_size[offsets[k] : offsets[k + 1], picked]
-                hi = by_size[offsets[k + 1] : offsets[k + 2], picked]
-                lo_at = np.cumsum(lo, axis=0, dtype=np.int32) - 1
-                hi_at = np.cumsum(hi, axis=0, dtype=np.int32) - 1
-                flip = height[chunk[slots]] < width[chunk[slots]]
-                # one boundary slot at a time keeps the index arrays small
-                for t in range(k + 1):
-                    face = down[k + 1][:, t]
-                    i, b = np.nonzero(hi & lo[face])
-                    row, col, f = hi_at[i, b], lo_at[face[i], b], flip[b]
-                    stack[slots[b], np.where(f, col, row), np.where(f, row, col)] = -1 if t & 1 else 1
-            for idx, value in zip(chunk.tolist(), rank_mod_p(stack, p).tolist()):
-                level_ranks, j, _, _, key = missing[idx]
-                level_ranks[j] = value
-                _RANK_CACHE.put(key, value)
-    for k, live, inverse, level_ranks in found:
-        ranks[k, live] = level_ranks[inverse]
+    ranks = np.zeros((r, by_size.shape[1]), dtype=np.int64)
+    level_of, column = np.nonzero((sizes[:-1] > 0) & (sizes[1:] > 0))
+    if not level_of.size:
+        return ranks
+    width, height = sizes[level_of, column], sizes[level_of + 1, column]
+    tall, short = np.maximum(width, height), np.minimum(width, height)
+    largest = int((tall * short).max())
+    if largest > _MAX_RANK_MATRIX_CELLS:
+        raise ValueError(f"an incidence matrix of {largest} cells on {r} generators is too large to rank")
+    # cut the pairs, ordered by shape, into int64 stacks under the byte cap
+    sequence = np.lexsort((short, tall))
+    chunks, start, cols = [], 0, 0
+    for pos, idx in enumerate(sequence.tolist()):
+        cols = max(cols, int(short[idx]))
+        if pos > start and (pos - start + 1) * int(tall[idx]) * cols * 8 > _MAX_RANK_STACK_BYTES:
+            chunks.append(sequence[start:pos])
+            start, cols = pos, int(short[idx])
+    chunks.append(sequence[start:])
+    for chunk in chunks:
+        stack = np.zeros((chunk.size, tall[chunk].max(), short[chunk].max()), dtype=np.int64)
+        for k in sorted(set(level_of[chunk].tolist())):
+            slots = np.flatnonzero(level_of[chunk] == k)
+            picked = column[chunk[slots]]
+            lo = by_size[offsets[k] : offsets[k + 1], picked]
+            hi = by_size[offsets[k + 1] : offsets[k + 2], picked]
+            lo_at = np.cumsum(lo, axis=0, dtype=np.int32) - 1
+            hi_at = np.cumsum(hi, axis=0, dtype=np.int32) - 1
+            flip = height[chunk[slots]] < width[chunk[slots]]
+            # one boundary slot at a time keeps the index arrays small
+            for t in range(k + 1):
+                face = down[k + 1][:, t]
+                i, b = np.nonzero(hi & lo[face])
+                row, col, f = hi_at[i, b], lo_at[face[i], b], flip[b]
+                stack[slots[b], np.where(f, col, row), np.where(f, row, col)] = -1 if t & 1 else 1
+        ranks[level_of[chunk], column[chunk]] = rank_mod_p(stack, p)
     return ranks
 
 
-_incidence_rank.cache_info = _RANK_CACHE.cache_info
-_incidence_rank.cache_clear = _RANK_CACHE.cache_clear
+_incidence_rank.cache_info = _DIMS_CACHE.cache_info
+_incidence_rank.cache_clear = _DIMS_CACHE.cache_clear
 
 
 # the place of each of eight rows within a byte of ``_packed_columns``
@@ -756,19 +753,36 @@ def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) 
     degree d iff ``active[rows[f], d]``.  Degrees are grouped by identical
     column of ``active`` under a one-value key per degree, its packed column
     (an integer up to 64 rows), before anything is gathered to the faces;
-    only the distinct columns are.  When every row is read by some face, two
-    degrees share a column iff they share an activity pattern on the faces.
-    One ``_incidence_rank`` call ranks the level pairs of every distinct
-    pattern.
+    only the distinct columns are.
+
+    The dimensions of a pattern depend only on p, the face set's incidence
+    structure and which faces are active, so each pattern's column is
+    looked up in a bounded memo keyed by p, ``faces.digest`` (every level,
+    the level count and every boundary map) and the pattern's packed bits.
+    One ``_incidence_rank`` call ranks the level pairs of the patterns the
+    memo misses.
     """
     first, inverse = _row_groups(_packed_columns(active))
     by_size = active[:, first][rows]
-    sizes = faces.per_level(by_size)
-    ranks = _incidence_rank(by_size, sizes, faces, p)
-    dims = sizes.astype(np.int32)
-    dims[:-1] -= ranks
-    dims[1:] -= ranks
-    return dims[:, inverse]
+    packed = _packed_columns(by_size)
+    width, data = packed.shape[1], packed.tobytes()
+    prefix = b"%d," % p + faces.digest
+    keys = [prefix + data[u * width : (u + 1) * width] for u in range(first.size)]
+    values = [_DIMS_CACHE.get(key) for key in keys]
+    missing = {key: u for u, (key, value) in enumerate(zip(keys, values)) if value is None}
+    if missing:
+        picked = by_size[:, list(missing.values())]
+        sizes = faces.per_level(picked)
+        ranks = _incidence_rank(picked, sizes, faces, p)
+        dims = sizes.astype(np.int32)
+        dims[:-1] -= ranks
+        dims[1:] -= ranks
+        fresh = dict(zip(missing, (column.tobytes() for column in dims.T)))
+        for key, value in fresh.items():
+            _DIMS_CACHE.put(key, value)
+        values = [fresh[key] if value is None else value for key, value in zip(keys, values)]
+    dims = np.frombuffer(b"".join(values), dtype=np.int32).reshape(first.size, faces.offsets.size - 1)
+    return dims.T[:, inverse]
 
 
 def _nonzero_levels(dims: np.ndarray) -> frozenset[int]:
@@ -1010,7 +1024,7 @@ _PROFILE_CACHE = _BoundedCache(65_536)
 
 def clear_slice_caches():
     _PROFILE_CACHE.cache_clear()
-    _RANK_CACHE.cache_clear()
+    _DIMS_CACHE.cache_clear()
     for cached in (lyubeznik_layout, taylor_layout, _lyubeznik_faces, _taylor_faces, _member_tables):
         cached.cache_clear()
 

@@ -1,13 +1,14 @@
 """Command-line interface: flags, exit codes, JSON output, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
-from relhom import slices
+from relhom import cli, slices
 from relhom.cli import main
 from relhom.invariants import EngineDisagreementError
 from relhom.monomials import RingSpec, format_ideal, parse_ideal, unit_ideal
@@ -388,3 +389,37 @@ def test_check_verdicts_match_the_full_report(capsys):
             argv = ["check", prop, "--ring", names, "--a", format_ideal(a), "--i", format_ideal(module_ideal)]
             code, _, _ = run(capsys, *argv)
             assert code == {True: 0, False: 1, None: 2}[getattr(report, field)], (prop, a, module_ideal)
+
+
+def test_one_parser_serves_a_run_of_calls(capsys, monkeypatch):
+    # the parser is built once per process: a run of calls in one process
+    # (a valid analyze, a parse error, a check, the help) must exit and
+    # print as the same commands do each in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [
+        ["analyze", "--ring", "x,y", "--a", "x", "--i", "x*y", "--json"],
+        ["analyze", "--ring", "x,y", "--a", "x", "--box-pad", "two"],
+        ["check", "cm", "--ring", "x,y", "--a", "x", "--i", "x*y"],
+        ["--help"],
+    ]
+    in_process = []
+    for argv in commands:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    separate = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "relhom", *argv], capture_output=True, text=True, timeout=60, env=os.environ
+        )
+        separate.append((proc.returncode, proc.stdout))
+    assert in_process == separate
+    assert [code for code, _ in in_process] == [0, 2, 1, 0]
+    assert in_process[3][1] == cli._build_parser.__wrapped__().format_help()
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_handler_rebound_after_the_first_call_is_the_one_run(capsys, monkeypatch):
+    # the cached parser names each handler; main looks it up per call
+    assert main(["check", "cm", "--ring", "x", "--a", "x"]) == 0
+    monkeypatch.setattr(cli, "_cmd_check", lambda args: 7)
+    assert main(["check", "cm", "--ring", "x", "--a", "x"]) == 7

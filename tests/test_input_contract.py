@@ -6,8 +6,9 @@ Each row of ``REFUSED`` is one call and the exception it must raise.  The
 rules are the exponent-vector rule (n integer entries, none negative or above
 ``MAX_EXPONENT``), the same-ring rule (``RingMismatchError``), the pair rule
 (one ring, a proper relative ideal, a prime characteristic), the module rule
-(S/I nonzero, a prime characteristic) and one primality test; degrees, box
-bounds and degree bounds go through ``operator.index``.
+(S/I nonzero, a prime characteristic), the variable-position rule (integer
+positions in range) and one primality test; degrees, box bounds and degree
+bounds go through ``operator.index``.
 """
 
 import inspect
@@ -34,6 +35,8 @@ from relhom.monomials import (
     RingMismatchError,
     RingSpec,
     _is_prime,
+    erase_to_one,
+    erase_to_zero,
     intersect,
     minimal_generators,
     parse_ideal,
@@ -155,6 +158,12 @@ REFUSED = [
     ("MonomialIdeal: negative vector", lambda: MonomialIdeal(R2, ((0, -1),)), ValueError),
     ("lyubeznik_layout: negative vector", lambda: lyubeznik_layout(((-1, 0),), 2), ValueError),
     ("taylor_layout: long vector", lambda: taylor_layout(((1, 0),), 3), ValueError),
+    # the variable-position rule: integer positions of the ring's variables
+    ("erase_to_zero: position past the ring", lambda: erase_to_zero(XY, [5]), ValueError),
+    ("erase_to_one: negative position", lambda: erase_to_one(XY, [-1]), ValueError),
+    ("erase_to_one: non-integer position", lambda: erase_to_one(XY, [0.5]), TypeError),
+    ("MonomialPrime: non-integer position", lambda: MonomialPrime(R2, (1.7,)), TypeError),
+    ("MonomialPrime: position past the ring", lambda: MonomialPrime(R2, (0, 2)), ValueError),
     # degrees, box bounds and degree bounds are integers
     ("ext_slice: non-integer degree", lambda: ext_slice(X, Y, 0, (1.7, 0)), TypeError),
     ("local_cohomology_slice: non-integer degree", lambda: local_cohomology_slice(X, Y, 0, (1.7, 0)), TypeError),
@@ -222,6 +231,13 @@ def test_edge_values_inside_the_rules_are_accepted():
     assert minimal_generators(R2, [np.array([1, 0]), (0, 1)]).gens == ((0, 1), (1, 0))
     assert quotient(XY, (1, 0)) == Y and XY.contains_monomial((1, 1))
     assert grade(X, UNIT) is None and mu(X) == 1
+
+
+def test_variable_positions_inside_the_rule_are_accepted():
+    assert MonomialPrime(R2, (np.int64(1), 0, 1)).vars == (0, 1)
+    assert erase_to_zero(XY, [np.int64(1)]) == zero_ideal(R2.restrict([0]))
+    assert erase_to_one(XY, (1,)) == erase_to_one(XY, [np.int16(1)]) == parse_ideal(R2.restrict([0]), "x")
+    assert erase_to_zero(XY, []) == XY and MonomialPrime(R2, ()).vars == ()
 
 
 def test_is_prime_matches_a_sieve():

@@ -682,6 +682,86 @@ def test_lattice_dims_read_shared_rows_through_the_face_map(monkeypatch, p):
             assert dims[:, d].tolist() == expected
 
 
+@pytest.mark.parametrize("p", [2, 32003])
+def test_dims_memo_tells_level_counts_apart(p):
+    # two face sets with the same nonempty levels, one with an extra empty
+    # level: every per-level digest agrees, so a key on those alone would
+    # hand the second the 4-level columns of the first.  The memo must give
+    # each the oracle's dimensions, in either order and on a warm memo
+    rng = np.random.default_rng(300 + p)
+    levels = slices._face_levels(np.zeros((3, 0), dtype=np.int16), False, slices._MAX_FACES)
+    short, padded = slices._face_set((0, 1, 2), levels), slices._face_set((0, 1, 2, 3), levels)
+    assert short.digests == padded.digests and short.digest != padded.digest
+    faces = [T for level in layout_faces(short) for T in level]
+    columns = rng.random((len(faces), 12)) < 0.5
+    active = columns[:, rng.integers(0, 12, size=30)]
+    clear_slice_caches()
+    for face_set, r in ((short, 3), (padded, 4), (short, 3), (padded, 4)):
+        dims = _lattice_dims(active, face_set, p, np.arange(len(faces)))
+        assert dims.shape == (r + 1, active.shape[1])
+        for d in range(active.shape[1]):
+            expected = _complex_dims([faces[m] for m in np.flatnonzero(active[:, d])], r, p, is_complex=False)
+            assert dims[:, d].tolist() == expected
+    assert slices._incidence_rank.cache_info().hits > 0
+
+
+def test_dims_memo_skips_the_ranks_of_patterns_seen_before(monkeypatch):
+    # a second call on the same face patterns, in another degree order and
+    # read through another row map, ranks nothing and gives the same columns
+    rng = np.random.default_rng(310)
+    face_set = lyubeznik_layout(random_proper_ideal(rng, RingSpec(("x", "y", "z")), 5, 8).gens, 3).faces
+    count = face_set.size
+    active = rng.random((count, 40)) < 0.6
+    calls = []
+    rank = slices._incidence_rank
+
+    def counting(*args):
+        calls.append(args[0].shape[1])
+        return rank(*args)
+
+    monkeypatch.setattr(slices, "_incidence_rank", counting)
+    clear_slice_caches()
+    dims = _lattice_dims(active, face_set, 3, np.arange(count))
+    assert len(calls) == 1 and calls[0] == len({column.tobytes() for column in active.T})
+    order = rng.permutation(active.shape[1])
+    rows = rng.permutation(count)
+    reread = np.empty_like(active)
+    reread[rows] = active[:, order]
+    assert np.array_equal(_lattice_dims(reread, face_set, 3, rows), dims[:, order])
+    assert len(calls) == 1
+    # another characteristic is another key
+    _lattice_dims(active, face_set, 2, np.arange(count))
+    assert len(calls) == 2
+
+
+def test_bounded_cache_keeps_to_its_byte_budget():
+    cache = slices._BoundedCache(100, maxbytes=40)
+    for k in range(10):
+        cache.put(b"k%d" % k, bytes(8))  # 10 bytes an entry
+    assert len(cache) == 4 and cache.get(b"k5") is None and cache.get(b"k9") == bytes(8)
+    cache.put(b"k9", bytes(18))  # a new value for a kept key replaces its bytes
+    assert len(cache) == 3 and cache.get(b"k6") is None and cache.get(b"k7") == bytes(8)
+    cache.put(b"big", bytes(60))  # past the budget alone: nothing is kept
+    assert len(cache) == 0
+    cache.cache_clear()
+    cache.put(b"k0", bytes(8))
+    assert len(cache) == 1 and cache.cache_info().currsize == 1
+
+
+def test_dims_memo_stays_within_its_byte_budget(monkeypatch, ring3):
+    rng = np.random.default_rng(320)
+    pairs = [(random_proper_ideal(rng, ring3, 2, 5), random_proper_ideal(rng, ring3, 2, 3)) for _ in range(8)]
+    clear_slice_caches()
+    expected = [ext_table(*pair)._class_dims for pair in pairs]
+    monkeypatch.setattr(slices._DIMS_CACHE, "maxbytes", 300)
+    clear_slice_caches()
+    for pair, dims in zip(pairs, expected):
+        assert np.array_equal(ext_table(*pair)._class_dims, dims)
+        entries = list(slices._DIMS_CACHE._entries.items())
+        assert sum(len(key) + len(value) for key, value in entries) == slices._DIMS_CACHE._bytes <= 300
+    assert slices._incidence_rank.cache_info().misses > len(slices._DIMS_CACHE)
+
+
 def test_rank_stacks_stay_under_the_byte_cap(monkeypatch, ring4):
     # all six squarefree quadrics: uncapped, one table's missing ranks fill
     # stacks of up to about 270 kB
@@ -716,7 +796,7 @@ def test_caches_stay_within_their_bounds_under_threads(monkeypatch, ring3):
 
     clear_slice_caches()
     serial = [profiles(pair) for pair in pairs]
-    monkeypatch.setattr(slices._RANK_CACHE, "maxsize", 8)
+    monkeypatch.setattr(slices._DIMS_CACHE, "maxsize", 8)
     monkeypatch.setattr(slices._PROFILE_CACHE, "maxsize", 5)
     clear_slice_caches()
     interval = sys.getswitchinterval()
