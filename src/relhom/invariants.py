@@ -312,7 +312,9 @@ class PairAnalysis:
     associated primes ``ass_primes`` of S/I) is computed on first use and
     kept, and ``grade``, ``cd``, ``a_id`` and ``ass_prime_criterion`` run
     their cross-checks on those values, so each cross-check runs once per
-    pair however many verdicts or corpus suites read its number.  ``ring``
+    pair however many verdicts or corpus suites read its number.  Every
+    equality cross-check, here and in the property verdicts, goes through
+    ``_agree``.  ``ring``
     is the analysis of (a, S) with the same degree bound.  For the unit
     ideal I (the zero module) grade, cd and a-id are ``None`` and no engine
     runs.
@@ -321,8 +323,18 @@ class PairAnalysis:
     def __init__(self, a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4):
         _check_pair(a, I)
         self.a, self.I, self.degree_bound = a, I, operator.index(degree_bound)
+        if self.degree_bound < 0:
+            raise ValueError(f"the degree bound must be at least 0, got {self.degree_bound}")
         self.mu = len(a.gens)  # the minimal number of generators
         self.degenerate = I.is_unit  # the module is zero
+
+    def _agree(self, what: str, **values):
+        """The value every engine gave for ``what`` of this pair, in keyword
+        order; raises EngineDisagreementError if any two differ."""
+        first, *rest = values.values()
+        if any(value != first for value in rest):
+            raise EngineDisagreementError(f"{what}({self.a}; {self.I})", values)
+        return first
 
     @cached_property
     def ring(self) -> "PairAnalysis":
@@ -377,13 +389,12 @@ class PairAnalysis:
         """
         if self.degenerate:
             return None
-        by_ext, by_cech, by_depth = min(self.ext_profile), min(self.lc_profile), self.localization_grade
-        if not (by_ext == by_cech == by_depth):
-            raise EngineDisagreementError(
-                f"grade({self.a}; {self.I})",
-                {"ext_box": by_ext, "cech_box": by_cech, "localization": by_depth},
-            )
-        return by_ext
+        return self._agree(
+            "grade",
+            ext_box=min(self.ext_profile),
+            cech_box=min(self.lc_profile),
+            localization=self.localization_grade,
+        )
 
     @cached_property
     def cd(self) -> Optional[int]:
@@ -393,13 +404,7 @@ class PairAnalysis:
         """
         if self.degenerate:
             return None
-        by_cech, by_primes = max(self.lc_profile), self.support_cd
-        if by_cech != by_primes:
-            raise EngineDisagreementError(
-                f"cd({self.a}; {self.I})",
-                {"cech_box": by_cech, "minimal_primes_pd": by_primes},
-            )
-        return by_cech
+        return self._agree("cd", cech_box=max(self.lc_profile), minimal_primes_pd=self.support_cd)
 
     @cached_property
     def a_id(self) -> Optional[int]:
@@ -410,13 +415,7 @@ class PairAnalysis:
         """
         if self.degenerate:
             return None
-        by_ext, expected = max(self.ext_profile), self.pd_a
-        if by_ext != expected:
-            raise EngineDisagreementError(
-                f"a_id({self.a}; {self.I})",
-                {"ext_box": by_ext, "pd_of_quotient": expected},
-            )
-        return by_ext
+        return self._agree("a_id", ext_box=max(self.ext_profile), pd_of_quotient=self.pd_a)
 
     @cached_property
     def sop(self) -> SopWitness:

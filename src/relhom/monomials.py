@@ -294,10 +294,6 @@ def sum_ideals(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
 def intersect(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by pairwise lcms of the generators."""
     _check_ring(A, B)
-    if A.is_unit:
-        return B
-    if B.is_unit:
-        return A
     return minimal_generators(A.ring, [_lcm(a, b) for a in A.gens for b in B.gens])
 
 

@@ -43,13 +43,7 @@ __all__ = [
 def _cm(x: PairAnalysis) -> bool:
     if x.degenerate:
         return True
-    by_definition = x.grade == x.cd
-    if by_definition != x.ass_prime_criterion:
-        raise EngineDisagreementError(
-            f"relative CM({x.a}; {x.I})",
-            {"grade_eq_cd": by_definition, "ass_prime_criterion": x.ass_prime_criterion},
-        )
-    return by_definition
+    return x._agree("relative CM", grade_eq_cd=x.grade == x.cd, ass_prime_criterion=x.ass_prime_criterion)
 
 
 def _max_cm(x: PairAnalysis) -> Optional[bool]:
@@ -62,14 +56,11 @@ def _gorenstein(x: PairAnalysis) -> Optional[bool]:
     if x.degenerate:
         return None
     c_ring = x.ring.cd
-    concentrated = x.ext_profile == frozenset({c_ring})
-    via_max_cm = _max_cm(x) and max(x.ext_profile) <= c_ring
-    if concentrated != via_max_cm:
-        raise EngineDisagreementError(
-            f"relative Gorenstein({x.a}; {x.I})",
-            {"profile_concentrated": concentrated, "max_cm_and_upper_vanishing": via_max_cm},
-        )
-    return concentrated
+    return x._agree(
+        "relative Gorenstein",
+        profile_concentrated=x.ext_profile == frozenset({c_ring}),
+        max_cm_and_upper_vanishing=_max_cm(x) and max(x.ext_profile) <= c_ring,
+    )
 
 
 def _regular_ring(x: PairAnalysis) -> bool:

@@ -34,12 +34,13 @@ cohomology does not), so ``lyubeznik_layout`` keeps the first order with
 the fewest faces of two candidates: the divisibility order (the generators
 that divide the most lcms of two generators first, since a face is dropped
 when an earlier generator divides its lcm), then recursive bisection, which
-ignores the exponents.  With three generators the divisibility order is
-provably the one kept, so it is the only one enumerated.  Face
-sets depend on the generators only through how exponents compare within
-each variable, so they are cached per column-rank pattern, and layouts per
-generator tuple, in bounded caches.  A complex of more than ``_MAX_FACES``
-faces is refused while it is enumerated.
+ignores the exponents.  One enumerator lists the faces of both complexes:
+the Taylor faces are the Lyubeznik faces of pairwise coprime rows, of which
+none is dropped.  Lyubeznik face sets depend on the generators only through
+how exponents compare within each variable, so they are cached per
+column-rank pattern, and Lyubeznik layouts per generator tuple, in bounded
+caches.  A complex of more than ``_MAX_FACES`` faces is refused while it is
+enumerated.
 
 The engines evaluate one degree per threshold class, not every degree.
 Face T is active at b iff b + s_T >= 0 and x^(b + s_T) is outside I, for
@@ -158,8 +159,8 @@ class FaceSet:
     least member put in front of a face of size k: per nonempty level above
     the empty face, ``tails`` holds the position of that face in the level
     below and ``firsts`` the least member's position in the order.  The
-    boundary maps and their digests are derived on first use, once for
-    every generator tuple that shares these faces.
+    boundary maps and the digest are derived on first use, once for every
+    generator tuple that shares these faces.
     """
 
     order: tuple[int, ...]
@@ -197,19 +198,10 @@ class FaceSet:
     @cached_property
     def digest(self) -> bytes:
         """Names the whole incidence structure: the size of every level, so
-        also the level count, and the digest of every pair of levels."""
-        return hashlib.blake2b(self.offsets.tobytes() + b"".join(self.digests), digest_size=16).digest()
-
-    @cached_property
-    def digests(self) -> tuple[bytes, ...]:
-        """``digests[k]`` names the incidence between levels k and k + 1: both
-        sizes and ``down[k + 1]``.  Equal digests give equal incidence
-        matrices on equal activity bits."""
-        sizes = np.diff(self.offsets)
-        return tuple(
-            hashlib.blake2b(sizes[k : k + 2].tobytes() + self.down[k + 1].tobytes(), digest_size=16).digest()
-            for k in range(len(self.down) - 1)
-        )
+        also the level count and the shape of every boundary map, and every
+        boundary map.  Equal digests give equal incidence matrices on equal
+        activity bits."""
+        return hashlib.blake2b(b"".join(a.tobytes() for a in (self.offsets, *self.down)), digest_size=16).digest()
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,19 +261,17 @@ def _candidate_orders(G: np.ndarray) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(orders))
 
 
-def _face_levels(G: np.ndarray, lyubeznik: bool, cap: int):
-    """The levels above the empty face of a complex on the generator rows G, in row order.
+def _face_levels(G: np.ndarray, order: tuple[int, ...], cap: int) -> Optional[FaceSet]:
+    """The faces of the Lyubeznik complex on the generator rows G taken in ``order``, or None past ``cap`` faces.
 
-    With ``lyubeznik`` the faces are those of the Lyubeznik complex, else
-    every subset.  A face T = {i1 < ... < is} of rows is in the Lyubeznik
-    complex iff for every t < s no row before i_t divides
-    lcm(m_{i_t}, ..., m_{i_s}).  Its tail {i2, ..., is} is then a face as
-    well, so level k + 1 is built by putting a smaller row in front of a
-    face of level k, and only the new condition at t = 1 is tested: that no
-    row before i1 divides the lcm of the whole.  Level k + 1 is returned as
-    three arrays over its faces: the position of the tail in level k, the
-    least row, and the lcm.  Returns None once the faces pass ``cap``.
+    A face T = {i1 < ... < is} of positions in the order is a face iff for
+    every t < s no row before i_t divides lcm(m_{i_t}, ..., m_{i_s}).  Its
+    tail {i2, ..., is} is then a face as well, so level k + 1 is built by
+    putting a smaller position in front of a face of level k, and only the
+    new condition at t = 1 is tested: that no row before i1 divides the
+    lcm of the whole.  On pairwise coprime rows no face is dropped.
     """
+    G = G[list(order)]
     r, n = G.shape
     below = np.tri(r + 1, r, -1, dtype=bool)  # below[h, q]: q < h
     # row q divides an lcm iff the lcm reaches its entries on its support;
@@ -291,34 +281,28 @@ def _face_levels(G: np.ndarray, lyubeznik: bool, cap: int):
     row, column = np.nonzero(G)
     starts, needed = np.searchsorted(row, np.arange(r)), G[row, column]
     least, lcms = np.array([r]), np.zeros((1, n), dtype=G.dtype)
-    levels, total, step = [], 1, max(1, _CANDIDATE_CELLS // (max(r, 1) * max(row.size, 1)))
+    tails, firsts, total, step = [], [], 1, max(1, _CANDIDATE_CELLS // (max(r, 1) * max(row.size, 1)))
     while least.any():
         parts = []
         for lo in range(0, least.size, step):
-            tails, first = np.nonzero(below[least[lo : lo + step]])
-            tails += lo
-            lcm = np.maximum(lcms[tails], G[first])
-            if lyubeznik and levels:
+            tail, first = np.nonzero(below[least[lo : lo + step]])
+            tail += lo
+            lcm = np.maximum(lcms[tail], G[first])
+            if tails:
                 divides = np.logical_and.reduceat(lcm[:, column] >= needed, starts, axis=1)
                 kept = ~(divides & below[first]).any(axis=1)
-                tails, first, lcm = tails[kept], first[kept], lcm[kept]
-            total += tails.size
+                tail, first, lcm = tail[kept], first[kept], lcm[kept]
+            total += tail.size
             if total > cap:
                 return None
-            parts.append((tails, first, lcm))
-        level = parts[0] if len(parts) == 1 else tuple(np.concatenate(part) for part in zip(*parts))
-        if level[0].size:
-            levels.append(level)
-        _, least, lcms = level
-    return levels
-
-
-def _face_set(order: tuple[int, ...], levels) -> FaceSet:
-    """The face set of the levels from ``_face_levels`` of generators taken in ``order``."""
-    sizes = [1, *(len(level[0]) for level in levels)]
-    offsets = np.cumsum([0, *sizes, *[0] * (len(order) + 1 - len(sizes))])
-    tails, firsts = (tuple(level[j] for level in levels) for j in (0, 1))
-    return FaceSet(tuple(order), offsets, tails, firsts)
+            parts.append((tail, first, lcm))
+        tail, least, lcms = parts[0] if len(parts) == 1 else (np.concatenate(part) for part in zip(*parts))
+        if tail.size:
+            tails.append(tail)
+            firsts.append(least)
+    sizes = [1, *(tail.size for tail in tails)]
+    offsets = np.cumsum([0, *sizes, *[0] * (r + 1 - len(sizes))])
+    return FaceSet(tuple(order), offsets, tuple(tails), tuple(firsts))
 
 
 def _face_lcms(faces: FaceSet, G: np.ndarray) -> np.ndarray:
@@ -342,25 +326,21 @@ def _lyubeznik_faces(pattern: bytes, r: int, n: int) -> FaceSet:
         others = np.where(G < top[1], top[1], top[0])
         if not (G <= others).all(axis=1).any():
             raise ValueError(too_large)
-    orders = _candidate_orders(G)
-    if r == 3:
-        # the divisibility order always has the fewest faces (see lyubeznik_layout)
-        orders = orders[:1]
     best, cap = None, _MAX_FACES
-    for order in reversed(orders):
-        levels = _face_levels(G[list(order)], True, cap)
-        if levels is not None:
-            best, cap = (order, levels), 1 + sum(len(level[0]) for level in levels)
+    for order in reversed(_candidate_orders(G)):
+        faces = _face_levels(G, order, cap)
+        if faces is not None:
+            best, cap = faces, faces.size
     if best is None:
         raise ValueError(too_large)
-    return _face_set(*best)
+    return best
 
 
 @lru_cache(maxsize=64)
 def _taylor_faces(r: int) -> FaceSet:
-    """Every subset of r generators."""
+    """Every subset of r generators: the Lyubeznik faces of r pairwise coprime rows."""
     _check_scan_size((), 1 << r, f"Taylor complex on {r} generators")
-    return _face_set(tuple(range(r)), _face_levels(np.zeros((r, 0), dtype=np.int16), False, _MAX_FACES))
+    return _face_levels(np.eye(r, dtype=np.int16), tuple(range(r)), _MAX_FACES)
 
 
 def _generator_rows(gens, n: int) -> np.ndarray:
@@ -380,12 +360,7 @@ def lyubeznik_layout(gens, n: int) -> FaceLayout:
     then bisection) the first with the fewest faces is kept.  Bisection is
     enumerated first and the divisibility order under its face count as
     the cap, so a large complex is abandoned as soon as it passes the
-    smaller one.  With three generators x, y, z in that
-    order, L has 6 faces, plus {y, z} and {x, y, z} exactly when x does
-    not divide lcm(y, z); the divisibility order puts first a generator
-    that divides the lcm of the other two, if one does, so it always has
-    the fewest faces and, being first, is kept: it is the only order
-    enumerated.
+    smaller one.
 
     Whether a generator divides the lcm of others depends only on how the
     exponents compare within each variable, so the candidate orders, the
@@ -399,7 +374,6 @@ def lyubeznik_layout(gens, n: int) -> FaceLayout:
     return FaceLayout(faces, _face_lcms(faces, G))
 
 
-@lru_cache(maxsize=4096)
 def taylor_layout(gens, n: int) -> FaceLayout:
     """The full simplex on the generators (in n variables) in their given order: the Taylor complex."""
     G = _generator_rows(gens, n)
@@ -807,13 +781,17 @@ class SliceTable:
         """Indices with a nonvanishing slice somewhere in the box."""
         return _nonzero_levels(self._class_dims)
 
+    def _level(self, i: int) -> Optional[int]:
+        """Level i as an int, or None for an integer level the table lacks."""
+        i = operator.index(i)
+        return i if 0 <= i < self._class_dims.shape[0] else None
+
     def dim_at(self, i: int, b) -> int:
-        if i < 0 or i >= self._class_dims.shape[0]:
-            return 0
         b = tuple(map(operator.index, b))
         if not self.box.contains(b):
             raise ValueError("degree outside the stabilization box")
-        return int(self._product_dims([[v] for v in b])[i, 0])
+        i = self._level(i)
+        return 0 if i is None else int(self._product_dims([[v] for v in b])[i, 0])
 
     def _product_dims(self, axes) -> np.ndarray:
         """The dimensions (levels, degrees) at the product of per-axis box
@@ -844,7 +822,8 @@ class SliceTable:
 
     def hilbert(self, i: int) -> dict[tuple[int, ...], int]:
         """Nonzero slice dimensions of level i, keyed by multidegree."""
-        if i < 0 or i >= self._class_dims.shape[0]:
+        i = self._level(i)
+        if i is None:
             return {}
         level = self._class_dims[i]
         _check_listing(int(self._class_sizes()[level != 0].sum()), self.box)
@@ -853,9 +832,8 @@ class SliceTable:
 
     def total(self, i: int) -> int:
         """Sum of the slice dimensions of level i over the box."""
-        if i < 0 or i >= self._class_dims.shape[0]:
-            return 0
-        return int((self._class_dims[i].astype(object) * self._class_sizes()).sum())
+        i = self._level(i)
+        return 0 if i is None else int((self._class_dims[i].astype(object) * self._class_sizes()).sum())
 
     def _class_bounds(self, axis: int) -> np.ndarray:
         """First value of each class of the axis, plus rho + 1, the end of the last."""
@@ -1025,7 +1003,7 @@ _PROFILE_CACHE = _BoundedCache(65_536)
 def clear_slice_caches():
     _PROFILE_CACHE.cache_clear()
     _DIMS_CACHE.cache_clear()
-    for cached in (lyubeznik_layout, taylor_layout, _lyubeznik_faces, _taylor_faces, _member_tables):
+    for cached in (lyubeznik_layout, _lyubeznik_faces, _taylor_faces, _member_tables):
         cached.cache_clear()
 
 
@@ -1050,11 +1028,12 @@ def lc_profile(a: MonomialIdeal, I: MonomialIdeal) -> frozenset[int]:
 
 def ext_vanishes(J: MonomialIdeal, I: MonomialIdeal, i: int) -> bool:
     """Whether Ext^i(S/J, S/I) vanishes as a module."""
-    return i not in ext_profile(J, I)
+    return operator.index(i) not in ext_profile(J, I)
 
 
 def ext_vanishes_below(J: MonomialIdeal, I: MonomialIdeal, k: int) -> bool:
     """Whether Ext^i(S/J, S/I) = 0 for every i < k."""
+    k = operator.index(k)
     return all(i >= k for i in ext_profile(J, I))
 
 
@@ -1062,7 +1041,7 @@ def _slice_at(kind: str, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
     """Level i of a kind of table at the single degree b, exact for any b the int16 grid holds."""
     _check_pair(A, B)
     _check_module(B)
-    b = tuple(map(operator.index, b))
+    i, b = operator.index(i), tuple(map(operator.index, b))
     if len(b) != A.ring.n:
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):

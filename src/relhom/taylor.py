@@ -54,8 +54,6 @@ def relabelled(gens) -> tuple[tuple[tuple[int, ...], ...], int]:
 def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
     """Total Betti numbers of S/I over GF(p), for I generated by the rows of ``relabelled`` in k variables
     (the callers have checked the module rule)."""
-    if not rows:
-        return (1,)
     layout = lyubeznik_layout(rows, k)
     faces = layout.faces
     _, strand = layout.lcm_groups

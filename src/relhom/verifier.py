@@ -108,6 +108,8 @@ class CorpusParams:
             raise ValueError(f"the exponent cap (--max-exponent) must be at least 1, got {self.max_exponent}")
         if not 0 <= lo <= hi:
             raise ValueError(f"the generator count range (--gens) needs 0 <= lo <= hi, got {lo},{hi}")
+        if self.degree_bound < 0:
+            raise ValueError(f"the degree bound (--degree-bound) must be at least 0, got {self.degree_bound}")
 
     def ring(self) -> RingSpec:
         return RingSpec(tuple(f"x{j + 1}" for j in range(self.n)), self.char)

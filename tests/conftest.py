@@ -75,7 +75,7 @@ from relhom.monomials import (
     sum_ideals,
     support,
 )
-from relhom.slices import FaceLayout, _face_lcms, _face_levels, _face_set, _generator_rows
+from relhom.slices import FaceLayout, _face_lcms, _face_levels, _generator_rows
 from relhom.taylor import pd_quotient
 
 
@@ -299,10 +299,9 @@ def layout_faces(faces) -> list[list[frozenset[int]]]:
 def lyubeznik_in_order(gens, n: int, order, cap: int):
     """The engine's Lyubeznik layout of the generators taken in one given order, or None past ``cap`` faces."""
     G = _generator_rows(gens, n)
-    levels = _face_levels(G[list(order)], True, cap)
-    if levels is None:
+    faces = _face_levels(G, tuple(order), cap)
+    if faces is None:
         return None
-    faces = _face_set(tuple(order), levels)
     return FaceLayout(faces, _face_lcms(faces, G))
 
 

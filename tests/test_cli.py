@@ -171,6 +171,22 @@ class TestInputErrors:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert flag in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--ring", "x,y", "--a", "x", "--i", "y", "--degree-bound", "-3", "--json"],
+            ["corpus", "--count", "2", "--degree-bound", "-1"],
+        ],
+        ids=["analyze", "corpus"],
+    )
+    def test_negative_degree_bound_is_refused(self, capsys, monkeypatch, argv):
+        # a parameter-system search over no candidates is no search; the
+        # corpus refuses the bound before it draws a pair
+        monkeypatch.setattr(cli, "run_all_suites", None)  # running the suites would crash (exit 4)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "degree bound" in err
+
     def test_unknown_property(self, capsys):
         assert main(["check", "frobnicate", "--ring", "x", "--a", "x"]) == 2
 

@@ -7,8 +7,9 @@ rules are the exponent-vector rule (n integer entries, none negative or above
 ``MAX_EXPONENT``), the same-ring rule (``RingMismatchError``), the pair rule
 (one ring, a proper relative ideal, a prime characteristic), the module rule
 (S/I nonzero, a prime characteristic), the variable-position rule (integer
-positions in range) and one primality test; degrees, box bounds and degree
-bounds go through ``operator.index``.
+positions in range) and one primality test; degrees, level indices, box
+bounds and degree bounds go through ``operator.index``, and a degree bound
+is at least 0.
 """
 
 import inspect
@@ -68,6 +69,7 @@ from relhom.slices import (
     taylor_layout,
 )
 from relhom.taylor import betti_numbers, depth_quotient, pd_quotient
+from relhom.verifier import CorpusParams
 
 R2 = RingSpec(("x", "y"))
 R3 = RingSpec(("x", "y", "z"))
@@ -175,6 +177,22 @@ REFUSED = [
     ("sop_witness_by_support: non-integer degree bound", lambda: sop_witness_by_support(X, Y, 2.5), TypeError),
     ("invariant_record: non-integer degree bound", lambda: invariant_record(X, Y, 2.5), TypeError),
     ("full_report: non-integer degree bound", lambda: full_report(X, Y, degree_bound=2.5), TypeError),
+    ("ext_vanishes: non-integer level", lambda: ext_vanishes(X, Y, "z"), TypeError),
+    ("ext_vanishes_below: non-integer level", lambda: ext_vanishes_below(X, Y, 1.5), TypeError),
+    ("ext_slice: non-integer level", lambda: ext_slice(X, Y, 1.0, (0, 0)), TypeError),
+    ("local_cohomology_slice: non-integer level", lambda: local_cohomology_slice(X, Y, 1.0, (0, 0)), TypeError),
+    ("dim_at: non-integer level", lambda: TABLE.dim_at(1.0, (0, 0)), TypeError),
+    ("hilbert: non-integer level", lambda: TABLE.hilbert(1.0), TypeError),
+    ("total: non-integer level", lambda: TABLE.total(1.0), TypeError),
+    # the degree is checked before any level is answered
+    ("dim_at: non-integer degree at a level the table lacks", lambda: TABLE.dim_at(5, "zz"), TypeError),
+    ("dim_at: degree outside the box at a level the table lacks", lambda: TABLE.dim_at(5, (9, 0)), ValueError),
+    # a degree bound is at least 0: a search over no candidates is no search
+    ("PairAnalysis: negative degree bound", lambda: PairAnalysis(X, Y, -1), ValueError),
+    ("sop_witness_by_support: negative degree bound", lambda: sop_witness_by_support(X, Y, -3), ValueError),
+    ("invariant_record: negative degree bound", lambda: invariant_record(X, Y, -1), ValueError),
+    ("full_report: negative degree bound", lambda: full_report(X, Y, degree_bound=-1), ValueError),
+    ("CorpusParams: negative degree bound", lambda: CorpusParams(degree_bound=-1), ValueError),
     # moduli and characteristics are primes below 2**31
     ("rank_mod_p: composite modulus", lambda: rank_mod_p([[2]], 4), ValueError),
     ("rank_mod_p: Carmichael modulus", lambda: rank_mod_p([[2]], 561), ValueError),
@@ -238,6 +256,17 @@ def test_variable_positions_inside_the_rule_are_accepted():
     assert erase_to_zero(XY, [np.int64(1)]) == zero_ideal(R2.restrict([0]))
     assert erase_to_one(XY, (1,)) == erase_to_one(XY, [np.int16(1)]) == parse_ideal(R2.restrict([0]), "x")
     assert erase_to_zero(XY, []) == XY and MonomialPrime(R2, ()).vars == ()
+
+
+def test_levels_and_degree_bounds_inside_the_rules_are_accepted():
+    # an integer level the table lacks answers 0, {} or "vanishes"
+    assert TABLE.dim_at(5, (0, 0)) == TABLE.dim_at(-1, (0, 0)) == 0
+    assert TABLE.hilbert(7) == {} and TABLE.total(-1) == 0
+    assert ext_slice(X, Y, 9, (0, 0)) == local_cohomology_slice(X, Y, -1, (0, 0)) == 0
+    assert ext_vanishes(X, Y, 9) and ext_vanishes_below(X, Y, -2)
+    assert TABLE.total(np.int64(1)) == TABLE.total(1) and TABLE.hilbert(np.int16(1)) == TABLE.hilbert(1)
+    assert ext_vanishes(X, Y, np.int64(1)) == ext_vanishes(X, Y, 1) is False
+    assert PairAnalysis(X, Y, 0).degree_bound == 0 and CorpusParams(degree_bound=0).degree_bound == 0
 
 
 def test_is_prime_matches_a_sieve():

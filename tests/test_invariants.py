@@ -5,12 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from relhom import invariants
+from relhom import invariants, properties
 from relhom.invariants import (
     SOP_DEGENERATE_ZERO_LENGTH,
     SOP_FOUND,
     SOP_NONE_AMONG_MONOMIALS,
     EngineDisagreementError,
+    PairAnalysis,
     a_id,
     cd,
     cd_by_support,
@@ -379,3 +380,40 @@ def test_mu(ring4, edge=None):
 def test_engine_disagreement_is_distinct_error():
     assert issubclass(EngineDisagreementError, RuntimeError)
     assert not issubclass(EngineDisagreementError, ValueError)
+
+
+# one engine value overwritten on a fresh analysis of a = (z, x*y), I = (y^2),
+# whose profiles are Ext {1, 2} and local cohomology {1}, with cd(a, S) = 2
+DISAGREEMENTS = [
+    (
+        "grade", "localization_grade", 9, lambda x: x.grade,
+        "grade(z, x*y; y^2)", {"ext_box": 1, "cech_box": 1, "localization": 9},
+    ),
+    ("cd", "support_cd", 9, lambda x: x.cd, "cd(z, x*y; y^2)", {"cech_box": 1, "minimal_primes_pd": 9}),
+    ("a_id", "pd_a", 9, lambda x: x.a_id, "a_id(z, x*y; y^2)", {"ext_box": 2, "pd_of_quotient": 9}),
+    (
+        "relative CM", "ass_prime_criterion", False, properties._cm,
+        "relative CM(z, x*y; y^2)", {"grade_eq_cd": True, "ass_prime_criterion": False},
+    ),
+    (
+        "relative Gorenstein", "grade", 2, properties._gorenstein,
+        "relative Gorenstein(z, x*y; y^2)", {"profile_concentrated": False, "max_cm_and_upper_vanishing": True},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "attr, value, read, what, values", [row[1:] for row in DISAGREEMENTS], ids=[row[0] for row in DISAGREEMENTS]
+)
+def test_each_cross_check_raises_on_one_perturbed_engine(attr, value, read, what, values):
+    # the message, .what and .values are what the identity suite and the
+    # JSONL error field read; keys stay in the order the engines are read
+    ring = RingSpec(("x", "y", "z"))
+    x = PairAnalysis(parse_ideal(ring, "z, x*y"), parse_ideal(ring, "y^2"))
+    setattr(x, attr, value)
+    with pytest.raises(EngineDisagreementError) as caught:
+        read(x)
+    detail = ", ".join(f"{k}={v}" for k, v in values.items())
+    assert str(caught.value) == f"engine disagreement on {what}: {detail}"
+    assert caught.value.what == what
+    assert list(caught.value.values.items()) == list(values.items())
