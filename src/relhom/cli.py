@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .invariants import EngineDisagreementError
+from .invariants import EngineDisagreementError, PairAnalysis
 from .monomials import MonomialIdeal, ParseError, RingMismatchError, RingSpec, format_ideal, parse_ideal
 from .properties import (
     full_report,
@@ -142,9 +142,10 @@ def _fmt(value) -> str:
 
 def _cmd_analyze(args) -> int:
     ring, a, module_ideal = _parse_pair(args)
+    PairAnalysis(a, module_ideal, args.degree_bound)  # refuses bad input before any listing; computes nothing
     slices = None
     if args.slices and module_ideal.is_proper:
-        # dumped first: a box too large to list fails before the report's work
+        # dumped before the report: a box too large to list fails before the report's work
         ext, lc = dump_tables(ext_table(a, module_ideal, pad=args.box_pad), lc_table(a, module_ideal, pad=args.box_pad))
         slices = {"ext": ext, "local_cohomology": lc}
     report = full_report(a, module_ideal, pad=args.box_pad, degree_bound=args.degree_bound)

@@ -8,10 +8,13 @@ bug signal and deliberately distinct from input validation errors.
 cross-checked: it validates the pair once, keeps each engine's value
 (``ext_profile``, ``lc_profile``, ``localization_grade``, ``support_cd``,
 ``pd_a``, ``ass_primes``) and runs each cross-check on those values at
-most once.  The free functions ``mu``, ``grade``, ``cd``, ``a_id``,
+most once.  Every cd(a, S/P) on a monomial prime P, which the support cd,
+the associated-prime criterion and the parameter-system prune all read, is
+computed once per analysis by one rule (``PairAnalysis.prime_cd``).  The
+free functions ``mu``, ``grade``, ``cd``, ``a_id``,
 ``sop_witness_by_support`` and ``invariant_record`` read a fresh analysis.
-``grade_by_localization``, ``cd_by_support`` and ``cd_of_prime_quotient``
-check nothing; they are internal, and run on the pair of an analysis.
+``grade_by_localization`` checks nothing; it is internal, and runs on the
+pair of an analysis.
 
 Degenerate convention: when I is the unit ideal the module is zero, and
 grade / cd / a-id are reported as ``None``.
@@ -20,7 +23,6 @@ grade / cd / a-id are reported as ``None``.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -33,10 +35,10 @@ from .monomials import (
     _check_pair,
     _mask,
     _minimal,
+    _minimal_covers,
     associated_primes,
     degree,
     minimal_generators,
-    minimal_primes,
     quotient,
     quotient_dimension,
     radical,
@@ -122,31 +124,6 @@ def grade(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
     return PairAnalysis(a, I).grade
 
 
-def cd_of_prime_quotient(a: MonomialIdeal, P: MonomialPrime) -> Optional[int]:
-    """Cohomological dimension of a on the quotient by a monomial prime.
-
-    The image of a in the residue polynomial ring is generated by a's
-    generators that avoid P, and cd there equals pd of the quotient by its
-    radical, generated by their supports (local cohomology only sees the
-    radical), read from the Betti cache.  The unit image means the quotient
-    module is not supported on a; the contribution is skipped.  The caller
-    has checked that a and P share a ring with a prime characteristic.
-    """
-    supports = [tuple(int(e > 0) for e in g) for g in a.gens if not any(g[j] for j in P.vars)]
-    if any(not any(s) for s in supports):
-        return None
-    return pd_relabelled(*relabelled(_minimal(supports)), a.ring.char)
-
-
-def cd_by_support(a: MonomialIdeal, I: MonomialIdeal) -> int:
-    """cd via minimal primes: the maximum of cd on the minimal support quotients
-    (the caller has checked the pair and that I is proper)."""
-    vals = [cd_of_prime_quotient(a, P) for P in minimal_primes(I)]
-    vals = [v for v in vals if v is not None]
-    assert vals, "a proper relative ideal always contributes on some minimal prime"
-    return max(vals)
-
-
 def cd(a: MonomialIdeal, I: MonomialIdeal) -> Optional[int]:
     """cd(a, S/I): the largest nonvanishing local cohomology index; see :attr:`PairAnalysis.cd`."""
     return PairAnalysis(a, I).cd
@@ -218,24 +195,16 @@ def _cover_bits(target: list[int], masks) -> int:
     return sum(1 << b for b, t in enumerate(target) if any(m | t == t for m in masks))
 
 
-# a prefix is tested for the prune only when it has more completions than
-# this.  Search time (s) of the 15 wide pairs / 9-cycle / 10-cycle on one
-# AMD EPYC core, Python 3.11: threshold 0: 0.038 / 2.49 / 0.030; 10: 0.018 /
-# 1.16 / 0.030; 100: 0.011 / 1.16 / 0.030; 1000: 0.011 / 2.01 / 0.145;
-# testing only prefixes that leave >= 2 elements: 0.021 / 1.44 / 0.149
-_PRUNE_MIN_COMPLETIONS = 100
-
-
-def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bound: int) -> SopWitness:
-    """The search of :attr:`PairAnalysis.sop` for the already-checked cd ``c`` of a nonzero module.
+def _sop_search(x: "PairAnalysis") -> SopWitness:
+    """The search of :attr:`PairAnalysis.sop` on the analysis ``x`` of a nonzero module, for its checked cd c.
 
     Walks the length-c combinations of candidates depth first, in the order
     of ``itertools.combinations``, so the first witness found is the
-    lexicographically first.  A prefix f_1..f_k (k < c) with more than
-    ``_PRUNE_MIN_COMPLETIONS`` completions is cut when
+    lexicographically first.  Every prefix f_1..f_k (0 < k < c) is cut when
     cd(a, S/(I + (f_1..f_k))) > c - k: the remaining c - k elements would
     have to generate a up to radical modulo that ideal, so no completion of
-    the prefix is a witness.
+    the prefix is a witness.  That cd is ``x.support_cd_with``, one cover
+    pass over bitmasks plus reads of the analysis's per-prime cds.
 
     The candidates are monomials (``_sop_candidates``), one per realizable
     support, and are read through their supports.  A leaf is tested by
@@ -245,6 +214,7 @@ def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bou
     the target is an antichain, so the radical of I plus the prefix is the
     target iff the bits of I's generators and of the prefix cover them all.
     """
+    a, I, c, degree_bound = x.a, x.I, x.cd, x.degree_bound
     if c == 0:
         return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
     target = [_mask(g) for g in radical(sum_ideals(a, I)).gens]
@@ -257,10 +227,8 @@ def _sop_search(a: MonomialIdeal, I: MonomialIdeal, c: Optional[int], degree_bou
         left = c - len(prefix)
         if left == 0:
             return prefix if covered == full else None
-        if prefix and math.comb(len(achievable) - start, left) > _PRUNE_MIN_COMPLETIONS:
-            J = sum_ideals(I, minimal_generators(a.ring, prefix))
-            if cd_by_support(a, J) > left:
-                return None
+        if prefix and x.support_cd_with(prefix) > left:
+            return None
         for k in range(start, len(achievable) - left + 1):
             found = walk(k + 1, prefix + (achievable[k],), covered | bits[k])
             if found is not None:
@@ -310,9 +278,10 @@ class PairAnalysis:
     value (the class-engine ``ext_profile`` and ``lc_profile``, the
     ``localization_grade``, the ``support_cd``, ``pd_a`` = pd(S/a) and the
     associated primes ``ass_primes`` of S/I) is computed on first use and
-    kept, and ``grade``, ``cd``, ``a_id`` and ``ass_prime_criterion`` run
-    their cross-checks on those values, so each cross-check runs once per
-    pair however many verdicts or corpus suites read its number.  Every
+    kept, as is each cd(a, S/P) that ``prime_cd`` computes, and ``grade``,
+    ``cd``, ``a_id`` and ``ass_prime_criterion`` run their cross-checks on
+    those values, so each cross-check runs once per pair however many
+    verdicts or corpus suites read its number.  Every
     equality cross-check, here and in the property verdicts, goes through
     ``_agree``.  ``ring``
     is the analysis of (a, S) with the same degree bound.  For the unit
@@ -327,6 +296,7 @@ class PairAnalysis:
             raise ValueError(f"the degree bound must be at least 0, got {self.degree_bound}")
         self.mu = len(a.gens)  # the minimal number of generators
         self.degenerate = I.is_unit  # the module is zero
+        self._prime_cds: dict[int, int] = {}  # cd(a, S/P) by the variable bitmask of P
 
     def _agree(self, what: str, **values):
         """The value every engine gave for ``what`` of this pair, in keyword
@@ -358,11 +328,36 @@ class PairAnalysis:
         _check_module(self.I)
         return grade_by_localization(self.a, self.I)
 
+    def prime_cd(self, prime: int) -> int:
+        """cd(a, S/P) for the monomial prime P on the variables of the bitmask ``prime``, computed once per P.
+
+        The image of a in the residue polynomial ring is generated by a's
+        generators that avoid P, and cd there equals pd of the quotient by
+        its radical, generated by their supports (local cohomology only sees
+        the radical), read from the Betti cache.  A proper a has no constant
+        generator, so the image is never the unit ideal.
+        """
+        if prime not in self._prime_cds:
+            supports = [tuple(int(e > 0) for e in g) for g in self.a.gens if not _mask(g) & prime]
+            self._prime_cds[prime] = pd_relabelled(*relabelled(_minimal(supports)), self.a.ring.char)
+        return self._prime_cds[prime]
+
+    def support_cd_with(self, extra=()) -> int:
+        """cd(a, S/(I + (extra))) for monomials ``extra`` that leave I + (extra) proper.
+
+        Local cohomology of S/J supported on a vanishes above the largest
+        cd(a, S/P) over the minimal primes P of J, and reaches it.  Those
+        primes are the minimal vertex covers of the generator supports of I
+        and of ``extra``, taken on bitmasks, and each cd(a, S/P) is
+        ``prime_cd``.
+        """
+        return max(map(self.prime_cd, _minimal_covers([_mask(g) for g in (*self.I.gens, *extra)])))
+
     @cached_property
     def support_cd(self) -> int:
         """cd by the minimal-primes fast path; the module must be nonzero."""
         _check_module(self.I)
-        return cd_by_support(self.a, self.I)
+        return self.support_cd_with(())
 
     @cached_property
     def pd_a(self) -> int:
@@ -378,7 +373,7 @@ class PairAnalysis:
     def ass_prime_criterion(self) -> bool:
         """Whether cd(a, S/P) equals the grade for every associated prime P of
         S/I, the relative-CM criterion of Prop. 2.11(f)."""
-        return all(cd_of_prime_quotient(self.a, P) == self.grade for P in self.ass_primes)
+        return all(self.prime_cd(sum(1 << j for j in P.vars)) == self.grade for P in self.ass_primes)
 
     @cached_property
     def grade(self) -> Optional[int]:
@@ -432,7 +427,7 @@ class PairAnalysis:
         ValueError for the zero module.
         """
         _check_module(self.I)
-        return _sop_search(self.a, self.I, self.cd, self.degree_bound)
+        return _sop_search(self)
 
     @cached_property
     def generators_regular(self) -> bool:

@@ -23,7 +23,6 @@ from .invariants import (
     PairAnalysis,
     a_id,
     cd,
-    cd_by_support,
     grade,
     is_monomial_regular_sequence,
     mu,
@@ -303,11 +302,9 @@ def _suite_lemma_2_6a(xs, ctx):
         if not (x.ok and x.pair.sop.status == SOP_FOUND):
             continue
         ran += 1
-        c = x.pair.cd
-        current = x.i
-        for step, m in enumerate(x.pair.sop.sequence, start=1):
-            current = sum_ideals(current, minimal_generators(x.a.ring, [m]))
-            got = cd_by_support(x.a, current)
+        c, sequence = x.pair.cd, x.pair.sop.sequence
+        for step in range(1, len(sequence) + 1):
+            got = x.pair.support_cd_with(sequence[:step])
             if got != c - step:
                 out.append(_violation(x, {"cd_after_quotient": c - step}, {"cd_after_quotient": got}))
                 break

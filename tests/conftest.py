@@ -38,7 +38,10 @@ and ``oracle_sop_candidates`` finds the parameter-system candidates by the
 loop over every support, before they were enumerated per generator;
 ``oracle_cd_of_prime_quotient`` builds the image of a modulo a prime as an
 ideal and takes its radical, as the engine did before it read pd from the
-Betti cache, and ``oracle_row_groups`` groups rows by their bytes in a dict.
+Betti cache, and ``oracle_cd_by_support`` takes its maximum over the
+splitter's minimal primes of I, the support cd before it ran on bitmasks
+with one memo per analysis; ``oracle_row_groups`` groups rows by their
+bytes in a dict.
 ``radical_supports`` takes the minimal antichain of a support family, the
 radical comparison the parameter-system search made before cover bits.
 ``radical_equal`` compares two ideals up to radical and ``ideal_height``
@@ -185,6 +188,12 @@ def oracle_cd_of_prime_quotient(a: MonomialIdeal, P: MonomialPrime):
     ring on the variables outside P, or None for a unit image."""
     image = erase_to_zero(a, P.vars)
     return None if image.is_unit else pd_quotient(radical(image))
+
+
+def oracle_cd_by_support(a: MonomialIdeal, I: MonomialIdeal) -> int:
+    """cd of a on S/I for proper I: the largest cd on the quotients by the
+    minimal primes of I, skipping a unit image."""
+    return max(v for P in oracle_radical_primes(I) if (v := oracle_cd_of_prime_quotient(a, P)) is not None)
 
 
 def oracle_row_groups(rows: np.ndarray) -> list[int]:

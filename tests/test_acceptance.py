@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from relhom.invariants import a_id, cd, cd_by_support, grade, grade_by_localization
+from relhom.invariants import PairAnalysis, a_id, cd, grade, grade_by_localization
 from relhom.monomials import RingSpec, associated_primes, parse_ideal, sum_ideals, zero_ideal
 from relhom.properties import (
     full_report,
@@ -148,7 +148,7 @@ def test_criterion_5_cross_engine_equivalence(corpus_run):
             break
         if not (
             min(x.ext0) == min(x.lc0) == grade_by_localization(x.a, x.i)  # (a)
-            and max(x.lc0) == cd_by_support(x.a, x.i)                      # (b)
+            and max(x.lc0) == PairAnalysis(x.a, x.i).support_cd_with()      # (b)
             and x.pair.a_id == pd_quotient(x.a)                            # (c)
             and x.ext0 == x.pair.ext_profile and x.lc0 == x.pair.lc_profile  # (d)
         ):

@@ -187,6 +187,14 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert "degree bound" in err
 
+    def test_negative_degree_bound_is_refused_before_any_listing(self, capsys, monkeypatch):
+        # --slices lists both tables before the report; the bound is refused first
+        listed = []
+        monkeypatch.setattr(cli, "dump_tables", lambda *tables: listed.append(tables))
+        code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--i", "y", "--degree-bound", "-3", "--slices", "--json")
+        assert (code, out, listed) == (2, "", [])
+        assert "degree bound" in err
+
     def test_unknown_property(self, capsys):
         assert main(["check", "frobnicate", "--ring", "x", "--a", "x"]) == 2
 

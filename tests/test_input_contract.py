@@ -215,8 +215,8 @@ def engines_refuse(monkeypatch):
 
     for module, name in (
         (invariants, "grade_by_localization"),
-        (invariants, "cd_by_support"),
-        (invariants, "cd_of_prime_quotient"),
+        (invariants.PairAnalysis, "support_cd_with"),
+        (invariants.PairAnalysis, "prime_cd"),
         (invariants, "_sop_search"),
         (invariants, "ext_profile"),
         (invariants, "lc_profile"),
@@ -284,7 +284,7 @@ def test_is_prime_matches_a_sieve():
 
 def test_analysis_only_engines_are_internal():
     # their values are public only through a checked analysis
-    for name in ("grade_by_localization", "cd_by_support", "cd_of_prime_quotient"):
+    for name in ("grade_by_localization", "support_cd_with", "prime_cd"):
         assert name not in invariants.__all__ and not hasattr(relhom, name)
     a, I = parse_ideal(R2, "x, y"), parse_ideal(R2, "x*y")
     x = PairAnalysis(a, I)

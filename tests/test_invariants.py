@@ -14,8 +14,6 @@ from relhom.invariants import (
     PairAnalysis,
     a_id,
     cd,
-    cd_by_support,
-    cd_of_prime_quotient,
     grade,
     grade_by_localization,
     invariant_record,
@@ -28,6 +26,7 @@ from relhom.verifier import CorpusParams, corpus_instances
 
 from conftest import (
     cycle_pair,
+    oracle_cd_by_support,
     oracle_cd_of_prime_quotient,
     oracle_grade_by_localization,
     oracle_monomials,
@@ -135,8 +134,8 @@ class TestCd:
         assert cd(parse_ideal(ring2, "x*y, x^2"), zero_ideal(ring2)) == 1
 
     def test_support_fast_path_alone(self, ring4, edge):
-        assert cd_by_support(parse_ideal(ring4, "y1, y2"), edge) == 1
-        assert cd_by_support(edge, zero_ideal(ring4)) == 3
+        assert PairAnalysis(parse_ideal(ring4, "y1, y2"), edge).support_cd_with() == 1
+        assert PairAnalysis(edge, zero_ideal(ring4)).support_cd_with() == 3
 
     def test_degenerate(self, ring2):
         assert cd(parse_ideal(ring2, "x"), unit_ideal(ring2)) is None
@@ -144,19 +143,57 @@ class TestCd:
     def test_prime_quotient_matches_the_oracle(self):
         # every prime on a variable set of the default corpus's rings, and
         # of five-variable squarefree pairs, against the image built as an
-        # ideal and its radical; the unit relative ideal has a unit image
+        # ideal and its radical; a unit relative ideal, whose image is the
+        # unit ideal, is refused before any prime is read
         cases = 0
         for params in (CorpusParams(count=60), CorpusParams(n=5, squarefree=True, count=20)):
             ring = params.ring()
-            primes = [MonomialPrime(ring, F) for k in range(ring.n + 1) for F in itertools.combinations(range(ring.n), k)]
             for a, _ in corpus_instances(params):
-                for P in primes:
-                    assert cd_of_prime_quotient(a, P) == oracle_cd_of_prime_quotient(a, P)
+                x = PairAnalysis(a, zero_ideal(ring))
+                for prime in range(1 << ring.n):
+                    P = MonomialPrime(ring, [j for j in range(ring.n) if prime >> j & 1])
+                    assert x.prime_cd(prime) == oracle_cd_of_prime_quotient(a, P)
                     cases += 1
         assert cases == 60 * 16 + 20 * 32
         ring = RingSpec(("x", "y"))
-        for F in ((), (0,), (0, 1)):
-            assert cd_of_prime_quotient(unit_ideal(ring), MonomialPrime(ring, F)) is None
+        assert oracle_cd_of_prime_quotient(unit_ideal(ring), MonomialPrime(ring, ())) is None
+        with pytest.raises(ValueError, match="relative ideal must be proper"):
+            PairAnalysis(unit_ideal(ring), zero_ideal(ring))
+
+    def test_support_cd_with_a_prefix_matches_the_oracle(self):
+        # cd(a, S/(I + prefix)) for every prefix of parameter-system
+        # candidates up to length cd, on S/I and on S, against the splitter's
+        # minimal primes and the images built as ideals: the default corpus
+        # and four five-variable squarefree pairs, which reach cd 3
+        cases = 0
+        pairs = [*corpus_instances(CorpusParams()), *corpus_instances(CorpusParams(n=5, squarefree=True, gen_count_range=(2, 7), count=4))]
+        for a, I in pairs:
+            for J in (I, zero_ideal(I.ring)):
+                if J.is_unit:
+                    continue
+                x = PairAnalysis(a, J)
+                candidates = invariants._sop_candidates(a, x.degree_bound)
+                for k in range(1, x.cd + 1):
+                    for prefix in itertools.combinations(candidates, k):
+                        expected = oracle_cd_by_support(a, sum_ideals(J, minimal_generators(a.ring, prefix)))
+                        assert x.support_cd_with(prefix) == expected
+                        cases += 1
+        assert cases == 6523
+
+    def test_each_prime_cd_is_computed_once_per_analysis(self, monkeypatch):
+        # K6's edge ideal as a: the support cd and the parameter-system prune,
+        # which finds no witness, ask for the cds of few primes many times,
+        # and each prime's pd is read from the Betti cache once
+        ring = RingSpec(tuple(f"x{k}" for k in range(6)))
+        edges = [tuple(int(j in (u, v)) for j in range(6)) for u, v in itertools.combinations(range(6), 2)]
+        x = PairAnalysis(minimal_generators(ring, edges), zero_ideal(ring))
+        x.localization_grade  # reads pd_relabelled on its own
+        reads, asked = [], []
+        original_pd, original_prime_cd = invariants.pd_relabelled, PairAnalysis.prime_cd
+        monkeypatch.setattr(invariants, "pd_relabelled", lambda *args: reads.append(args) or original_pd(*args))
+        monkeypatch.setattr(PairAnalysis, "prime_cd", lambda self, prime: asked.append(prime) or original_prime_cd(self, prime))
+        assert x.sop.status == SOP_NONE_AMONG_MONOMIALS and x.cd == 5
+        assert len(reads) == len(set(asked)) < len(asked)
 
 
 class TestRelativeInjectiveDimension:
@@ -274,6 +311,22 @@ class TestSopSearch:
                     seen.add((cd(a, I), expected.status))
         assert {(3, SOP_FOUND), (3, SOP_NONE_AMONG_MONOMIALS), (2, SOP_NONE_AMONG_MONOMIALS)} <= seen
 
+    def test_every_prefix_is_tested_and_the_witness_is_the_full_walks(self, monkeypatch):
+        # the default corpus on S/I and on S: with every prefix tested for
+        # the prune, the search returns what the walk over every combination
+        # returns, and the prune runs on prefixes of some pairs
+        prefixes = []
+        original = PairAnalysis.support_cd_with
+        monkeypatch.setattr(PairAnalysis, "support_cd_with", lambda self, extra=(): prefixes.append(extra) or original(self, extra))
+        statuses = set()
+        for a, I in corpus_instances(CorpusParams()):
+            for J in (I, zero_ideal(I.ring)):
+                expected = oracle_sop_by_support(a, J)
+                assert sop_witness_by_support(a, J) == expected
+                statuses.add(expected.status)
+        assert statuses == {SOP_FOUND, SOP_NONE_AMONG_MONOMIALS, SOP_DEGENERATE_ZERO_LENGTH}
+        assert any(prefixes)
+
     def test_candidates_are_the_least_monomial_of_each_support(self):
         # per support F, the least monomial of a within the degree bound whose
         # support is F, found among every monomial of the bound; candidates
@@ -311,13 +364,13 @@ class TestSopSearch:
         a, I = cycle_pair(n)
         expected = oracle_sop_by_support(a, I)
         cuts = []
-        support_cd = invariants.cd_by_support
+        support_cd = PairAnalysis.support_cd_with
 
         def counted(*args):
             cuts.append(args)
             return support_cd(*args)
 
-        monkeypatch.setattr(invariants, "cd_by_support", counted)
+        monkeypatch.setattr(PairAnalysis, "support_cd_with", counted)
         assert sop_witness_by_support(a, I) == expected
         assert expected.found == (n % 2 == 0)
         assert len(cuts) > 1  # the prune ran, not only the pair's own cd

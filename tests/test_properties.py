@@ -176,11 +176,11 @@ def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
     for module, name in (
         (invariants, "_check_pair"),
         (invariants, "grade_by_localization"),
-        (invariants, "cd_by_support"),
+        (invariants.PairAnalysis, "support_cd_with"),
         (invariants, "_sop_search"),
         (invariants, "is_monomial_regular_sequence"),
         (invariants, "associated_primes"),
-        (invariants, "cd_of_prime_quotient"),
+        (invariants.PairAnalysis, "prime_cd"),
     ):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
@@ -193,7 +193,7 @@ def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
         x = analyse()
         assert calls["_check_pair"] == 2
         assert calls["grade_by_localization"] == 2
-        assert calls["cd_by_support"] == 2
+        assert calls["support_cd_with"] == 2
         assert calls["_sop_search"] == 1
         assert calls["associated_primes"] == 1
         assert calls["is_monomial_regular_sequence"] >= 1
