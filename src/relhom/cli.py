@@ -14,7 +14,7 @@ import os
 import sys
 
 from .invariants import EngineDisagreementError, PairAnalysis
-from .monomials import MonomialIdeal, ParseError, RingMismatchError, RingSpec, format_ideal, parse_ideal
+from .monomials import MonomialIdeal, RingMismatchError, RingSpec, format_ideal, parse_ideal
 from .properties import (
     full_report,
     is_relative_cm,
@@ -290,9 +290,6 @@ def main(argv=None) -> int:
     try:
         _check_out_targets(args)
         return globals()[args.handler](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EngineDisagreementError as exc:
         print(f"internal engine disagreement: {exc}", file=sys.stderr)
         return 3

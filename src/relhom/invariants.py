@@ -8,13 +8,16 @@ bug signal and deliberately distinct from input validation errors.
 cross-checked: it validates the pair once, keeps each engine's value
 (``ext_profile``, ``lc_profile``, ``localization_grade``, ``support_cd``,
 ``pd_a``, ``ass_primes``) and runs each cross-check on those values at
-most once.  Every cd(a, S/P) on a monomial prime P, which the support cd,
-the associated-prime criterion and the parameter-system prune all read, is
-computed once per analysis by one rule (``PairAnalysis.prime_cd``).  The
-free functions ``mu``, ``grade``, ``cd``, ``a_id``,
-``sop_witness_by_support`` and ``invariant_record`` read a fresh analysis.
-``grade_by_localization`` checks nothing; it is internal, and runs on the
-pair of an analysis.
+most once.  There each pair-level question is decided in one place: the
+profiles and the localization grade run on the variables some generator
+uses (``used_pair``; everything else stays on the full ring), I's minimal
+primes are computed once (``minimal_prime_masks``), each cd(a, S/P) on a
+monomial prime P once (``prime_cd``), and every node of the
+parameter-system search, leaves included, is tested by one rule
+(``support_cd_with``).  The free functions ``mu``, ``grade``, ``cd``,
+``a_id``, ``sop_witness_by_support`` and ``invariant_record`` read a fresh
+analysis.  ``grade_by_localization`` checks nothing; it is internal, and
+runs on the pair of an analysis.
 
 Degenerate convention: when I is the unit ideal the module is zero, and
 grade / cd / a-id are reported as ``None``.
@@ -38,10 +41,9 @@ from .monomials import (
     _minimal_covers,
     associated_primes,
     degree,
+    erase_to_one,
     minimal_generators,
     quotient,
-    quotient_dimension,
-    radical,
     sum_ideals,
     zero_ideal,
 )
@@ -93,17 +95,16 @@ def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
     is I's generators with the variables outside F erased, and its pd is
     read from the Betti cache keyed up to relabelling
     (``taylor.relabelled``).  That pd is at most |F|, so no depth is below
-    0 and the scan stops at the first F of depth 0.
-    Only subsets of the variables some generator uses are visited: another
-    variable adds 1 to |F| and nothing to the pd.  The caller has checked
-    the pair and that I is proper.
+    0 and the scan stops at the first F of depth 0.  Every subset is
+    visited; an analysis runs this on its pair restricted to the variables
+    some generator uses (``PairAnalysis.used_pair``).  The caller has
+    checked the pair and that I is proper.
     """
     n, p = a.ring.n, a.ring.char
     # F must meet every generator of a, and every generator of I lest the localization be zero
     supports = [_mask(g) for g in (*a.gens, *I.gens)]
-    used = reduce(operator.or_, supports, 0)
-    best, fbits = None, 0
-    while True:
+    best = None
+    for fbits in range(1 << n):
         if all(m & fbits for m in supports):
             keep = [j for j in range(n) if fbits >> j & 1]
             local = _minimal([tuple(g[j] for j in keep) for g in I.gens])
@@ -112,10 +113,7 @@ def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
                 return 0
             if best is None or d < best:
                 best = d
-        fbits = (fbits - used) & used  # the next subset of the used variables
-        if not fbits:
-            break
-    assert best is not None  # F = the used variables qualifies for proper I
+    assert best is not None  # F = every variable qualifies for proper I
     return best
 
 
@@ -190,52 +188,37 @@ def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[int, ...]
     return sorted(best.values())
 
 
-def _cover_bits(target: list[int], masks) -> int:
-    """Bit b is set iff one of the supports ``masks`` lies in ``target[b]`` (all bitmasks)."""
-    return sum(1 << b for b, t in enumerate(target) if any(m | t == t for m in masks))
-
-
 def _sop_search(x: "PairAnalysis") -> SopWitness:
     """The search of :attr:`PairAnalysis.sop` on the analysis ``x`` of a nonzero module, for its checked cd c.
 
     Walks the length-c combinations of candidates depth first, in the order
     of ``itertools.combinations``, so the first witness found is the
-    lexicographically first.  Every prefix f_1..f_k (0 < k < c) is cut when
+    lexicographically first.  Every nonempty prefix f_1..f_k is cut when
     cd(a, S/(I + (f_1..f_k))) > c - k: the remaining c - k elements would
-    have to generate a up to radical modulo that ideal, so no completion of
-    the prefix is a witness.  That cd is ``x.support_cd_with``, one cover
-    pass over bitmasks plus reads of the analysis's per-prime cds.
-
-    The candidates are monomials (``_sop_candidates``), one per realizable
-    support, and are read through their supports.  A leaf is tested by
-    cover bits: each minimal support of rad(a + I), the target, has one
-    bit, and a support sets the bits of the target supports that contain
-    it.  Every chosen support contains a target support, and
-    the target is an antichain, so the radical of I plus the prefix is the
-    target iff the bits of I's generators and of the prefix cover them all.
+    have to generate a up to radical modulo that ideal.  At k = c this is
+    the witness test, as cd(a, S/J) = 0 iff a lies in rad J, and
+    rad(I + (f_1..f_c)) lies in rad(a + I).  That cd is
+    ``x.support_cd_with``, on bitmasks.  The candidates are monomials
+    (``_sop_candidates``), one per realizable support.
     """
-    a, I, c, degree_bound = x.a, x.I, x.cd, x.degree_bound
+    c, degree_bound = x.cd, x.degree_bound
     if c == 0:
         return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
-    target = [_mask(g) for g in radical(sum_ideals(a, I)).gens]
-    full = (1 << len(target)) - 1
-    base = _cover_bits(target, [_mask(g) for g in I.gens])
-    achievable = _sop_candidates(a, degree_bound)
-    bits = [_cover_bits(target, [_mask(e)]) for e in achievable]
+    achievable = _sop_candidates(x.a, degree_bound)
 
-    def walk(start: int, prefix: tuple, covered: int):
+    def walk(start: int, prefix: tuple):
         left = c - len(prefix)
-        if left == 0:
-            return prefix if covered == full else None
         if prefix and x.support_cd_with(prefix) > left:
             return None
+        if left == 0:
+            return prefix
         for k in range(start, len(achievable) - left + 1):
-            found = walk(k + 1, prefix + (achievable[k],), covered | bits[k])
+            found = walk(k + 1, prefix + (achievable[k],))
             if found is not None:
                 return found
         return None
 
-    found = walk(0, (), base)
+    found = walk(0, ())
     if found is None:
         return SopWitness(SOP_NONE_AMONG_MONOMIALS, (), degree_bound)
     return SopWitness(SOP_FOUND, found, degree_bound)
@@ -313,20 +296,30 @@ class PairAnalysis:
         return PairAnalysis(self.a, zero_ideal(self.a.ring), self.degree_bound)
 
     @cached_property
+    def used_pair(self) -> tuple[MonomialIdeal, MonomialIdeal]:
+        """(a, I) with the variables no generator uses erased to 1, or (a, I) if none is unused: S is a
+        polynomial ring over that ring, a flat extension, so no profile and no grade changes."""
+        used = reduce(operator.or_, map(_mask, (*self.a.gens, *self.I.gens)), 0)
+        unused = [j for j in range(self.a.ring.n) if not used >> j & 1]
+        if not unused:
+            return self.a, self.I
+        return erase_to_one(self.a, unused), erase_to_one(self.I, unused)
+
+    @cached_property
     def ext_profile(self) -> frozenset[int]:
-        """Indices i with Ext^i(S/a, S/I) != 0, from the class engine."""
-        return ext_profile(self.a, self.I)
+        """Indices i with Ext^i(S/a, S/I) != 0, from the class engine on the used variables."""
+        return ext_profile(*self.used_pair)
 
     @cached_property
     def lc_profile(self) -> frozenset[int]:
-        """Indices of the nonvanishing local cohomology of S/I supported on a, from the class engine."""
-        return lc_profile(self.a, self.I)
+        """Nonvanishing local-cohomology indices of S/I supported on a, from the class engine on the used variables."""
+        return lc_profile(*self.used_pair)
 
     @cached_property
     def localization_grade(self) -> int:
-        """grade by the localized-depth formula; the module must be nonzero."""
+        """grade by the localized-depth formula on the used variables; the module must be nonzero."""
         _check_module(self.I)
-        return grade_by_localization(self.a, self.I)
+        return grade_by_localization(*self.used_pair)
 
     def prime_cd(self, prime: int) -> int:
         """cd(a, S/P) for the monomial prime P on the variables of the bitmask ``prime``, computed once per P.
@@ -342,16 +335,21 @@ class PairAnalysis:
             self._prime_cds[prime] = pd_relabelled(*relabelled(_minimal(supports)), self.a.ring.char)
         return self._prime_cds[prime]
 
+    @cached_property
+    def minimal_prime_masks(self) -> list[int]:
+        """I's minimal primes as variable bitmasks: the minimal vertex covers of its generator supports."""
+        return _minimal_covers(map(_mask, self.I.gens))
+
     def support_cd_with(self, extra=()) -> int:
         """cd(a, S/(I + (extra))) for monomials ``extra`` that leave I + (extra) proper.
 
         Local cohomology of S/J supported on a vanishes above the largest
         cd(a, S/P) over the minimal primes P of J, and reaches it.  Those
-        primes are the minimal vertex covers of the generator supports of I
-        and of ``extra``, taken on bitmasks, and each cd(a, S/P) is
+        primes are I's minimal primes extended to cover the supports of
+        ``extra`` too, taken on bitmasks, and each cd(a, S/P) is
         ``prime_cd``.
         """
-        return max(map(self.prime_cd, _minimal_covers([_mask(g) for g in (*self.I.gens, *extra)])))
+        return max(map(self.prime_cd, _minimal_covers(map(_mask, extra), self.minimal_prime_masks)))
 
     @cached_property
     def support_cd(self) -> int:
@@ -417,8 +415,9 @@ class PairAnalysis:
         """A relative system of parameters, searched at the level of supports.
 
         A found witness (a length-cd sequence of monomials of a with the
-        radical of a + I) certifies that the arithmetic rank equals cd;
-        ``none_among_monomials`` is no proof of nonexistence.  Only the
+        radical of a + I, that is with cd(a, S/(I + sequence)) = 0) certifies
+        that the arithmetic rank equals cd; ``none_among_monomials`` is no
+        proof of nonexistence.  Candidates are monomials of the full ring.  Only the
         squarefree support of each element affects the radical condition,
         and a support is realizable by a monomial of a within the degree
         bound iff some generator fits under it cheaply enough, so this finds
@@ -469,7 +468,7 @@ class PairAnalysis:
             a_id=ai,
             pd=pd_quotient(self.I),
             depth=depth_quotient(self.I),
-            dim=quotient_dimension(self.I),
+            dim=self.I.ring.n - min(P.bit_count() for P in self.minimal_prime_masks),
             ara_lower=c,
             ara_upper=ara_upper,
             provenance=tuple(provenance),

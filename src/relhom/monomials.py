@@ -334,15 +334,16 @@ def _mask(e) -> int:
     return sum(1 << j for j, x in enumerate(e) if x)
 
 
-def _minimal_covers(edges) -> list[int]:
+def _minimal_covers(edges, covers=(0,)) -> list[int]:
     """The minimal vertex covers of a hypergraph whose edges are bitmasks, as bitmasks.
 
-    One edge at a time: of the minimal covers of the edges so far, those that
-    meet the next edge stay, every other one is extended by each vertex of the
-    edge, and the extensions that contain another cover are dropped.  No
-    edges give the empty cover; an empty edge gives no cover.
+    One edge at a time, from ``covers``, the minimal covers of the edges
+    taken before (of none by default): of the minimal covers of the edges so
+    far, those that meet the next edge stay, every other one is extended by
+    each vertex of the edge, and the extensions that contain another cover
+    are dropped.  No edges give ``covers``; an empty edge gives no cover.
     """
-    covers = [0]
+    covers = list(covers)
     for edge in sorted(set(edges)):
         kept = [c for c in covers if c & edge]
         grown = {c | 1 << j for c in covers if not c & edge for j in range(edge.bit_length()) if edge >> j & 1}

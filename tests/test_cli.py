@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, JSON output, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,37 @@ class TestAnalyze:
         b = json.loads(padded)["report"]
         assert a["invariants"] == b["invariants"]
         assert a["box"] != b["box"]
+
+
+    @pytest.mark.parametrize(
+        "i, box, pd, depth, json_sha256",
+        [
+            ("0", "1, 1", 0, 2, "7552d29ae33ab7cf70fe5c07060163c7cc43abdab1c8a072edd687d13fd3240d"),
+            ("x", "2, 1", 1, 1, "eb299b241606d5be0eb395dad74d897b183e0e9fd7964f9a40c57f10fe02f33f"),
+        ],
+    )
+    def test_zero_relative_ideal_reports_are_pinned(self, capsys, i, box, pd, depth, json_sha256):
+        # a = 0 uses no variable, so the profiles run on I's variables alone,
+        # none for I = 0; the reports are those of the engines on the full ring
+        code, out, _ = run(capsys, "analyze", "--ring", "x,y", "--a", "0", "--i", i)
+        assert code == 0
+        assert out == f"""\
+ring: x, y   (char 32003, box [{box}])
+a = 0
+i = {i}
+grade = 0   cd = 0   mu = 0   a-id = 0
+pd(S/i) = {pd}   depth = {depth}   dim = {depth}
+ara in [0, 0]
+relative CM:             true
+relative maximal CM:     true
+relative Gorenstein:     true
+relative regular ring:   true
+relative regular module: true
+chain consistent:        true
+"""
+        code, out, _ = run(capsys, "analyze", "--ring", "x,y", "--a", "0", "--i", i, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
 
 
 class TestCheck:

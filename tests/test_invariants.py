@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from relhom import invariants, properties
+from relhom import invariants, properties, slices
 from relhom.invariants import (
     SOP_DEGENERATE_ZERO_LENGTH,
     SOP_FOUND,
@@ -21,7 +21,17 @@ from relhom.invariants import (
     mu,
     sop_witness_by_support,
 )
-from relhom.monomials import MonomialPrime, RingSpec, minimal_generators, parse_ideal, sum_ideals, support, unit_ideal, zero_ideal
+from relhom.monomials import (
+    MonomialPrime,
+    RingSpec,
+    minimal_generators,
+    parse_ideal,
+    quotient_dimension,
+    sum_ideals,
+    support,
+    unit_ideal,
+    zero_ideal,
+)
 from relhom.verifier import CorpusParams, corpus_instances
 
 from conftest import (
@@ -272,10 +282,11 @@ class TestSopSearch:
                 assert all(a.contains_monomial(e) for e in fast.sequence)
 
 
-    def test_cover_bits_decide_antichain_equality(self):
-        # a family whose every support contains one of an antichain's has
-        # that antichain as its minimal elements iff the cover bits of the
-        # family are full
+    def test_a_zero_cd_decides_antichain_equality(self):
+        # the search's leaf test: for a family whose every support contains
+        # one of the minimal supports of rad(a + I), the target,
+        # cd(a, S/(I + family)) is 0 iff I and the family have the target
+        # as their minimal supports
         rng = np.random.default_rng(61)
         outcomes = set()
         for _ in range(400):
@@ -288,10 +299,12 @@ class TestSopSearch:
             for _ in range(int(rng.integers(0, 8))):
                 t = target[int(rng.integers(len(target)))]
                 family.append(t | frozenset(np.flatnonzero(rng.random(n) < 0.2).tolist()))
-            masks = [sum(1 << j for j in s) for s in family]
-            covered = invariants._cover_bits([sum(1 << j for j in t) for t in target], masks)
-            expected = radical_supports(family) == frozenset(target)
-            assert (covered == (1 << len(target)) - 1) == expected
+            ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+            gens = [tuple(int(j in s) for j in range(n)) for s in drawn if s]
+            a, I = minimal_generators(ring, gens[1:]), minimal_generators(ring, gens[:1])
+            extra = [tuple(int(j in s) for j in range(n)) for s in family]
+            expected = radical_supports([*map(support, I.gens), *family]) == frozenset(target)
+            assert (PairAnalysis(a, I).support_cd_with(extra) == 0) == expected
             outcomes.add(expected)
         assert outcomes == {False, True}
 
@@ -421,6 +434,68 @@ class TestInvariantRecord:
             assert rec.grade <= rec.cd <= rec.mu
             assert rec.ara_lower == rec.cd and rec.ara_upper <= rec.mu
             assert rec.a_id >= rec.grade
+
+
+def _unused_variable_pairs():
+    """The default corpus's pairs that leave a variable unused, then seeded
+    pairs on 1 to 4 of 6 variables, against I and against 0."""
+    pairs = []
+    for a, I in corpus_instances(CorpusParams()):
+        if len(set().union(*map(support, (*a.gens, *I.gens)))) < a.ring.n:
+            pairs.append((a, I))
+    ring = RingSpec(tuple(f"x{j}" for j in range(6)))
+    rng = np.random.default_rng(97)
+    for _ in range(12):
+        used = sorted(rng.choice(6, size=int(rng.integers(1, 5)), replace=False).tolist())
+        small = RingSpec(tuple(ring.names[j] for j in used))
+
+        def spread(A):
+            return minimal_generators(ring, [tuple(g[used.index(j)] if j in used else 0 for j in range(6)) for g in A.gens])
+
+        a = spread(random_proper_ideal(rng, small, 2, 3))
+        I = spread(random_proper_ideal(rng, small, 2, 3))
+        pairs += [(a, I), (a, zero_ideal(ring))]
+    return pairs
+
+
+class TestUsedVariables:
+    def test_trivial_pair_in_24_variables_runs_on_two_axes(self, monkeypatch):
+        # (x0; x1) over x0..x23 builds its class tables over the two
+        # variables its generators use, not over a grid of 24 axes
+        ring = RingSpec(tuple(f"x{k}" for k in range(24)))
+        a, I = parse_ideal(ring, "x0"), parse_ideal(ring, "x1")
+        built = []
+        original = slices._class_table
+
+        def spy(kind, A, B, pad):
+            built.append((kind, A.ring.n))
+            assert A.ring.n == 2, "class table over unused variables"
+            return original(kind, A, B, pad)
+
+        monkeypatch.setattr(slices, "_class_table", spy)
+        slices.clear_slice_caches()
+        rec = PairAnalysis(a, I).record
+        assert sorted(built) == [("ext", 2), ("lc", 2)]
+        assert (rec.grade, rec.cd, rec.a_id, rec.pd, rec.depth, rec.dim) == (1, 1, 1, 1, 23, 23)
+
+    def test_restricted_engines_match_the_full_ring(self):
+        # the profiles on the used variables are the dense engine's on the
+        # full ring, the localization grade is the oracle's, and the
+        # dimension read from I's minimal primes is quotient_dimension
+        pairs = _unused_variable_pairs()
+        assert len(pairs) == 8 + 24
+        for a, I in pairs:
+            x = PairAnalysis(a, I)
+            assert x.used_pair[0].ring.n < a.ring.n
+            assert x.ext_profile == slices._dense_profile("ext", a, I)
+            assert x.lc_profile == slices._dense_profile("lc", a, I)
+            assert x.localization_grade == oracle_grade_by_localization(a, I)
+            assert x.record.dim == quotient_dimension(I)
+
+    def test_every_variable_used_keeps_the_pair(self, ring4, edge):
+        a = parse_ideal(ring4, "y1, y2")
+        x = PairAnalysis(a, edge)
+        assert x.used_pair[0] is a and x.used_pair[1] is edge
 
 
 def test_mu(ring4, edge=None):

@@ -168,7 +168,9 @@ def test_full_report_checks_the_pair_before_the_box(ring2):
 
 def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
     # (a, S/I) and the nested (a, S) are each validated once and each run
-    # grade and cd once; the parameter-system search reuses the checked cd.
+    # grade and cd once; the parameter-system search reuses the checked cd
+    # and asks the support-cd rule only for its nonempty prefixes, so the
+    # asks with no extra monomials are the two cd cross-checks.
     # A corpus instance computes no more than the report it carries, and the
     # associated-prime criterion is evaluated once per pair: the suites that
     # read it, or the associated primes, evaluate nothing again.
@@ -183,6 +185,8 @@ def test_full_report_computes_each_cross_check_once(monkeypatch, ring4):
         (invariants.PairAnalysis, "prime_cd"),
     ):
         def counted(*args, _name=name, _original=getattr(module, name)):
+            if _name == "support_cd_with" and any(args[1:]):
+                _name = "support_cd_with(prefix)"
             calls[_name] += 1
             return _original(*args)
 
