@@ -56,15 +56,17 @@ combinatorics behind Takayama's formula for the local cohomology of S/I
 participating minimal generators), holds every threshold strictly inside,
 so it meets every class of Z^n and decides module vanishing exactly.  Each
 class is represented by its member of least |b_j|, which is the same for
-every pad: padding only widens the two edge classes of an axis.  So profiles, and every invariant read from them,
-take no box; ``pad`` belongs only to the listings of ``ext_table`` and
-``lc_table``.  A SliceTable keeps the dimensions per class and each
-class's interval per axis, and never builds an array sized by the box:
-``dim_at`` looks its class up directly, and ``hilbert``, ``total`` and
-``dump`` read the nonzero classes only (a listing of more than
-``_MAX_LISTING_RECORDS`` records, over all tables of ``dump_tables``, is
-refused).  A single degree (``ext_slice``, ``local_cohomology_slice``) is
-exact anywhere in the int16 range.
+every pad: padding only widens the two edge classes of an axis.  So
+profiles, and every invariant read from them, take no box; ``pad`` belongs
+only to the listings of ``ext_table`` and ``lc_table``.  A SliceTable keeps
+the dimensions per distinct activity pattern, the pattern of every class
+and each class's interval per axis, and never builds an array sized by the
+box: ``profile`` reads the pattern dimensions alone, ``dim_at`` looks up
+the pattern of its class, and ``hilbert``, ``total`` and ``dump`` gather
+the dimensions to the classes on first use and read the nonzero classes
+only (a listing of more than ``_MAX_LISTING_RECORDS`` records, over all
+tables of ``dump_tables``, is refused).  A single degree (``ext_slice``,
+``local_cohomology_slice``) is exact anywhere in the int16 range.
 
 The dense scan over every degree of the unpadded box (``_dense_profile``)
 stays as an independent engine: it runs on the full Taylor complex of the
@@ -78,27 +80,31 @@ Each table runs its layers in bulk, on its per-axis values (a ``_Product``)
 rather than on a (degrees, n) grid.  Activity depends on a face T only
 through lcm_T, so it is evaluated once per distinct face lcm, one row each,
 and every face reads the row of its lcm; each layout groups its faces by
-lcm once, on first use, and keeps the grouping.  Activity is one
-membership kernel (``_member_rows``): the staircase of I factors axis by
-axis, so per axis a small table of generator bit sets answers every value
-of the axis, and the bit sets over the product are the AND of the axes'
-table rows, taken as an outer product in lexicographic order, one bit per
-generator rather than a byte per generator and variable.  The per-axis
-tables depend only on I's generators, so they are built once per
+lcm once, on first use, and keeps the grouping.  Activity is one membership
+kernel (``_member_rows``): the staircase of I factors axis by axis, so per
+axis a small table of generator bit sets answers every value of the axis,
+and the bit sets over the product are the AND of the axes' table rows, one
+bit per generator rather than a byte per generator and variable.  The
+product is built from the last axis outward, each axis ANDed in outside the
+product of the axes after it, so every AND runs over that whole product as
+its inner loop and the result comes out in lexicographic order.  The
+per-axis tables depend only on I's generators, so they are built once per
 generator tuple, in a bounded cache.  Degrees are grouped by activity
 pattern under a one-value key per degree, read from the rows of distinct
 values (an unsigned integer for up to 64 rows, whose sort is much faster
 than that of bytes), and only the distinct patterns are then gathered to
-the faces.  The dimensions of a pattern depend only on p, the face set's
-incidence structure and which faces are active, so each pattern's column
-of dimensions is looked up in one memo, bounded in entries and in bytes,
-keyed by p, the digest of the whole face set (every level's size, so the
-level count, and every boundary map) and the pattern's packed bits.  The
-default corpus looks up about 19 000 patterns, of which about 3 700 miss.
-Only the missed patterns are ranked, all of a table's together: their
-incidence matrices go to ``rank_mod_p`` in zero-padded stacks of bounded
-size, eliminated in lock step.  A single incidence matrix above
-``_MAX_RANK_MATRIX_CELLS`` is refused before any stack is built.
+the faces.  The dimensions stay per pattern, with the pattern of each degree
+beside them; no layer gathers them back to the degrees.  The dimensions of a
+pattern depend only on p, the face set's incidence structure and which
+faces are active, so each pattern's column of dimensions is looked up in
+one memo, bounded in entries and in bytes, keyed by p, the digest of the
+whole face set (every level's size, so the level count, and every boundary
+map) and the pattern's packed bits.  The default corpus looks up about
+19 000 patterns, of which about 3 700 miss.  Only the missed patterns are
+ranked, all of a table's together: their incidence matrices go to
+``rank_mod_p`` in zero-padded stacks of bounded size, eliminated in lock
+step.  A single incidence matrix above ``_MAX_RANK_MATRIX_CELLS`` is refused
+before any stack is built.
 
 The dedup and rank layers have a second caller besides the tables:
 ``taylor.betti_numbers`` ranks the lcm strands of the Lyubeznik complex,
@@ -459,8 +465,8 @@ def _pack(covered: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-# the tables of recent generator tuples; the default corpus makes 1 975
-# kernel calls on 519 distinct ones
+# the tables of recent generator tuples; the default corpus makes 1 983
+# kernel calls on 533 distinct ones
 @lru_cache(maxsize=4096)
 def _member_tables(gens: tuple, n: int):
     """The per-axis tables of ``_member_rows`` for the generators.
@@ -503,7 +509,10 @@ def _member_rows(axes, gens, shifts: np.ndarray) -> np.ndarray:
     built once per generator tuple (``_member_tables``).
 
     Per shift, the bit sets over the product are the AND of the axes' table
-    rows, taken axis by axis as an outer product, so they come out in
+    rows, taken axis by axis as an outer product from the last axis
+    outward: the (shifts, words, span) table holds the product of the axes
+    done so far, and the next axis goes in front of it, so each AND runs
+    over the whole span as its inner loop and the degrees come out in
     lexicographic order.  Shifts go in batches whose words over the product
     stay under ``_MAX_MEMBER_BATCH_BYTES``.
     """
@@ -514,13 +523,12 @@ def _member_rows(axes, gens, shifts: np.ndarray) -> np.ndarray:
     step = max(1, _MAX_MEMBER_BATCH_BYTES // max(1, degrees * full.nbytes))
     for lo in range(0, shifts.shape[0], step):
         batch = np.asarray(shifts[lo : lo + step], dtype=np.int64)
-        table, span = np.broadcast_to(full, (batch.shape[0], 1, words)), 1
-        for j, values in enumerate(axes):
-            shifted = np.asarray(values, dtype=np.int64) + batch[:, j, None]
-            passed = np.searchsorted(thresholds[j], shifted, side="right")
-            span *= len(values)
-            table = (table[:, :, None] & sets[j][passed][:, None]).reshape(batch.shape[0], span, words)
-        out[lo : lo + step] = (table == alone).all(axis=2)
+        table = np.broadcast_to(full[:, None], (batch.shape[0], words, 1))
+        for j in reversed(range(len(axes))):
+            shifted = np.asarray(axes[j], dtype=np.int64) + batch[:, j, None]
+            rows = sets[j][np.searchsorted(thresholds[j], shifted, side="right")].transpose(0, 2, 1)
+            table = (rows[:, :, :, None] & table[:, :, None, :]).reshape(batch.shape[0], words, -1)
+        out[lo : lo + step] = (table == alone[:, None]).all(axis=1)
     return out
 
 
@@ -719,15 +727,18 @@ def _packed_columns(active: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) -> np.ndarray:
-    """Cohomology dimensions (one row per level of ``faces``, per degree) of face complexes.
+def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cohomology dimensions of face complexes, per distinct activity pattern, and the pattern of every degree.
 
     ``active`` is a (rows, degrees) boolean array, and ``rows`` gives each
     face, in the order of ``faces``, the row it reads: face f is active at
     degree d iff ``active[rows[f], d]``.  Degrees are grouped by identical
     column of ``active`` under a one-value key per degree, its packed column
     (an integer up to 64 rows), before anything is gathered to the faces;
-    only the distinct columns are.
+    only the distinct columns are.  Returns the dimensions (levels of
+    ``faces``, patterns) and the pattern of each degree, so the dimensions
+    at degree d are ``dims[:, pattern_of[d]]``; they are never gathered to
+    the degrees here.
 
     The dimensions of a pattern depend only on p, the face set's incidence
     structure and which faces are active, so each pattern's column is
@@ -756,7 +767,7 @@ def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) 
             _DIMS_CACHE.put(key, value)
         values = [fresh[key] if value is None else value for key, value in zip(keys, values)]
     dims = np.frombuffer(b"".join(values), dtype=np.int32).reshape(first.size, faces.offsets.size - 1)
-    return dims.T[:, inverse]
+    return dims.T, inverse
 
 
 def _nonzero_levels(dims: np.ndarray) -> frozenset[int]:
@@ -765,26 +776,35 @@ def _nonzero_levels(dims: np.ndarray) -> frozenset[int]:
 
 @dataclass(frozen=True, eq=False)
 class SliceTable:
-    """All slice dimensions of one complex over a degree box, stored per class.
+    """All slice dimensions of one complex over a degree box, stored per activity pattern.
 
     Axis j splits the box values into intervals: class k starts at
-    ``_starts[j][k]`` and ends before the next start (the last at rho_j);
-    ``_class_dims`` holds the dimensions (levels, classes) of the product of
-    the classes, in lexicographic order.
+    ``_starts[j][k]`` and ends before the next start (the last at rho_j).
+    ``_pattern_dims`` holds the dimensions (levels, patterns) of the
+    distinct activity patterns, and ``_pattern_of`` the pattern of every
+    class of the product of the axes' classes, in lexicographic order.
+    ``profile`` and ``dim_at`` read these; the listings read
+    ``_class_dims``, the dimensions (levels, classes) gathered on first use.
     """
 
     box: DegreeBox
     _starts: tuple[np.ndarray, ...]
-    _class_dims: np.ndarray
+    _pattern_dims: np.ndarray
+    _pattern_of: np.ndarray
+
+    @cached_property
+    def _class_dims(self) -> np.ndarray:
+        """The dimensions (levels, classes) of every class, for the listings."""
+        return self._pattern_dims[:, self._pattern_of]
 
     def profile(self) -> frozenset[int]:
         """Indices with a nonvanishing slice somewhere in the box."""
-        return _nonzero_levels(self._class_dims)
+        return _nonzero_levels(self._pattern_dims)
 
     def _level(self, i: int) -> Optional[int]:
         """Level i as an int, or None for an integer level the table lacks."""
         i = operator.index(i)
-        return i if 0 <= i < self._class_dims.shape[0] else None
+        return i if 0 <= i < self._pattern_dims.shape[0] else None
 
     def dim_at(self, i: int, b) -> int:
         b = tuple(map(operator.index, b))
@@ -799,7 +819,7 @@ class SliceTable:
         axis's classes."""
         classes = [np.searchsorted(starts, values, side="right") - 1 for starts, values in zip(self._starts, axes)]
         flat = np.ravel_multi_index(np.ix_(*classes), tuple(len(starts) for starts in self._starts))
-        return self._class_dims[:, flat.ravel()]
+        return self._pattern_dims[:, self._pattern_of[flat.ravel()]]
 
     def first_shifted_mismatch(self, i: int, target: MonomialIdeal, shift) -> Optional[tuple]:
         """The lexicographically first box degree b where level i differs
@@ -933,11 +953,14 @@ def _complex(kind: str, A: MonomialIdeal) -> tuple[FaceLayout, int]:
     return lyubeznik_layout(radical(A).gens, A.ring.n), _LEFT_OUT
 
 
-def _slice_dims(layout: FaceLayout, scale: int, A: MonomialIdeal, B: MonomialIdeal, axes: _Product) -> np.ndarray:
-    """Slice dimensions (levels 0..len(A.gens), per degree of the product
-    ``axes``) of Hom into S/B of a complex on a layout, its face lcms scaled
-    by ``scale``; levels the complex lacks (one on the radical of A may have
-    fewer) are zero.
+def _slice_dims(
+    layout: FaceLayout, scale: int, A: MonomialIdeal, B: MonomialIdeal, axes: _Product
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slice dimensions (levels 0..len(A.gens), per distinct activity
+    pattern) of Hom into S/B of a complex on a layout, its face lcms scaled
+    by ``scale``, and the pattern of each degree of the product ``axes``;
+    levels the complex lacks (one on the radical of A may have fewer) are
+    zero.
 
     Activity depends on a face only through its lcm, so the kernel runs
     once per distinct lcm of the layout's grouping, and ``_lattice_dims``
@@ -945,10 +968,10 @@ def _slice_dims(layout: FaceLayout, scale: int, A: MonomialIdeal, B: MonomialIde
     """
     lcms, rows = layout.lcm_groups
     active = _ext_activity(A, B, axes, lcms.astype(np.int64) * scale)
-    dims = _lattice_dims(active, layout.faces, A.ring.char, rows)
-    if dims.shape[0] == len(A.gens) + 1:
-        return dims
-    return np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
+    dims, pattern_of = _lattice_dims(active, layout.faces, A.ring.char, rows)
+    if dims.shape[0] < len(A.gens) + 1:
+        dims = np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
+    return dims, pattern_of
 
 
 def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:
@@ -962,8 +985,7 @@ def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> Sli
     reps = _Product(rep for _, rep in classes)
     shape = tuple(len(rep) for rep in reps)
     _check_scan_size(shape, layout.faces.size, f"class grid {shape} of the stabilization box {box.rho}")
-    dims = _slice_dims(layout, scale, A, B, reps)
-    return SliceTable(box, tuple(starts for starts, _ in classes), dims)
+    return SliceTable(box, tuple(starts for starts, _ in classes), *_slice_dims(layout, scale, A, B, reps))
 
 
 def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
@@ -982,7 +1004,7 @@ def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[i
     _check_scan_size([2 * r + 1 for r in box.rho], 1 << len(A.gens), f"stabilization box {box.rho}")
     axes = _Product(np.arange(-r, r + 1, dtype=np.int16) for r in box.rho)
     gens, scale = (A.gens, 1) if kind == "ext" else (tuple(tuple(int(e > 0) for e in g) for g in A.gens), _LEFT_OUT)
-    return _nonzero_levels(_slice_dims(taylor_layout(gens, A.ring.n), scale, A, B, axes))
+    return _nonzero_levels(_slice_dims(taylor_layout(gens, A.ring.n), scale, A, B, axes)[0])
 
 
 def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
@@ -1046,8 +1068,8 @@ def _slice_at(kind: str, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):
         raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
-    dims = _slice_dims(*_complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
-    return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0
+    dims, pattern_of = _slice_dims(*_complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
+    return int(dims[i, pattern_of[0]]) if 0 <= i < dims.shape[0] else 0
 
 
 def ext_slice(J: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int:

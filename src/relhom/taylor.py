@@ -66,7 +66,8 @@ def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
         _check_scan_size((wide.size,), faces.size, f"Lyubeznik complex on {len(rows)} generators")
         active = np.zeros((size.size, wide.size), dtype=bool)
         active[wide, np.arange(wide.size)] = True
-        betti += _lattice_dims(active, faces, p, strand).sum(axis=1)
+        dims, pattern_of = _lattice_dims(active, faces, p, strand)
+        betti += dims[:, pattern_of].sum(axis=1)
     return tuple(betti.tolist())
 
 

@@ -383,8 +383,8 @@ def oracle_cech_class_dims(a: MonomialIdeal, I: MonomialIdeal):
     box = slices.DegreeBox.for_ideals(a, I)
     classes = [slices._axis_classes(r, [0, *(g[j] for g in I.gens)]) for j, r in enumerate(box.rho)]
     layout = slices.taylor_layout(radical(a).gens, a.ring.n)
-    dims = slices._slice_dims(layout, slices._LEFT_OUT, a, I, slices._Product(rep for _, rep in classes))
-    return tuple(starts for starts, _ in classes), dims
+    dims, inverse = slices._slice_dims(layout, slices._LEFT_OUT, a, I, slices._Product(rep for _, rep in classes))
+    return tuple(starts for starts, _ in classes), dims[:, inverse]
 
 
 def oracle_taylor_differentials(I: MonomialIdeal) -> list[np.ndarray]:

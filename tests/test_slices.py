@@ -275,7 +275,8 @@ def test_lc_slices_match_oracle(ring2):
 def _dense_dims(kind, A, B, box):
     # the full Taylor complex on A's own generators over every box degree, as in the corpus cross-check
     scale = 1 if kind == "ext" else slices._LEFT_OUT
-    return slices._slice_dims(taylor_layout(A.gens, A.ring.n), scale, A, B, _Product(box_axes(box)))
+    dims, inverse = slices._slice_dims(taylor_layout(A.gens, A.ring.n), scale, A, B, _Product(box_axes(box)))
+    return dims[:, inverse]
 
 
 def _nonzero_levels(dims):
@@ -292,7 +293,8 @@ def support_grouped_lc_dims(a, I, box):
     distinct = sorted(set(first))
     rows = np.searchsorted(distinct, first)
     active = _ext_activity(a, I, _Product(box_axes(box)), np.where(supports[distinct], slices._LEFT_OUT, 0))
-    return _lattice_dims(active, layout.faces, a.ring.char, rows)
+    dims, inverse = _lattice_dims(active, layout.faces, a.ring.char, rows)
+    return dims[:, inverse]
 
 
 def test_cech_profiles_equal_the_support_grouped_oracle():
@@ -625,6 +627,43 @@ def test_member_rows_matches_the_oracles_at_the_edges(monkeypatch, count):
         assert (expected[1] == (count == 0)).all()
 
 
+@pytest.mark.parametrize("lengths", [(1, 9, 1, 4), (9, 1, 1)])
+def test_member_rows_builds_the_product_from_the_last_axis_outward(monkeypatch, lengths):
+    # axes of one value beside longer ones, the long axis first or inner:
+    # each axis is ANDed in outside the product of the axes after it, which
+    # must still come out in lexicographic order; 65 generators give bit
+    # sets of two words, and the byte cap puts the seven shifts in batches
+    # of three, the last one short
+    rng = np.random.default_rng(140 + len(lengths))
+    n = len(lengths)
+    gens = [tuple(rng.integers(1, 9, size=n).tolist()) for _ in range(65)]
+    axes = [rng.integers(-4, 10, size=k).astype(np.int16) for k in lengths]
+    grid = product_grid(axes)
+    monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", 3 * grid.shape[0] * 2 * 8)
+    shifts = rng.integers(0, 5, size=(7, n))
+    shifts[1, 0] = slices._LEFT_OUT
+    expected = _expected_member_rows(grid, gens, shifts.tolist())
+    assert expected.any() and not expected.all()
+    assert np.array_equal(slices._member_rows(axes, gens, shifts), expected)
+
+
+def test_profiles_read_the_pattern_dims_without_the_class_gather():
+    # a table keeps its dimensions per distinct activity pattern; profile()
+    # reads those, so the per-class dimensions are gathered only when a
+    # listing asks for them, and the profile is their nonzero levels
+    rng = np.random.default_rng(150)
+    pairs = list(corpus_instances(CorpusParams()))
+    for n in (3, 4, 5):
+        ring = RingSpec(tuple(f"x{k}" for k in range(n)))
+        pairs += [(random_proper_ideal(rng, ring, 3, 4), random_proper_ideal(rng, ring, 3, 3)) for _ in range(8)]
+    for a, I in pairs:
+        for build in (ext_table, lc_table):
+            table = build(a, I)
+            profile = table.profile()
+            assert "_class_dims" not in vars(table)
+            assert profile == _nonzero_levels(table._class_dims)
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_lattice_dims_match_the_oracle_on_random_patterns(p):
     # arbitrary activity patterns, not only those an ideal produces, with
@@ -640,7 +679,8 @@ def test_lattice_dims_match_the_oracle_on_random_patterns(p):
         faces = [T for level in layout_faces(face_set) for T in level]
         columns = rng.random((len(faces), 12)) < rng.uniform(0.2, 0.8)
         active = columns[:, rng.integers(0, 12, size=30)]
-        dims = _lattice_dims(active, face_set, p, np.arange(len(faces)))
+        dims, inverse = _lattice_dims(active, face_set, p, np.arange(len(faces)))
+        dims = dims[:, inverse]
         for d in range(active.shape[1]):
             expected = _complex_dims([faces[m] for m in np.flatnonzero(active[:, d])], r, p, is_complex=False)
             assert dims[:, d].tolist() == expected
@@ -671,9 +711,11 @@ def test_lattice_dims_read_shared_rows_through_the_face_map(monkeypatch, p):
         columns = rng.random((shared, 10)) < rng.uniform(0.2, 0.8)
         active = columns[:, rng.integers(0, 10, size=40)]
         clear_slice_caches()
-        dims = _lattice_dims(active, face_set, p, rows)
+        dims, inverse = _lattice_dims(active, face_set, p, rows)
+        dims = dims[:, inverse]
         clear_slice_caches()
-        gathered = _lattice_dims(active[rows], face_set, p, np.arange(count))
+        gathered, inverse = _lattice_dims(active[rows], face_set, p, np.arange(count))
+        gathered = gathered[:, inverse]
         assert np.array_equal(dims, gathered)
         assert ranked[-2] == ranked[-1]
         r = len(face_set.offsets) - 2
@@ -698,7 +740,8 @@ def test_dims_memo_tells_level_counts_apart(p):
     active = columns[:, rng.integers(0, 12, size=30)]
     clear_slice_caches()
     for face_set, r in ((short, 3), (padded, 4), (short, 3), (padded, 4)):
-        dims = _lattice_dims(active, face_set, p, np.arange(len(faces)))
+        dims, inverse = _lattice_dims(active, face_set, p, np.arange(len(faces)))
+        dims = dims[:, inverse]
         assert dims.shape == (r + 1, active.shape[1])
         for d in range(active.shape[1]):
             expected = _complex_dims([faces[m] for m in np.flatnonzero(active[:, d])], r, p, is_complex=False)
@@ -722,13 +765,15 @@ def test_dims_memo_skips_the_ranks_of_patterns_seen_before(monkeypatch):
 
     monkeypatch.setattr(slices, "_incidence_rank", counting)
     clear_slice_caches()
-    dims = _lattice_dims(active, face_set, 3, np.arange(count))
+    dims, inverse = _lattice_dims(active, face_set, 3, np.arange(count))
+    dims = dims[:, inverse]
     assert len(calls) == 1 and calls[0] == len({column.tobytes() for column in active.T})
     order = rng.permutation(active.shape[1])
     rows = rng.permutation(count)
     reread = np.empty_like(active)
     reread[rows] = active[:, order]
-    assert np.array_equal(_lattice_dims(reread, face_set, 3, rows), dims[:, order])
+    reread_dims, inverse = _lattice_dims(reread, face_set, 3, rows)
+    assert np.array_equal(reread_dims[:, inverse], dims[:, order])
     assert len(calls) == 1
     # another characteristic is another key
     _lattice_dims(active, face_set, 2, np.arange(count))
@@ -979,7 +1024,8 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
         orders.append(tuple(rng.permutation(len(J.gens)).tolist()))
         for order in orders:
             layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
-            assert np.array_equal(slices._slice_dims(layout, 1, J, I, _Product(box_axes(box))), expected)
+            dims, inverse = slices._slice_dims(layout, 1, J, I, _Product(box_axes(box)))
+            assert np.array_equal(dims[:, inverse], expected)
         assert np.array_equal(dense_expansion(ext_table(J, I))[1], expected)
 
 

@@ -6,6 +6,7 @@ import json
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import relhom.verifier as verifier
@@ -220,7 +221,8 @@ def test_prop_4_6f_names_the_first_mismatching_degree(monkeypatch):
         (c,) = table.profile()
         dims = table._class_dims.copy()
         dims[c, dims.shape[1] // 2] += 1
-        changed.append((c, table, dataclasses.replace(table, _class_dims=dims)))
+        identity = np.arange(dims.shape[1])
+        changed.append((c, table, dataclasses.replace(table, _pattern_dims=dims, _pattern_of=identity)))
         return changed[-1][2]
 
     monkeypatch.setattr(verifier, "ext_table", corrupted)
