@@ -89,12 +89,23 @@ product is built from the last axis outward, each axis ANDed in outside the
 product of the axes after it, so every AND runs over that whole product as
 its inner loop and the result comes out in lexicographic order.  The
 per-axis tables depend only on I's generators, so they are built once per
-generator tuple, in a bounded cache.  Degrees are grouped by activity
-pattern under a one-value key per degree, read from the rows of distinct
-values (an unsigned integer for up to 64 rows, whose sort is much faster
-than that of bytes), and only the distinct patterns are then gathered to
-the faces.  The dimensions stay per pattern, with the pattern of each degree
-beside them; no layer gathers them back to the degrees.  The dimensions of a
+generator tuple, in a bounded cache.  A table walks the axes this way with
+every shift at once (``_member_states``), the shifts' bit sets packed side
+by side into uint64 lanes.  Two product columns whose partial bit sets are
+equal stay equal under every axis still to come, so once an axis other than
+the first takes the span past ``_STATE_SPAN`` the walk keeps only the
+distinct columns, the states, keyed exactly by their lanes, and composes
+the map from every product column to its state across the axes.  The big
+box of the benchmark holds 51 450 class degrees but 1 946 states and 75
+activity patterns, and the 12-cycle's Ext grid 2 985 984 degrees but 32 508
+states.  A product whose axes after the first never pass the span runs the
+plain kernel, each degree its own state.  The states are grouped by
+activity pattern under a one-value key per state, read from the rows of
+distinct values (an unsigned integer for up to 64 rows, whose sort is much
+faster than that of bytes), and only the distinct patterns are then
+gathered to the faces.  The dimensions stay per pattern, with the pattern
+of each degree (its state's pattern) beside them; no layer gathers them
+back to the degrees.  The dimensions of a
 pattern depend only on p, the face set's incidence structure and which
 faces are active, so each pattern's column of dimensions is looked up in
 one memo, bounded in entries and in bytes, keyed by p, the digest of the
@@ -453,8 +464,17 @@ def _thresholds(I: MonomialIdeal, shifts: np.ndarray, j: int) -> set[int]:
 _LEFT_OUT = 1 << 20
 
 # byte cap of the bit-set words one batch of shifts holds over the product in
-# ``_member_rows``; it bounds the kernel's working memory
+# ``_member_rows``, and of the table the walk of ``_member_states`` holds
+# before a dedup; it bounds the kernels' working memory
 _MAX_MEMBER_BATCH_BYTES = 1 << 20
+
+# span (product columns) past which the walk of ``_member_states`` keeps
+# only the distinct columns of its table.  Set from measurement (2-vCPU
+# Xeon): the big box's slice dimensions took 1.5-2.0 ms at spans 1 024 to
+# 4 096, 4.4-5.1 ms at 8 192 (no dedup before the first axis) and 3.8-5.4 ms
+# without the walk; the default corpus, none of whose tables pass 4 096
+# before the first axis, was level across 1 024 to 4 096
+_STATE_SPAN = 4096
 
 
 def _pack(covered: np.ndarray) -> np.ndarray:
@@ -514,7 +534,10 @@ def _member_rows(axes, gens, shifts: np.ndarray) -> np.ndarray:
     done so far, and the next axis goes in front of it, so each AND runs
     over the whole span as its inner loop and the degrees come out in
     lexicographic order.  Shifts go in batches whose words over the product
-    stay under ``_MAX_MEMBER_BATCH_BYTES``.
+    stay under ``_MAX_MEMBER_BATCH_BYTES``.  Every degree gets its column:
+    the tables call this through ``_member_states``, which keeps only the
+    distinct states of a larger product, and the shifted Hilbert check of
+    ``SliceTable.first_shifted_mismatch`` calls it on one shift.
     """
     thresholds, sets, full, alone = _member_tables(tuple(map(tuple, gens)), len(axes))
     words = full.size
@@ -562,15 +585,134 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
-def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, axes: _Product, lcms: np.ndarray) -> np.ndarray:
+def _lanes(sets: np.ndarray, bits: int) -> np.ndarray:
+    """The (shifts, words, m) bit sets of ``bits`` bits each as (lanes, m) uint64 lanes.
+
+    A bit set of one word fills only its low ``bits`` bits, so 64 // bits
+    shifts share a lane, shift u at offset (u % (64 // bits)) x bits of lane
+    u // (64 // bits).  Bits at different offsets never meet under AND, so
+    the lanes AND as the bit sets do.  Wider bit sets keep their words.
+    """
+    shifts, words, m = sets.shape
+    if words > 1:
+        return sets.reshape(shifts * words, m)
+    per = 64 // bits
+    lanes = np.zeros((-(-shifts // per) * per, m), dtype=np.uint64)
+    lanes[:shifts] = sets[:, 0]
+    offsets = np.arange(per, dtype=np.uint64)[:, None] * np.uint64(bits)
+    return np.bitwise_or.reduce(lanes.reshape(-1, per, m) << offsets, axis=1)
+
+
+def _state_groups(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column of each distinct column of a 2-d uint64 table, and the group of every column.
+
+    A column is keyed by its lanes: one unsigned integer for one lane, its
+    bytes through ``_row_keys`` for more.  Groups come in the order of the
+    keys.  Unlike ``_row_groups`` the sort is unstable, so any column of a
+    group stands for it: on the walk's thousands of uint64 keys it is about
+    three times faster than ``np.unique``'s stable sort, which wins on the
+    small tables and byte keys of ``_row_groups``' callers.
+    """
+    keys = table.T
+    order = np.argsort(_row_keys(keys))
+    ordered = np.take(keys, order, axis=0)
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
+def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_member_rows`` on the distinct states of the product grid: the
+    (shifts, states) result and the state of every degree, so column
+    ``state_of[d]`` is the result at degree d.
+
+    The walk ANDs the axes in from the last one outward, as
+    ``_member_rows`` does, but over all shifts at once, their bit sets
+    packed into uint64 lanes (``_lanes``): the (lanes, span) table holds
+    the bit sets of the product of the axes done so far.  Two columns that
+    are equal stay equal under every axis still to come, so when an axis
+    other than the first takes the span past ``_STATE_SPAN`` only the
+    distinct columns (the states) are kept, grouped by ``_state_groups``,
+    and the map from each product column to its state is composed across
+    the axes.  The first axis is ANDed in without a dedup: its columns are
+    the states, and ``_lattice_dims`` groups their results.  The table
+    held stays under ``_MAX_MEMBER_BATCH_BYTES``, or one value of the axis
+    over the states when that is larger: past it an axis goes in by chunks
+    of its values, each chunk deduplicated (the first axis: turned into its
+    results) on its own, and the chunks' states are merged.  A product
+    whose axes after the first hold at most ``_STATE_SPAN`` degrees, where
+    no dedup would run, goes to ``_member_rows``, each degree its own state.
+    """
+    if math.prod(len(values) for values in axes[1:]) <= _STATE_SPAN:
+        return _member_rows(axes, gens, shifts), np.arange(math.prod(len(values) for values in axes))
+    thresholds, sets, full, alone = _member_tables(tuple(map(tuple, gens)), len(axes))
+    shifts = np.asarray(shifts, dtype=np.int64)
+    count, bits = shifts.shape[0], len(gens) + 1
+    table = _lanes(np.broadcast_to(full[:, None], (count, full.size, 1)), bits)
+    state_of = np.zeros(1, dtype=np.intp)  # the table column of every product column
+    for j in reversed(range(len(axes))):
+        shifted = np.asarray(axes[j], dtype=np.int64) + shifts[:, j, None]
+        rows = _lanes(sets[j][np.searchsorted(thresholds[j], shifted, side="right")].transpose(0, 2, 1), bits)
+        values, states = rows.shape[1], table.shape[1]
+        step = max(1, _MAX_MEMBER_BATCH_BYTES // (states * table.shape[0] * table.itemsize))
+        cuts = [(lo, min(lo + step, values)) for lo in range(0, values, step)]
+        parts = ((rows[:, lo:hi, None] & table[:, None, :]).reshape(table.shape[0], -1) for lo, hi in cuts)
+        if not j:
+            active = np.empty((count, values * states), dtype=bool)
+            for (lo, hi), part in zip(cuts, parts):
+                active[:, lo * states : hi * states] = _lane_results(part, count, bits, alone)
+            return active, (np.arange(values)[:, None] * states + state_of).ravel()
+        if len(cuts) == 1 and values * states <= _STATE_SPAN:
+            table, group = next(parts), np.arange(values * states)
+        else:
+            kept, groups, done = [], [], 0
+            for part in parts:
+                first, group = _state_groups(part)
+                kept.append(part[:, first])
+                groups.append(group + done)
+                done += first.size
+            table, group = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1), np.concatenate(groups)
+            if len(kept) > 1:
+                first, merged = _state_groups(table)
+                table, group = table[:, first], merged[group]
+        # product column (v, c) of this axis's value v and the product column
+        # c of the axes after it reads column (v, state_of[c]) of the new table
+        state_of = np.take(group.reshape(values, states), state_of, axis=1).ravel()
+
+
+def _lane_results(table: np.ndarray, count: int, bits: int, alone: np.ndarray) -> np.ndarray:
+    """Whether each shift's bit set in a (lanes, span) table of ``_lanes`` is ``alone``, as (shifts, span)."""
+    if alone.size > 1:
+        return (table.reshape(count, alone.size, -1) == alone[:, None]).all(axis=1)
+    per = 64 // bits
+    at = np.arange(count)
+    fields = table[at // per] >> (at % per * bits).astype(np.uint64)[:, None]
+    return fields & np.uint64((1 << bits) - 1) == alone[0]
+
+
+class _Activity(tuple):
+    """The (rows, states) activity of the distinct states of a product grid
+    and the state of every degree.  ``size`` is that of the activity, the
+    cells the kernel built."""
+
+    @property
+    def size(self) -> int:
+        return self[0].size
+
+
+def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, axes: _Product, lcms: np.ndarray) -> _Activity:
     """Component activity of Hom(L, S/I) per distinct face lcm, for a complex L of faces on the generators of J.
 
     Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I,
-    so it depends on T only through lcm_T.  Row u of the (lcms, degrees)
-    result is the activity of the faces of lcm ``lcms[u]``, every axis
-    shifted by it.
+    so it depends on T only through lcm_T.  Row u of the (lcms, states)
+    activity is that of the faces of lcm ``lcms[u]``, every axis shifted by
+    it, at the distinct states of ``_member_states``; degree d reads column
+    ``state_of[d]``.
     """
-    return _member_rows(axes, I.gens, lcms)
+    return _Activity(_member_states(axes, I.gens, lcms))
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -782,7 +924,9 @@ class SliceTable:
     ``_starts[j][k]`` and ends before the next start (the last at rho_j).
     ``_pattern_dims`` holds the dimensions (levels, patterns) of the
     distinct activity patterns, and ``_pattern_of`` the pattern of every
-    class of the product of the axes' classes, in lexicographic order.
+    class of the product of the axes' classes, in lexicographic order: the
+    state of each class from the activity walk (``_member_states``)
+    composed with the pattern of each state from ``_lattice_dims``.
     ``profile`` and ``dim_at`` read these; the listings read
     ``_class_dims``, the dimensions (levels, classes) gathered on first use.
     """
@@ -827,13 +971,15 @@ class SliceTable:
         with the expected and the tabled dimension; None if none.  Both are
         constant on each class of the table's starts merged with the
         indicator's thresholds (those of a face of lcm ``shift``), so they
-        are compared once per class, at its first degree.
+        are compared once per class, at its first degree.  A level the
+        table lacks reads as zero dimensions.
         """
+        i = self._level(i)
         shifts = np.array([shift], dtype=np.int64)
         axes = enumerate(zip(self._starts, self.box.rho))
         starts = [_axis_classes(r, [*own.tolist(), *_thresholds(target, shifts, j)])[0] for j, (own, r) in axes]
         expected = _member_rows(starts, target.gens, shifts)[0]
-        tabled = self._product_dims(starts)[i]
+        tabled = np.zeros(expected.size, dtype=np.int32) if i is None else self._product_dims(starts)[i]
         bad = np.flatnonzero(tabled != expected)
         if not bad.size:
             return None
@@ -964,14 +1110,15 @@ def _slice_dims(
 
     Activity depends on a face only through its lcm, so the kernel runs
     once per distinct lcm of the layout's grouping, and ``_lattice_dims``
-    reads each face's row.
+    reads each face's row, on the kernel's distinct states; the pattern of
+    a degree is that of its state.
     """
     lcms, rows = layout.lcm_groups
-    active = _ext_activity(A, B, axes, lcms.astype(np.int64) * scale)
+    active, state_of = _ext_activity(A, B, axes, lcms.astype(np.int64) * scale)
     dims, pattern_of = _lattice_dims(active, layout.faces, A.ring.char, rows)
     if dims.shape[0] < len(A.gens) + 1:
         dims = np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
-    return dims, pattern_of
+    return dims, pattern_of[state_of]
 
 
 def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:

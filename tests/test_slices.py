@@ -236,6 +236,22 @@ def test_dim_at_degree_past_the_int16_grid_is_outside_the_box(ring2):
         table.dim_at(1, (40000, 0))
 
 
+@pytest.mark.parametrize("level", [-1, 5])
+def test_first_shifted_mismatch_reads_a_missing_level_as_zero(ring2, level):
+    # a 2-level table lacks levels -1 and 5, which read as zero dimensions,
+    # as in dim_at, hilbert and total: the first mismatch is the first box
+    # degree where the shifted indicator is 1, found here by walking the box
+    table = ext_table(parse_ideal(ring2, "x"), parse_ideal(ring2, "y^2"))
+    assert table._pattern_dims.shape[0] == 2
+    target, shift = parse_ideal(ring2, "x^2, y^3"), (1, 0)
+    box = itertools.product(*(range(-r, r + 1) for r in table.box.rho))
+    b = next(b for b in box if min(c := [x + s for x, s in zip(b, shift)]) >= 0 and not oracle_member(c, target.gens))
+    assert table.first_shifted_mismatch(level, target, shift) == (b, 1, 0)
+    assert table.dim_at(level, b) == 0
+    # with every shifted degree in the target there is nothing to differ from
+    assert table.first_shifted_mismatch(level, unit_ideal(ring2), shift) is None
+
+
 def test_ext_vanishes_below_matches_profile(ring2):
     a = parse_ideal(ring2, "x^2, y^3, x*y")
     S = zero_ideal(ring2)
@@ -292,9 +308,9 @@ def support_grouped_lc_dims(a, I, box):
     first = oracle_row_groups(supports)
     distinct = sorted(set(first))
     rows = np.searchsorted(distinct, first)
-    active = _ext_activity(a, I, _Product(box_axes(box)), np.where(supports[distinct], slices._LEFT_OUT, 0))
+    active, state_of = _ext_activity(a, I, _Product(box_axes(box)), np.where(supports[distinct], slices._LEFT_OUT, 0))
     dims, inverse = _lattice_dims(active, layout.faces, a.ring.char, rows)
-    return dims[:, inverse]
+    return dims[:, inverse[state_of]]
 
 
 def test_cech_profiles_equal_the_support_grouped_oracle():
@@ -441,19 +457,28 @@ def test_listing_is_refused_before_any_record(monkeypatch, ring2):
 
 
 def test_ext_profile_scans_one_degree_per_class(monkeypatch):
+    # the walk covers one degree per threshold class (51 450 on the big box)
+    # and hands the dedup the activity of its distinct states (1 946), not
+    # of every class degree
     ring = RingSpec(tuple(BIG_BOX[0].split(",")))
     a, I = parse_ideal(ring, BIG_BOX[1]), parse_ideal(ring, BIG_BOX[2])
-    scanned = []
-    activity = slices._ext_activity
+    scanned, handed = [], []
+    member_states, lattice_dims = slices._member_states, slices._lattice_dims
 
-    def recording(J, I, axes, lcms):
-        scanned.append(axes.shape[0])
-        return activity(J, I, axes, lcms)
+    def walking(axes, gens, shifts):
+        scanned.append(int(np.prod([len(values) for values in axes])))
+        return member_states(axes, gens, shifts)
 
-    monkeypatch.setattr(slices, "_ext_activity", recording)
+    def deduplicating(active, faces, p, rows):
+        handed.append(active.shape[1])
+        return lattice_dims(active, faces, p, rows)
+
+    monkeypatch.setattr(slices, "_member_states", walking)
+    monkeypatch.setattr(slices, "_lattice_dims", deduplicating)
     clear_slice_caches()
     assert ext_profile(a, I) == frozenset({0, 1, 2, 3})
     assert scanned and max(scanned) <= 60_000
+    assert len(handed) == len(scanned) and max(handed) <= 2_000
 
 
 def test_box_enlargement_never_changes_profiles(ring4):
@@ -558,9 +583,9 @@ def test_ext_activity_matches_the_per_subset_oracle(n):
     for J, I, axes in _activity_cases(n):
         for layout in (lyubeznik_layout(J.gens, n), taylor_layout(J.gens, n)):
             first, rows = slices._row_groups(layout.lcms)
-            active = _ext_activity(J, I, _Product(axes), layout.lcms[first])
-            assert active.shape == (first.size, product_grid(axes).shape[0])
-            assert np.array_equal(active[rows], oracle_ext_activity(J, I, product_grid(axes), layout))
+            active, state_of = _ext_activity(J, I, _Product(axes), layout.lcms[first])
+            assert active.shape[0] == first.size and state_of.shape == (product_grid(axes).shape[0],)
+            assert np.array_equal(active[rows][:, state_of], oracle_ext_activity(J, I, product_grid(axes), layout))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -572,8 +597,8 @@ def test_cech_activity_matches_the_per_face_oracle(n):
             layout = taylor_layout(gens, n)
             supports = layout.lcms > 0
             first, rows = slices._row_groups(supports)
-            active = _ext_activity(a, I, _Product(axes), np.where(supports[first], slices._LEFT_OUT, 0))
-            assert np.array_equal(active[rows], oracle_cech_activity(gens, I, product_grid(axes), layout))
+            active, state_of = _ext_activity(a, I, _Product(axes), np.where(supports[first], slices._LEFT_OUT, 0))
+            assert np.array_equal(active[rows][:, state_of], oracle_cech_activity(gens, I, product_grid(axes), layout))
 
 
 def _expected_member_rows(grid, gens, shifts):
@@ -645,6 +670,76 @@ def test_member_rows_builds_the_product_from_the_last_axis_outward(monkeypatch, 
     expected = _expected_member_rows(grid, gens, shifts.tolist())
     assert expected.any() and not expected.all()
     assert np.array_equal(slices._member_rows(axes, gens, shifts), expected)
+
+
+@pytest.mark.parametrize("count, shifts", [(4, 3), (12, 20), (65, 5)])
+def test_member_states_match_the_per_shift_oracle(monkeypatch, count, shifts):
+    # bit sets of 5 bits, three shifts to one lane; of 13 bits, twenty
+    # shifts on five lanes keyed by their bytes; and of two words (65
+    # generators), keyed by their raw words; the span at 1 deduplicates
+    # every axis but the first, and the byte cap puts each value of an axis
+    # in its own chunk; every degree reads its state against the oracle
+    monkeypatch.setattr(slices, "_STATE_SPAN", 1)
+    monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", 64)
+    rng = np.random.default_rng(180 + count)
+    gens = [tuple(rng.integers(1, 6, size=4).tolist()) for _ in range(count)]
+    axes = [rng.integers(-3, 9, size=k).astype(np.int16) for k in (3, 5, 2, 4)]
+    offsets = rng.integers(0, 4, size=(shifts, 4))
+    offsets[0, 1] = slices._LEFT_OUT
+    grid = product_grid(axes)
+    expected = _expected_member_rows(grid, gens, offsets.tolist())
+    active, state_of = slices._member_states(axes, gens, offsets)
+    assert state_of.shape == (grid.shape[0],) and active.shape[1] < grid.shape[0]
+    assert np.array_equal(active[:, state_of], expected)
+
+
+@pytest.mark.parametrize("span, cap", [(None, None), (None, 8), (1, None), (1, 8)])
+def test_state_walk_dims_match_the_per_degree_oracle(monkeypatch, span, cap):
+    # the pattern dims of every ext and lc table, gathered to every class
+    # degree through the composed state map, against that degree's face
+    # activity from the per-face oracle and its cohomology from oracle
+    # ranks; at the default span the big box walks, at span 1 every axis
+    # but the first is deduplicated, and a byte cap of 8 puts each value of
+    # an axis in its own chunk, so the chunks' states are merged
+    if span:
+        monkeypatch.setattr(slices, "_STATE_SPAN", span)
+    if cap:
+        monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", cap)
+    member_states, walked = slices._member_states, []
+
+    def recording(axes, gens, shifts):
+        active, state_of = member_states(axes, gens, shifts)
+        walked.append(active.shape[1] < state_of.size)
+        return active, state_of
+
+    monkeypatch.setattr(slices, "_member_states", recording)
+    rng = np.random.default_rng(170)
+    ring0, big = RingSpec(()), RingSpec(tuple(BIG_BOX[0].split(",")))
+    pairs = [(zero_ideal(ring0), zero_ideal(ring0)), (parse_ideal(big, BIG_BOX[1]), parse_ideal(big, BIG_BOX[2]))]
+    for n in (2, 3, 4):
+        ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+        pairs += [(random_proper_ideal(rng, ring, 3, 4), random_proper_ideal(rng, ring, 3, 4)) for _ in range(4)]
+    clear_slice_caches()
+    for a, I in pairs:
+        for kind, build in (("ext", ext_table), ("lc", lc_table)):
+            table = build(a, I)
+            grid = product_grid([oracle_axis_classes(r, starts)[1] for r, starts in zip(table.box.rho, table._starts)])
+            gens = a.gens if kind == "ext" else radical(a).gens
+            layout = lyubeznik_layout(gens, a.ring.n)
+            faces = [T for level in layout_faces(layout.faces) for T in level]
+            if kind == "ext":
+                active = oracle_ext_activity(a, I, grid, layout)
+            else:
+                active = oracle_cech_activity(gens, I, grid, layout)
+            patterns, inverse = np.unique(active.T, axis=0, return_inverse=True)
+            dims = [
+                _complex_dims([faces[m] for m in np.flatnonzero(column)], len(gens), a.ring.char)
+                + [0] * (len(a.gens) - len(gens))
+                for column in patterns
+            ]
+            expected = np.array(dims).T[:, inverse.ravel()]
+            assert np.array_equal(table._class_dims, expected)
+    assert sum(walked) >= (1 if span is None else len(pairs))
 
 
 def test_profiles_read_the_pattern_dims_without_the_class_gather():
