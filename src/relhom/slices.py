@@ -72,50 +72,43 @@ The dense scan over every degree of the unpadded box (``_dense_profile``)
 stays as an independent engine: it runs on the full Taylor complex of the
 relative ideal's own generators (for local cohomology, of their supports),
 and the corpus cross-check compares it with the class engine, which covers
-all of Z^n.  The activity matrix of a class grid is bounded by
-``_MAX_ACTIVITY_CELLS`` (faces x class degrees); the dense scan is bounded
-by the same ceiling over the whole box, counting the 2^r Taylor faces.
+all of Z^n.  A class grid is refused when its faces x class degrees pass
+``_MAX_ACTIVITY_CELLS``, the size of an activity matrix over every class
+degree, which the tables no longer build; the dense scan is bounded by the
+same ceiling over the whole box, counting the 2^r Taylor faces.
 
 Each table runs its layers in bulk, on its per-axis values (a ``_Product``)
 rather than on a (degrees, n) grid.  Activity depends on a face T only
 through lcm_T, so it is evaluated once per distinct face lcm, one row each,
-and every face reads the row of its lcm; each layout groups its faces by
-lcm once, on first use, and keeps the grouping.  Activity is one membership
-kernel (``_member_rows``): the staircase of I factors axis by axis, so per
-axis a small table of generator bit sets answers every value of the axis,
-and the bit sets over the product are the AND of the axes' table rows, one
-bit per generator rather than a byte per generator and variable.  The
-product is built from the last axis outward, each axis ANDed in outside the
-product of the axes after it, so every AND runs over that whole product as
-its inner loop and the result comes out in lexicographic order.  The
-per-axis tables depend only on I's generators, so they are built once per
-generator tuple, in a bounded cache.  A table walks the axes this way with
-every shift at once (``_member_states``), the shifts' bit sets packed side
-by side into uint64 lanes.  Two product columns whose partial bit sets are
-equal stay equal under every axis still to come, so once an axis other than
-the first takes the span past ``_STATE_SPAN`` the walk keeps only the
-distinct columns, the states, keyed exactly by their lanes, and composes
-the map from every product column to its state across the axes.  The big
-box of the benchmark holds 51 450 class degrees but 1 946 states and 75
-activity patterns, and the 12-cycle's Ext grid 2 985 984 degrees but 32 508
-states.  A product whose axes after the first never pass the span runs the
-plain kernel, each degree its own state.  The states are grouped by
-activity pattern under a one-value key per state, read from the rows of
-distinct values (an unsigned integer for up to 64 rows, whose sort is much
-faster than that of bytes), and only the distinct patterns are then
-gathered to the faces.  The dimensions stay per pattern, with the pattern
-of each degree (its state's pattern) beside them; no layer gathers them
-back to the degrees.  The dimensions of a
-pattern depend only on p, the face set's incidence structure and which
-faces are active, so each pattern's column of dimensions is looked up in
-one memo, bounded in entries and in bytes, keyed by p, the digest of the
-whole face set (every level's size, so the level count, and every boundary
-map) and the pattern's packed bits.  The default corpus looks up about
-19 000 patterns, of which about 3 700 miss.  Only the missed patterns are
-ranked, all of a table's together: their incidence matrices go to
-``rank_mod_p`` in zero-padded stacks of bounded size, eliminated in lock
-step.  A single incidence matrix above ``_MAX_RANK_MATRIX_CELLS`` is refused
-before any stack is built.
+and every face reads the row of its lcm; each layout groups its faces by lcm
+once, on first use, and keeps the grouping.  Activity is one membership
+kernel (``_member_states``), which serves the tables, the dense scan, the
+single degrees and ``SliceTable.first_shifted_mismatch``: the staircase of I
+factors axis by axis, so the bit sets of the generators a degree passes are
+the AND of one small table row per axis (the tables built once per generator
+tuple, in a bounded cache).  The kernel ANDs the axes in from the last one
+outward, every shift at once, and once an axis other than the first takes
+the span past ``_STATE_SPAN`` it keeps only the distinct columns, the
+states, with the map from every product column to its state; a product whose
+axes after the first never pass the span keeps every degree its own state.
+The big box of the benchmark holds 51 450 class degrees but 1 946 states and
+75 activity patterns, and the 12-cycle's Ext grid 2 985 984 degrees but
+32 508 states.  The states are grouped by activity pattern under a one-value
+key per state, read from the rows of distinct values (an unsigned integer
+for up to 64 rows, whose sort is much faster than that of bytes), and only
+the distinct patterns are then gathered to the faces.  The dimensions stay
+per pattern, with the pattern of each degree (its state's pattern) beside
+them; no layer gathers them back to the degrees.  The dimensions of a
+pattern depend only on p, the face set's incidence structure and which faces
+are active, so each pattern's column of dimensions is looked up in one memo,
+bounded in entries and in bytes, keyed by p, the digest of the whole face
+set (every level's size, so the level count, and every boundary map) and the
+pattern's packed bits.  The default corpus looks up about 19 000 patterns,
+of which about 3 700 miss.  Only the missed patterns are ranked, all of a
+table's together: their incidence matrices go to ``rank_mod_p`` in
+zero-padded stacks of bounded size, eliminated in lock step.  A single
+incidence matrix above ``_MAX_RANK_MATRIX_CELLS`` is refused before any
+stack is built.
 
 The dedup and rank layers have a second caller besides the tables:
 ``taylor.betti_numbers`` ranks the lcm strands of the Lyubeznik complex,
@@ -414,6 +407,9 @@ class DegreeBox:
 
     @staticmethod
     def for_ideals(*ideals: MonomialIdeal, pad: int = 0) -> "DegreeBox":
+        """The stabilization box of the ideals, every bound widened by ``pad``, which is at least 0."""
+        if operator.index(pad) < 0:
+            raise ValueError(f"box pad {pad} is negative: a box narrower than the stabilization box drops slices")
         n = ideals[0].ring.n
         rho = [1] * n
         for A in ideals:
@@ -460,12 +456,12 @@ def _thresholds(I: MonomialIdeal, shifts: np.ndarray, j: int) -> set[int]:
 
 # the Frobenius exponent of the local-cohomology tables: a shift past every
 # int16 exponent, so an axis shifted by it passes both tests of
-# ``_member_rows`` and every threshold c - _LEFT_OUT lies outside the box
+# ``_member_states`` and every threshold c - _LEFT_OUT lies outside the box
 _LEFT_OUT = 1 << 20
 
-# byte cap of the bit-set words one batch of shifts holds over the product in
-# ``_member_rows``, and of the table the walk of ``_member_states`` holds
-# before a dedup; it bounds the kernels' working memory
+# byte cap of the table the walk of ``_member_states`` holds before a dedup
+# (or, on the first axis, before its results); it bounds the kernel's
+# working memory
 _MAX_MEMBER_BATCH_BYTES = 1 << 20
 
 # span (product columns) past which the walk of ``_member_states`` keeps
@@ -489,7 +485,7 @@ def _pack(covered: np.ndarray) -> np.ndarray:
 # kernel calls on 533 distinct ones
 @lru_cache(maxsize=4096)
 def _member_tables(gens: tuple, n: int):
-    """The per-axis tables of ``_member_rows`` for the generators.
+    """The per-axis tables of ``_member_states`` for the generators.
 
     Per axis the sorted distinct values {0} u {g_j}, and the bit set of each
     count of them passed (row k: the first k passed); then the bit sets of
@@ -509,50 +505,6 @@ def _member_tables(gens: tuple, n: int):
     for array in (*thresholds, *sets, full, alone):
         array.flags.writeable = False
     return tuple(thresholds), tuple(sets), full, alone
-
-
-def _member_rows(axes, gens, shifts: np.ndarray) -> np.ndarray:
-    """Which shifted degrees of a product grid are monomials of S/I, for I generated by ``gens``.
-
-    ``axes`` holds one array of values per variable; the grid is their
-    product in lexicographic order.  Entry (u, d) of the (shifts, degrees)
-    result is True iff b + s >= 0 and x^(b + s) is not in I, for b the d-th
-    degree of the product and s = shifts[u].  An axis shifted by
-    ``_LEFT_OUT`` passes both tests, which leaves it out.
-
-    Both tests factor axis by axis.  A bit set holds one bit per generator
-    and a last bit for "nonnegative": on axis j the value v sets the bit of
-    every generator g with v >= g_j, and the last bit if v >= 0.  A degree
-    passes iff the AND of its axes' bit sets is the last bit alone.  Per
-    axis only the sorted distinct values {0} u {g_j} matter, so one small
-    table per axis holds every bit set that axis can give; the tables are
-    built once per generator tuple (``_member_tables``).
-
-    Per shift, the bit sets over the product are the AND of the axes' table
-    rows, taken axis by axis as an outer product from the last axis
-    outward: the (shifts, words, span) table holds the product of the axes
-    done so far, and the next axis goes in front of it, so each AND runs
-    over the whole span as its inner loop and the degrees come out in
-    lexicographic order.  Shifts go in batches whose words over the product
-    stay under ``_MAX_MEMBER_BATCH_BYTES``.  Every degree gets its column:
-    the tables call this through ``_member_states``, which keeps only the
-    distinct states of a larger product, and the shifted Hilbert check of
-    ``SliceTable.first_shifted_mismatch`` calls it on one shift.
-    """
-    thresholds, sets, full, alone = _member_tables(tuple(map(tuple, gens)), len(axes))
-    words = full.size
-    degrees = math.prod(len(values) for values in axes)
-    out = np.empty((shifts.shape[0], degrees), dtype=bool)
-    step = max(1, _MAX_MEMBER_BATCH_BYTES // max(1, degrees * full.nbytes))
-    for lo in range(0, shifts.shape[0], step):
-        batch = np.asarray(shifts[lo : lo + step], dtype=np.int64)
-        table = np.broadcast_to(full[:, None], (batch.shape[0], words, 1))
-        for j in reversed(range(len(axes))):
-            shifted = np.asarray(axes[j], dtype=np.int64) + batch[:, j, None]
-            rows = sets[j][np.searchsorted(thresholds[j], shifted, side="right")].transpose(0, 2, 1)
-            table = (rows[:, :, :, None] & table[:, :, None, :]).reshape(batch.shape[0], words, -1)
-        out[lo : lo + step] = (table == alone[:, None]).all(axis=1)
-    return out
 
 
 # the unsigned integer of each row width (bytes) that is a key without a copy
@@ -585,18 +537,18 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
-def _lanes(sets: np.ndarray, bits: int) -> np.ndarray:
-    """The (shifts, words, m) bit sets of ``bits`` bits each as (lanes, m) uint64 lanes.
+def _lanes(sets: np.ndarray, bits: int, per: int) -> np.ndarray:
+    """The (shifts, words, m) bit sets of ``bits`` bits each as (lanes, m) uint64 lanes, ``per`` shifts to a lane.
 
-    A bit set of one word fills only its low ``bits`` bits, so 64 // bits
-    shifts share a lane, shift u at offset (u % (64 // bits)) x bits of lane
-    u // (64 // bits).  Bits at different offsets never meet under AND, so
-    the lanes AND as the bit sets do.  Wider bit sets keep their words.
+    With per = 1 the words are the lanes, each shift's words in turn.
+    Otherwise a bit set is one word and fills only its low ``bits`` bits,
+    so per <= 64 // bits shifts share a lane, shift u at offset (u % per) x
+    bits of lane u // per.  Bits at different offsets never meet under AND,
+    so the lanes AND as the bit sets do.
     """
     shifts, words, m = sets.shape
-    if words > 1:
+    if per == 1:
         return sets.reshape(shifts * words, m)
-    per = 64 // bits
     lanes = np.zeros((-(-shifts // per) * per, m), dtype=np.uint64)
     lanes[:shifts] = sets[:, 0]
     offsets = np.arange(per, dtype=np.uint64)[:, None] * np.uint64(bits)
@@ -624,73 +576,111 @@ def _state_groups(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], group
 
 
-def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_member_rows`` on the distinct states of the product grid: the
-    (shifts, states) result and the state of every degree, so column
-    ``state_of[d]`` is the result at degree d.
+def _merged_states(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a table given by chunks of its columns, and the group of every column.
 
-    The walk ANDs the axes in from the last one outward, as
-    ``_member_rows`` does, but over all shifts at once, their bit sets
-    packed into uint64 lanes (``_lanes``): the (lanes, span) table holds
-    the bit sets of the product of the axes done so far.  Two columns that
-    are equal stay equal under every axis still to come, so when an axis
-    other than the first takes the span past ``_STATE_SPAN`` only the
-    distinct columns (the states) are kept, grouped by ``_state_groups``,
-    and the map from each product column to its state is composed across
-    the axes.  The first axis is ANDed in without a dedup: its columns are
-    the states, and ``_lattice_dims`` groups their results.  The table
-    held stays under ``_MAX_MEMBER_BATCH_BYTES``, or one value of the axis
-    over the states when that is larger: past it an axis goes in by chunks
-    of its values, each chunk deduplicated (the first axis: turned into its
-    results) on its own, and the chunks' states are merged.  A product
-    whose axes after the first hold at most ``_STATE_SPAN`` degrees, where
-    no dedup would run, goes to ``_member_rows``, each degree its own state.
+    Each chunk is grouped on its own by ``_state_groups``, so only one chunk
+    is held whole; the chunks' states are then merged.
     """
-    if math.prod(len(values) for values in axes[1:]) <= _STATE_SPAN:
-        return _member_rows(axes, gens, shifts), np.arange(math.prod(len(values) for values in axes))
+    kept, groups, done = [], [], 0
+    for part in parts:
+        first, group = _state_groups(part)
+        kept.append(part[:, first])
+        groups.append(group + done)
+        done += first.size
+    if len(kept) == 1:
+        return kept[0], groups[0]
+    table = np.concatenate(kept, axis=1)
+    first, merged = _state_groups(table)
+    return table[:, first], merged[np.concatenate(groups)]
+
+
+def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which shifted degrees of a product grid are monomials of S/I, for I
+    generated by ``gens``, on the distinct states of the grid: the (shifts,
+    states) result and the state of every degree.
+
+    ``axes`` holds one array of values per variable; the grid is their
+    product in lexicographic order.  Entry (u, state_of[d]) of the result
+    is True iff b + s >= 0 and x^(b + s) is not in I, for b the d-th degree
+    of the product and s = shifts[u].  An axis shifted by ``_LEFT_OUT``
+    passes both tests, which leaves it out.
+
+    Both tests factor axis by axis.  A bit set holds one bit per generator
+    and a last bit for "nonnegative": on axis j the value v sets the bit of
+    every generator g with v >= g_j, and the last bit if v >= 0.  A degree
+    passes iff the AND of its axes' bit sets is the last bit alone.  Per
+    axis only the sorted distinct values {0} u {g_j} matter, so one small
+    table per axis holds every bit set that axis can give; the tables are
+    built once per generator tuple (``_member_tables``).
+
+    The walk ANDs the axes in from the last one outward, over all shifts at
+    once: the (lanes, span) table of ``_lanes`` holds the bit sets of the
+    product of the axes done so far, and the next axis goes in front of it,
+    so each AND runs over the whole span as its inner loop and the degrees
+    come out in lexicographic order.  Two columns that are equal stay equal
+    under every axis still to come, so when an axis other than the first
+    takes the span past ``_STATE_SPAN`` only the distinct columns (the
+    states) are kept, grouped by ``_state_groups``, and the map from each
+    product column to its state is composed across the axes.  The first
+    axis is ANDed in without a dedup: its columns are the states, and
+    ``_lattice_dims`` groups their results.  The table held stays under
+    ``_MAX_MEMBER_BATCH_BYTES``, or one value of the axis over the states
+    when that is larger: past it an axis goes in by chunks of its values,
+    each chunk deduplicated (the first axis: turned into its results) on its
+    own, and the chunks' states are merged (``_merged_states``).
+
+    The lane width follows the product.  Where a dedup will run, bit sets of
+    one word are packed 64 // bits shifts to a lane, which shortens the keys
+    the dedup sorts; elsewhere each shift keeps its own words, and no lane
+    is packed or unpacked.  A product without axes (a ring without
+    variables) is its one degree, the bit set of every bit.
+    """
     thresholds, sets, full, alone = _member_tables(tuple(map(tuple, gens)), len(axes))
     shifts = np.asarray(shifts, dtype=np.int64)
     count, bits = shifts.shape[0], len(gens) + 1
-    table = _lanes(np.broadcast_to(full[:, None], (count, full.size, 1)), bits)
-    state_of = np.zeros(1, dtype=np.intp)  # the table column of every product column
+    per = 64 // bits if full.size == 1 and math.prod(len(values) for values in axes[1:]) > _STATE_SPAN else 1
+    table = _lanes(full[None, :, None].repeat(count, axis=0), bits, per)
+    state_of = None  # the table column of every product column; None while it is the column itself
     for j in reversed(range(len(axes))):
         shifted = np.asarray(axes[j], dtype=np.int64) + shifts[:, j, None]
-        rows = _lanes(sets[j][np.searchsorted(thresholds[j], shifted, side="right")].transpose(0, 2, 1), bits)
+        rows = _lanes(sets[j][np.searchsorted(thresholds[j], shifted, side="right")].transpose(0, 2, 1), bits, per)
         values, states = rows.shape[1], table.shape[1]
-        step = max(1, _MAX_MEMBER_BATCH_BYTES // (states * table.shape[0] * table.itemsize))
-        cuts = [(lo, min(lo + step, values)) for lo in range(0, values, step)]
-        parts = ((rows[:, lo:hi, None] & table[:, None, :]).reshape(table.shape[0], -1) for lo, hi in cuts)
-        if not j:
-            active = np.empty((count, values * states), dtype=bool)
-            for (lo, hi), part in zip(cuts, parts):
-                active[:, lo * states : hi * states] = _lane_results(part, count, bits, alone)
-            return active, (np.arange(values)[:, None] * states + state_of).ravel()
-        if len(cuts) == 1 and values * states <= _STATE_SPAN:
-            table, group = next(parts), np.arange(values * states)
+        step = max(1, _MAX_MEMBER_BATCH_BYTES // table.nbytes)
+        cuts = range(0, values, step)
+        parts = ((rows[:, lo : lo + step, None] & table[:, None, :]).reshape(table.shape[0], -1) for lo in cuts)
+        group = None  # the new table column of each (value, old column); None while every one is kept
+        if j and (step < values or values * states > _STATE_SPAN):
+            table, group = _merged_states(parts)
+        elif j:
+            table = next(parts)
+        elif step >= values:
+            table = _lane_results(next(parts), count, bits, per, alone)
         else:
-            kept, groups, done = [], [], 0
-            for part in parts:
-                first, group = _state_groups(part)
-                kept.append(part[:, first])
-                groups.append(group + done)
-                done += first.size
-            table, group = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1), np.concatenate(groups)
-            if len(kept) > 1:
-                first, merged = _state_groups(table)
-                table, group = table[:, first], merged[group]
+            active = np.empty((count, values * states), dtype=bool)  # not ``table``, which ``parts`` reads
+            for lo, part in zip(cuts, parts):
+                active[:, lo * states : (lo + step) * states] = _lane_results(part, count, bits, per, alone)
+            table = active
         # product column (v, c) of this axis's value v and the product column
         # c of the axes after it reads column (v, state_of[c]) of the new table
-        state_of = np.take(group.reshape(values, states), state_of, axis=1).ravel()
+        if group is not None:
+            state_of = group if state_of is None else np.take(group.reshape(values, states), state_of, axis=1).ravel()
+        elif state_of is not None:
+            state_of = (np.arange(values)[:, None] * states + state_of).ravel()
+    if not axes:
+        table = _lane_results(table, count, bits, per, alone)
+    return table, np.arange(table.shape[1]) if state_of is None else state_of
 
 
-def _lane_results(table: np.ndarray, count: int, bits: int, alone: np.ndarray) -> np.ndarray:
+def _lane_results(table: np.ndarray, count: int, bits: int, per: int, alone: np.ndarray) -> np.ndarray:
     """Whether each shift's bit set in a (lanes, span) table of ``_lanes`` is ``alone``, as (shifts, span)."""
-    if alone.size > 1:
-        return (table.reshape(count, alone.size, -1) == alone[:, None]).all(axis=1)
-    per = 64 // bits
-    at = np.arange(count)
-    fields = table[at // per] >> (at % per * bits).astype(np.uint64)[:, None]
-    return fields & np.uint64((1 << bits) - 1) == alone[0]
+    if per > 1:
+        at = np.arange(count)
+        fields = table[at // per] >> (at % per * bits).astype(np.uint64)[:, None]
+        return fields & np.uint64((1 << bits) - 1) == alone[0]
+    if alone.size == 1:
+        return table == alone[0]
+    return (table.reshape(count, alone.size, -1) == alone[:, None]).all(axis=1)
 
 
 class _Activity(tuple):
@@ -978,7 +968,8 @@ class SliceTable:
         shifts = np.array([shift], dtype=np.int64)
         axes = enumerate(zip(self._starts, self.box.rho))
         starts = [_axis_classes(r, [*own.tolist(), *_thresholds(target, shifts, j)])[0] for j, (own, r) in axes]
-        expected = _member_rows(starts, target.gens, shifts)[0]
+        active, state_of = _member_states(starts, target.gens, shifts)
+        expected = active[0, state_of]
         tabled = np.zeros(expected.size, dtype=np.int32) if i is None else self._product_dims(starts)[i]
         bad = np.flatnonzero(tabled != expected)
         if not bad.size:
@@ -1073,7 +1064,9 @@ def _check_listing(count: int, box: DegreeBox):
 
 
 # hard ceiling on (faces x box degrees) cells so oversized requests fail
-# fast instead of exhausting memory; generous for the intended desk scale
+# fast instead of exhausting memory; generous for the intended desk scale.
+# The class tables no longer build that matrix: for them it stands in for
+# what the walk holds, its states and one state per class degree
 _MAX_ACTIVITY_CELLS = 600_000_000
 
 # ceiling on the records of one slice listing (``dump_tables``): each

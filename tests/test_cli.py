@@ -347,6 +347,15 @@ class TestInputLimits:
         assert code == 2
         assert "too large" in err
 
+    def test_negative_box_pad_is_input_error(self, capsys, monkeypatch):
+        # a box narrower than the stabilization box would drop the local
+        # cohomology slice at b = (-2, 0) of this pair; refused before any table
+        monkeypatch.setattr(slices, "_slice_dims", lambda *args: pytest.fail("a table was built"))
+        for extra in ([], ["--slices"], ["--slices", "--json"]):
+            code, out, err = run(capsys, "analyze", "--ring", "x,y", "--a", "x", "--i", "y", *extra, "--box-pad", "-1")
+            assert (code, out) == (2, "")
+            assert "box pad -1 is negative" in err
+
     def test_large_box_pad_is_scanned_by_class(self, capsys):
         # the class grid of this pair has 9 degrees however far the box is padded
         argv = ["analyze", "--ring", "x,y", "--a", "x,y", "--json"]

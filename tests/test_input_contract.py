@@ -8,8 +8,8 @@ rules are the exponent-vector rule (n integer entries, none negative or above
 (one ring, a proper relative ideal, a prime characteristic), the module rule
 (S/I nonzero, a prime characteristic), the variable-position rule (integer
 positions in range) and one primality test; degrees, level indices, box
-bounds and degree bounds go through ``operator.index``, and a degree bound
-is at least 0.
+bounds, box pads and degree bounds go through ``operator.index``, and a box
+pad and a degree bound are at least 0.
 """
 
 import inspect
@@ -173,6 +173,10 @@ REFUSED = [
     ("DegreeBox: non-integer bound", lambda: DegreeBox((1.5, 2)), TypeError),
     ("ext_table: non-integer pad", lambda: ext_table(X, Y, pad=0.5), TypeError),
     ("full_report: non-integer pad", lambda: full_report(X, Y, pad=0.5), TypeError),
+    # a box pad is at least 0: a narrower box would drop slices silently
+    ("ext_table: negative pad", lambda: ext_table(X, Y, pad=-1), ValueError),
+    ("lc_table: negative pad", lambda: lc_table(X, Y, pad=-1), ValueError),
+    ("full_report: negative pad", lambda: full_report(X, Y, pad=-1), ValueError),
     ("PairAnalysis: non-integer degree bound", lambda: PairAnalysis(X, Y, 2.5), TypeError),
     ("sop_witness_by_support: non-integer degree bound", lambda: sop_witness_by_support(X, Y, 2.5), TypeError),
     ("invariant_record: non-integer degree bound", lambda: invariant_record(X, Y, 2.5), TypeError),
@@ -223,7 +227,7 @@ def engines_refuse(monkeypatch):
         (invariants, "pd_quotient"),
         (invariants, "associated_primes"),
         (slices, "_slice_dims"),
-        (slices, "_member_rows"),
+        (slices, "_member_states"),
         (slices, "_lyubeznik_faces"),
         (slices, "_taylor_faces"),
         (taylor, "_betti_relabelled"),

@@ -7,6 +7,7 @@ the engine slice by slice.
 
 import dataclasses
 import itertools
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -602,8 +603,9 @@ def test_cech_activity_matches_the_per_face_oracle(n):
 
 
 def _expected_member_rows(grid, gens, shifts):
-    """``_member_rows`` from the broadcast oracle, one shift at a time, axes
-    shifted by ``_LEFT_OUT`` dropped from the row and erased from the generators."""
+    """The result of ``_member_states`` at every degree, from the broadcast
+    oracle, one shift at a time, axes shifted by ``_LEFT_OUT`` dropped from
+    the row and erased from the generators."""
     out = np.zeros((len(shifts), grid.shape[0]), dtype=bool)
     for u, s in enumerate(shifts):
         kept = [j for j in range(grid.shape[1]) if s[j] != slices._LEFT_OUT]
@@ -616,17 +618,31 @@ def _expected_member_rows(grid, gens, shifts):
     return out
 
 
+def _member_states_per_degree(axes, gens, shifts) -> np.ndarray:
+    """The (shifts, degrees) result of ``_member_states``, every degree read through its state."""
+    active, state_of = slices._member_states(axes, gens, shifts)
+    assert state_of.shape == (math.prod(len(values) for values in axes),)
+    return active[:, state_of]
+
+
+@pytest.mark.parametrize("span, cap", [(span, cap) for span in (None, 1) for cap in (None, 64, 1000)])
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
-def test_member_rows_matches_the_oracles_at_the_edges(monkeypatch, count):
+def test_member_states_match_the_oracles_at_the_edges(monkeypatch, count, span, cap):
     # bit sets of one word and of several (the last generator, the only one
     # of small degree, sits past the first word from 64 generators on),
     # random per-axis values, many of them negative, unsorted and repeated,
     # products with and without axes, faces leaving out some or every axis,
-    # and values and shifts at the int16 limits; the byte cap is set so the
-    # nine shifts go in batches of four, the last one short
+    # and values and shifts at the int16 limits; at the default span no
+    # dedup runs and each shift keeps its own lane, at span 1 every axis but
+    # the first is deduplicated and one-word bit sets share lanes, and a byte
+    # cap of 64 puts each value of an axis in its own chunk, one of 1 000
+    # puts several values in a chunk, the last chunk of some axes short
+    if span:
+        monkeypatch.setattr(slices, "_STATE_SPAN", span)
+    if cap:
+        monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", cap)
     rng = np.random.default_rng(120 + count)
     top = monomials.MAX_EXPONENT
-    words = -(-(count + 1) // 64)
     for n in (0, 1, 3, 5):
         gens = [tuple(rng.integers(3, 8, size=n).tolist()) for _ in range(count - 1)]
         if gens and n:
@@ -640,25 +656,41 @@ def test_member_rows_matches_the_oracles_at_the_edges(monkeypatch, count):
             axes[1] = np.array([top + 1, *axes[1]])
         axes = [values.astype(np.int16) for values in axes]
         grid = product_grid(axes)
-        monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", 4 * grid.shape[0] * words * 8)
         shifts = rng.integers(0, 6, size=(9, n))
         shifts[0] = 0
         shifts[1] = slices._LEFT_OUT
         shifts[2] = top
         shifts[3, : n // 2] = slices._LEFT_OUT
         expected = _expected_member_rows(grid, gens, shifts.tolist())
-        assert np.array_equal(slices._member_rows(axes, gens, shifts), expected)
+        assert np.array_equal(_member_states_per_degree(axes, gens, shifts), expected)
         # with every axis left out a degree passes iff there are no generators
         assert (expected[1] == (count == 0)).all()
 
 
+@pytest.mark.parametrize("span", [None, 0])
+@pytest.mark.parametrize("count", [0, 1, 64])
+def test_member_states_without_axes_read_the_full_bit_set(monkeypatch, count, span):
+    # a ring without variables: the product is its one degree, whose bit set
+    # has every bit, so it passes iff there are no generators (a generator
+    # of no variables is 1); at span 0 one-word bit sets share a lane
+    if span is not None:
+        monkeypatch.setattr(slices, "_STATE_SPAN", span)
+    active, state_of = slices._member_states([], [()] * count, np.zeros((5, 0), dtype=np.int64))
+    assert active.dtype == bool and active.shape == (5, 1) and state_of.tolist() == [0]
+    assert (active == (count == 0)).all()
+
+
+@pytest.mark.parametrize("span", [None, 1])
 @pytest.mark.parametrize("lengths", [(1, 9, 1, 4), (9, 1, 1)])
-def test_member_rows_builds_the_product_from_the_last_axis_outward(monkeypatch, lengths):
+def test_member_states_build_the_product_from_the_last_axis_outward(monkeypatch, lengths, span):
     # axes of one value beside longer ones, the long axis first or inner:
     # each axis is ANDed in outside the product of the axes after it, which
     # must still come out in lexicographic order; 65 generators give bit
-    # sets of two words, and the byte cap puts the seven shifts in batches
-    # of three, the last one short
+    # sets of two words, and the byte cap puts the long axis in chunks: the
+    # first axis of (9, 1, 1), turned into results chunk by chunk, and the
+    # second of (1, 9, 1, 4), whose chunks' states are merged
+    if span:
+        monkeypatch.setattr(slices, "_STATE_SPAN", span)
     rng = np.random.default_rng(140 + len(lengths))
     n = len(lengths)
     gens = [tuple(rng.integers(1, 9, size=n).tolist()) for _ in range(65)]
@@ -669,7 +701,7 @@ def test_member_rows_builds_the_product_from_the_last_axis_outward(monkeypatch, 
     shifts[1, 0] = slices._LEFT_OUT
     expected = _expected_member_rows(grid, gens, shifts.tolist())
     assert expected.any() and not expected.all()
-    assert np.array_equal(slices._member_rows(axes, gens, shifts), expected)
+    assert np.array_equal(_member_states_per_degree(axes, gens, shifts), expected)
 
 
 @pytest.mark.parametrize("count, shifts", [(4, 3), (12, 20), (65, 5)])
