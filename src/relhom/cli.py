@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / property holds, 1 property false or suite
 violations, 2 input error, 3 internal engine disagreement, 4 any other
-internal error.
+internal error, 141 (128 + SIGPIPE) the reader of the output closed it
+early.
 """
 
 from __future__ import annotations
@@ -281,6 +282,19 @@ def _cmd_corpus(args) -> int:
     return 0 if run.passed else 1
 
 
+def _silence_stdout():
+    """Point the descriptor of stdout at the null device, so that the
+    interpreter's final flush of output a closed pipe no longer takes cannot
+    raise again; a stdout without a descriptor (a capture) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -289,7 +303,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _check_out_targets(args)
-        return globals()[args.handler](args)
+        code = globals()[args.handler](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed the output early: not a crash
+        _silence_stdout()
+        return 141
     except EngineDisagreementError as exc:
         print(f"internal engine disagreement: {exc}", file=sys.stderr)
         return 3

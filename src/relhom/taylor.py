@@ -8,8 +8,9 @@ field keeps exactly the differential entries between faces with the same
 lcm, so the complex splits into one strand per distinct lcm, and beta_i is
 the sum over strands of dim H_i of the strand.  A strand is a face complex
 whose activity pattern is one column, which is what the slice kernel
-``_lattice_dims`` ranks; a strand of a single face has no differential and
-adds 1 to beta of its size.  The strands are the layout's one face
+``_lattice_dims`` decides (a level set of the lcm is convex in the faces);
+a strand of a single face has no differential and adds 1 to beta of its
+size.  The strands are the layout's one face
 grouping (``FaceLayout.lcm_groups``), which is kept with the cached
 layout, so Ext tables on the same generators reuse it.  Betti numbers give the projective
 dimension and (by Auslander-Buchsbaum) depth.  The resolution is used

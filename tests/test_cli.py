@@ -488,3 +488,32 @@ def test_a_handler_rebound_after_the_first_call_is_the_one_run(capsys, monkeypat
     assert main(["check", "cm", "--ring", "x", "--a", "x"]) == 0
     monkeypatch.setattr(cli, "_cmd_check", lambda args: 7)
     assert main(["check", "cm", "--ring", "x", "--a", "x"]) == 7
+
+
+@pytest.mark.parametrize("listing", [False, True], ids=["report", "listing"])
+def test_a_reader_that_closes_the_pipe_early_is_no_crash(listing):
+    # as `relhom analyze --json ... | head -c 10`: the command exits 141
+    # (128 + SIGPIPE), not 4 (a crash) or 1, and writes nothing to stderr.
+    # The report fits the pipe and is closed before it is written, so the
+    # flush at the end of main meets the closed pipe; the listing is larger
+    # than the pipe and meets it while it is written
+    argv = [sys.executable, "-m", "relhom", "analyze", *RING4, "--a", C4, "--i", "x1^3*y1", "--json"]
+    if listing:
+        argv += ["--slices", "--box-pad", "3"]
+    read, write = os.pipe()
+    proc = subprocess.Popen(argv, stdout=write, stderr=subprocess.PIPE, env=os.environ)
+    os.close(write)
+    if listing:
+        assert os.read(read, 10) == b'{\n  "a": "'
+    os.close(read)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_a_closed_pipe_in_process_exits_141(capsys, monkeypatch):
+    # a stdout without a descriptor (this capture) is left as it is
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_cmd_check", closed)
+    assert run(capsys, "check", "cm", "--ring", "x", "--a", "x") == (141, "", "")
