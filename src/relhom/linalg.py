@@ -11,16 +11,14 @@ from .monomials import _is_prime
 __all__ = ["rank_mod_p"]
 
 
-def rank_mod_p(matrix, p: int):
-    """Rank over GF(p) of an integer matrix, or of every matrix of a stack.
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank over GF(p) of a 2-d integer matrix.
 
-    A 3-d (B, m, n) stack returns the B ranks as an int64 array, from one
-    elimination that steps through the n columns of all B matrices
-    together.  Matrices of different shapes share a stack by zero padding,
-    which changes no rank.  The elimination updates at most about
-    B*m*n*n/2 cells, so a caller should orient its matrices with n <= m.
-    A 2-d matrix is ranked as a stack of one and its rank returned as an
-    int, so there is one elimination.
+    Entries are read exactly: one that is not an integer raises TypeError,
+    and an integer outside int64 ValueError, before any elimination, so no
+    entry is truncated or wraps around.  A wide matrix is ranked as its
+    transpose, so the elimination steps through at most as many columns as
+    there are rows.
 
     The elimination is exact in int64: entries are reduced into [0, p) with
     p < 2**31, each update combines products of two such entries, and every
@@ -29,45 +27,43 @@ def rank_mod_p(matrix, p: int):
     p = operator.index(p)
     if not _is_prime(p):
         raise ValueError("modulus must be a prime below 2**31")
-    a = np.array(matrix, dtype=np.int64, copy=True)
+    a = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    int64 = np.iinfo(np.int64)
+    if a.dtype == object:
+        values = [operator.index(v) for v in a.flat]
+        if not all(int64.min <= v <= int64.max for v in values):
+            raise ValueError("matrix entries must lie in the int64 range")
+        a = np.array(values, dtype=np.int64).reshape(a.shape)
+    elif a.dtype.kind not in "biu":
+        raise TypeError(f"matrix entries must be integers, not {a.dtype}")
+    elif a.dtype == np.uint64 and a.size and a.max() > int64.max:
+        raise ValueError("matrix entries must lie in the int64 range")
+    a = np.array(a.T if a.shape[1] > a.shape[0] else a, dtype=np.int64, order="C")
     a %= p
-    if a.ndim == 2:
-        return int(_stack_rank(a[None], p)[0])
-    if a.ndim != 3:
-        raise ValueError("expected a 2-d matrix or a 3-d stack")
-    return _stack_rank(a, p)
+    return _eliminate(a, p)
 
 
-def _stack_rank(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a reduced (B, m, n) stack, eliminating column by column in lock step.
+def _eliminate(a: np.ndarray, p: int) -> int:
+    """Rank of a reduced (m, n) matrix, eliminating column by column in place.
 
-    A row that has served as a pivot is retired.  In each column every
-    matrix picks its first unretired row with a nonzero entry, and each
-    other unretired row with a nonzero entry there becomes
+    A row that has served as a pivot is retired.  In each column the first
+    unretired row with a nonzero entry is the pivot, and each other
+    unretired row with a nonzero entry there becomes
     pivot * row - entry * pivot_row, which clears the entry without a
     modular inverse.  Columns up to the current one are never read again,
     so only the columns to its right are updated.
     """
-    count, m, n = a.shape
-    free = np.ones((count, m), dtype=bool)
-    batch = np.arange(count)
+    m, n = a.shape
+    free = np.ones(m, dtype=bool)
     for c in range(n):
-        col = a[:, :, c]
-        hit = free & (col != 0)
-        has = hit.any(axis=1)
-        if not has.any():
+        hit = free & (a[:, c] != 0)
+        if not hit.any():
             continue
-        piv = hit.argmax(axis=1)
-        free[batch[has], piv[has]] = False
-        hit[batch[has], piv[has]] = False
-        mat, row = np.nonzero(hit)
-        if mat.size and c + 1 < n:
-            top = piv[mat]
-            rows = a[mat, row, c + 1:]
-            rows *= col[mat, top][:, None]
-            pivot_rows = a[mat, top, c + 1:]
-            pivot_rows *= col[mat, row][:, None]
-            rows -= pivot_rows
-            rows %= p
-            a[mat, row, c + 1:] = rows
-    return m - free.sum(axis=1, dtype=np.int64)
+        piv = int(hit.argmax())
+        free[piv] = hit[piv] = False
+        rows = np.flatnonzero(hit)
+        if rows.size and c + 1 < n:
+            a[rows, c + 1 :] = (a[rows, c + 1 :] * a[piv, c] - a[piv, c + 1 :] * a[rows, c, None]) % p
+    return m - int(free.sum())

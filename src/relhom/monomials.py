@@ -310,18 +310,20 @@ def saturation(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     """Saturation (A : B^infinity), by iterating generator-wise colons to a fixpoint.
 
     One step is (A : B) = the intersection of the colons by each generator.
+    Every element is killed by the zero ideal, so saturating by it gives S.
     """
     _check_ring(A, B)
+    if not B.gens:
+        return unit_ideal(A.ring)
     current = A
-    while B.gens:
+    while True:
         step = None
         for b in B.gens:
             part = quotient(current, b)
             step = part if step is None else intersect(step, part)
         if step == current:
-            break
+            return current
         current = step
-    return current
 
 
 def radical(A: MonomialIdeal) -> MonomialIdeal:

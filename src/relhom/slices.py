@@ -123,10 +123,10 @@ differential goes from each level to the next.  Where no two adjacent
 levels hold critical faces the dimensions are the critical counts, with no
 rank: 3 553 of the default corpus's 3 653 missed patterns, all but 3 of the
 1 386 of the benchmark's ``wide`` pairs and all 637 of K8's.  Only the rest
-are ranked, all of a table's together: their incidence matrices go to
-``rank_mod_p`` in zero-padded stacks of bounded size, eliminated in lock
-step.  A single incidence matrix above ``_MAX_RANK_MATRIX_CELLS``, in any
-missed pattern, is refused before the matching runs.
+are ranked, one incidence matrix at a time (``rank_mod_p``): 144 level
+pairs on the whole default corpus, none of more than 49 cells.  An
+incidence matrix above ``_MAX_RANK_MATRIX_CELLS``, in any missed pattern,
+is refused before the matching runs.
 
 The dedup, matching and rank layers have a second caller besides the
 tables: ``taylor.betti_numbers`` reads the lcm strands of the Lyubeznik
@@ -496,10 +496,11 @@ def _thresholds(I: MonomialIdeal, shifts: np.ndarray, j: int) -> set[int]:
 # ``_member_states`` and every threshold c - _LEFT_OUT lies outside the box
 _LEFT_OUT = 1 << 20
 
-# byte cap of the table the walk of ``_member_states`` holds before a dedup
-# (or, on the first axis, before its results); it bounds the kernel's
-# working memory
-_MAX_MEMBER_BATCH_BYTES = 1 << 20
+# byte cap of the working memory of the kernel's bulk steps: the table the
+# walk of ``_member_states`` holds before a dedup (or, on the first axis,
+# before its results), and the chunk of pattern columns the element
+# matching of ``_critical_counts`` works on
+_MAX_WORKING_BYTES = 1 << 20
 
 # span (product columns) past which the walk of ``_member_states`` keeps
 # only the distinct columns of its table.  Set from measurement (2-vCPU
@@ -565,13 +566,21 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct value of a 2-d array, and the group of every row.
+    """A row of each distinct value of a 2-d array, and the group of every row.
 
-    Groups come in the order of the rows' keys (``_row_keys``), so callers
-    read only the pairing of ``first`` and the groups.
+    Rows are keyed by ``_row_keys`` and sorted by an unstable sort, so any
+    row of a group stands for it, and groups come in the order of the keys:
+    callers read only the pairing of the representatives and the groups.
     """
-    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
+    new[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
 
 
 def _lanes(sets: np.ndarray, bits: int, per: int) -> np.ndarray:
@@ -592,43 +601,22 @@ def _lanes(sets: np.ndarray, bits: int, per: int) -> np.ndarray:
     return np.bitwise_or.reduce(lanes.reshape(-1, per, m) << offsets, axis=1)
 
 
-def _state_groups(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A column of each distinct column of a 2-d uint64 table, and the group of every column.
-
-    A column is keyed by its lanes: one unsigned integer for one lane, its
-    bytes through ``_row_keys`` for more.  Groups come in the order of the
-    keys.  Unlike ``_row_groups`` the sort is unstable, so any column of a
-    group stands for it: on the walk's thousands of uint64 keys it is about
-    three times faster than ``np.unique``'s stable sort, which wins on the
-    small tables and byte keys of ``_row_groups``' callers.
-    """
-    keys = table.T
-    order = np.argsort(_row_keys(keys))
-    ordered = np.take(keys, order, axis=0)
-    new = np.empty(order.size, dtype=bool)
-    new[:1] = True
-    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
-    group = np.empty(order.size, dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    return order[new], group
-
-
 def _merged_states(parts) -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns of a table given by chunks of its columns, and the group of every column.
 
-    Each chunk is grouped on its own by ``_state_groups``, so only one chunk
-    is held whole; the chunks' states are then merged.
+    Each chunk is grouped on its own by ``_row_groups`` of its columns, so
+    only one chunk is held whole; the chunks' states are then merged.
     """
     kept, groups, done = [], [], 0
     for part in parts:
-        first, group = _state_groups(part)
+        first, group = _row_groups(part.T)
         kept.append(part[:, first])
         groups.append(group + done)
         done += first.size
     if len(kept) == 1:
         return kept[0], groups[0]
     table = np.concatenate(kept, axis=1)
-    first, merged = _state_groups(table)
+    first, merged = _row_groups(table.T)
     return table[:, first], merged[np.concatenate(groups)]
 
 
@@ -658,11 +646,11 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     come out in lexicographic order.  Two columns that are equal stay equal
     under every axis still to come, so when an axis other than the first
     takes the span past ``_STATE_SPAN`` only the distinct columns (the
-    states) are kept, grouped by ``_state_groups``, and the map from each
+    states) are kept, grouped by ``_row_groups``, and the map from each
     product column to its state is composed across the axes.  The first
     axis is ANDed in without a dedup: its columns are the states, and
     ``_lattice_dims`` groups their results.  The table held stays under
-    ``_MAX_MEMBER_BATCH_BYTES``, or one value of the axis over the states
+    ``_MAX_WORKING_BYTES``, or one value of the axis over the states
     when that is larger: past it an axis goes in by chunks of its values,
     each chunk deduplicated (the first axis: turned into its results) on its
     own, and the chunks' states are merged (``_merged_states``).
@@ -683,7 +671,7 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarr
         shifted = np.asarray(axes[j], dtype=np.int64) + shifts[:, j, None]
         rows = _lanes(sets[j][np.searchsorted(thresholds[j], shifted, side="right")].transpose(0, 2, 1), bits, per)
         values, states = rows.shape[1], table.shape[1]
-        step = max(1, _MAX_MEMBER_BATCH_BYTES // table.nbytes)
+        step = max(1, _MAX_WORKING_BYTES // table.nbytes)
         cuts = range(0, values, step)
         parts = ((rows[:, lo : lo + step, None] & table[:, None, :]).reshape(table.shape[0], -1) for lo in cuts)
         group = None  # the new table column of each (value, old column); None while every one is kept
@@ -803,11 +791,6 @@ class _BoundedCache:
 # of Python objects per entry, about 13 MB in all
 _DIMS_CACHE = _BoundedCache(32_768, maxbytes=1 << 23)
 
-# byte cap of one stack of incidence matrices handed to rank_mod_p; it bounds
-# the elimination's working memory; a single larger matrix goes alone, up to
-# the ceiling below.  The element matching's temporaries keep to it too
-_MAX_RANK_STACK_BYTES = 1 << 20
-
 # ceiling on the cells of a single incidence matrix (128 MiB as int64), so a
 # near-full subset complex on many generators is refused at once instead of
 # ranked for many minutes
@@ -823,50 +806,25 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, faces: FaceSet, p: i
     result is the rank of the map from the active faces of size k to the
     active faces of size k + 1 in pattern u.
 
-    Every pair of consecutive levels that are both active is built from
-    each face's boundary, oriented with no more columns than rows, sorted
-    by shape and ranked by ``rank_mod_p`` in zero-padded stacks of at most
-    ``_MAX_RANK_STACK_BYTES``.  A matrix of more than
-    ``_MAX_RANK_MATRIX_CELLS`` cells raises ValueError before any stack is
-    built.  ``cache_info`` and ``cache_clear`` are those of the memo of
+    Each pair of consecutive levels that are both active in a pattern is one
+    matrix, with a row per active face of size k + 1 and a column per active
+    face of size k, built from each face's boundary and ranked on its own by
+    ``rank_mod_p``.
+    ``cache_info`` and ``cache_clear`` are those of the memo of
     ``_lattice_dims``, which calls this on the missed patterns its matching
-    leaves undecided; on any pattern it stays the oracle.
+    leaves undecided, after it has checked the rank ceiling; on any pattern
+    it stays the oracle.
     """
     offsets, down = faces.offsets, faces.down
-    _check_rank_ceiling(sizes)
-    r = sizes.shape[0] - 1
-    ranks = np.zeros((r, by_size.shape[1]), dtype=np.int64)
-    level_of, column = np.nonzero((sizes[:-1] > 0) & (sizes[1:] > 0))
-    if not level_of.size:
-        return ranks
-    width, height = sizes[level_of, column], sizes[level_of + 1, column]
-    tall, short = np.maximum(width, height), np.minimum(width, height)
-    # cut the pairs, ordered by shape, into int64 stacks under the byte cap
-    sequence = np.lexsort((short, tall))
-    chunks, start, cols = [], 0, 0
-    for pos, idx in enumerate(sequence.tolist()):
-        cols = max(cols, int(short[idx]))
-        if pos > start and (pos - start + 1) * int(tall[idx]) * cols * 8 > _MAX_RANK_STACK_BYTES:
-            chunks.append(sequence[start:pos])
-            start, cols = pos, int(short[idx])
-    chunks.append(sequence[start:])
-    for chunk in chunks:
-        stack = np.zeros((chunk.size, tall[chunk].max(), short[chunk].max()), dtype=np.int64)
-        for k in sorted(set(level_of[chunk].tolist())):
-            slots = np.flatnonzero(level_of[chunk] == k)
-            picked = column[chunk[slots]]
-            lo = by_size[offsets[k] : offsets[k + 1], picked]
-            hi = by_size[offsets[k + 1] : offsets[k + 2], picked]
-            lo_at = np.cumsum(lo, axis=0, dtype=np.int32) - 1
-            hi_at = np.cumsum(hi, axis=0, dtype=np.int32) - 1
-            flip = height[chunk[slots]] < width[chunk[slots]]
-            # one boundary slot at a time keeps the index arrays small
-            for t in range(k + 1):
-                face = down[k + 1][:, t]
-                i, b = np.nonzero(hi & lo[face])
-                row, col, f = hi_at[i, b], lo_at[face[i], b], flip[b]
-                stack[slots[b], np.where(f, col, row), np.where(f, row, col)] = -1 if t & 1 else 1
-        ranks[level_of[chunk], column[chunk]] = rank_mod_p(stack, p)
+    ranks = np.zeros((sizes.shape[0] - 1, by_size.shape[1]), dtype=np.int64)
+    for k, u in zip(*np.nonzero((sizes[:-1] > 0) & (sizes[1:] > 0))):
+        lo = by_size[offsets[k] : offsets[k + 1], u]
+        boundary = down[k + 1][by_size[offsets[k + 1] : offsets[k + 2], u]]
+        # face i without its t-th member has sign (-1)^t
+        row, t = np.nonzero(lo[boundary])
+        matrix = np.zeros((boundary.shape[0], sizes[k, u]), dtype=np.int64)
+        matrix[row, np.cumsum(lo)[boundary[row, t]] - 1] = 1 - 2 * (t & 1)
+        ranks[k, u] = rank_mod_p(matrix, p)
     return ranks
 
 
@@ -895,9 +853,9 @@ def _critical_counts(by_size: np.ndarray, faces: FaceSet) -> np.ndarray:
     unmatched and active as well (``FaceSet.element_pairs``); the faces
     left are critical.  The columns go in chunks whose copy and per-position
     temporaries, at most four bytes per face and column, stay under
-    ``_MAX_RANK_STACK_BYTES``.
+    ``_MAX_WORKING_BYTES``.
     """
-    step = max(1, _MAX_RANK_STACK_BYTES // (4 * faces.size))
+    step = max(1, _MAX_WORKING_BYTES // (4 * faces.size))
     counts = []
     for lo in range(0, by_size.shape[1], step):
         free = by_size[:, lo : lo + step].copy()
@@ -958,8 +916,8 @@ def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) 
     entries (Jonsson, LNM 1928, Lemmas 4.1-4.2; Skoldberg 2006;
     Joellenbeck-Welker 2009), so a pattern whose critical faces never sit
     in two adjacent levels has a zero Morse differential, and its
-    dimensions are its critical counts.  One ``_incidence_rank`` call
-    ranks the level pairs of the other missed patterns.
+    dimensions are its critical counts.  ``_incidence_rank`` ranks the
+    other missed patterns, one level pair at a time.
     """
     first, inverse = _row_groups(_packed_columns(active))
     by_size = active[:, first][rows]

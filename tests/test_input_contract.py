@@ -201,6 +201,14 @@ REFUSED = [
     ("rank_mod_p: composite modulus", lambda: rank_mod_p([[2]], 4), ValueError),
     ("rank_mod_p: Carmichael modulus", lambda: rank_mod_p([[2]], 561), ValueError),
     ("rank_mod_p: non-integer modulus", lambda: rank_mod_p([[1]], 5.0), TypeError),
+    # matrix entries are integers inside int64, read without wraparound or truncation
+    ("rank_mod_p: uint64 past int64", lambda: rank_mod_p(np.array([[2**64 - 1]], dtype=np.uint64), 5), ValueError),
+    ("rank_mod_p: int entry past int64", lambda: rank_mod_p([[2**64]], 5), ValueError),
+    ("rank_mod_p: int entry below int64", lambda: rank_mod_p([[-(2**63) - 1]], 5), ValueError),
+    ("rank_mod_p: ints that numpy would read as floats", lambda: rank_mod_p([[2**63, -1]], 5), ValueError),
+    ("rank_mod_p: float entry", lambda: rank_mod_p([[0.5]], 5), TypeError),
+    ("rank_mod_p: float matrix", lambda: rank_mod_p(np.array([[5.7]]), 5), TypeError),
+    ("rank_mod_p: a 3-d stack", lambda: rank_mod_p(np.zeros((2, 2, 2), dtype=np.int64), 5), ValueError),
     ("RingSpec: composite characteristic", lambda: RingSpec(("x",), 2**31 - 2), ValueError),
     ("RingSpec: Carmichael characteristic", lambda: RingSpec(("x",), 561), ValueError),
     ("RingSpec: characteristic 2**31", lambda: RingSpec(("x",), 2**31), ValueError),
@@ -231,7 +239,7 @@ def engines_refuse(monkeypatch):
         (slices, "_lyubeznik_faces"),
         (slices, "_taylor_faces"),
         (taylor, "_betti_relabelled"),
-        (linalg, "_stack_rank"),
+        (linalg, "_eliminate"),
     ):
         monkeypatch.setattr(module, name, refuse)
 

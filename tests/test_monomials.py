@@ -212,13 +212,17 @@ class TestSaturation:
         A = parse_ideal(ring2, "x^2, x*y")
         assert saturation(unit_ideal(ring2), A) == unit_ideal(ring2)
         assert saturation(A, unit_ideal(ring2)) == A
+        # (A : 0^infinity) = S, whatever A is, the zero ideal included
+        assert saturation(A, zero_ideal(ring2)) == unit_ideal(ring2)
+        assert saturation(zero_ideal(ring2), zero_ideal(ring2)) == unit_ideal(ring2)
 
     def test_coprime_is_fixpoint(self, ring3):
         A = parse_ideal(ring3, "x*y")
         assert saturation(A, parse_ideal(ring3, "z")) == A
 
     def test_eventual_membership_oracle(self, ring2):
-        for A, B in random_pairs(ring2, 8, max_exp=2, max_gens=3, seed=11):
+        pairs = random_pairs(ring2, 8, max_exp=2, max_gens=3, seed=11)
+        for A, B in [*pairs, (pairs[0][0], zero_ideal(ring2))]:
             sat = saturation(A, B)
             for u in oracle_monomials(2, 4):
                 eventually_in = False

@@ -644,7 +644,7 @@ def test_member_states_match_the_oracles_at_the_edges(monkeypatch, count, span, 
     if span:
         monkeypatch.setattr(slices, "_STATE_SPAN", span)
     if cap:
-        monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", cap)
+        monkeypatch.setattr(slices, "_MAX_WORKING_BYTES", cap)
     rng = np.random.default_rng(120 + count)
     top = monomials.MAX_EXPONENT
     for n in (0, 1, 3, 5):
@@ -700,7 +700,7 @@ def test_member_states_build_the_product_from_the_last_axis_outward(monkeypatch,
     gens = [tuple(rng.integers(1, 9, size=n).tolist()) for _ in range(65)]
     axes = [rng.integers(-4, 10, size=k).astype(np.int16) for k in lengths]
     grid = product_grid(axes)
-    monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", 3 * grid.shape[0] * 2 * 8)
+    monkeypatch.setattr(slices, "_MAX_WORKING_BYTES", 3 * grid.shape[0] * 2 * 8)
     shifts = rng.integers(0, 5, size=(7, n))
     shifts[1, 0] = slices._LEFT_OUT
     expected = _expected_member_rows(grid, gens, shifts.tolist())
@@ -716,7 +716,7 @@ def test_member_states_match_the_per_shift_oracle(monkeypatch, count, shifts):
     # every axis but the first, and the byte cap puts each value of an axis
     # in its own chunk; every degree reads its state against the oracle
     monkeypatch.setattr(slices, "_STATE_SPAN", 1)
-    monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", 64)
+    monkeypatch.setattr(slices, "_MAX_WORKING_BYTES", 64)
     rng = np.random.default_rng(180 + count)
     gens = [tuple(rng.integers(1, 6, size=4).tolist()) for _ in range(count)]
     axes = [rng.integers(-3, 9, size=k).astype(np.int16) for k in (3, 5, 2, 4)]
@@ -740,7 +740,7 @@ def test_state_walk_dims_match_the_per_degree_oracle(monkeypatch, span, cap):
     if span:
         monkeypatch.setattr(slices, "_STATE_SPAN", span)
     if cap:
-        monkeypatch.setattr(slices, "_MAX_MEMBER_BATCH_BYTES", cap)
+        monkeypatch.setattr(slices, "_MAX_WORKING_BYTES", cap)
     member_states, walked = slices._member_states, []
 
     def recording(axes, gens, shifts):
@@ -980,41 +980,41 @@ def test_dims_memo_stays_within_its_byte_budget(monkeypatch, ring3):
     assert slices._incidence_rank.cache_info().misses > len(slices._DIMS_CACHE)
 
 
-def test_rank_stacks_stay_under_the_byte_cap(monkeypatch, ring4):
-    # all six squarefree quadrics: every pattern their tables miss goes to
-    # the ranks, which, uncapped, fill stacks of up to about 270 kB; under
-    # the cap the same ranks come from many stacks, and so do the tables
+def test_matching_chunks_under_the_working_cap_give_the_same_tables(monkeypatch, ring4):
+    # all six squarefree quadrics: under the working cap the element
+    # matching takes the missed patterns one column at a time, then a few
+    # at a time, and must leave the same critical faces and tables, Ext and
+    # local cohomology, as it does uncapped
     J = parse_ideal(ring4, "x1*x2, x1*y1, x1*y2, x2*y1, x2*y2, y1*y2")
     rng = np.random.default_rng(91)
-    pairs = [(J, random_proper_ideal(rng, ring4, 2, 3)) for _ in range(4)]
-    missed = []
-    match = slices._critical_counts
+    cases = [(build, random_proper_ideal(rng, ring4, 2, 3)) for _ in range(4) for build in (ext_table, lc_table)]
+    missed, chunks = [], []
+    match, per_level = slices._critical_counts, slices.FaceSet.per_level
 
     def recording(by_size, faces):
         missed.append((by_size, faces))
         return match(by_size, faces)
 
+    def counting(self, rows):
+        chunks.append(rows.shape[1])
+        return per_level(self, rows)
+
     monkeypatch.setattr(slices, "_critical_counts", recording)
     clear_slice_caches()
-    tables = [ext_table(J, I, pad=1)._class_dims for J, I in pairs]
-    ranks = [slices._incidence_rank(by_size, faces.per_level(by_size), faces, J.ring.char) for by_size, faces in missed]
-    cap = 4096  # above the largest incidence matrix of 6 generators, 20 x 15 int64
-    stacks = []
-    rank = slices.rank_mod_p
-
-    def capped(stack, p):
-        stacks.append(stack.shape)
-        assert stack.ndim == 3 and stack.nbytes <= cap
-        return rank(stack, p)
-
-    monkeypatch.setattr(slices, "rank_mod_p", capped)
-    monkeypatch.setattr(slices, "_MAX_RANK_STACK_BYTES", cap)
-    for (by_size, faces), expected in zip(missed, ranks):
-        assert np.array_equal(slices._incidence_rank(by_size, faces.per_level(by_size), faces, J.ring.char), expected)
-    assert stacks and max(shape[0] for shape in stacks) > 1
-    clear_slice_caches()
-    for (J, I), dims in zip(pairs, tables):
-        assert np.array_equal(ext_table(J, I, pad=1)._class_dims, dims)
+    tables = [build(J, I, pad=1)._class_dims for build, I in cases]
+    counts = [match(by_size, faces) for by_size, faces in missed]
+    size = lyubeznik_layout(J.gens, 4).faces.size
+    assert all(faces.size == size for _, faces in missed) and max(by_size.shape[1] for by_size, _ in missed) > 3
+    monkeypatch.setattr(slices.FaceSet, "per_level", counting)
+    for step in (1, 3):
+        monkeypatch.setattr(slices, "_MAX_WORKING_BYTES", 4 * size * step)
+        for (by_size, faces), expected in zip(missed, counts):
+            chunks.clear()
+            assert np.array_equal(match(by_size, faces), expected)
+            assert chunks == [min(step, by_size.shape[1] - lo) for lo in range(0, by_size.shape[1], step)]
+        clear_slice_caches()
+        for (build, I), dims in zip(cases, tables):
+            assert np.array_equal(build(J, I, pad=1)._class_dims, dims)
 
 
 def test_a_cone_pattern_is_decided_without_a_rank(monkeypatch):
@@ -1343,6 +1343,14 @@ def test_rank_cache_keys_name_the_layout(ring4):
                 assert taylor.betti_numbers(J) == betti
 
 
+def _assert_same_partition(first, inverse, oracle):
+    """``_row_groups``' representatives and groups make the oracle's
+    partition: one representative per group, each row's in its group."""
+    oracle = np.asarray(oracle, dtype=np.intp)
+    assert first.size == np.unique(oracle).size and inverse.max(initial=-1) < first.size
+    assert np.array_equal(oracle[first[inverse]], oracle)
+
+
 @pytest.mark.parametrize("width", range(1, 17))
 def test_row_groups_partition_matches_the_oracle(width):
     # rows of 1-16 bytes, as bytes, as bools, (even widths) as int16 with
@@ -1364,8 +1372,7 @@ def test_row_groups_partition_matches_the_oracle(width):
         assert keys.dtype.kind == ("u" if width in (1, 2, 4, 8) else "V") and keys.dtype.itemsize == width
         first, inverse = slices._row_groups(rows)
         assert inverse.shape == (rows.shape[0],)
-        assert sorted(first.tolist()) == sorted(set(oracle_row_groups(rows)))
-        assert first[inverse].tolist() == oracle_row_groups(rows)
+        _assert_same_partition(first, inverse, oracle_row_groups(rows))
 
 
 def test_rows_of_no_bytes_share_one_key():
@@ -1391,4 +1398,4 @@ def test_packed_columns_are_padded_integer_keys(count):
     expected = np.packbits(active, axis=0, bitorder="little").T
     assert np.array_equal(packed[:, :used], expected.reshape(90, used)) and not packed[:, used:].any()
     first, inverse = slices._row_groups(packed)
-    assert first[inverse].tolist() == oracle_row_groups(active.T)
+    _assert_same_partition(first, inverse, oracle_row_groups(active.T))
