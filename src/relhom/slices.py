@@ -59,52 +59,50 @@ class is represented by its member of least |b_j|, which is the same for
 every pad: padding only widens the two edge classes of an axis.  So
 profiles, and every invariant read from them, take no box; ``pad`` belongs
 only to the listings of ``ext_table`` and ``lc_table``.  A SliceTable keeps
-the dimensions per distinct activity pattern, the pattern of every class
-and each class's interval per axis, and never builds an array sized by the
-box: ``profile`` reads the pattern dimensions alone, ``dim_at`` looks up
-the pattern of its class, and ``hilbert``, ``total`` and ``dump`` gather
-the dimensions to the classes on first use and read the nonzero classes
-only (a listing of more than ``_MAX_LISTING_RECORDS`` records, over all
-tables of ``dump_tables``, is refused).  A single degree (``ext_slice``,
+the dimensions per distinct activity pattern, the pattern of each column of
+the activity walk, the walk's per-axis maps and each class's interval per
+axis: ``profile`` reads the pattern dimensions alone, ``dim_at`` follows the
+maps from its class, and only ``hilbert``, ``total`` and ``dump`` gather the
+dimensions to every class, on first use, and read the nonzero classes (a
+listing of more than ``_MAX_LISTING_RECORDS`` records, over all tables of
+``dump_tables``, is refused).  A single degree (``ext_slice``,
 ``local_cohomology_slice``) is exact anywhere in the int16 range.
 
 The dense scan over every degree of the unpadded box (``_dense_profile``)
 stays as an independent engine: it runs on the full Taylor complex of the
 relative ideal's own generators (for local cohomology, of their supports),
 and the corpus cross-check compares it with the class engine, which covers
-all of Z^n.  A class grid is refused when its faces x class degrees pass
-``_MAX_ACTIVITY_CELLS``, the size of an activity matrix over every class
-degree, which the tables no longer build; the dense scan is bounded by the
-same ceiling over the whole box, counting the 2^r Taylor faces.
+all of Z^n.  ``_MAX_ACTIVITY_CELLS`` bounds what is built: the activity a
+walk ANDs in per axis (shifts x values x states), the dense scan (2^r Taylor
+faces x box degrees), and the one entry per class degree that the listings
+and ``first_shifted_mismatch`` gather (faces x class degrees).
 
 Each table runs its layers in bulk, on its per-axis values (a ``_Product``)
-rather than on a (degrees, n) grid.  Activity depends on a face T only
-through lcm_T, so it is evaluated once per distinct face lcm, one row each,
-and every face reads the row of its lcm; each layout groups its faces by lcm
-once, on first use, and keeps the grouping.  Activity is one membership
-kernel (``_member_states``), which serves the tables, the dense scan, the
-single degrees and ``SliceTable.first_shifted_mismatch``: the staircase of I
-factors axis by axis, so the bit sets of the generators a degree passes are
-the AND of one small table row per axis (the tables built once per generator
-tuple, in a bounded cache).  The kernel ANDs the axes in from the last one
-outward, every shift at once, and once an axis other than the first takes
-the span past ``_STATE_SPAN`` it keeps only the distinct columns, the
-states, with the map from every product column to its state; a product whose
-axes after the first never pass the span keeps every degree its own state.
-The big box of the benchmark holds 51 450 class degrees but 1 946 states and
-75 activity patterns, and the 12-cycle's Ext grid 2 985 984 degrees but
-32 508 states.  The states are grouped by activity pattern under a one-value
-key per state, read from the rows of distinct values (an unsigned integer
-for up to 64 rows, whose sort is much faster than that of bytes), and only
-the distinct patterns are then gathered to the faces.  The dimensions stay
-per pattern, with the pattern of each degree (its state's pattern) beside
-them; no layer gathers them back to the degrees.  The dimensions of a
-pattern depend only on p, the face set's incidence structure and which faces
-are active, so each pattern's column of dimensions is looked up in one memo,
-bounded in entries and in bytes, keyed by p, the digest of the whole face
-set (every level's size, so the level count, and every boundary map) and the
-pattern's packed bits.  The default corpus looks up about 19 000 patterns,
-of which about 3 700 miss.
+rather than on a (degrees, n) grid.  Activity depends on a face T only through
+lcm_T, so it is evaluated once per distinct face lcm, one row each, and every
+face reads the row of its lcm; each layout groups its faces by lcm once, on
+first use, and keeps the grouping.  Activity is one membership kernel
+(``_member_states``), which serves the tables, the dense scan, the single
+degrees and ``SliceTable.first_shifted_mismatch``: the staircase of I factors
+axis by axis, so the bit sets of the generators a degree passes are the AND of
+one small table row per axis (the tables built once per generator tuple, in a
+bounded cache).  The kernel ANDs the axes in from the last one outward, every
+shift at once, and once an axis other than the first takes the span past
+``_STATE_SPAN`` it keeps only the distinct columns, the states.  Each axis
+keeps its map from (value, state after it) to the new column: a layered diagram
+of the product (Bryant, IEEE Trans. Computers 1986) whose size is the sum of
+values x states over the axes.  The big box of the benchmark holds 51 450 class
+degrees but 1 946 states and 75 activity patterns, and the 12-cycle's Ext grid
+2 985 984 degrees but 32 508 states and 72 440 map cells.  The states are
+grouped by activity pattern under a one-value key per state, read from the rows
+of distinct values (an unsigned integer for up to 64 rows, whose sort is much
+faster than that of bytes), and only the distinct patterns are then gathered to
+the faces; the dimensions stay per pattern.  The dimensions of a pattern depend
+only on p, the face set's incidence structure and which faces are active, so
+each pattern's column of dimensions is looked up in one memo, bounded in
+entries and in bytes, keyed by p, the digest of the whole face set (every
+level's size and every boundary map) and the pattern's packed bits.  The
+default corpus looks up about 19 000 patterns, of which about 3 700 miss.
 
 The missed patterns are decided by a matching before any rank.  Every
 caller's pattern is convex in the face poset (F and H active, F in G in H,
@@ -172,9 +170,11 @@ __all__ = [
 # boundary maps hold one int32 per face and level) and its enumeration
 _MAX_FACES = 1 << 20
 
-# cells (candidate faces x generator exponents) of one divisibility test;
-# it bounds the working memory of the enumeration
-_CANDIDATE_CELLS = 1 << 22
+# byte cap of the working memory of the bulk steps: the divisibility tests of
+# the face enumeration, the table the walk of ``_member_states`` holds before
+# a dedup (or, on the first axis, before its results), and the chunk of
+# pattern columns the element matching of ``_critical_counts`` works on
+_MAX_WORKING_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +201,10 @@ class FaceSet:
         return int(self.offsets[-1])
 
     def per_level(self, rows: np.ndarray) -> np.ndarray:
-        """Sums over each level of a (faces, ...) array."""
-        totals = np.cumsum(rows, axis=0, dtype=np.int64)[self.offsets[1:] - 1]
-        totals[1:] -= totals[:-1].copy()
+        """Sums over each level of a (faces, ...) array, as int64; an empty level sums to 0."""
+        nonempty = np.flatnonzero(np.diff(self.offsets))
+        totals = np.zeros((self.offsets.size - 1, *rows.shape[1:]), dtype=np.int64)
+        totals[nonempty] = np.add.reduceat(rows, self.offsets[nonempty], axis=0, dtype=np.int64)
         return totals
 
     @cached_property
@@ -298,9 +299,9 @@ def _candidate_orders(G: np.ndarray) -> list[tuple[int, ...]]:
         # per generator, the ordered pairs (j, k) whose lcm it divides: twice
         # the pairs j < k, plus one for j = k (only itself, as the generators
         # are minimal), so the same order; counted in chunks of generators
-        # under the cell cap of one comparison
+        # whose comparison, one byte per cell, stays under the working cap
         lcms = np.maximum(G[:, None], G[None])
-        step = max(1, _CANDIDATE_CELLS // max(1, lcms.size))
+        step = max(1, _MAX_WORKING_BYTES // max(1, lcms.size))
         counts = np.concatenate(
             [(G[lo : lo + step, None, None] <= lcms).all(axis=3).sum(axis=(1, 2)) for lo in range(0, r, step)]
         )
@@ -328,7 +329,7 @@ def _face_levels(G: np.ndarray, order: tuple[int, ...], cap: int) -> Optional[Fa
     row, column = np.nonzero(G)
     starts, needed = np.searchsorted(row, np.arange(r)), G[row, column]
     least, lcms = np.array([r]), np.zeros((1, n), dtype=G.dtype)
-    tails, firsts, total, step = [], [], 1, max(1, _CANDIDATE_CELLS // (max(r, 1) * max(row.size, 1)))
+    tails, firsts, total, step = [], [], 1, max(1, _MAX_WORKING_BYTES // (max(r, 1) * max(row.size, 1) * G.itemsize))
     while least.any():
         parts = []
         for lo in range(0, least.size, step):
@@ -496,12 +497,6 @@ def _thresholds(I: MonomialIdeal, shifts: np.ndarray, j: int) -> set[int]:
 # ``_member_states`` and every threshold c - _LEFT_OUT lies outside the box
 _LEFT_OUT = 1 << 20
 
-# byte cap of the working memory of the kernel's bulk steps: the table the
-# walk of ``_member_states`` holds before a dedup (or, on the first axis,
-# before its results), and the chunk of pattern columns the element
-# matching of ``_critical_counts`` works on
-_MAX_WORKING_BYTES = 1 << 20
-
 # span (product columns) past which the walk of ``_member_states`` keeps
 # only the distinct columns of its table.  Set from measurement (2-vCPU
 # Xeon): the big box's slice dimensions took 1.5-2.0 ms at spans 1 024 to
@@ -620,16 +615,16 @@ def _merged_states(parts) -> tuple[np.ndarray, np.ndarray]:
     return table[:, first], merged[np.concatenate(groups)]
 
 
-def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Which shifted degrees of a product grid are monomials of S/I, for I
     generated by ``gens``, on the distinct states of the grid: the (shifts,
-    states) result and the state of every degree.
+    columns) result and the per-axis maps leading each degree to its column.
 
     ``axes`` holds one array of values per variable; the grid is their
-    product in lexicographic order.  Entry (u, state_of[d]) of the result
-    is True iff b + s >= 0 and x^(b + s) is not in I, for b the d-th degree
-    of the product and s = shifts[u].  An axis shifted by ``_LEFT_OUT``
-    passes both tests, which leaves it out.
+    product in lexicographic order.  Entry (u, c) of the result is True iff
+    b + s >= 0 and x^(b + s) is not in I, for b any degree of the product
+    whose column (``_compose`` of the maps) is c and s = shifts[u].  An axis
+    shifted by ``_LEFT_OUT`` passes both tests, which leaves it out.
 
     Both tests factor axis by axis.  A bit set holds one bit per generator
     and a last bit for "nonnegative": on axis j the value v sets the bit of
@@ -641,19 +636,19 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     The walk ANDs the axes in from the last one outward, over all shifts at
     once: the (lanes, span) table of ``_lanes`` holds the bit sets of the
-    product of the axes done so far, and the next axis goes in front of it,
-    so each AND runs over the whole span as its inner loop and the degrees
-    come out in lexicographic order.  Two columns that are equal stay equal
-    under every axis still to come, so when an axis other than the first
-    takes the span past ``_STATE_SPAN`` only the distinct columns (the
-    states) are kept, grouped by ``_row_groups``, and the map from each
-    product column to its state is composed across the axes.  The first
-    axis is ANDed in without a dedup: its columns are the states, and
-    ``_lattice_dims`` groups their results.  The table held stays under
-    ``_MAX_WORKING_BYTES``, or one value of the axis over the states
-    when that is larger: past it an axis goes in by chunks of its values,
-    each chunk deduplicated (the first axis: turned into its results) on its
-    own, and the chunks' states are merged (``_merged_states``).
+    states of the axes done so far, and the next axis goes in front of it,
+    so each AND runs over the whole span as its inner loop.  Two columns
+    that are equal stay equal under every axis still to come, so when an
+    axis other than the first takes the span past ``_STATE_SPAN`` only the
+    distinct columns (the states) are kept, grouped by ``_row_groups``; the
+    (values, states after it) map of the axis is that grouping, or (v, c) ->
+    v x states + c.  The first axis is ANDed in without a dedup: its columns
+    are the states, and ``_lattice_dims`` groups their results.  The table
+    held stays under ``_MAX_WORKING_BYTES``, or one value of the axis over
+    the states when that is larger: past it an axis goes in by chunks of its
+    values, each chunk deduplicated (the first axis: turned into its
+    results) on its own, and the chunks' states are merged
+    (``_merged_states``).  Activity past ``_MAX_ACTIVITY_CELLS`` is refused.
 
     The lane width follows the product.  Where a dedup will run, bit sets of
     one word are packed 64 // bits shifts to a lane, which shortens the keys
@@ -666,52 +661,60 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     count, bits = shifts.shape[0], len(gens) + 1
     per = 64 // bits if full.size == 1 and math.prod(len(values) for values in axes[1:]) > _STATE_SPAN else 1
     table = _lanes(full[None, :, None].repeat(count, axis=0), bits, per)
-    state_of = None  # the table column of every product column; None while it is the column itself
+    maps = []
     for j in reversed(range(len(axes))):
         shifted = np.asarray(axes[j], dtype=np.int64) + shifts[:, j, None]
         rows = _lanes(sets[j][np.searchsorted(thresholds[j], shifted, side="right")].transpose(0, 2, 1), bits, per)
         values, states = rows.shape[1], table.shape[1]
+        if count * values * states > _MAX_ACTIVITY_CELLS:
+            raise ValueError(f"activity of {count} shifts over {values} values x {states} states is too large to scan")
         step = max(1, _MAX_WORKING_BYTES // table.nbytes)
         cuts = range(0, values, step)
         parts = ((rows[:, lo : lo + step, None] & table[:, None, :]).reshape(table.shape[0], -1) for lo in cuts)
-        group = None  # the new table column of each (value, old column); None while every one is kept
         if j and (step < values or values * states > _STATE_SPAN):
             table, group = _merged_states(parts)
-        elif j:
-            table = next(parts)
-        elif step >= values:
-            table = _lane_results(next(parts), count, bits, per, alone)
         else:
-            active = np.empty((count, values * states), dtype=bool)  # not ``table``, which ``parts`` reads
-            for lo, part in zip(cuts, parts):
-                active[:, lo * states : (lo + step) * states] = _lane_results(part, count, bits, per, alone)
-            table = active
-        # product column (v, c) of this axis's value v and the product column
-        # c of the axes after it reads column (v, state_of[c]) of the new table
-        if group is not None:
-            state_of = group if state_of is None else np.take(group.reshape(values, states), state_of, axis=1).ravel()
-        elif state_of is not None:
-            state_of = (np.arange(values)[:, None] * states + state_of).ravel()
+            group = np.arange(values * states)
+            if j:
+                table = next(parts)
+            elif step >= values:
+                table = _lane_results(next(parts), count, bits, per, alone)
+            else:
+                active = np.empty((count, values * states), dtype=bool)  # not ``table``, which ``parts`` reads
+                for lo, part in zip(cuts, parts):
+                    active[:, lo * states : (lo + step) * states] = _lane_results(part, count, bits, per, alone)
+                table = active
+        maps.insert(0, group.reshape(values, states))
     if not axes:
         table = _lane_results(table, count, bits, per, alone)
-    return table, np.arange(table.shape[1]) if state_of is None else state_of
+    return table, tuple(maps)
+
+
+def _compose(maps, indices) -> np.ndarray:
+    """The walk column, through the maps of ``_member_states``, of every degree of a product of per-axis indices."""
+    column = np.zeros(1, dtype=np.intp)
+    for group, index in zip(reversed(maps), reversed(list(indices))):
+        column = group[np.asarray(index)[:, None], column].ravel()
+    return column
 
 
 def _lane_results(table: np.ndarray, count: int, bits: int, per: int, alone: np.ndarray) -> np.ndarray:
     """Whether each shift's bit set in a (lanes, span) table of ``_lanes`` is ``alone``, as (shifts, span)."""
     if per > 1:
-        at = np.arange(count)
-        fields = table[at // per] >> (at % per * bits).astype(np.uint64)[:, None]
-        return fields & np.uint64((1 << bits) - 1) == alone[0]
+        results = np.empty((count, table.shape[1]), dtype=bool)
+        for slot in range(min(per, count)):
+            lanes = table[: -(-(count - slot) // per)]
+            results[slot::per] = lanes >> np.uint64(slot * bits) & np.uint64((1 << bits) - 1) == alone[0]
+        return results
     if alone.size == 1:
         return table == alone[0]
     return (table.reshape(count, alone.size, -1) == alone[:, None]).all(axis=1)
 
 
 class _Activity(tuple):
-    """The (rows, states) activity of the distinct states of a product grid
-    and the state of every degree.  ``size`` is that of the activity, the
-    cells the kernel built."""
+    """The (rows, columns) activity of the distinct states of a product grid
+    and the per-axis maps of ``_member_states``.  ``size`` is that of the
+    activity, the cells the kernel built."""
 
     @property
     def size(self) -> int:
@@ -722,10 +725,10 @@ def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, axes: _Product, lcms: np.n
     """Component activity of Hom(L, S/I) per distinct face lcm, for a complex L of faces on the generators of J.
 
     Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I,
-    so it depends on T only through lcm_T.  Row u of the (lcms, states)
+    so it depends on T only through lcm_T.  Row u of the (lcms, columns)
     activity is that of the faces of lcm ``lcms[u]``, every axis shifted by
-    it, at the distinct states of ``_member_states``; degree d reads column
-    ``state_of[d]``.
+    it, at the distinct states of ``_member_states``, whose maps lead each
+    degree to its column.
     """
     return _Activity(_member_states(axes, I.gens, lcms))
 
@@ -957,23 +960,29 @@ class SliceTable:
     Axis j splits the box values into intervals: class k starts at
     ``_starts[j][k]`` and ends before the next start (the last at rho_j).
     ``_pattern_dims`` holds the dimensions (levels, patterns) of the
-    distinct activity patterns, and ``_pattern_of`` the pattern of every
-    class of the product of the axes' classes, in lexicographic order: the
-    state of each class from the activity walk (``_member_states``)
-    composed with the pattern of each state from ``_lattice_dims``.
-    ``profile`` and ``dim_at`` read these; the listings read
-    ``_class_dims``, the dimensions (levels, classes) gathered on first use.
-    """
+    distinct activity patterns, ``_column_patterns`` the pattern of each
+    column of the activity walk (``_member_states``), and ``_maps`` the
+    walk's per-axis maps to the column of each class of the product of the
+    axes' classes (``_compose``).  ``profile`` and ``dim_at`` read these;
+    the listings read ``_class_dims``, the dimensions (levels, classes)
+    gathered on first use, refused when ``_faces`` x classes pass
+    ``_MAX_ACTIVITY_CELLS``."""
 
     box: DegreeBox
     _starts: tuple[np.ndarray, ...]
+    _faces: int
     _pattern_dims: np.ndarray
-    _pattern_of: np.ndarray
+    _column_patterns: np.ndarray
+    _maps: tuple[np.ndarray, ...]
 
     @cached_property
     def _class_dims(self) -> np.ndarray:
-        """The dimensions (levels, classes) of every class, for the listings."""
-        return self._pattern_dims[:, self._pattern_of]
+        """The dimensions (levels, classes) of every class, those at its first value, for the listings."""
+        self._check_grid(tuple(len(starts) for starts in self._starts))
+        return self._product_dims(self._starts)
+
+    def _check_grid(self, shape: tuple[int, ...]):
+        _check_scan_size(shape, self._faces, f"class grid {shape} of the stabilization box {self.box.rho}")
 
     def profile(self) -> frozenset[int]:
         """Indices with a nonvanishing slice somewhere in the box."""
@@ -995,9 +1004,8 @@ class SliceTable:
         """The dimensions (levels, degrees) at the product of per-axis box
         values, in lexicographic order: each value is looked up in its
         axis's classes."""
-        classes = [np.searchsorted(starts, values, side="right") - 1 for starts, values in zip(self._starts, axes)]
-        flat = np.ravel_multi_index(np.ix_(*classes), tuple(len(starts) for starts in self._starts))
-        return self._pattern_dims[:, self._pattern_of[flat.ravel()]]
+        classes = (np.searchsorted(starts, values, side="right") - 1 for starts, values in zip(self._starts, axes))
+        return self._pattern_dims[:, self._column_patterns[_compose(self._maps, classes)]]
 
     def first_shifted_mismatch(self, i: int, target: MonomialIdeal, shift) -> Optional[tuple]:
         """The lexicographically first box degree b where level i differs
@@ -1005,20 +1013,22 @@ class SliceTable:
         with the expected and the tabled dimension; None if none.  Both are
         constant on each class of the table's starts merged with the
         indicator's thresholds (those of a face of lcm ``shift``), so they
-        are compared once per class, at its first degree.  A level the
-        table lacks reads as zero dimensions.
+        are compared once per class, at its first degree (a class grid,
+        checked as ``_class_dims``).  A level the table lacks reads as zero.
         """
         i = self._level(i)
         shifts = np.array([shift], dtype=np.int64)
         axes = enumerate(zip(self._starts, self.box.rho))
         starts = [_axis_classes(r, [*own.tolist(), *_thresholds(target, shifts, j)])[0] for j, (own, r) in axes]
-        active, state_of = _member_states(starts, target.gens, shifts)
-        expected = active[0, state_of]
+        shape = tuple(map(len, starts))
+        self._check_grid(shape)
+        active, maps = _member_states(starts, target.gens, shifts)
+        expected = active[0, _compose(maps, map(np.arange, shape))]
         tabled = np.zeros(expected.size, dtype=np.int32) if i is None else self._product_dims(starts)[i]
         bad = np.flatnonzero(tabled != expected)
         if not bad.size:
             return None
-        cell = np.unravel_index(bad[0], tuple(map(len, starts)))
+        cell = np.unravel_index(bad[0], shape)
         return tuple(int(values[k]) for values, k in zip(starts, cell)), int(expected[bad[0]]), int(tabled[bad[0]])
 
     def hilbert(self, i: int) -> dict[tuple[int, ...], int]:
@@ -1050,8 +1060,8 @@ class SliceTable:
     def _record_count(self) -> int:
         """Number of {i, b, dim} records of :meth:`dump`: the box degrees of
         every nonzero class, summed over the levels."""
-        sizes = self._class_sizes()
-        return sum(int(sizes[level != 0].sum()) for level in self._class_dims)
+        dims, sizes = self._class_dims, self._class_sizes()
+        return sum(int(sizes[level != 0].sum()) for level in dims)
 
     def _records(self, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Degrees (lexicographic) and dims of the nonzero slices of one level of class dims.
@@ -1107,10 +1117,11 @@ def _check_listing(count: int, box: DegreeBox):
         )
 
 
-# hard ceiling on (faces x box degrees) cells so oversized requests fail
-# fast instead of exhausting memory; generous for the intended desk scale.
-# The class tables no longer build that matrix: for them it stands in for
-# what the walk holds, its states and one state per class degree
+# hard ceiling on activity cells so oversized requests fail fast instead of
+# exhausting memory; generous for the intended desk scale.  It bounds the
+# activity the walk ANDs in (shifts x values x states of one axis), the
+# dense scan (Taylor faces x box degrees), and the arrays of one entry per
+# class degree (faces x class degrees) that only listings build
 _MAX_ACTIVITY_CELLS = 600_000_000
 
 # ceiling on the records of one slice listing (``dump_tables``): each
@@ -1138,24 +1149,23 @@ def _complex(kind: str, A: MonomialIdeal) -> tuple[FaceLayout, int]:
 
 def _slice_dims(
     layout: FaceLayout, scale: int, A: MonomialIdeal, B: MonomialIdeal, axes: _Product
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Slice dimensions (levels 0..len(A.gens), per distinct activity
     pattern) of Hom into S/B of a complex on a layout, its face lcms scaled
-    by ``scale``, and the pattern of each degree of the product ``axes``;
-    levels the complex lacks (one on the radical of A may have fewer) are
-    zero.
+    by ``scale``, over the product ``axes``, the pattern of each column of
+    the walk, and its per-axis maps to the column of each degree; levels
+    the complex lacks (one on the radical of A may have fewer) are zero.
 
     Activity depends on a face only through its lcm, so the kernel runs
     once per distinct lcm of the layout's grouping, and ``_lattice_dims``
-    reads each face's row, on the kernel's distinct states; the pattern of
-    a degree is that of its state.
+    reads each face's row, on the kernel's distinct states.
     """
     lcms, rows = layout.lcm_groups
-    active, state_of = _ext_activity(A, B, axes, lcms.astype(np.int64) * scale)
-    dims, pattern_of = _lattice_dims(active, layout.faces, A.ring.char, rows)
+    active, maps = _ext_activity(A, B, axes, lcms.astype(np.int64) * scale)
+    dims, patterns = _lattice_dims(active, layout.faces, A.ring.char, rows)
     if dims.shape[0] < len(A.gens) + 1:
         dims = np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
-    return dims, pattern_of[state_of]
+    return dims, patterns, maps
 
 
 def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:
@@ -1166,10 +1176,8 @@ def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> Sli
     layout, scale = _complex(kind, A)
     shifts = layout.lcm_groups[0].astype(np.int64) * scale
     classes = [_axis_classes(r, _thresholds(B, shifts, j)) for j, r in enumerate(box.rho)]
-    reps = _Product(rep for _, rep in classes)
-    shape = tuple(len(rep) for rep in reps)
-    _check_scan_size(shape, layout.faces.size, f"class grid {shape} of the stabilization box {box.rho}")
-    return SliceTable(box, tuple(starts for starts, _ in classes), *_slice_dims(layout, scale, A, B, reps))
+    dims = _slice_dims(layout, scale, A, B, _Product(rep for _, rep in classes))
+    return SliceTable(box, tuple(starts for starts, _ in classes), layout.faces.size, *dims)
 
 
 def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
@@ -1252,8 +1260,8 @@ def _slice_at(kind: str, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):
         raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
-    dims, pattern_of = _slice_dims(*_complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
-    return int(dims[i, pattern_of[0]]) if 0 <= i < dims.shape[0] else 0
+    dims, patterns, _ = _slice_dims(*_complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
+    return int(dims[i, patterns[0]]) if 0 <= i < dims.shape[0] else 0  # one degree: one column
 
 
 def ext_slice(J: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int:

@@ -10,7 +10,9 @@ search, without its prune;
 class id, the construction slice tables were first built on, and
 ``dense_expansion`` uses it to expand a table to every box degree, which
 ``degree_grid`` lists as the product of the box axes built by
-``product_grid``, the engines' grid before they ran on per-axis values;
+``product_grid``, the engines' grid before they ran on per-axis values,
+and ``walk_columns`` reads every degree of such a product off the
+activity walk's per-axis maps;
 ``oracle_member_rows`` tests every row against every generator at once, the
 membership test the activity kernels were built on, and
 ``oracle_ext_activity`` and ``oracle_cech_activity`` are the per-face forms
@@ -151,6 +153,12 @@ def product_grid(axes) -> np.ndarray:
     for j, values in enumerate(axes):
         grid[..., j] = np.reshape(values, [-1 if k == j else 1 for k in range(len(axes))])
     return grid.reshape(-1, len(axes))
+
+
+def walk_columns(maps) -> np.ndarray:
+    """The walk column of every degree of the whole product of a walk's
+    per-axis maps, in lexicographic order, through ``slices._compose``."""
+    return slices._compose(maps, [np.arange(group.shape[0]) for group in maps])
 
 
 def box_axes(box) -> list[np.ndarray]:
@@ -383,8 +391,8 @@ def oracle_cech_class_dims(a: MonomialIdeal, I: MonomialIdeal):
     box = slices.DegreeBox.for_ideals(a, I)
     classes = [slices._axis_classes(r, [0, *(g[j] for g in I.gens)]) for j, r in enumerate(box.rho)]
     layout = slices.taylor_layout(radical(a).gens, a.ring.n)
-    dims, inverse = slices._slice_dims(layout, slices._LEFT_OUT, a, I, slices._Product(rep for _, rep in classes))
-    return tuple(starts for starts, _ in classes), dims[:, inverse]
+    dims, patterns, maps = slices._slice_dims(layout, slices._LEFT_OUT, a, I, slices._Product(rep for _, rep in classes))
+    return tuple(starts for starts, _ in classes), dims[:, patterns[walk_columns(maps)]]
 
 
 def oracle_taylor_differentials(I: MonomialIdeal) -> list[np.ndarray]:

@@ -17,6 +17,8 @@ from relhom.properties import full_report
 from relhom.schemas import ANALYZE_REPORT_SCHEMA
 from relhom.verifier import CorpusParams, corpus_instances
 
+from conftest import cycle_pair
+
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
 RING4 = ["--ring", "x1,x2,y1,y2"]
 
@@ -375,6 +377,35 @@ class TestInputLimits:
         assert err == (
             "error: stabilization box (16002, 16002) lists 256064005 nonzero slices, over 250000: too large to scan\n"
         )
+
+    def test_a_class_grid_past_the_ceiling_is_refused_only_by_the_listings(self, capsys, monkeypatch):
+        # the 10-cycle's Ext class grid, 32 faces x 248 832 class degrees,
+        # and its lc grid, 32 x 59 049, pass a ceiling of 10^6 cells, but no
+        # walk of its analysis holds more than 459 264 (shifts x values x
+        # states): the report computes and is the unpatched one, and only
+        # the listing, which gathers one entry per class degree, is refused
+        a, I = cycle_pair(10)
+        argv = ["analyze", "--ring", ",".join(a.ring.names), "--a", format_ideal(a), "--i", format_ideal(I)]
+        expected = run(capsys, *argv, "--json")
+        monkeypatch.setattr(slices, "_MAX_ACTIVITY_CELLS", 1_000_000)
+        slices.clear_slice_caches()
+        assert expected[0] == 0 and run(capsys, *argv, "--json") == expected
+        code, out, err = run(capsys, *argv, "--slices")
+        assert (code, out) == (2, "")
+        assert err == f"error: class grid {(4, 3) * 5} of the stabilization box {(2,) * 10} with 32 faces is too large to scan\n"
+
+    def test_a_walk_past_the_ceiling_is_an_input_error(self, capsys, monkeypatch):
+        # the ceiling bounds the activity a walk ANDs in, shifts x values x
+        # states of one axis: past it the walk refuses (exit 2), never a crash
+        a, I = cycle_pair(8)
+        monkeypatch.setattr(slices, "_MAX_ACTIVITY_CELLS", 1_000)
+        slices.clear_slice_caches()
+        with pytest.raises(ValueError, match="shifts over .* states is too large to scan"):
+            slices.ext_profile(a, I)
+        argv = ["analyze", "--ring", ",".join(a.ring.names), "--a", format_ideal(a), "--i", format_ideal(I), "--json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: activity of ") and err.endswith(" states is too large to scan\n")
 
     def test_sparse_listing_of_a_wide_box(self, capsys):
         # 24 006 nonzero slices among 2.56e8 box degrees, listed from their classes

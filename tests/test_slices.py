@@ -58,6 +58,7 @@ from conftest import (
     oracle_row_groups,
     product_grid,
     random_proper_ideal,
+    walk_columns,
 )
 
 C4 = "x1*x2, x2*y1, y1*y2, y2*x1"
@@ -296,8 +297,8 @@ def test_lc_slices_match_oracle(ring2):
 def _dense_dims(kind, A, B, box):
     # the full Taylor complex on A's own generators over every box degree, as in the corpus cross-check
     scale = 1 if kind == "ext" else slices._LEFT_OUT
-    dims, inverse = slices._slice_dims(taylor_layout(A.gens, A.ring.n), scale, A, B, _Product(box_axes(box)))
-    return dims[:, inverse]
+    dims, patterns, maps = slices._slice_dims(taylor_layout(A.gens, A.ring.n), scale, A, B, _Product(box_axes(box)))
+    return dims[:, patterns[walk_columns(maps)]]
 
 
 def _nonzero_levels(dims):
@@ -313,9 +314,9 @@ def support_grouped_lc_dims(a, I, box):
     first = oracle_row_groups(supports)
     distinct = sorted(set(first))
     rows = np.searchsorted(distinct, first)
-    active, state_of = _ext_activity(a, I, _Product(box_axes(box)), np.where(supports[distinct], slices._LEFT_OUT, 0))
+    active, maps = _ext_activity(a, I, _Product(box_axes(box)), np.where(supports[distinct], slices._LEFT_OUT, 0))
     dims, inverse = _lattice_dims(active, layout.faces, a.ring.char, rows)
-    return dims[:, inverse[state_of]]
+    return dims[:, inverse[walk_columns(maps)]]
 
 
 def test_cech_profiles_equal_the_support_grouped_oracle():
@@ -486,6 +487,46 @@ def test_ext_profile_scans_one_degree_per_class(monkeypatch):
     assert len(handed) == len(scanned) and max(handed) <= 2_000
 
 
+def test_the_12_cycle_table_keeps_per_axis_maps_not_one_per_class(monkeypatch):
+    # the Ext table of the 12-cycle pair spans 2 985 984 class degrees, but
+    # the walk's per-axis maps hold 72 440 cells (values x states of each
+    # axis); its profile follows no map, so no array of one entry per class
+    # degree is built, and single degrees follow one path through the maps
+    a, I = cycle_pair(12)
+    table = ext_table(a, I)
+    assert math.prod(len(starts) for starts in table._starts) == 2_985_984
+    assert sum(group.size for group in table._maps) == 72_440
+    assert table._column_patterns.size == table._maps[0].size == 32_508
+    compose = slices._compose
+    monkeypatch.setattr(slices, "_compose", lambda *args: pytest.fail("the maps were composed"))
+    clear_slice_caches()
+    assert ext_profile(a, I) == table.profile()
+    monkeypatch.setattr(slices, "_compose", compose)
+    assert [table.dim_at(i, (0,) * 12) for i in range(7)] == [ext_slice(a, I, i, (0,) * 12) for i in range(7)]
+
+
+def test_per_level_sums_match_a_python_sum():
+    # int64 sums of each level of 1-d and 2-d rows, boolean and signed, on
+    # face sets whose top levels are empty (the chains, the complex on no
+    # generators) and on full ones; an empty level sums to 0 and the last
+    # face of the top nonempty level is counted
+    rng = np.random.default_rng(190)
+    face_sets = [lyubeznik_layout(chain(k), 2).faces for k in (25, 5)]
+    face_sets += [taylor_layout(chain(4), 2).faces, slices._taylor_faces(0), slices._taylor_faces(1)]
+    assert any(face_set.offsets[-1] == face_set.offsets[-2] for face_set in face_sets)
+    for face_set in face_sets:
+        bounds = list(zip(face_set.offsets[:-1].tolist(), face_set.offsets[1:].tolist()))
+        for shape in ((face_set.size,), (face_set.size, 3)):
+            for rows in (rng.integers(0, 2, size=shape).astype(bool), rng.integers(-9, 10, size=shape).astype(np.int8)):
+                if len(shape) == 1:
+                    expected = [sum(rows[lo:hi].tolist()) for lo, hi in bounds]
+                else:
+                    expected = [[sum(rows[lo:hi, c].tolist()) for c in range(shape[1])] for lo, hi in bounds]
+                totals = face_set.per_level(rows)
+                assert totals.dtype == np.int64 and totals.tolist() == expected
+        assert face_set.per_level(np.ones(face_set.size, dtype=bool)).tolist() == np.diff(face_set.offsets).tolist()
+
+
 def test_box_enlargement_never_changes_profiles(ring4):
     # padding only widens the edge classes: the classes past the first start
     # of each axis and their dimensions, hence every profile, are the same
@@ -588,9 +629,10 @@ def test_ext_activity_matches_the_per_subset_oracle(n):
     for J, I, axes in _activity_cases(n):
         for layout in (lyubeznik_layout(J.gens, n), taylor_layout(J.gens, n)):
             first, rows = slices._row_groups(layout.lcms)
-            active, state_of = _ext_activity(J, I, _Product(axes), layout.lcms[first])
-            assert active.shape[0] == first.size and state_of.shape == (product_grid(axes).shape[0],)
-            assert np.array_equal(active[rows][:, state_of], oracle_ext_activity(J, I, product_grid(axes), layout))
+            active, maps = _ext_activity(J, I, _Product(axes), layout.lcms[first])
+            columns = walk_columns(maps)
+            assert active.shape[0] == first.size and columns.shape == (product_grid(axes).shape[0],)
+            assert np.array_equal(active[rows][:, columns], oracle_ext_activity(J, I, product_grid(axes), layout))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -602,8 +644,9 @@ def test_cech_activity_matches_the_per_face_oracle(n):
             layout = taylor_layout(gens, n)
             supports = layout.lcms > 0
             first, rows = slices._row_groups(supports)
-            active, state_of = _ext_activity(a, I, _Product(axes), np.where(supports[first], slices._LEFT_OUT, 0))
-            assert np.array_equal(active[rows][:, state_of], oracle_cech_activity(gens, I, product_grid(axes), layout))
+            active, maps = _ext_activity(a, I, _Product(axes), np.where(supports[first], slices._LEFT_OUT, 0))
+            expected = oracle_cech_activity(gens, I, product_grid(axes), layout)
+            assert np.array_equal(active[rows][:, walk_columns(maps)], expected)
 
 
 def _expected_member_rows(grid, gens, shifts):
@@ -623,10 +666,12 @@ def _expected_member_rows(grid, gens, shifts):
 
 
 def _member_states_per_degree(axes, gens, shifts) -> np.ndarray:
-    """The (shifts, degrees) result of ``_member_states``, every degree read through its state."""
-    active, state_of = slices._member_states(axes, gens, shifts)
-    assert state_of.shape == (math.prod(len(values) for values in axes),)
-    return active[:, state_of]
+    """The (shifts, degrees) result of ``_member_states``, every degree read through its column."""
+    active, maps = slices._member_states(axes, gens, shifts)
+    assert [group.shape[0] for group in maps] == [len(values) for values in axes]
+    columns = walk_columns(maps)
+    assert columns.shape == (math.prod(len(values) for values in axes),)
+    return active[:, columns]
 
 
 @pytest.mark.parametrize("span, cap", [(span, cap) for span in (None, 1) for cap in (None, 64, 1000)])
@@ -679,8 +724,8 @@ def test_member_states_without_axes_read_the_full_bit_set(monkeypatch, count, sp
     # of no variables is 1); at span 0 one-word bit sets share a lane
     if span is not None:
         monkeypatch.setattr(slices, "_STATE_SPAN", span)
-    active, state_of = slices._member_states([], [()] * count, np.zeros((5, 0), dtype=np.int64))
-    assert active.dtype == bool and active.shape == (5, 1) and state_of.tolist() == [0]
+    active, maps = slices._member_states([], [()] * count, np.zeros((5, 0), dtype=np.int64))
+    assert active.dtype == bool and active.shape == (5, 1) and maps == () and walk_columns(maps).tolist() == [0]
     assert (active == (count == 0)).all()
 
 
@@ -724,15 +769,16 @@ def test_member_states_match_the_per_shift_oracle(monkeypatch, count, shifts):
     offsets[0, 1] = slices._LEFT_OUT
     grid = product_grid(axes)
     expected = _expected_member_rows(grid, gens, offsets.tolist())
-    active, state_of = slices._member_states(axes, gens, offsets)
-    assert state_of.shape == (grid.shape[0],) and active.shape[1] < grid.shape[0]
-    assert np.array_equal(active[:, state_of], expected)
+    active, maps = slices._member_states(axes, gens, offsets)
+    columns = walk_columns(maps)
+    assert columns.shape == (grid.shape[0],) and active.shape[1] < grid.shape[0]
+    assert np.array_equal(active[:, columns], expected)
 
 
 @pytest.mark.parametrize("span, cap", [(None, None), (None, 8), (1, None), (1, 8)])
 def test_state_walk_dims_match_the_per_degree_oracle(monkeypatch, span, cap):
     # the pattern dims of every ext and lc table, gathered to every class
-    # degree through the composed state map, against that degree's face
+    # degree through the walk's per-axis maps, against that degree's face
     # activity from the per-face oracle and its cohomology from oracle
     # ranks; at the default span the big box walks, at span 1 every axis
     # but the first is deduplicated, and a byte cap of 8 puts each value of
@@ -744,9 +790,9 @@ def test_state_walk_dims_match_the_per_degree_oracle(monkeypatch, span, cap):
     member_states, walked = slices._member_states, []
 
     def recording(axes, gens, shifts):
-        active, state_of = member_states(axes, gens, shifts)
-        walked.append(active.shape[1] < state_of.size)
-        return active, state_of
+        active, maps = member_states(axes, gens, shifts)
+        walked.append(active.shape[1] < walk_columns(maps).size)
+        return active, maps
 
     monkeypatch.setattr(slices, "_member_states", recording)
     rng = np.random.default_rng(170)
@@ -1213,13 +1259,13 @@ def test_candidate_orders_on_the_chain():
 
 
 def test_divisibility_order_is_counted_in_chunks(monkeypatch):
-    # a cap of one cell counts one generator at a time and gives the order
+    # a cap of one byte counts one generator at a time and gives the order
     # of the unchunked count, on the 100-generator chain and on random ideals
     rng = np.random.default_rng(107)
     cases = [np.array(chain(100))]
     cases += [np.array(random_proper_ideal(rng, RingSpec(("x", "y", "z", "w")), 3, 12).gens) for _ in range(10)]
     expected = [slices._candidate_orders(G)[0] for G in cases]
-    monkeypatch.setattr(slices, "_CANDIDATE_CELLS", 1)
+    monkeypatch.setattr(slices, "_MAX_WORKING_BYTES", 1)
     assert [slices._candidate_orders(G)[0] for G in cases] == expected
     assert expected[0][:4] == (49, 50, 48, 51)
 
@@ -1311,8 +1357,8 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
         orders.append(tuple(rng.permutation(len(J.gens)).tolist()))
         for order in orders:
             layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
-            dims, inverse = slices._slice_dims(layout, 1, J, I, _Product(box_axes(box)))
-            assert np.array_equal(dims[:, inverse], expected)
+            dims, patterns, maps = slices._slice_dims(layout, 1, J, I, _Product(box_axes(box)))
+            assert np.array_equal(dims[:, patterns[walk_columns(maps)]], expected)
         assert np.array_equal(dense_expansion(ext_table(J, I))[1], expected)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import sys
 
 import jsonschema
@@ -221,8 +222,11 @@ def test_prop_4_6f_names_the_first_mismatching_degree(monkeypatch):
         (c,) = table.profile()
         dims = table._class_dims.copy()
         dims[c, dims.shape[1] // 2] += 1
-        identity = np.arange(dims.shape[1])
-        changed.append((c, table, dataclasses.replace(table, _pattern_dims=dims, _pattern_of=identity)))
+        # every class its own pattern and its own column: identity maps
+        shape = [len(starts) for starts in table._starts]
+        maps = tuple(np.arange(math.prod(shape[j:])).reshape(shape[j], -1) for j in range(len(shape)))
+        bad = dataclasses.replace(table, _pattern_dims=dims, _column_patterns=np.arange(dims.shape[1]), _maps=maps)
+        changed.append((c, table, bad))
         return changed[-1][2]
 
     monkeypatch.setattr(verifier, "ext_table", corrupted)
