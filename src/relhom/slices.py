@@ -59,14 +59,16 @@ class is represented by its member of least |b_j|, which is the same for
 every pad: padding only widens the two edge classes of an axis.  So
 profiles, and every invariant read from them, take no box; ``pad`` belongs
 only to the listings of ``ext_table`` and ``lc_table``.  A SliceTable keeps
-the dimensions per distinct activity pattern, the pattern of each column of
-the activity walk, the walk's per-axis maps and each class's interval per
-axis: ``profile`` reads the pattern dimensions alone, ``dim_at`` follows the
-maps from its class, and only ``hilbert``, ``total`` and ``dump`` gather the
-dimensions to every class, on first use, and read the nonzero classes (a
-listing of more than ``_MAX_LISTING_RECORDS`` records, over all tables of
-``dump_tables``, is refused).  A single degree (``ext_slice``,
-``local_cohomology_slice``) is exact anywhere in the int16 range.
+each class's interval per axis and, from the walk it runs on first read, the
+dimensions per distinct activity pattern and the per-axis maps leading each
+class to its pattern: ``profile`` reads the pattern dimensions alone,
+``dim_at`` follows the maps from its class, and only ``hilbert``, ``total``
+and ``dump`` gather the dimensions to every class, on first use, and read the
+nonzero classes (``dump_tables`` refuses a class grid past
+``_MAX_ACTIVITY_CELLS`` before any walk, and a listing of more than
+``_MAX_LISTING_RECORDS`` records, over all its tables, before any record).  A
+single degree (``ext_slice``, ``local_cohomology_slice``) is exact anywhere in
+the int16 range.
 
 The dense scan over every degree of the unpadded box (``_dense_profile``)
 stays as an independent engine: it runs on the full Taylor complex of the
@@ -87,22 +89,22 @@ degrees and ``SliceTable.first_shifted_mismatch``: the staircase of I factors
 axis by axis, so the bit sets of the generators a degree passes are the AND of
 one small table row per axis (the tables built once per generator tuple, in a
 bounded cache).  The kernel ANDs the axes in from the last one outward, every
-shift at once, and once an axis other than the first takes the span past
-``_STATE_SPAN`` it keeps only the distinct columns, the states.  Each axis
-keeps its map from (value, state after it) to the new column: a layered diagram
-of the product (Bryant, IEEE Trans. Computers 1986) whose size is the sum of
-values x states over the axes.  The big box of the benchmark holds 51 450 class
-degrees but 1 946 states and 75 activity patterns, and the 12-cycle's Ext grid
-2 985 984 degrees but 32 508 states and 72 440 map cells.  The states are
-grouped by activity pattern under a one-value key per state, read from the rows
-of distinct values (an unsigned integer for up to 64 rows, whose sort is much
-faster than that of bytes), and only the distinct patterns are then gathered to
-the faces; the dimensions stay per pattern.  The dimensions of a pattern depend
-only on p, the face set's incidence structure and which faces are active, so
-each pattern's column of dimensions is looked up in one memo, bounded in
-entries and in bytes, keyed by p, the digest of the whole face set (every
-level's size and every boundary map) and the pattern's packed bits.  The
-default corpus looks up about 19 000 patterns, of which about 3 700 miss.
+shift at once; once an axis other than the first takes the span past
+``_STATE_SPAN`` it keeps only the distinct columns, the states, and the first
+axis keeps only the distinct activity patterns of its results, keyed by their
+packed bits (an unsigned integer for up to 64 rows, whose sort is much faster
+than that of bytes).  Each axis keeps its map from (value, state after it) to
+its new column, the first to its pattern: a layered diagram of the product
+(Bryant, IEEE Trans. Computers 1986) whose size is the sum of values x states
+over the axes.  The big box of the benchmark holds 51 450 class degrees but
+10 532 map cells and 75 patterns, the 12-cycle's Ext grid 2 985 984 degrees
+but 72 440 map cells and 587 patterns.  Only the patterns are gathered to the
+faces, and the dimensions stay per pattern.  The dimensions of a pattern
+depend only on p, the face set's incidence structure and which faces are
+active, so each pattern's column of dimensions is looked up in one memo,
+bounded in entries and in bytes, keyed by p, the digest of the whole face set
+(every level's size and every boundary map) and the pattern's packed bits.
+The default corpus looks up about 19 000 patterns, of which about 3 700 miss.
 
 The missed patterns are decided by a matching before any rank.  Every
 caller's pattern is convex in the face poset (F and H active, F in G in H,
@@ -139,8 +141,8 @@ import operator
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -172,8 +174,8 @@ _MAX_FACES = 1 << 20
 
 # byte cap of the working memory of the bulk steps: the divisibility tests of
 # the face enumeration, the table the walk of ``_member_states`` holds before
-# a dedup (or, on the first axis, before its results), and the chunk of
-# pattern columns the element matching of ``_critical_counts`` works on
+# a dedup, and the chunk of pattern columns the element matching of
+# ``_critical_counts`` works on
 _MAX_WORKING_BYTES = 1 << 20
 
 
@@ -596,34 +598,35 @@ def _lanes(sets: np.ndarray, bits: int, per: int) -> np.ndarray:
     return np.bitwise_or.reduce(lanes.reshape(-1, per, m) << offsets, axis=1)
 
 
-def _merged_states(parts) -> tuple[np.ndarray, np.ndarray]:
+def _merged_states(parts, key) -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns of a table given by chunks of its columns, and the group of every column.
 
-    Each chunk is grouped on its own by ``_row_groups`` of its columns, so
-    only one chunk is held whole; the chunks' states are then merged.
+    Each chunk is grouped on its own by ``_row_groups`` of ``key(chunk)``, one
+    row per column (``np.transpose`` of lanes, ``_packed_columns`` of results),
+    so only one chunk is held whole; the chunks' distinct columns are merged.
     """
     kept, groups, done = [], [], 0
     for part in parts:
-        first, group = _row_groups(part.T)
+        first, group = _row_groups(key(part))
         kept.append(part[:, first])
         groups.append(group + done)
         done += first.size
     if len(kept) == 1:
         return kept[0], groups[0]
     table = np.concatenate(kept, axis=1)
-    first, merged = _row_groups(table.T)
+    first, merged = _row_groups(key(table))
     return table[:, first], merged[np.concatenate(groups)]
 
 
 def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Which shifted degrees of a product grid are monomials of S/I, for I
-    generated by ``gens``, on the distinct states of the grid: the (shifts,
-    columns) result and the per-axis maps leading each degree to its column.
+    generated by ``gens``: the (shifts, patterns) result on the distinct
+    activity patterns and the per-axis maps leading each degree to its own.
 
     ``axes`` holds one array of values per variable; the grid is their
     product in lexicographic order.  Entry (u, c) of the result is True iff
     b + s >= 0 and x^(b + s) is not in I, for b any degree of the product
-    whose column (``_compose`` of the maps) is c and s = shifts[u].  An axis
+    whose pattern (``_compose`` of the maps) is c and s = shifts[u].  An axis
     shifted by ``_LEFT_OUT`` passes both tests, which leaves it out.
 
     Both tests factor axis by axis.  A bit set holds one bit per generator
@@ -642,19 +645,20 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, tuple[np
     axis other than the first takes the span past ``_STATE_SPAN`` only the
     distinct columns (the states) are kept, grouped by ``_row_groups``; the
     (values, states after it) map of the axis is that grouping, or (v, c) ->
-    v x states + c.  The first axis is ANDed in without a dedup: its columns
-    are the states, and ``_lattice_dims`` groups their results.  The table
-    held stays under ``_MAX_WORKING_BYTES``, or one value of the axis over
-    the states when that is larger: past it an axis goes in by chunks of its
-    values, each chunk deduplicated (the first axis: turned into its
-    results) on its own, and the chunks' states are merged
-    (``_merged_states``).  Activity past ``_MAX_ACTIVITY_CELLS`` is refused.
+    v x states + c.  The first axis turns its columns into their results and
+    keeps the distinct ones, grouped by their packed bits
+    (``_packed_columns``), so its map leads to the patterns.  The table held
+    stays under ``_MAX_WORKING_BYTES``, or one value of the axis over the
+    states when that is larger: past it an axis goes in by chunks of its
+    values, each chunk deduplicated on its own, and the chunks' distinct
+    columns are merged (``_merged_states``).  Activity past
+    ``_MAX_ACTIVITY_CELLS`` is refused.
 
-    The lane width follows the product.  Where a dedup will run, bit sets of
-    one word are packed 64 // bits shifts to a lane, which shortens the keys
-    the dedup sorts; elsewhere each shift keeps its own words, and no lane
-    is packed or unpacked.  A product without axes (a ring without
-    variables) is its one degree, the bit set of every bit.
+    The lane width follows the product.  Where states are deduplicated,
+    bit sets of one word are packed 64 // bits shifts to a lane, which
+    shortens the keys the dedup sorts; elsewhere each shift keeps its own
+    words, and no lane is packed or unpacked.  A product without axes (a
+    ring without variables) is its one degree, the bit set of every bit.
     """
     thresholds, sets, full, alone = _member_tables(tuple(map(tuple, gens)), len(axes))
     shifts = np.asarray(shifts, dtype=np.int64)
@@ -671,19 +675,12 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, tuple[np
         step = max(1, _MAX_WORKING_BYTES // table.nbytes)
         cuts = range(0, values, step)
         parts = ((rows[:, lo : lo + step, None] & table[:, None, :]).reshape(table.shape[0], -1) for lo in cuts)
-        if j and (step < values or values * states > _STATE_SPAN):
-            table, group = _merged_states(parts)
+        if not j:
+            table, group = _merged_states((_lane_results(part, count, bits, per, alone) for part in parts), _packed_columns)
+        elif step < values or values * states > _STATE_SPAN:
+            table, group = _merged_states(parts, np.transpose)
         else:
-            group = np.arange(values * states)
-            if j:
-                table = next(parts)
-            elif step >= values:
-                table = _lane_results(next(parts), count, bits, per, alone)
-            else:
-                active = np.empty((count, values * states), dtype=bool)  # not ``table``, which ``parts`` reads
-                for lo, part in zip(cuts, parts):
-                    active[:, lo * states : (lo + step) * states] = _lane_results(part, count, bits, per, alone)
-                table = active
+            table, group = next(parts), np.arange(values * states)
         maps.insert(0, group.reshape(values, states))
     if not axes:
         table = _lane_results(table, count, bits, per, alone)
@@ -691,7 +688,7 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, tuple[np
 
 
 def _compose(maps, indices) -> np.ndarray:
-    """The walk column, through the maps of ``_member_states``, of every degree of a product of per-axis indices."""
+    """The pattern, through the maps of ``_member_states``, of every degree of a product of per-axis indices."""
     column = np.zeros(1, dtype=np.intp)
     for group, index in zip(reversed(maps), reversed(list(indices))):
         column = group[np.asarray(index)[:, None], column].ravel()
@@ -712,9 +709,9 @@ def _lane_results(table: np.ndarray, count: int, bits: int, per: int, alone: np.
 
 
 class _Activity(tuple):
-    """The (rows, columns) activity of the distinct states of a product grid
-    and the per-axis maps of ``_member_states``.  ``size`` is that of the
-    activity, the cells the kernel built."""
+    """The (rows, patterns) activity of the distinct patterns of a product
+    grid and the per-axis maps of ``_member_states``.  ``size`` is that of
+    the activity: rows x patterns, not the cells the kernel ANDed."""
 
     @property
     def size(self) -> int:
@@ -725,10 +722,10 @@ def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, axes: _Product, lcms: np.n
     """Component activity of Hom(L, S/I) per distinct face lcm, for a complex L of faces on the generators of J.
 
     Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I,
-    so it depends on T only through lcm_T.  Row u of the (lcms, columns)
+    so it depends on T only through lcm_T.  Row u of the (lcms, patterns)
     activity is that of the faces of lcm ``lcms[u]``, every axis shifted by
-    it, at the distinct states of ``_member_states``, whose maps lead each
-    degree to its column.
+    it, at the distinct patterns of ``_member_states``, whose maps lead each
+    degree to its pattern.
     """
     return _Activity(_member_states(axes, I.gens, lcms))
 
@@ -892,18 +889,14 @@ def _packed_columns(active: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cohomology dimensions of face complexes, per distinct activity pattern, and the pattern of every degree.
+def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) -> np.ndarray:
+    """Cohomology dimensions of face complexes, one per column of activity.
 
-    ``active`` is a (rows, degrees) boolean array, and ``rows`` gives each
-    face, in the order of ``faces``, the row it reads: face f is active at
-    degree d iff ``active[rows[f], d]``.  Degrees are grouped by identical
-    column of ``active`` under a one-value key per degree, its packed column
-    (an integer up to 64 rows), before anything is gathered to the faces;
-    only the distinct columns are.  Returns the dimensions (levels of
-    ``faces``, patterns) and the pattern of each degree, so the dimensions
-    at degree d are ``dims[:, pattern_of[d]]``; they are never gathered to
-    the degrees here.
+    ``active`` is a (rows, patterns) boolean array, and ``rows`` gives each
+    face, in the order of ``faces``, the row it reads: face f is active in
+    pattern u iff ``active[rows[f], u]``.  Returns the dimensions (levels
+    of ``faces``, patterns).  The walk of ``_member_states`` hands over
+    distinct patterns; a column that repeats another is looked up once.
 
     The dimensions of a pattern depend only on p, the face set's incidence
     structure and which faces are active, so each pattern's column is
@@ -922,16 +915,16 @@ def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) 
     dimensions are its critical counts.  ``_incidence_rank`` ranks the
     other missed patterns, one level pair at a time.
     """
-    first, inverse = _row_groups(_packed_columns(active))
-    by_size = active[:, first][rows]
+    by_size = active[rows]
     packed = _packed_columns(by_size)
     width, data = packed.shape[1], packed.tobytes()
     prefix = b"%d," % p + faces.digest
-    keys = [prefix + data[u * width : (u + 1) * width] for u in range(first.size)]
-    values = [_DIMS_CACHE.get(key) for key in keys]
-    missing = {key: u for u, (key, value) in enumerate(zip(keys, values)) if value is None}
+    keys = [prefix + data[u * width : (u + 1) * width] for u in range(by_size.shape[1])]
+    column_of = dict(zip(keys, range(len(keys))))  # one column of every distinct key
+    values = {key: _DIMS_CACHE.get(key) for key in column_of}
+    missing = [key for key, value in values.items() if value is None]
     if missing:
-        picked = by_size[:, list(missing.values())]
+        picked = by_size[:, [column_of[key] for key in missing]]
         sizes = faces.per_level(picked)
         _check_rank_ceiling(sizes)
         dims = _critical_counts(picked, faces).astype(np.int32)
@@ -941,12 +934,11 @@ def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) 
             dims[:, ranked] = sizes[:, ranked]
             dims[:-1, ranked] -= ranks
             dims[1:, ranked] -= ranks
-        fresh = dict(zip(missing, (column.tobytes() for column in dims.T)))
-        for key, value in fresh.items():
-            _DIMS_CACHE.put(key, value)
-        values = [fresh[key] if value is None else value for key, value in zip(keys, values)]
-    dims = np.frombuffer(b"".join(values), dtype=np.int32).reshape(first.size, faces.offsets.size - 1)
-    return dims.T, inverse
+        for key, column in zip(missing, dims.T):
+            values[key] = column.tobytes()
+            _DIMS_CACHE.put(key, values[key])
+    dims = np.frombuffer(b"".join(values[key] for key in keys), dtype=np.int32)
+    return dims.reshape(len(keys), faces.offsets.size - 1).T
 
 
 def _nonzero_levels(dims: np.ndarray) -> frozenset[int]:
@@ -959,21 +951,23 @@ class SliceTable:
 
     Axis j splits the box values into intervals: class k starts at
     ``_starts[j][k]`` and ends before the next start (the last at rho_j).
-    ``_pattern_dims`` holds the dimensions (levels, patterns) of the
-    distinct activity patterns, ``_column_patterns`` the pattern of each
-    column of the activity walk (``_member_states``), and ``_maps`` the
-    walk's per-axis maps to the column of each class of the product of the
+    ``_walk``, the table's ``_slice_dims`` call, runs on first read: it
+    gives ``_walked``, the dimensions (levels, patterns) of the distinct
+    activity patterns and the per-axis maps of the activity walk
+    (``_member_states``) to the pattern of each class of the product of the
     axes' classes (``_compose``).  ``profile`` and ``dim_at`` read these;
     the listings read ``_class_dims``, the dimensions (levels, classes)
     gathered on first use, refused when ``_faces`` x classes pass
-    ``_MAX_ACTIVITY_CELLS``."""
+    ``_MAX_ACTIVITY_CELLS`` (before the walk, if nothing has run it)."""
 
     box: DegreeBox
     _starts: tuple[np.ndarray, ...]
     _faces: int
-    _pattern_dims: np.ndarray
-    _column_patterns: np.ndarray
-    _maps: tuple[np.ndarray, ...]
+    _walk: Callable[[], tuple[np.ndarray, tuple[np.ndarray, ...]]]
+
+    @cached_property
+    def _walked(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        return self._walk()
 
     @cached_property
     def _class_dims(self) -> np.ndarray:
@@ -986,12 +980,12 @@ class SliceTable:
 
     def profile(self) -> frozenset[int]:
         """Indices with a nonvanishing slice somewhere in the box."""
-        return _nonzero_levels(self._pattern_dims)
+        return _nonzero_levels(self._walked[0])
 
     def _level(self, i: int) -> Optional[int]:
         """Level i as an int, or None for an integer level the table lacks."""
         i = operator.index(i)
-        return i if 0 <= i < self._pattern_dims.shape[0] else None
+        return i if 0 <= i < self._walked[0].shape[0] else None
 
     def dim_at(self, i: int, b) -> int:
         b = tuple(map(operator.index, b))
@@ -1005,7 +999,8 @@ class SliceTable:
         values, in lexicographic order: each value is looked up in its
         axis's classes."""
         classes = (np.searchsorted(starts, values, side="right") - 1 for starts, values in zip(self._starts, axes))
-        return self._pattern_dims[:, self._column_patterns[_compose(self._maps, classes)]]
+        dims, maps = self._walked
+        return dims[:, _compose(maps, classes)]
 
     def first_shifted_mismatch(self, i: int, target: MonomialIdeal, shift) -> Optional[tuple]:
         """The lexicographically first box degree b where level i differs
@@ -1149,23 +1144,23 @@ def _complex(kind: str, A: MonomialIdeal) -> tuple[FaceLayout, int]:
 
 def _slice_dims(
     layout: FaceLayout, scale: int, A: MonomialIdeal, B: MonomialIdeal, axes: _Product
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Slice dimensions (levels 0..len(A.gens), per distinct activity
     pattern) of Hom into S/B of a complex on a layout, its face lcms scaled
-    by ``scale``, over the product ``axes``, the pattern of each column of
-    the walk, and its per-axis maps to the column of each degree; levels
-    the complex lacks (one on the radical of A may have fewer) are zero.
+    by ``scale``, over the product ``axes``, and the walk's per-axis maps
+    to the pattern of each degree; levels the complex lacks (one on the
+    radical of A may have fewer) are zero.
 
     Activity depends on a face only through its lcm, so the kernel runs
     once per distinct lcm of the layout's grouping, and ``_lattice_dims``
-    reads each face's row, on the kernel's distinct states.
+    reads each face's row, on the kernel's distinct patterns.
     """
     lcms, rows = layout.lcm_groups
     active, maps = _ext_activity(A, B, axes, lcms.astype(np.int64) * scale)
-    dims, patterns = _lattice_dims(active, layout.faces, A.ring.char, rows)
+    dims = _lattice_dims(active, layout.faces, A.ring.char, rows)
     if dims.shape[0] < len(A.gens) + 1:
         dims = np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
-    return dims, patterns, maps
+    return dims, maps
 
 
 def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:
@@ -1176,8 +1171,8 @@ def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> Sli
     layout, scale = _complex(kind, A)
     shifts = layout.lcm_groups[0].astype(np.int64) * scale
     classes = [_axis_classes(r, _thresholds(B, shifts, j)) for j, r in enumerate(box.rho)]
-    dims = _slice_dims(layout, scale, A, B, _Product(rep for _, rep in classes))
-    return SliceTable(box, tuple(starts for starts, _ in classes), layout.faces.size, *dims)
+    walk = partial(_slice_dims, layout, scale, A, B, _Product(rep for _, rep in classes))
+    return SliceTable(box, tuple(starts for starts, _ in classes), layout.faces.size, walk)
 
 
 def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
@@ -1260,8 +1255,8 @@ def _slice_at(kind: str, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):
         raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
-    dims, patterns, _ = _slice_dims(*_complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
-    return int(dims[i, patterns[0]]) if 0 <= i < dims.shape[0] else 0  # one degree: one column
+    dims, _ = _slice_dims(*_complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
+    return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0  # one degree: one pattern
 
 
 def ext_slice(J: MonomialIdeal, I: MonomialIdeal, i: int, b) -> int:

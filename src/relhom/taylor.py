@@ -7,14 +7,14 @@ differential it is a free resolution of S/I.  Mapping it into the residue
 field keeps exactly the differential entries between faces with the same
 lcm, so the complex splits into one strand per distinct lcm, and beta_i is
 the sum over strands of dim H_i of the strand.  A strand is a face complex
-whose activity pattern is one column, which is what the slice kernel
-``_lattice_dims`` decides (a level set of the lcm is convex in the faces);
-a strand of a single face has no differential and adds 1 to beta of its
-size.  The strands are the layout's one face
+whose activity pattern is one column, and the slice kernel
+``_lattice_dims`` gives the dimensions of each column (a level set of the
+lcm is convex in the faces); a strand of a single face has no differential
+and adds 1 to beta of its size.  The strands are the layout's one face
 grouping (``FaceLayout.lcm_groups``), which is kept with the cached
-layout, so Ext tables on the same generators reuse it.  Betti numbers give the projective
-dimension and (by Auslander-Buchsbaum) depth.  The resolution is used
-un-minimized: Betti numbers do not depend on the chosen resolution.
+layout, so Ext tables on the same generators reuse it.  Betti numbers give
+the projective dimension and (by Auslander-Buchsbaum) depth.  The
+resolution is used un-minimized: Betti numbers do not depend on it.
 
 Betti numbers do not change when the variables are relabelled or unused
 variables are added, so they are computed and cached on a relabelled form
@@ -67,8 +67,7 @@ def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
         _check_scan_size((wide.size,), faces.size, f"Lyubeznik complex on {len(rows)} generators")
         active = np.zeros((size.size, wide.size), dtype=bool)
         active[wide, np.arange(wide.size)] = True
-        dims, pattern_of = _lattice_dims(active, faces, p, strand)
-        betti += dims[:, pattern_of].sum(axis=1)
+        betti += _lattice_dims(active, faces, p, strand).sum(axis=1)
     return tuple(betti.tolist())
 
 

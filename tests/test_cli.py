@@ -383,16 +383,29 @@ class TestInputLimits:
         # and its lc grid, 32 x 59 049, pass a ceiling of 10^6 cells, but no
         # walk of its analysis holds more than 459 264 (shifts x values x
         # states): the report computes and is the unpatched one, and only
-        # the listing, which gathers one entry per class degree, is refused
+        # the listing, which gathers one entry per class degree, is refused,
+        # by its class grid before any walk
         a, I = cycle_pair(10)
         argv = ["analyze", "--ring", ",".join(a.ring.names), "--a", format_ideal(a), "--i", format_ideal(I)]
         expected = run(capsys, *argv, "--json")
         monkeypatch.setattr(slices, "_MAX_ACTIVITY_CELLS", 1_000_000)
         slices.clear_slice_caches()
         assert expected[0] == 0 and run(capsys, *argv, "--json") == expected
+        monkeypatch.setattr(slices, "_member_states", lambda *args: pytest.fail("a walk ran"))
         code, out, err = run(capsys, *argv, "--slices")
         assert (code, out) == (2, "")
         assert err == f"error: class grid {(4, 3) * 5} of the stabilization box {(2,) * 10} with 32 faces is too large to scan\n"
+
+    def test_the_14_cycle_listing_is_refused_before_any_walk(self, capsys, monkeypatch):
+        # its Ext class grid, 128 faces x 35 831 808 class degrees, passes
+        # the default ceiling; the listing is refused by that grid (exit 2)
+        # before either table walks its activity
+        a, I = cycle_pair(14)
+        argv = ["analyze", "--ring", ",".join(a.ring.names), "--a", format_ideal(a), "--i", format_ideal(I), "--slices"]
+        monkeypatch.setattr(slices, "_member_states", lambda *args: pytest.fail("a walk ran"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: class grid {(4, 3) * 7} of the stabilization box {(2,) * 14} with 128 faces is too large to scan\n"
 
     def test_a_walk_past_the_ceiling_is_an_input_error(self, capsys, monkeypatch):
         # the ceiling bounds the activity a walk ANDs in, shifts x values x

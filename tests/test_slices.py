@@ -248,7 +248,7 @@ def test_first_shifted_mismatch_reads_a_missing_level_as_zero(ring2, level):
     # as in dim_at, hilbert and total: the first mismatch is the first box
     # degree where the shifted indicator is 1, found here by walking the box
     table = ext_table(parse_ideal(ring2, "x"), parse_ideal(ring2, "y^2"))
-    assert table._pattern_dims.shape[0] == 2
+    assert table._walked[0].shape[0] == 2
     target, shift = parse_ideal(ring2, "x^2, y^3"), (1, 0)
     box = itertools.product(*(range(-r, r + 1) for r in table.box.rho))
     b = next(b for b in box if min(c := [x + s for x, s in zip(b, shift)]) >= 0 and not oracle_member(c, target.gens))
@@ -297,8 +297,8 @@ def test_lc_slices_match_oracle(ring2):
 def _dense_dims(kind, A, B, box):
     # the full Taylor complex on A's own generators over every box degree, as in the corpus cross-check
     scale = 1 if kind == "ext" else slices._LEFT_OUT
-    dims, patterns, maps = slices._slice_dims(taylor_layout(A.gens, A.ring.n), scale, A, B, _Product(box_axes(box)))
-    return dims[:, patterns[walk_columns(maps)]]
+    dims, maps = slices._slice_dims(taylor_layout(A.gens, A.ring.n), scale, A, B, _Product(box_axes(box)))
+    return dims[:, walk_columns(maps)]
 
 
 def _nonzero_levels(dims):
@@ -315,8 +315,7 @@ def support_grouped_lc_dims(a, I, box):
     distinct = sorted(set(first))
     rows = np.searchsorted(distinct, first)
     active, maps = _ext_activity(a, I, _Product(box_axes(box)), np.where(supports[distinct], slices._LEFT_OUT, 0))
-    dims, inverse = _lattice_dims(active, layout.faces, a.ring.char, rows)
-    return dims[:, inverse[walk_columns(maps)]]
+    return _lattice_dims(active, layout.faces, a.ring.char, rows)[:, walk_columns(maps)]
 
 
 def test_cech_profiles_equal_the_support_grouped_oracle():
@@ -464,8 +463,8 @@ def test_listing_is_refused_before_any_record(monkeypatch, ring2):
 
 def test_ext_profile_scans_one_degree_per_class(monkeypatch):
     # the walk covers one degree per threshold class (51 450 on the big box)
-    # and hands the dedup the activity of its distinct states (1 946), not
-    # of every class degree
+    # and hands the dims its 75 distinct activity patterns, not the activity
+    # of every class degree, nor of its 1 946 walk columns
     ring = RingSpec(tuple(BIG_BOX[0].split(",")))
     a, I = parse_ideal(ring, BIG_BOX[1]), parse_ideal(ring, BIG_BOX[2])
     scanned, handed = [], []
@@ -484,19 +483,21 @@ def test_ext_profile_scans_one_degree_per_class(monkeypatch):
     clear_slice_caches()
     assert ext_profile(a, I) == frozenset({0, 1, 2, 3})
     assert scanned and max(scanned) <= 60_000
-    assert len(handed) == len(scanned) and max(handed) <= 2_000
+    assert len(handed) == len(scanned) and max(handed) == 75
 
 
 def test_the_12_cycle_table_keeps_per_axis_maps_not_one_per_class(monkeypatch):
     # the Ext table of the 12-cycle pair spans 2 985 984 class degrees, but
     # the walk's per-axis maps hold 72 440 cells (values x states of each
-    # axis); its profile follows no map, so no array of one entry per class
+    # axis), the first leading its 32 508 cells to 587 distinct patterns;
+    # its profile follows no map, so no array of one entry per class
     # degree is built, and single degrees follow one path through the maps
     a, I = cycle_pair(12)
     table = ext_table(a, I)
+    dims, maps = table._walked
     assert math.prod(len(starts) for starts in table._starts) == 2_985_984
-    assert sum(group.size for group in table._maps) == 72_440
-    assert table._column_patterns.size == table._maps[0].size == 32_508
+    assert sum(group.size for group in maps) == 72_440
+    assert maps[0].size == 32_508 and dims.shape[1] == maps[0].max() + 1 == 587
     compose = slices._compose
     monkeypatch.setattr(slices, "_compose", lambda *args: pytest.fail("the maps were composed"))
     clear_slice_caches()
@@ -669,6 +670,7 @@ def _member_states_per_degree(axes, gens, shifts) -> np.ndarray:
     """The (shifts, degrees) result of ``_member_states``, every degree read through its column."""
     active, maps = slices._member_states(axes, gens, shifts)
     assert [group.shape[0] for group in maps] == [len(values) for values in axes]
+    assert len({column.tobytes() for column in active.T}) == active.shape[1]  # distinct patterns
     columns = walk_columns(maps)
     assert columns.shape == (math.prod(len(values) for values in axes),)
     return active[:, columns]
@@ -886,8 +888,7 @@ def test_lattice_dims_match_the_oracle_on_random_patterns(p):
         r = len(face_set.offsets) - 2
         columns = _convex_patterns(rng, faces, r, 12)
         active = columns[:, rng.integers(0, 12, size=30)]
-        dims, inverse = _lattice_dims(active, face_set, p, np.arange(len(faces)))
-        dims = dims[:, inverse]
+        dims = _lattice_dims(active, face_set, p, np.arange(len(faces)))
         for d in range(active.shape[1]):
             assert dims[:, d].tolist() == _complex_dims([faces[m] for m in np.flatnonzero(active[:, d])], r, p)
 
@@ -936,11 +937,9 @@ def test_lattice_dims_read_shared_rows_through_the_face_map(monkeypatch, p):
         active = (shifted >= 0).all(axis=2) & ~(shifted[:, :, None] >= gens).all(axis=3).any(axis=2)
         count = layout.faces.size
         clear_slice_caches()
-        dims, inverse = _lattice_dims(active, layout.faces, p, rows)
-        dims = dims[:, inverse]
+        dims = _lattice_dims(active, layout.faces, p, rows)
         clear_slice_caches()
-        gathered, inverse = _lattice_dims(active[rows], layout.faces, p, np.arange(count))
-        gathered = gathered[:, inverse]
+        gathered = _lattice_dims(active[rows], layout.faces, p, np.arange(count))
         assert np.array_equal(dims, gathered)
         assert missed[-2] == missed[-1]
         r = len(layout.faces.offsets) - 2
@@ -964,8 +963,7 @@ def test_dims_memo_tells_level_counts_apart(p):
     active = columns[:, rng.integers(0, 12, size=30)]
     clear_slice_caches()
     for face_set, r in ((short, 3), (padded, 4), (short, 3), (padded, 4)):
-        dims, inverse = _lattice_dims(active, face_set, p, np.arange(len(faces)))
-        dims = dims[:, inverse]
+        dims = _lattice_dims(active, face_set, p, np.arange(len(faces)))
         assert dims.shape == (r + 1, active.shape[1])
         for d in range(active.shape[1]):
             assert dims[:, d].tolist() == _complex_dims([faces[m] for m in np.flatnonzero(active[:, d])], r, p)
@@ -984,15 +982,13 @@ def test_dims_memo_skips_the_ranks_of_patterns_seen_before():
     distinct = len({column.tobytes() for column in active.T})
     memo = slices._DIMS_CACHE
     clear_slice_caches()
-    dims, inverse = _lattice_dims(active, face_set, 3, np.arange(count))
-    dims = dims[:, inverse]
+    dims = _lattice_dims(active, face_set, 3, np.arange(count))
     assert memo.cache_info().misses == distinct and memo.cache_info().hits == 0
     order = rng.permutation(active.shape[1])
     rows = rng.permutation(count)
     reread = np.empty_like(active)
     reread[rows] = active[:, order]
-    reread_dims, inverse = _lattice_dims(reread, face_set, 3, rows)
-    assert np.array_equal(reread_dims[:, inverse], dims[:, order])
+    assert np.array_equal(_lattice_dims(reread, face_set, 3, rows), dims[:, order])
     assert memo.cache_info().misses == distinct and memo.cache_info().hits == distinct
     _lattice_dims(active, face_set, 2, np.arange(count))
     assert memo.cache_info().misses == 2 * distinct
@@ -1077,7 +1073,7 @@ def test_a_cone_pattern_is_decided_without_a_rank(monkeypatch):
     intervals = [((), (0, 1, 2, 3, 4)), ((1,), (0, 1, 3)), ((2, 4), (2, 3, 4)), ((), (4,))]
     active = np.array([[set(A) <= T <= set(B) for A, B in intervals] for T in faces])
     clear_slice_caches()
-    dims, _ = _lattice_dims(active, face_set, 32003, np.arange(len(faces)))
+    dims = _lattice_dims(active, face_set, 32003, np.arange(len(faces)))
     assert dims.shape == (6, len(intervals)) and not dims.any()
 
 
@@ -1099,7 +1095,7 @@ def test_critical_faces_in_adjacent_levels_reach_the_ranks(monkeypatch):
 
     monkeypatch.setattr(slices, "_incidence_rank", recording)
     clear_slice_caches()
-    dims, _ = _lattice_dims(active, face_set, 32003, np.arange(len(faces)))
+    dims = _lattice_dims(active, face_set, 32003, np.arange(len(faces)))
     assert dims[:, 0].tolist() == [0, 1, 1, 0] == _complex_dims([T for T in faces if len(T) in (1, 2)], 3, 32003)
     assert len(ranked) == 1 and np.array_equal(ranked[0], active)
 
@@ -1357,8 +1353,8 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
         orders.append(tuple(rng.permutation(len(J.gens)).tolist()))
         for order in orders:
             layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
-            dims, patterns, maps = slices._slice_dims(layout, 1, J, I, _Product(box_axes(box)))
-            assert np.array_equal(dims[:, patterns[walk_columns(maps)]], expected)
+            dims, maps = slices._slice_dims(layout, 1, J, I, _Product(box_axes(box)))
+            assert np.array_equal(dims[:, walk_columns(maps)], expected)
         assert np.array_equal(dense_expansion(ext_table(J, I))[1], expected)
 
 

@@ -258,12 +258,13 @@ def test_single_incidence_matrix_ceiling(monkeypatch, ring4):
                 betti_numbers(edge)
         else:
             assert betti_numbers(edge) == (1, 4, 4, 1, 0)
-    # the same ceiling guards the Ext and local-cohomology tables
+    # the same ceiling guards the Ext and local-cohomology tables, whose
+    # walk runs on their first read
     monkeypatch.setattr(slices, "_MAX_RANK_MATRIX_CELLS", 1)
     for table in (slices.ext_table, slices.lc_table):
         clear_slice_caches()
         with pytest.raises(ValueError, match="too large to rank"):
-            table(edge, I)
+            table(edge, I).profile()
 
 
 def test_subset_lcms_shape_and_monotonicity(ring3):

@@ -222,10 +222,10 @@ def test_prop_4_6f_names_the_first_mismatching_degree(monkeypatch):
         (c,) = table.profile()
         dims = table._class_dims.copy()
         dims[c, dims.shape[1] // 2] += 1
-        # every class its own pattern and its own column: identity maps
+        # every class its own pattern: identity maps
         shape = [len(starts) for starts in table._starts]
         maps = tuple(np.arange(math.prod(shape[j:])).reshape(shape[j], -1) for j in range(len(shape)))
-        bad = dataclasses.replace(table, _pattern_dims=dims, _column_patterns=np.arange(dims.shape[1]), _maps=maps)
+        bad = dataclasses.replace(table, _walk=lambda: (dims, maps))
         changed.append((c, table, bad))
         return changed[-1][2]
 
