@@ -47,7 +47,7 @@ from .monomials import (
     sum_ideals,
     zero_ideal,
 )
-from .slices import ext_profile, lc_profile
+from .slices import ext_profile, lc_profile, pair_profiles
 from .taylor import depth_quotient, pd_quotient, pd_relabelled, relabelled
 
 __all__ = [
@@ -378,16 +378,16 @@ class PairAnalysis:
         """The least index with nonvanishing Ext(S/a, S/I).
 
         Cross-checked against the least nonvanishing local cohomology index
-        and against the localized-depth formula.
+        and against the localized-depth formula.  Both profiles of the used
+        pair come from ``slices.pair_profiles``, one walk on the Ext class
+        grid when it has at most ``_STATE_SPAN`` classes; it keeps them in
+        the profile cache, where ``ext_profile`` and ``lc_profile`` read
+        them back.
         """
         if self.degenerate:
             return None
-        return self._agree(
-            "grade",
-            ext_box=min(self.ext_profile),
-            cech_box=min(self.lc_profile),
-            localization=self.localization_grade,
-        )
+        ext, lc = pair_profiles(*self.used_pair)
+        return self._agree("grade", ext_box=min(ext), cech_box=min(lc), localization=self.localization_grade)
 
     @cached_property
     def cd(self) -> Optional[int]:

@@ -70,20 +70,30 @@ nonzero classes (``dump_tables`` refuses a class grid past
 single degree (``ext_slice``, ``local_cohomology_slice``) is exact anywhere in
 the int16 range.
 
-The dense scan over every degree of the unpadded box (``_dense_profile``)
+The dense scan over every degree of the unpadded box (``_dense_profiles``)
 stays as an independent engine: it runs on the full Taylor complex of the
-relative ideal's own generators (for local cohomology, of their supports),
-and the corpus cross-check compares it with the class engine, which covers
-all of Z^n.  ``_MAX_ACTIVITY_CELLS`` bounds what is built: the activity a
-walk ANDs in per axis (shifts x values x states), the dense scan (2^r Taylor
-faces x box degrees), and the one entry per class degree that the listings
-and ``first_shifted_mismatch`` gather (faces x class degrees).
+relative ideal's own generators for Ext and of their supports for local
+cohomology, both kinds in one walk, and the corpus cross-check compares it
+with the class engine, which covers all of Z^n.  ``_MAX_ACTIVITY_CELLS``
+bounds what is built: the activity a walk ANDs in per axis (shifts x values
+x states, refused as soon as the states an axis leaves provably pass what
+the next axis admits), the dense scan (2^r Taylor faces x box degrees), and
+the one entry per class degree that the listings and
+``first_shifted_mismatch`` gather (faces x class degrees).
 
 Each table runs its layers in bulk, on its per-axis values (a ``_Product``)
 rather than on a (degrees, n) grid.  Activity depends on a face T only through
 lcm_T, so it is evaluated once per distinct face lcm, one row each, and every
 face reads the row of its lcm; each layout groups its faces by lcm once, on
-first use, and keeps the grouping.  Activity is one membership kernel
+first use, and keeps the grouping.  One kernel entry, ``_slice_dims``, walks
+the module once for a list of complexes on one grid: it stacks their shift
+rows (face lcms, times ``_LEFT_OUT`` for local cohomology) and hands each
+complex its block of the activity.  A single table is its one-complex case;
+the dense scan passes both Taylor complexes, and ``pair_profiles`` (the
+grade's cross-check reads both profiles of a pair) both class complexes on
+the Ext grid, which refines the local-cohomology one, when that grid has at
+most ``_STATE_SPAN`` classes; past it each kind keeps its own grid, where
+its walk is narrower.  Activity is one membership kernel
 (``_member_states``), which serves the tables, the dense scan, the single
 degrees and ``SliceTable.first_shifted_mismatch``: the staircase of I factors
 axis by axis, so the bit sets of the generators a degree passes are the AND of
@@ -160,6 +170,7 @@ __all__ = [
     "ext_profile",
     "local_cohomology_slice",
     "lc_profile",
+    "pair_profiles",
     "clear_slice_caches",
     "FaceSet",
     "FaceLayout",
@@ -504,7 +515,10 @@ _LEFT_OUT = 1 << 20
 # Xeon): the big box's slice dimensions took 1.5-2.0 ms at spans 1 024 to
 # 4 096, 4.4-5.1 ms at 8 192 (no dedup before the first axis) and 3.8-5.4 ms
 # without the walk; the default corpus, none of whose tables pass 4 096
-# before the first axis, was level across 1 024 to 4 096
+# before the first axis, was level across 1 024 to 4 096.  Tables of several
+# kinds share one walk on a grid of at most this many classes (``_class_tables``):
+# every default-corpus pair's grid does (3 584 at most), while the big box's
+# Ext grid of 51 450 classes would widen its local-cohomology walk from 1 296
 _STATE_SPAN = 4096
 
 
@@ -598,24 +612,54 @@ def _lanes(sets: np.ndarray, bits: int, per: int) -> np.ndarray:
     return np.bitwise_or.reduce(lanes.reshape(-1, per, m) << offsets, axis=1)
 
 
-def _merged_states(parts, key) -> tuple[np.ndarray, np.ndarray]:
+def _merged_states(parts, key, limit: Optional[int] = None, what: str = "") -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns of a table given by chunks of its columns, and the group of every column.
 
     Each chunk is grouped on its own by ``_row_groups`` of ``key(chunk)``, one
     row per column (``np.transpose`` of lanes, ``_packed_columns`` of results),
     so only one chunk is held whole; the chunks' distinct columns are merged.
+    Given a ``limit``, once the chunks' distinct columns number more than
+    ``limit`` their hashes are counted after every chunk: equal columns hash
+    equal, so more than ``limit`` distinct hashes prove more than ``limit``
+    distinct columns, and the table ``what`` is refused before the rest of
+    its chunks, or the merge, are built.
     """
-    kept, groups, done = [], [], 0
+    kept, groups, hashes, done = [], [], [], 0
     for part in parts:
         first, group = _row_groups(key(part))
         kept.append(part[:, first])
         groups.append(group + done)
         done += first.size
+        if limit is not None and done > limit:
+            hashes += [_column_hashes(columns) for columns in kept[len(hashes) :]]
+            states = np.unique(np.concatenate(hashes)).size
+            if states > limit:
+                raise ValueError(f"{what} x at least {states} states is too large to scan")
     if len(kept) == 1:
         return kept[0], groups[0]
     table = np.concatenate(kept, axis=1)
     first, merged = _row_groups(key(table))
     return table[:, first], merged[np.concatenate(groups)]
+
+
+def _column_hashes(table: np.ndarray) -> np.ndarray:
+    """A uint64 hash of every column of a (lanes, columns) uint64 table, equal on equal columns.
+
+    Each entry, offset by a constant of its lane, goes through the splitmix64
+    finalizer, a bijection that spreads every bit over the word, and a
+    column's hash is the sum of its entries'; the columns go in chunks under
+    ``_MAX_WORKING_BYTES``.
+    """
+    lanes, columns = table.shape
+    offsets = np.random.default_rng(0).integers(0, 1 << 64, size=(lanes, 1), dtype=np.uint64)
+    hashes = np.empty(columns, dtype=np.uint64)
+    step = max(1, _MAX_WORKING_BYTES // (8 * lanes))
+    for lo in range(0, columns, step):
+        v = table[:, lo : lo + step] + offsets
+        v = (v ^ v >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+        v = (v ^ v >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+        hashes[lo : lo + step] = (v ^ v >> np.uint64(31)).sum(axis=0, dtype=np.uint64)
+    return hashes
 
 
 def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -652,7 +696,9 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, tuple[np
     states when that is larger: past it an axis goes in by chunks of its
     values, each chunk deduplicated on its own, and the chunks' distinct
     columns are merged (``_merged_states``).  Activity past
-    ``_MAX_ACTIVITY_CELLS`` is refused.
+    ``_MAX_ACTIVITY_CELLS`` is refused: where an axis other than the first
+    is deduplicated, as soon as a count of hashes proves it leaves more
+    states than the next axis admits, before its merge is built.
 
     The lane width follows the product.  Where states are deduplicated,
     bit sets of one word are packed 64 // bits shifts to a lane, which
@@ -678,7 +724,10 @@ def _member_states(axes, gens, shifts: np.ndarray) -> tuple[np.ndarray, tuple[np
         if not j:
             table, group = _merged_states((_lane_results(part, count, bits, per, alone) for part in parts), _packed_columns)
         elif step < values or values * states > _STATE_SPAN:
-            table, group = _merged_states(parts, np.transpose)
+            # refused past the most states the check of the next axis, of ``ahead`` values, admits
+            ahead = len(axes[j - 1])
+            limit, what = _MAX_ACTIVITY_CELLS // (count * ahead), f"activity of {count} shifts over {ahead} values"
+            table, group = _merged_states(parts, np.transpose, limit, what)
         else:
             table, group = next(parts), np.arange(values * states)
         maps.insert(0, group.reshape(values, states))
@@ -719,13 +768,14 @@ class _Activity(tuple):
 
 
 def _ext_activity(J: MonomialIdeal, I: MonomialIdeal, axes: _Product, lcms: np.ndarray) -> _Activity:
-    """Component activity of Hom(L, S/I) per distinct face lcm, for a complex L of faces on the generators of J.
+    """Component activity of Hom(L, S/I) per distinct face lcm, for complexes L of faces on the generators of J
+    (or of its radical), the walk of every ``_slice_dims`` call.
 
     Face T is active at b iff b + lcm_T >= 0 and x^(b + lcm_T) is not in I,
     so it depends on T only through lcm_T.  Row u of the (lcms, patterns)
     activity is that of the faces of lcm ``lcms[u]``, every axis shifted by
     it, at the distinct patterns of ``_member_states``, whose maps lead each
-    degree to its pattern.
+    degree to its pattern.  The rows may stack the lcms of several complexes.
     """
     return _Activity(_member_states(axes, I.gens, lcms))
 
@@ -951,11 +1001,12 @@ class SliceTable:
 
     Axis j splits the box values into intervals: class k starts at
     ``_starts[j][k]`` and ends before the next start (the last at rho_j).
-    ``_walk``, the table's ``_slice_dims`` call, runs on first read: it
-    gives ``_walked``, the dimensions (levels, patterns) of the distinct
-    activity patterns and the per-axis maps of the activity walk
-    (``_member_states``) to the pattern of each class of the product of the
-    axes' classes (``_compose``).  ``profile`` and ``dim_at`` read these;
+    ``_walk``, the table's block of a ``_slice_dims`` call that the tables
+    of ``_class_tables`` share, runs on first read: it gives ``_walked``,
+    the dimensions (levels, patterns) of the distinct activity patterns and
+    the per-axis maps of the activity walk (``_member_states``) to the
+    pattern of each class of the product of the axes' classes
+    (``_compose``).  ``profile`` and ``dim_at`` read these;
     the listings read ``_class_dims``, the dimensions (levels, classes)
     gathered on first use, refused when ``_faces`` x classes pass
     ``_MAX_ACTIVITY_CELLS`` (before the walk, if nothing has run it)."""
@@ -1142,67 +1193,114 @@ def _complex(kind: str, A: MonomialIdeal) -> tuple[FaceLayout, int]:
     return lyubeznik_layout(radical(A).gens, A.ring.n), _LEFT_OUT
 
 
-def _slice_dims(
-    layout: FaceLayout, scale: int, A: MonomialIdeal, B: MonomialIdeal, axes: _Product
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Slice dimensions (levels 0..len(A.gens), per distinct activity
-    pattern) of Hom into S/B of a complex on a layout, its face lcms scaled
-    by ``scale``, over the product ``axes``, and the walk's per-axis maps
-    to the pattern of each degree; levels the complex lacks (one on the
-    radical of A may have fewer) are zero.
+def _shifts(complexes) -> np.ndarray:
+    """The shift rows of complexes given as (layout, scale): each layout's
+    distinct face lcms times its scale, stacked in turn."""
+    return np.concatenate([layout.lcm_groups[0].astype(np.int64) * scale for layout, scale in complexes])
 
-    Activity depends on a face only through its lcm, so the kernel runs
-    once per distinct lcm of the layout's grouping, and ``_lattice_dims``
-    reads each face's row, on the kernel's distinct patterns.
+
+def _slice_dims(
+    A: MonomialIdeal, B: MonomialIdeal, axes: _Product, complexes
+) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
+    """Slice dimensions of Hom into S/B of each complex on A, given as
+    (layout, scale), its face lcms scaled by ``scale``, over the product
+    ``axes``: one (levels 0..len(A.gens), distinct activity patterns) array
+    per complex, levels it lacks (one on the radical of A may have fewer)
+    zero, and the walk's per-axis maps to the pattern of each degree.
+
+    Activity depends on a face only through its scaled lcm, so one walk
+    serves every complex: the kernel runs once on the stacked shift rows
+    (``_shifts``), and ``_lattice_dims`` reads each complex's block of rows,
+    each face the row of its lcm.  A column that repeats within a block is
+    looked up once, so the blocks need no regrouping.
     """
-    lcms, rows = layout.lcm_groups
-    active, maps = _ext_activity(A, B, axes, lcms.astype(np.int64) * scale)
-    dims = _lattice_dims(active, layout.faces, A.ring.char, rows)
-    if dims.shape[0] < len(A.gens) + 1:
-        dims = np.concatenate([dims, np.zeros((len(A.gens) + 1 - dims.shape[0], dims.shape[1]), dtype=dims.dtype)])
+    active, maps = _ext_activity(A, B, axes, _shifts(complexes))
+    levels, dims, lo = len(A.gens) + 1, [], 0
+    for layout, _ in complexes:
+        lcms, rows = layout.lcm_groups
+        block = _lattice_dims(active[lo : lo + len(lcms)], layout.faces, A.ring.char, rows)
+        lo += len(lcms)
+        if block.shape[0] < levels:
+            block = np.concatenate([block, np.zeros((levels - block.shape[0], block.shape[1]), dtype=block.dtype)])
+        dims.append(block)
     return dims, maps
 
 
-def _class_table(kind: str, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> SliceTable:
-    """Run the kernel of a kind of table on one representative degree per threshold class."""
+def _block(walk, walked: list, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The dimensions of complex k from a ``_slice_dims`` walk, and its maps;
+    the walk runs once for every table that shares the list ``walked``."""
+    if not walked:
+        walked.append(walk())
+    dims, maps = walked[0]
+    return dims[k], maps
+
+
+def _class_tables(kinds, A: MonomialIdeal, B: MonomialIdeal, pad: int) -> list[SliceTable]:
+    """A table of each kind on (A, B), on one representative degree per threshold class.
+
+    The tables share the class grid of their complexes' stacked shifts and
+    one walk (``_grid_tables``).  That grid refines each complex's own, so
+    every table keeps its dimensions; for Ext and local cohomology it is the
+    Ext grid, as the empty face's lcm is 0 and every other local-cohomology
+    threshold lies outside the box.  A finer grid widens the walk of the
+    coarser kinds, so tables of several kinds whose grid has more than
+    ``_STATE_SPAN`` classes go on their own grids instead, one walk each.
+    """
     _check_pair(A, B)
     _check_module(B)
     box = DegreeBox.for_ideals(A, B, pad=pad)
-    layout, scale = _complex(kind, A)
-    shifts = layout.lcm_groups[0].astype(np.int64) * scale
+    complexes = [_complex(kind, A) for kind in kinds]
+    tables = _grid_tables(A, B, box, complexes)
+    if len(complexes) > 1 and math.prod(map(len, tables[0]._starts)) > _STATE_SPAN:
+        tables = [table for one in complexes for table in _grid_tables(A, B, box, [one])]
+    return tables
+
+
+def _grid_tables(A: MonomialIdeal, B: MonomialIdeal, box: DegreeBox, complexes) -> list[SliceTable]:
+    """The tables of the complexes on the class grid of their stacked shifts,
+    sharing one ``_slice_dims`` walk, which runs on the first read of any of them."""
+    shifts = _shifts(complexes)
     classes = [_axis_classes(r, _thresholds(B, shifts, j)) for j, r in enumerate(box.rho)]
-    walk = partial(_slice_dims, layout, scale, A, B, _Product(rep for _, rep in classes))
-    return SliceTable(box, tuple(starts for starts, _ in classes), layout.faces.size, walk)
+    starts = tuple(starts for starts, _ in classes)
+    walk, walked = partial(_slice_dims, A, B, _Product(rep for _, rep in classes), complexes), []
+    return [
+        SliceTable(box, starts, layout.faces.size, partial(_block, walk, walked, k))
+        for k, (layout, _) in enumerate(complexes)
+    ]
 
 
-def _dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
-    """The profile of a kind of table from its kernel run on every degree of the unpadded box.
+def _dense_profiles(A: MonomialIdeal, B: MonomialIdeal) -> tuple[frozenset[int], frozenset[int]]:
+    """The Ext and local-cohomology profiles from one walk on every degree of the unpadded box.
 
     The engine the class grid replaced, kept as the independent side of the
     corpus cross-check.  It runs on the full Taylor complex of A's own
     generators for Ext, and of their supports, in A's order, scaled by
     ``_LEFT_OUT`` for local cohomology (localizing at x^g is localizing at
     x^supp(g)), so it shares neither the class grid nor the Lyubeznik
-    complex or the radical with the class tables.
+    complex or the radical with the class tables.  The box and the module
+    are those of both kinds, so one ``_slice_dims`` walk serves both
+    complexes.
     """
     _check_pair(A, B)
     _check_module(B)
     box = DegreeBox.for_ideals(A, B)
     _check_scan_size([2 * r + 1 for r in box.rho], 1 << len(A.gens), f"stabilization box {box.rho}")
     axes = _Product(np.arange(-r, r + 1, dtype=np.int16) for r in box.rho)
-    gens, scale = (A.gens, 1) if kind == "ext" else (tuple(tuple(int(e > 0) for e in g) for g in A.gens), _LEFT_OUT)
-    return _nonzero_levels(_slice_dims(taylor_layout(gens, A.ring.n), scale, A, B, axes)[0])
+    supports = tuple(tuple(int(e > 0) for e in g) for g in A.gens)
+    complexes = [(taylor_layout(A.gens, A.ring.n), 1), (taylor_layout(supports, A.ring.n), _LEFT_OUT)]
+    ext, lc = _slice_dims(A, B, axes, complexes)[0]
+    return _nonzero_levels(ext), _nonzero_levels(lc)
 
 
 def ext_table(J: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     """Slice dimensions of Ext^i(S/J, S/I), listed over the stabilization box widened by ``pad``."""
-    return _class_table("ext", J, I, pad)
+    return _class_tables(("ext",), J, I, pad)[0]
 
 
 def lc_table(a: MonomialIdeal, I: MonomialIdeal, pad: int = 0) -> SliceTable:
     """Slice dimensions of the local cohomology of S/I supported on a, listed
     over the stabilization box widened by ``pad``."""
-    return _class_table("lc", a, I, pad)
+    return _class_tables(("lc",), a, I, pad)[0]
 
 
 # profiles keyed by (kind, A, B)
@@ -1216,23 +1314,35 @@ def clear_slice_caches():
         cached.cache_clear()
 
 
-def _cached_profile(kind: str, builder, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
-    key = (kind, A, B)
-    hit = _PROFILE_CACHE.get(key)
-    if hit is None:
-        hit = builder(A, B).profile()
-        _PROFILE_CACHE.put(key, hit)
-    return hit
+def _cached_profiles(kinds, A: MonomialIdeal, B: MonomialIdeal) -> tuple[frozenset[int], ...]:
+    """The profile of each kind of table on (A, B), kept in ``_PROFILE_CACHE``;
+    those it misses are read off ``_class_tables``, from one walk."""
+    keys = [(kind, A, B) for kind in kinds]
+    profiles = [_PROFILE_CACHE.get(key) for key in keys]
+    missing = [k for k, profile in enumerate(profiles) if profile is None]
+    if missing:
+        tables = _class_tables([kinds[k] for k in missing], A, B, 0)
+        for k in missing:
+            # each table is dropped once read, so a table's walk is not held while the next one walks
+            profiles[k] = tables.pop(0).profile()
+            _PROFILE_CACHE.put(keys[k], profiles[k])
+    return tuple(profiles)
 
 
 def ext_profile(J: MonomialIdeal, I: MonomialIdeal) -> frozenset[int]:
     """Indices i with Ext^i(S/J, S/I) != 0."""
-    return _cached_profile("ext", ext_table, J, I)
+    return _cached_profiles(("ext",), J, I)[0]
 
 
 def lc_profile(a: MonomialIdeal, I: MonomialIdeal) -> frozenset[int]:
     """Indices i with nonvanishing i-th local cohomology of S/I supported on a."""
-    return _cached_profile("lc", lc_table, a, I)
+    return _cached_profiles(("lc",), a, I)[0]
+
+
+def pair_profiles(a: MonomialIdeal, I: MonomialIdeal) -> tuple[frozenset[int], frozenset[int]]:
+    """(``ext_profile(a, I)``, ``lc_profile(a, I)``), the two from one walk on
+    the Ext class grid when it has at most ``_STATE_SPAN`` classes."""
+    return _cached_profiles(("ext", "lc"), a, I)
 
 
 def ext_vanishes(J: MonomialIdeal, I: MonomialIdeal, i: int) -> bool:
@@ -1255,7 +1365,7 @@ def _slice_at(kind: str, A: MonomialIdeal, B: MonomialIdeal, i: int, b) -> int:
         raise ValueError("multidegree does not match the ring")
     if any(abs(x) > MAX_EXPONENT + 1 for x in b):
         raise ValueError(f"degree {b} is out of range: entries beyond +-{MAX_EXPONENT + 1} overflow int16")
-    dims, _ = _slice_dims(*_complex(kind, A), A, B, _Product(np.array([x], dtype=np.int16) for x in b))
+    (dims,), _ = _slice_dims(A, B, _Product(np.array([x], dtype=np.int16) for x in b), [_complex(kind, A)])
     return int(dims[i, 0]) if 0 <= i < dims.shape[0] else 0  # one degree: one pattern
 
 

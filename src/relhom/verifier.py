@@ -55,7 +55,7 @@ from .properties import (
 )
 from .slices import (
     DegreeBox,
-    _dense_profile,
+    _dense_profiles,
     ext_profile,
     ext_table,
     ext_vanishes_below,
@@ -161,9 +161,10 @@ class InstanceAnalysis:
     Every number of the pair, each engine's value behind it and the nested
     analysis of (a, S) are read from ``pair``, the analysis the report was
     derived from; no suite runs an engine on the pair again.  The profiles
-    of the dense scan over the unpadded box (``ext0``, ``lc0``) are kept
-    here as the independent side of the ``cross_engine`` suite, and the
-    disagreement that ended an analysis as ``failure``.
+    of the dense scan over the unpadded box (``ext0``, ``lc0``), both from
+    one walk (``slices._dense_profiles``), are kept here as the independent
+    side of the ``cross_engine`` suite, and the disagreement that ended an
+    analysis as ``failure``.
     """
 
     index: int
@@ -187,8 +188,7 @@ def analyze_instance(index: int, a: MonomialIdeal, I: MonomialIdeal, degree_boun
     x = InstanceAnalysis(index, a, I)
     try:
         pair = PairAnalysis(a, I, degree_bound)
-        x.ext0 = _dense_profile("ext", a, I)
-        x.lc0 = _dense_profile("lc", a, I)
+        x.ext0, x.lc0 = _dense_profiles(a, I)
         x.report = _report(pair, DegreeBox.for_ideals(a, I))
         x.pair = pair
     except EngineDisagreementError as exc:

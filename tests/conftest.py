@@ -19,7 +19,8 @@ membership test the activity kernels were built on, and
 of the Ext and Cech activity kernels on it, and ``oracle_cech_class_dims``
 is the local-cohomology table as it was computed before it ran on the
 Lyubeznik complex: the Cech complex on every subset of rad(a)'s generators
-with its own threshold rule;
+with its own threshold rule; ``oracle_dense_profile`` is the dense scan of
+one kind of table alone, as it ran before one walk served both kinds;
 ``oracle_taylor_differentials`` builds the dense Taylor differentials that
 Betti numbers were once ranked from, and ``subset_lcms`` the lcm of every
 generator subset; ``oracle_lyubeznik_faces`` tests the definition of the
@@ -391,8 +392,24 @@ def oracle_cech_class_dims(a: MonomialIdeal, I: MonomialIdeal):
     box = slices.DegreeBox.for_ideals(a, I)
     classes = [slices._axis_classes(r, [0, *(g[j] for g in I.gens)]) for j, r in enumerate(box.rho)]
     layout = slices.taylor_layout(radical(a).gens, a.ring.n)
-    dims, maps = slices._slice_dims(layout, slices._LEFT_OUT, a, I, slices._Product(rep for _, rep in classes))
+    (dims,), maps = slices._slice_dims(a, I, slices._Product(rep for _, rep in classes), [(layout, slices._LEFT_OUT)])
     return tuple(starts for starts, _ in classes), dims[:, walk_columns(maps)]
+
+
+def oracle_dense_profile(kind: str, A: MonomialIdeal, B: MonomialIdeal) -> frozenset[int]:
+    """The profile of one kind of table from the dense scan of that kind alone.
+
+    One walk over every degree of the unpadded box on the full Taylor
+    complex of A's own generators for Ext ("ext"), and of their supports
+    scaled by ``_LEFT_OUT`` for local cohomology ("lc"): the dense engine
+    before one walk served both kinds.
+    """
+    box = slices.DegreeBox.for_ideals(A, B)
+    supports = tuple(tuple(int(e > 0) for e in g) for g in A.gens)
+    gens, scale = (A.gens, 1) if kind == "ext" else (supports, slices._LEFT_OUT)
+    layout = slices.taylor_layout(gens, A.ring.n)
+    (dims,), _ = slices._slice_dims(A, B, slices._Product(box_axes(box)), [(layout, scale)])
+    return frozenset(int(i) for i in np.flatnonzero(dims.any(axis=1)))
 
 
 def oracle_taylor_differentials(I: MonomialIdeal) -> list[np.ndarray]:

@@ -66,6 +66,7 @@ from relhom.slices import (
     lc_table,
     local_cohomology_slice,
     lyubeznik_layout,
+    pair_profiles,
     taylor_layout,
 )
 from relhom.taylor import betti_numbers, depth_quotient, pd_quotient
@@ -98,6 +99,7 @@ PAIR_ENTRIES = {
     "lc_table": lc_table,
     "ext_profile": ext_profile,
     "lc_profile": lc_profile,
+    "pair_profiles": pair_profiles,
     "ext_vanishes": lambda a, I: ext_vanishes(a, I, 0),
     "ext_vanishes_below": lambda a, I: ext_vanishes_below(a, I, 1),
     "ext_slice": lambda a, I: ext_slice(a, I, 0, (0,) * a.ring.n),
@@ -109,6 +111,7 @@ TABLE_ENTRIES = [
     "lc_table",
     "ext_profile",
     "lc_profile",
+    "pair_profiles",
     "ext_vanishes",
     "ext_vanishes_below",
     "ext_slice",

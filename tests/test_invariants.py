@@ -465,14 +465,14 @@ class TestUsedVariables:
         ring = RingSpec(tuple(f"x{k}" for k in range(24)))
         a, I = parse_ideal(ring, "x0"), parse_ideal(ring, "x1")
         built = []
-        original = slices._class_table
+        original = slices._class_tables
 
-        def spy(kind, A, B, pad):
-            built.append((kind, A.ring.n))
+        def spy(kinds, A, B, pad):
+            built.extend((kind, A.ring.n) for kind in kinds)
             assert A.ring.n == 2, "class table over unused variables"
-            return original(kind, A, B, pad)
+            return original(kinds, A, B, pad)
 
-        monkeypatch.setattr(slices, "_class_table", spy)
+        monkeypatch.setattr(slices, "_class_tables", spy)
         slices.clear_slice_caches()
         rec = PairAnalysis(a, I).record
         assert sorted(built) == [("ext", 2), ("lc", 2)]
@@ -487,8 +487,7 @@ class TestUsedVariables:
         for a, I in pairs:
             x = PairAnalysis(a, I)
             assert x.used_pair[0].ring.n < a.ring.n
-            assert x.ext_profile == slices._dense_profile("ext", a, I)
-            assert x.lc_profile == slices._dense_profile("lc", a, I)
+            assert (x.ext_profile, x.lc_profile) == slices._dense_profiles(a, I)
             assert x.localization_grade == oracle_grade_by_localization(a, I)
             assert x.record.dim == quotient_dimension(I)
 

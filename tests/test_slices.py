@@ -37,7 +37,8 @@ from relhom.slices import (
     taylor_layout,
 )
 from relhom.properties import full_report
-from relhom.verifier import CorpusParams, corpus_instances, run_all_suites
+from relhom.invariants import PairAnalysis
+from relhom.verifier import CorpusParams, analyze_instance, corpus_instances, run_all_suites
 
 from conftest import (
     box_axes,
@@ -50,6 +51,7 @@ from conftest import (
     oracle_axis_classes,
     oracle_cech_activity,
     oracle_cech_class_dims,
+    oracle_dense_profile,
     oracle_ext_activity,
     oracle_lyubeznik_faces,
     oracle_member,
@@ -297,7 +299,7 @@ def test_lc_slices_match_oracle(ring2):
 def _dense_dims(kind, A, B, box):
     # the full Taylor complex on A's own generators over every box degree, as in the corpus cross-check
     scale = 1 if kind == "ext" else slices._LEFT_OUT
-    dims, maps = slices._slice_dims(taylor_layout(A.gens, A.ring.n), scale, A, B, _Product(box_axes(box)))
+    (dims,), maps = slices._slice_dims(A, B, _Product(box_axes(box)), [(taylor_layout(A.gens, A.ring.n), scale)])
     return dims[:, walk_columns(maps)]
 
 
@@ -327,7 +329,7 @@ def test_cech_profiles_equal_the_support_grouped_oracle():
     for a, I in corpus_instances(CorpusParams()):
         expected = _nonzero_levels(support_grouped_lc_dims(a, I, DegreeBox.for_ideals(a, I)))
         assert lc_profile(a, I) == expected
-        assert slices._dense_profile("lc", a, I) == expected
+        assert slices._dense_profiles(a, I)[1] == expected
         squarefree += radical(a) == a
     assert squarefree == 13
 
@@ -777,6 +779,38 @@ def test_member_states_match_the_per_shift_oracle(monkeypatch, count, shifts):
     assert np.array_equal(active[:, columns], expected)
 
 
+def test_member_states_refuse_merged_states_the_next_axis_would_refuse(monkeypatch):
+    # each value of the second axis its own chunk: the states it leaves are
+    # counted by hash before they are merged, so a walk whose first axis
+    # would pass the activity ceiling is refused there, with the same
+    # numbers, and one just inside the ceiling computes
+    monkeypatch.setattr(slices, "_STATE_SPAN", 1)
+    monkeypatch.setattr(slices, "_MAX_WORKING_BYTES", 64)
+    rng = np.random.default_rng(190)
+    gens = [tuple(rng.integers(1, 6, size=4).tolist()) for _ in range(12)]
+    axes = [rng.integers(-3, 9, size=k).astype(np.int16) for k in (3, 5, 2, 4)]
+    shifts = rng.integers(0, 4, size=(20, 4))
+    active, maps = slices._member_states(axes, gens, shifts)
+    states = maps[0].shape[1]  # the distinct columns the second axis leaves
+    assert states > 1
+    monkeypatch.setattr(slices, "_MAX_ACTIVITY_CELLS", 20 * 3 * states)
+    admitted, kept = slices._member_states(axes, gens, shifts)
+    assert np.array_equal(admitted, active) and all(np.array_equal(m, k) for m, k in zip(maps, kept))
+    monkeypatch.setattr(slices, "_MAX_ACTIVITY_CELLS", 20 * 3 * states - 1)
+    with pytest.raises(ValueError, match=f"^activity of 20 shifts over 3 values x at least {states} states is too"):
+        slices._member_states(axes, gens, shifts)
+
+
+def test_column_hashes_are_equal_on_equal_columns():
+    rng = np.random.default_rng(191)
+    table = rng.integers(0, 1 << 64, size=(5, 300), dtype=np.uint64)
+    table[:, 150:] = table[:, :150]
+    table[4, 299] ^= np.uint64(1 << 63)
+    hashes = slices._column_hashes(table)
+    assert np.array_equal(hashes[150:299], hashes[:149]) and hashes[299] != hashes[149]
+    assert np.unique(hashes).size == 151
+
+
 @pytest.mark.parametrize("span, cap", [(None, None), (None, 8), (1, None), (1, 8)])
 def test_state_walk_dims_match_the_per_degree_oracle(monkeypatch, span, cap):
     # the pattern dims of every ext and lc table, gathered to every class
@@ -1122,6 +1156,100 @@ def _wide_base_pairs():
     return workloads._wide_base_pairs()
 
 
+# a pair in 4 variables whose Ext class grid has exactly ``_STATE_SPAN``
+# classes, and one whose grid has 4 410, just past it
+SPAN_PAIRS = {
+    "at the span": ("x2^4*x3^2*x4, x1^3*x2^2*x3*x4^4", "x1*x2^2*x3^4*x4^4, x1^2*x2^3*x3^3*x4, x1^3*x2^2*x3"),
+    "past the span": (
+        "x1*x2^3*x3^2*x4^2, x1^2*x3^3*x4^4, x1^4*x2^3*x3^2",
+        "x2*x3^2*x4, x1^3*x2^4*x3*x4^3, x1^4*x2^3*x4^4",
+    ),
+}
+
+
+def _walks_of(monkeypatch, call):
+    """The value of ``call()`` and the activity walks it ran."""
+    walks = []
+    ext_activity = slices._ext_activity
+    monkeypatch.setattr(slices, "_ext_activity", lambda *args: walks.append(args[3].shape[0]) or ext_activity(*args))
+    try:
+        return call(), len(walks)
+    finally:
+        monkeypatch.setattr(slices, "_ext_activity", ext_activity)
+
+
+def _paired_and_alone(monkeypatch, a, I):
+    """``pair_profiles`` on the used pair of (a, I), with its walk count, and
+    the two profiles each from its own table."""
+    A, B = PairAnalysis(a, I).used_pair
+    clear_slice_caches()
+    alone = ext_profile(A, B), lc_profile(A, B)
+    clear_slice_caches()
+    paired, walks = _walks_of(monkeypatch, lambda: slices.pair_profiles(A, B))
+    return paired, walks, alone
+
+
+def test_pair_profiles_equal_the_profiles_alone(monkeypatch):
+    # on the used pairs of every default-corpus (a, I) and (a, S) and of the
+    # fifteen pairs of the benchmark's wide workload, whose Ext class grids
+    # all have at most _STATE_SPAN classes, one walk on the Ext grid gives
+    # both profiles each kind's own table gives
+    wide = RingSpec(("a", "b", "c", "d"))
+    pairs = corpus_instances(CorpusParams())
+    pairs += [tuple(monomials.minimal_generators(wide, gens) for gens in pair) for pair in _wide_base_pairs()]
+    checked = 0
+    for a, I in pairs:
+        for B in {I, zero_ideal(a.ring)}:
+            if B.is_unit:
+                continue
+            paired, walks, alone = _paired_and_alone(monkeypatch, a, B)
+            assert (paired, walks) == (alone, 1)
+            checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("name, walks", [("at the span", 1), ("past the span", 2)])
+def test_pair_profiles_fuse_up_to_the_state_span(monkeypatch, name, walks):
+    ring = RingSpec(("x1", "x2", "x3", "x4"))
+    a, I = (parse_ideal(ring, text) for text in SPAN_PAIRS[name])
+    table = ext_table(a, I)
+    assert math.prod(map(len, table._starts)) == {1: slices._STATE_SPAN, 2: 4410}[walks]
+    paired, ran, alone = _paired_and_alone(monkeypatch, a, I)
+    assert (paired, ran) == (alone, walks)
+
+
+def test_big_box_profiles_keep_their_own_grids(monkeypatch):
+    # the big box's Ext grid has 51 450 classes and its local-cohomology
+    # grid 1 296: the lc table on the Ext grid would walk forty times as
+    # many degrees, so the two kinds keep a walk each
+    ring = RingSpec(tuple(BIG_BOX[0].split(",")))
+    a, I = parse_ideal(ring, BIG_BOX[1]), parse_ideal(ring, BIG_BOX[2])
+    assert [math.prod(map(len, table._starts)) for table in (ext_table(a, I), lc_table(a, I))] == [51_450, 1_296]
+    paired, walks, alone = _paired_and_alone(monkeypatch, a, I)
+    assert (paired, walks) == (alone, 2)
+    clear_slice_caches()
+    assert _walks_of(monkeypatch, lambda: PairAnalysis(a, I).grade) == (0, 2)
+
+
+def test_analyze_instance_walks_once_per_engine_and_module(monkeypatch):
+    # a default-corpus pair with a nonzero proper I: one dense walk for both
+    # kinds, and one class walk for both profiles of (a, I) and of (a, S)
+    pairs = enumerate(corpus_instances(CorpusParams()))
+    index, (a, I) = next((k, (a, I)) for k, (a, I) in pairs if I.is_proper and not I.is_zero)
+    clear_slice_caches()
+    x, walks = _walks_of(monkeypatch, lambda: analyze_instance(index, a, I))
+    assert x.ok and walks == 3
+
+
+def test_dense_profiles_equal_the_scan_of_each_kind_alone():
+    # one dense walk with both Taylor shift sets against a walk per kind,
+    # on the default corpus
+    for a, I in corpus_instances(CorpusParams()):
+        if I.is_unit:
+            continue
+        assert slices._dense_profiles(a, I) == (oracle_dense_profile("ext", a, I), oracle_dense_profile("lc", a, I))
+
+
 def test_matched_dims_equal_the_ranks_on_every_missed_pattern(monkeypatch):
     # every pattern the memo misses on the default corpus, the fifteen pairs
     # of the benchmark's wide workload, K7 and the 12-cycle: where the
@@ -1353,7 +1481,7 @@ def test_ext_dims_do_not_depend_on_the_generator_order():
         orders.append(tuple(rng.permutation(len(J.gens)).tolist()))
         for order in orders:
             layout = lyubeznik_in_order(J.gens, 3, order, slices._MAX_FACES)
-            dims, maps = slices._slice_dims(layout, 1, J, I, _Product(box_axes(box)))
+            (dims,), maps = slices._slice_dims(J, I, _Product(box_axes(box)), [(layout, 1)])
             assert np.array_equal(dims[:, walk_columns(maps)], expected)
         assert np.array_equal(dense_expansion(ext_table(J, I))[1], expected)
 

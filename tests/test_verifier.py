@@ -201,9 +201,11 @@ def test_cross_engine_consults_the_dense_scan(monkeypatch):
     # the unpadded profiles come from the dense engine; corrupting it must
     # surface in cross_engine, or the suite would compare the class engine
     # with itself
-    dense_profile = verifier._dense_profile
+    dense_profiles = verifier._dense_profiles
     monkeypatch.setattr(
-        verifier, "_dense_profile", lambda *args: frozenset(i + 1 for i in dense_profile(*args))
+        verifier,
+        "_dense_profiles",
+        lambda *args: tuple(frozenset(i + 1 for i in profile) for profile in dense_profiles(*args)),
     )
     params = CorpusParams(count=5)
     result = run_suite("cross_engine", build_analyses(params), params)
