@@ -119,28 +119,23 @@ The default corpus looks up about 19 000 patterns, of which about 3 700 miss.
 The missed patterns are decided by a matching before any rank.  Every
 caller's pattern is convex in the face poset (F and H active, F in G in H,
 give G active): table activity is the up-set b + lcm_F >= 0 meet the
-down-set x^(b + lcm_F) outside I, as lcm_F grows with F, and a Betti strand
-is a level set of the lcm.  So the incidence maps restricted to a pattern
-form a cochain complex, a subquotient of the simplicial one.  On its faces
-the iterated element matching pairs, for each generator position g of the
-order in turn, every unmatched active face G that holds g with G without g
-when that face is unmatched and active too.  It is acyclic (Jonsson,
-Simplicial Complexes of Graphs, LNM 1928, Lemmas 4.1-4.2), and every
-matched entry is +-1, a unit mod p, so by algebraic discrete Morse theory
-(Skoldberg, Trans. AMS 2006; Joellenbeck-Welker, Mem. AMS 2009) the
-cohomology is that of a complex on the unmatched (critical) faces whose
-differential goes from each level to the next.  Where no two adjacent
-levels hold critical faces the dimensions are the critical counts, with no
-rank: 3 553 of the default corpus's 3 653 missed patterns, all but 3 of the
-1 386 of the benchmark's ``wide`` pairs and all 637 of K8's.  Only the rest
-are ranked, one incidence matrix at a time (``rank_mod_p``): 144 level
-pairs on the whole default corpus, none of more than 49 cells.  An
-incidence matrix above ``_MAX_RANK_MATRIX_CELLS``, in any missed pattern,
-is refused before the matching runs.
-
-The dedup, matching and rank layers have a second caller besides the
-tables: ``taylor.betti_numbers`` reads the lcm strands of the Lyubeznik
-complex through them, each strand one activity column.
+down-set x^(b + lcm_F) outside I, as lcm_F grows with F.  So the incidence
+maps restricted to a pattern form a cochain complex, a subquotient of the
+simplicial one.  On its faces the iterated element matching pairs, for each
+generator position g of the order in turn, every unmatched active face G
+that holds g with G without g when that face is unmatched and active
+too.  It is acyclic (Jonsson, Simplicial Complexes of Graphs, LNM 1928,
+Lemmas 4.1-4.2), and every matched entry is +-1, a unit mod p, so by
+algebraic discrete Morse theory (Skoldberg, Trans. AMS 2006;
+Joellenbeck-Welker, Mem. AMS 2009) the cohomology is that of a complex on
+the unmatched (critical) faces whose differential goes from each level to
+the next.  Where no two adjacent levels hold critical faces the dimensions
+are the critical counts, with no rank: 3 553 of the default corpus's 3 653
+missed patterns, all but 3 of the 1 386 of the benchmark's ``wide`` pairs
+and all 637 of K8's.  Only the rest are ranked, one incidence matrix at a
+time (``rank_mod_p``): 144 level pairs on the whole default corpus, none of
+more than 49 cells.  An incidence matrix above ``_MAX_RANK_MATRIX_CELLS``,
+in any missed pattern, is refused before the matching runs.
 """
 
 from __future__ import annotations
@@ -862,8 +857,8 @@ def _incidence_rank(by_size: np.ndarray, sizes: np.ndarray, faces: FaceSet, p: i
     ``rank_mod_p``.
     ``cache_info`` and ``cache_clear`` are those of the memo of
     ``_lattice_dims``, which calls this on the missed patterns its matching
-    leaves undecided, after it has checked the rank ceiling; on any pattern
-    it stays the oracle.
+    leaves undecided (``_morse_dims``, which ``taylor`` calls on the lcm
+    strands), after the rank ceiling; on any pattern it stays the oracle.
     """
     offsets, down = faces.offsets, faces.down
     ranks = np.zeros((sizes.shape[0] - 1, by_size.shape[1]), dtype=np.int64)
@@ -918,6 +913,19 @@ def _critical_counts(by_size: np.ndarray, faces: FaceSet) -> np.ndarray:
     return counts[0] if len(counts) == 1 else np.concatenate(counts, axis=1)
 
 
+def _morse_dims(critical: np.ndarray, sizes: np.ndarray, faces: FaceSet, p: int, active) -> np.ndarray:
+    """Cohomology dimensions of patterns from their critical and active faces per level, both
+    (levels, U), written into ``critical``: only patterns with critical faces in two adjacent
+    levels are ranked (``_incidence_rank``), on the (faces, columns) activity ``active(columns)``."""
+    ranked = np.flatnonzero(((critical[:-1] > 0) & (critical[1:] > 0)).any(axis=0))
+    if ranked.size:
+        ranks = _incidence_rank(active(ranked), sizes[:, ranked], faces, p)
+        critical[:, ranked] = sizes[:, ranked]
+        critical[:-1, ranked] -= ranks
+        critical[1:, ranked] -= ranks
+    return critical
+
+
 # the place of each of eight rows within a byte of ``_packed_columns``
 _BIT_PLACES = np.arange(8, dtype=np.uint8)[:, None]
 
@@ -954,16 +962,16 @@ def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) 
     the level count and every boundary map) and the pattern's packed bits.
 
     The patterns the memo misses must each be convex in the face poset, as
-    every caller's is (an up-set of the faces meet a down-set, or a level
-    set of the lcm), so that their incidence maps form a cochain complex;
-    on any other pattern "size minus ranks" is no cohomology.  After the
-    rank ceiling is checked on all of them, the iterated element matching
-    (``_critical_counts``) runs on them: it is acyclic with unit matched
-    entries (Jonsson, LNM 1928, Lemmas 4.1-4.2; Skoldberg 2006;
-    Joellenbeck-Welker 2009), so a pattern whose critical faces never sit
-    in two adjacent levels has a zero Morse differential, and its
-    dimensions are its critical counts.  ``_incidence_rank`` ranks the
-    other missed patterns, one level pair at a time.
+    every caller's is (an up-set of the faces meet a down-set), so that
+    their incidence maps form a cochain complex; on any other pattern "size
+    minus ranks" is no cohomology.  After the rank ceiling is checked on
+    all of them, the iterated element matching (``_critical_counts``) runs
+    on them: it is acyclic with unit matched entries (Jonsson, LNM 1928,
+    Lemmas 4.1-4.2; Skoldberg 2006; Joellenbeck-Welker 2009), so a pattern
+    whose critical faces never sit in two adjacent levels has a zero Morse
+    differential, and its dimensions are its critical counts.
+    ``_incidence_rank`` ranks the other missed patterns, one level pair at
+    a time.
     """
     by_size = active[rows]
     packed = _packed_columns(by_size)
@@ -977,13 +985,8 @@ def _lattice_dims(active: np.ndarray, faces: FaceSet, p: int, rows: np.ndarray) 
         picked = by_size[:, [column_of[key] for key in missing]]
         sizes = faces.per_level(picked)
         _check_rank_ceiling(sizes)
-        dims = _critical_counts(picked, faces).astype(np.int32)
-        ranked = ((dims[:-1] > 0) & (dims[1:] > 0)).any(axis=0)
-        if ranked.any():
-            ranks = _incidence_rank(picked[:, ranked], sizes[:, ranked], faces, p)
-            dims[:, ranked] = sizes[:, ranked]
-            dims[:-1, ranked] -= ranks
-            dims[1:, ranked] -= ranks
+        critical = _critical_counts(picked, faces).astype(np.int32)
+        dims = _morse_dims(critical, sizes, faces, p, lambda columns: picked[:, columns])
         for key, column in zip(missing, dims.T):
             values[key] = column.tobytes()
             _DIMS_CACHE.put(key, values[key])

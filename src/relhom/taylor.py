@@ -6,15 +6,19 @@ exponent) as the multidegree of each face, and with the restricted Taylor
 differential it is a free resolution of S/I.  Mapping it into the residue
 field keeps exactly the differential entries between faces with the same
 lcm, so the complex splits into one strand per distinct lcm, and beta_i is
-the sum over strands of dim H_i of the strand.  A strand is a face complex
-whose activity pattern is one column, and the slice kernel
-``_lattice_dims`` gives the dimensions of each column (a level set of the
-lcm is convex in the faces); a strand of a single face has no differential
-and adds 1 to beta of its size.  The strands are the layout's one face
-grouping (``FaceLayout.lcm_groups``), which is kept with the cached
-layout, so Ext tables on the same generators reuse it.  Betti numbers give
-the projective dimension and (by Auslander-Buchsbaum) depth.  The
-resolution is used un-minimized: Betti numbers do not depend on it.
+the sum over strands of dim H_i of the strand.  One iterated element
+matching over all the faces (``FaceSet.element_pairs``) pairs faces only
+within a strand, which is convex in the faces, so by algebraic discrete
+Morse theory (Batzies-Welker, J. reine angew. Math. 543, 2002) a strand
+whose critical faces never sit in two adjacent levels, such as one of a
+single face, has its critical counts as homology.  Only the others are
+ranked (``slices._morse_dims``), after every strand is held to the rank
+ceiling: none on the default corpus, one each on the squarefree 8- to
+10-cycles.  The strands are the layout's one face grouping
+(``FaceLayout.lcm_groups``), kept with the cached layout, so Ext tables on
+the same generators reuse it.  Betti numbers give the projective dimension
+and (by Auslander-Buchsbaum) depth.  The resolution is used un-minimized:
+Betti numbers do not depend on it.
 
 Betti numbers do not change when the variables are relabelled or unused
 variables are added, so they are computed and cached on a relabelled form
@@ -33,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .monomials import MonomialIdeal, _check_module
-from .slices import _check_scan_size, _lattice_dims, lyubeznik_layout
+from .slices import _check_rank_ceiling, _morse_dims, lyubeznik_layout
 
 __all__ = ["betti_numbers", "pd_quotient", "depth_quotient"]
 
@@ -58,17 +62,19 @@ def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
     layout = lyubeznik_layout(rows, k)
     faces = layout.faces
     _, strand = layout.lcm_groups
-    size = np.bincount(strand)
-    shared = size[strand] > 1
-    betti = faces.per_level(~shared)
-    if shared.any():
-        # one activity column per strand of two or more faces, one row per strand
-        wide = np.flatnonzero(size > 1)
-        _check_scan_size((wide.size,), faces.size, f"Lyubeznik complex on {len(rows)} generators")
-        active = np.zeros((size.size, wide.size), dtype=bool)
-        active[wide, np.arange(wide.size)] = True
-        betti += _lattice_dims(active, faces, p, strand).sum(axis=1)
-    return tuple(betti.tolist())
+    strands, levels = int(strand.max()) + 1, faces.offsets.size - 1
+    if strands == faces.size:  # every strand one face: no differential
+        return tuple(np.diff(faces.offsets).tolist())
+    cell = strand * levels + np.repeat(np.arange(levels), np.diff(faces.offsets))  # one per (strand, level)
+    sizes = np.bincount(cell, minlength=strands * levels).reshape(strands, levels).T
+    _check_rank_ceiling(sizes)
+    free = np.ones(faces.size, dtype=bool)
+    for upper, lower in faces.element_pairs:
+        matched = free[upper] & free[lower] & (strand[upper] == strand[lower])
+        free[upper[matched]] = free[lower[matched]] = False
+    critical = np.bincount(cell[free], minlength=sizes.size).reshape(strands, levels).T
+    dims = _morse_dims(critical, sizes, faces, p, lambda columns: strand[:, None] == columns)
+    return tuple(dims.sum(axis=1).tolist())
 
 
 def pd_relabelled(rows: tuple, k: int, p: int) -> int:

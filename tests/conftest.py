@@ -22,9 +22,11 @@ Lyubeznik complex: the Cech complex on every subset of rad(a)'s generators
 with its own threshold rule; ``oracle_dense_profile`` is the dense scan of
 one kind of table alone, as it ran before one walk served both kinds;
 ``oracle_taylor_differentials`` builds the dense Taylor differentials that
-Betti numbers were once ranked from, and ``subset_lcms`` the lcm of every
-generator subset; ``oracle_lyubeznik_faces`` tests the definition of the
-Lyubeznik complex on every generator subset, ``layout_faces`` reads the
+Betti numbers were once ranked from, ``oracle_strand_betti`` reads them off
+one activity column per lcm strand through the table kernel, as the engine
+did before one matching ran over the whole complex, and ``subset_lcms`` the
+lcm of every generator subset; ``oracle_lyubeznik_faces`` tests the
+definition of the Lyubeznik complex on every generator subset, ``layout_faces`` reads the
 faces back out of an engine face set, and ``lyubeznik_in_order`` builds the
 engine's layout in one given generator order.  ``oracle_irreducible_decomposition``
 is the recursive splitter the irreducible decomposition was computed by
@@ -82,7 +84,7 @@ from relhom.monomials import (
     support,
 )
 from relhom.slices import FaceLayout, _face_lcms, _face_levels, _generator_rows
-from relhom.taylor import pd_quotient
+from relhom.taylor import pd_quotient, relabelled
 
 
 def radical_equal(A: MonomialIdeal, B: MonomialIdeal) -> bool:
@@ -436,6 +438,27 @@ def oracle_taylor_differentials(I: MonomialIdeal) -> list[np.ndarray]:
                     mat[rows[face], col] = (-1) ** j
         mats.append(mat)
     return mats
+
+
+def oracle_strand_betti(I: MonomialIdeal) -> tuple[int, ...]:
+    """Total Betti numbers of S/I from the lcm strands of the Lyubeznik
+    complex of its relabelled form, each strand of two or more faces one
+    one-hot activity column through ``slices._lattice_dims``, each strand of
+    one face adding 1 to beta of its size: the engine before one matching
+    ran over the whole complex."""
+    rows, k = relabelled(I.gens)
+    layout = slices.lyubeznik_layout(rows, k)
+    faces = layout.faces
+    _, strand = layout.lcm_groups
+    size = np.bincount(strand)
+    shared = size[strand] > 1
+    betti = faces.per_level(~shared)
+    if shared.any():
+        wide = np.flatnonzero(size > 1)
+        active = np.zeros((size.size, wide.size), dtype=bool)
+        active[wide, np.arange(wide.size)] = True
+        betti += slices._lattice_dims(active, faces, I.ring.char, strand).sum(axis=1)
+    return tuple(betti.tolist())
 
 
 def random_proper_ideal(rng: np.random.Generator, ring: RingSpec, max_exp: int, max_gens: int) -> MonomialIdeal:

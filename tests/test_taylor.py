@@ -13,10 +13,12 @@ from relhom.cli import main
 from relhom.monomials import RingSpec, minimal_generators, parse_ideal, unit_ideal, zero_ideal
 from relhom.slices import clear_slice_caches
 from relhom.taylor import betti_numbers, depth_quotient, pd_quotient
+from relhom.verifier import CorpusParams, random_ideal
 
 from conftest import (
     oracle_lyubeznik_faces,
     oracle_rank_mod_p,
+    oracle_strand_betti,
     oracle_taylor_differentials,
     random_proper_ideal,
     subset_lcms,
@@ -122,6 +124,77 @@ def test_betti_numbers_match_the_dense_oracle(p):
         shared += largest_strand(ideal) >= 2
     # the four fixed ideals and at least one random one
     assert shared >= 5
+
+
+def graph_ideal(n: int, edges, p: int = 32003, power: int = 1):
+    """The ideal of x_i^power * x_j over the edges (i, j) of a graph on x0..x(n-1)."""
+    ring = RingSpec(tuple(f"x{k}" for k in range(n)), char=p)
+    return minimal_generators(ring, [tuple(power * (k == i) + (k == j) for k in range(n)) for i, j in edges])
+
+
+def path_ideal(n: int, p: int = 32003):
+    """The edge ideal of the path on the n vertices x0..x(n-1)."""
+    return graph_ideal(n, [(k, k + 1) for k in range(n - 1)], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_betti_numbers_match_the_strand_oracle(monkeypatch, p):
+    # one matching over the whole complex, pairing faces only within an lcm
+    # strand, against one activity column per strand through the table kernel
+    ideals = []
+    for n in range(4, 11):
+        cycle = [(k, (k + 1) % n) for k in range(n)]
+        ideals += [graph_ideal(n, cycle, p), graph_ideal(n, cycle, p, power=2)]
+    ideals += [graph_ideal(m, list(itertools.combinations(range(m), 2)), p) for m in range(3, 7)]
+    ideals += [minimal_generators(RingSpec(("x", "y"), char=p), [(i, c - 1 - i) for i in range(c)]) for c in (10, 25)]
+    ideals += [path_ideal(n, p) for n in range(6, 13)]
+    ranked, rank = [], slices._incidence_rank
+
+    def counted(by_size, *rest):
+        ranked.append(by_size.shape[1])
+        return rank(by_size, *rest)
+
+    betti_numbers.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(slices, "_incidence_rank", counted)
+        betti = [betti_numbers(ideal) for ideal in ideals]
+    assert betti == [oracle_strand_betti(ideal) for ideal in ideals]
+    # the matching leaves one strand of each of the squarefree 8-, 9- and
+    # 10-cycles with critical faces in two adjacent levels
+    assert ranked == [1, 1, 1]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_betti_numbers_match_the_strand_oracle_on_the_corpus(seed):
+    # every ideal a corpus draws; most have no two Lyubeznik faces of one lcm
+    params = CorpusParams(seed=seed)
+    ring = params.ring()
+    for index in range(3 * params.count):
+        ideal = random_ideal(params, index, ring)
+        assert betti_numbers(ideal) == oracle_strand_betti(ideal)
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_path_ideals_past_the_strand_matrix(n):
+    # the x0..x17 path ideal has 26 624 Lyubeznik faces in 6 013 strands of
+    # two or more faces (a 160 M-cell faces x strands matrix), and x0..x19
+    # 96 000 faces, which that matrix refused; pd(S/I(P_n)) = floor(2n/3)
+    # (Jacques, thesis, Sheffield 2004), beta_1 counts the edges, and the
+    # alternating sum of the Betti numbers of S/I is its K-polynomial at 1, 0
+    ideal = path_ideal(n)
+    betti_numbers.cache_clear()
+    clear_slice_caches()
+    tracemalloc.start()
+    try:
+        betti = betti_numbers(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pd_quotient(ideal) == 2 * n // 3
+    assert betti[:2] == (1, n - 1)
+    assert sum((-1) ** i * b for i, b in enumerate(betti)) == 0
+    if n == 18:
+        assert peak < 32 << 20  # about 14 MB measured, the layout included
 
 
 def test_betti_numbers_of_the_quadrics():
