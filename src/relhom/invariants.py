@@ -6,15 +6,16 @@ bug signal and deliberately distinct from input validation errors.
 
 :class:`PairAnalysis` is the one place a pair's numbers are computed and
 cross-checked: it validates the pair once, keeps each engine's value
-(``ext_profile``, ``lc_profile``, ``localization_grade``, ``support_cd``,
-``pd_a``, ``ass_primes``) and runs each cross-check on those values at
-most once.  There each pair-level question is decided in one place: the
-profiles and the localization grade run on the variables some generator
-uses (``used_pair``; everything else stays on the full ring), I's minimal
-primes are computed once (``minimal_prime_masks``), each cd(a, S/P) on a
-monomial prime P once (``prime_cd``), and every node of the
-parameter-system search, leaves included, is tested by one rule
-(``support_cd_with``).  The free functions ``mu``, ``grade``, ``cd``,
+(``profiles``, both class-engine profiles from one call,
+``localization_grade``, ``support_cd``, ``pd_a``, ``ass_primes``) and runs
+each cross-check on those values at most once.  There each pair-level
+question is decided in one place: the profiles and the localization grade
+run on the variables some generator uses (``used_pair``; everything else
+stays on the full ring), I's minimal primes are computed once
+(``minimal_prime_masks``), each cd(a, S/P) on a monomial prime P once
+(``prime_cd``), and the parameter-system search, of length ``support_cd``,
+tests every node, leaves included, by one rule (``support_cd_with``), so it
+walks no table.  The free functions ``mu``, ``grade``, ``cd``,
 ``a_id``, ``sop_witness_by_support`` and ``invariant_record`` read a fresh
 analysis.  ``grade_by_localization`` checks nothing; it is internal, and
 runs on the pair of an analysis.
@@ -30,6 +31,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional
+
+import numpy as np
 
 from .monomials import (
     MonomialIdeal,
@@ -47,7 +50,7 @@ from .monomials import (
     sum_ideals,
     zero_ideal,
 )
-from .slices import ext_profile, lc_profile, pair_profiles
+from .slices import pair_profiles
 from .taylor import depth_quotient, pd_quotient, pd_relabelled, relabelled
 
 __all__ = [
@@ -95,17 +98,23 @@ def grade_by_localization(a: MonomialIdeal, I: MonomialIdeal) -> int:
     is I's generators with the variables outside F erased, and its pd is
     read from the Betti cache keyed up to relabelling
     (``taylor.relabelled``).  That pd is at most |F|, so no depth is below
-    0 and the scan stops at the first F of depth 0.  Every subset is
-    visited; an analysis runs this on its pair restricted to the variables
-    some generator uses (``PairAnalysis.used_pair``).  The caller has
-    checked the pair and that I is proper.
+    0 and the scan stops at the first F of depth 0.  Only the masks that
+    meet every support are visited: a mask is a high part, a Python int in
+    steps of 2^16, plus 16 low bits, and the low parts that meet every
+    support the high part misses are read off one numpy array of each
+    support's test on every low part.  An analysis runs this on its pair restricted to the
+    variables some generator uses (``PairAnalysis.used_pair``).  The caller
+    has checked the pair and that I is proper.
     """
     n, p = a.ring.n, a.ring.char
     # F must meet every generator of a, and every generator of I lest the localization be zero
     supports = [_mask(g) for g in (*a.gens, *I.gens)]
+    # row k: which low parts meet the low 16 bits of support k
+    meets = (np.arange(1 << min(n, 16)) & np.array([m & 0xFFFF for m in supports], dtype=np.int64)[:, None]) != 0
     best = None
-    for fbits in range(1 << n):
-        if all(m & fbits for m in supports):
+    for high in range(0, 1 << n, 1 << 16):
+        passes = meets[[k for k, m in enumerate(supports) if not m & high]].all(axis=0)
+        for fbits in (high | part for part in np.flatnonzero(passes).tolist()):
             keep = [j for j in range(n) if fbits >> j & 1]
             local = _minimal([tuple(g[j] for j in keep) for g in I.gens])
             d = fbits.bit_count() - pd_relabelled(*relabelled(local), p)
@@ -189,7 +198,7 @@ def _sop_candidates(a: MonomialIdeal, degree_bound: int) -> list[tuple[int, ...]
 
 
 def _sop_search(x: "PairAnalysis") -> SopWitness:
-    """The search of :attr:`PairAnalysis.sop` on the analysis ``x`` of a nonzero module, for its checked cd c.
+    """The search of :attr:`PairAnalysis.sop` on the analysis ``x`` of a nonzero module, for c = ``x.support_cd``.
 
     Walks the length-c combinations of candidates depth first, in the order
     of ``itertools.combinations``, so the first witness found is the
@@ -201,7 +210,7 @@ def _sop_search(x: "PairAnalysis") -> SopWitness:
     ``x.support_cd_with``, on bitmasks.  The candidates are monomials
     (``_sop_candidates``), one per realizable support.
     """
-    c, degree_bound = x.cd, x.degree_bound
+    c, degree_bound = x.support_cd, x.degree_bound
     if c == 0:
         return SopWitness(SOP_DEGENERATE_ZERO_LENGTH, (), degree_bound)
     achievable = _sop_candidates(x.a, degree_bound)
@@ -258,18 +267,17 @@ class PairAnalysis:
     """The cross-checked numbers of one pair (a, S/I), each computed at most once.
 
     The inputs are validated here, once, before any scan.  Each engine's
-    value (the class-engine ``ext_profile`` and ``lc_profile``, the
-    ``localization_grade``, the ``support_cd``, ``pd_a`` = pd(S/a) and the
-    associated primes ``ass_primes`` of S/I) is computed on first use and
-    kept, as is each cd(a, S/P) that ``prime_cd`` computes, and ``grade``,
-    ``cd``, ``a_id`` and ``ass_prime_criterion`` run their cross-checks on
-    those values, so each cross-check runs once per pair however many
-    verdicts or corpus suites read its number.  Every
-    equality cross-check, here and in the property verdicts, goes through
-    ``_agree``.  ``ring``
-    is the analysis of (a, S) with the same degree bound.  For the unit
-    ideal I (the zero module) grade, cd and a-id are ``None`` and no engine
-    runs.
+    value (the class-engine ``profiles``, read as ``ext_profile`` and
+    ``lc_profile``, the ``localization_grade``, the ``support_cd``,
+    ``pd_a`` = pd(S/a) and the associated primes ``ass_primes`` of S/I) is
+    computed on first use and kept, as is each cd(a, S/P) that
+    ``prime_cd`` computes, and ``grade``, ``cd``, ``a_id`` and
+    ``ass_prime_criterion`` run their cross-checks on those values, so each
+    cross-check runs once per pair however many verdicts or corpus suites
+    read its number.  Every equality cross-check, here and in the property
+    verdicts, goes through ``_agree``.  ``ring`` is the analysis of (a, S)
+    with the same degree bound.  For the unit ideal I (the zero module)
+    grade, cd and a-id are ``None`` and no engine runs.
     """
 
     def __init__(self, a: MonomialIdeal, I: MonomialIdeal, degree_bound: int = 4):
@@ -306,14 +314,20 @@ class PairAnalysis:
         return erase_to_one(self.a, unused), erase_to_one(self.I, unused)
 
     @cached_property
-    def ext_profile(self) -> frozenset[int]:
-        """Indices i with Ext^i(S/a, S/I) != 0, from the class engine on the used variables."""
-        return ext_profile(*self.used_pair)
+    def profiles(self) -> tuple[frozenset[int], frozenset[int]]:
+        """(``ext_profile``, ``lc_profile``) from the class engine on the used variables, both from one
+        ``slices.pair_profiles`` call: one walk when the Ext class grid has at most ``_STATE_SPAN`` classes."""
+        return pair_profiles(*self.used_pair)
 
-    @cached_property
+    @property
+    def ext_profile(self) -> frozenset[int]:
+        """Indices i with Ext^i(S/a, S/I) != 0."""
+        return self.profiles[0]
+
+    @property
     def lc_profile(self) -> frozenset[int]:
-        """Nonvanishing local-cohomology indices of S/I supported on a, from the class engine on the used variables."""
-        return lc_profile(*self.used_pair)
+        """Nonvanishing local-cohomology indices of S/I supported on a."""
+        return self.profiles[1]
 
     @cached_property
     def localization_grade(self) -> int:
@@ -378,15 +392,12 @@ class PairAnalysis:
         """The least index with nonvanishing Ext(S/a, S/I).
 
         Cross-checked against the least nonvanishing local cohomology index
-        and against the localized-depth formula.  Both profiles of the used
-        pair come from ``slices.pair_profiles``, one walk on the Ext class
-        grid when it has at most ``_STATE_SPAN`` classes; it keeps them in
-        the profile cache, where ``ext_profile`` and ``lc_profile`` read
-        them back.
+        and against the localized-depth formula; both profiles are
+        ``profiles``.
         """
         if self.degenerate:
             return None
-        ext, lc = pair_profiles(*self.used_pair)
+        ext, lc = self.profiles
         return self._agree("grade", ext_box=min(ext), cech_box=min(lc), localization=self.localization_grade)
 
     @cached_property
@@ -422,8 +433,10 @@ class PairAnalysis:
         and a support is realizable by a monomial of a within the degree
         bound iff some generator fits under it cheaply enough, so this finds
         a witness iff an exhaustive search over the monomials of a does, at
-        a fraction of the cost; the returned witness may differ.  Raises
-        ValueError for the zero module.
+        a fraction of the cost; the returned witness may differ.  Its length
+        is ``support_cd``, so the search walks no table; ``record`` reads
+        ``cd``, which checks that length against the Cech profile, first.
+        Raises ValueError for the zero module.
         """
         _check_module(self.I)
         return _sop_search(self)

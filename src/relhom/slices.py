@@ -146,7 +146,7 @@ import operator
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -888,28 +888,28 @@ def _check_rank_ceiling(sizes: np.ndarray):
         )
 
 
+def _unmatched(free: np.ndarray, pairs) -> np.ndarray:
+    """The iterated element matching, in place on the boolean (faces, ...) ``free``: for each
+    position's (2, k) array of (G, G without g) face pairs in turn (``FaceSet.element_pairs``,
+    or a subset of them), both faces of a pair still free are matched and cleared."""
+    for upper, lower in pairs:
+        both = free[upper]
+        both &= free[lower]
+        free[upper] ^= both
+        free[lower] ^= both
+    return free
+
+
 def _critical_counts(by_size: np.ndarray, faces: FaceSet) -> np.ndarray:
     """Per level, the active faces of each pattern (a column of the (faces,
-    U) boolean ``by_size``) that the iterated element matching leaves
-    critical, as (levels, U).
-
-    For each position g of the order in turn, every still unmatched active
-    face G that holds g is matched with G without g when that face is
-    unmatched and active as well (``FaceSet.element_pairs``); the faces
-    left are critical.  The columns go in chunks whose copy and per-position
-    temporaries, at most four bytes per face and column, stay under
-    ``_MAX_WORKING_BYTES``.
+    U) boolean ``by_size``) that the iterated element matching
+    (``_unmatched`` on every pair) leaves critical, as (levels, U).  The
+    columns go in chunks whose copy and per-position temporaries, at most
+    four bytes per face and column, stay under ``_MAX_WORKING_BYTES``.
     """
     step = max(1, _MAX_WORKING_BYTES // (4 * faces.size))
-    counts = []
-    for lo in range(0, by_size.shape[1], step):
-        free = by_size[:, lo : lo + step].copy()
-        for upper, lower in faces.element_pairs:
-            both = free[upper]
-            both &= free[lower]
-            free[upper] ^= both
-            free[lower] ^= both
-        counts.append(faces.per_level(free))
+    chunks = (by_size[:, lo : lo + step].copy() for lo in range(0, by_size.shape[1], step))
+    counts = [faces.per_level(_unmatched(free, faces.element_pairs)) for free in chunks]
     return counts[0] if len(counts) == 1 else np.concatenate(counts, axis=1)
 
 
@@ -1229,12 +1229,9 @@ def _slice_dims(
     return dims, maps
 
 
-def _block(walk, walked: list, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The dimensions of complex k from a ``_slice_dims`` walk, and its maps;
-    the walk runs once for every table that shares the list ``walked``."""
-    if not walked:
-        walked.append(walk())
-    dims, maps = walked[0]
+def _block(walk, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Complex k's dimensions and the maps of ``walk``, the cached ``_slice_dims`` walk one grid's tables share."""
+    dims, maps = walk()
     return dims[k], maps
 
 
@@ -1265,11 +1262,8 @@ def _grid_tables(A: MonomialIdeal, B: MonomialIdeal, box: DegreeBox, complexes) 
     shifts = _shifts(complexes)
     classes = [_axis_classes(r, _thresholds(B, shifts, j)) for j, r in enumerate(box.rho)]
     starts = tuple(starts for starts, _ in classes)
-    walk, walked = partial(_slice_dims, A, B, _Product(rep for _, rep in classes), complexes), []
-    return [
-        SliceTable(box, starts, layout.faces.size, partial(_block, walk, walked, k))
-        for k, (layout, _) in enumerate(complexes)
-    ]
+    walk = cache(partial(_slice_dims, A, B, _Product(rep for _, rep in classes), complexes))
+    return [SliceTable(box, starts, layout.faces.size, partial(_block, walk, k)) for k, (layout, _) in enumerate(complexes)]
 
 
 def _dense_profiles(A: MonomialIdeal, B: MonomialIdeal) -> tuple[frozenset[int], frozenset[int]]:

@@ -6,15 +6,15 @@ exponent) as the multidegree of each face, and with the restricted Taylor
 differential it is a free resolution of S/I.  Mapping it into the residue
 field keeps exactly the differential entries between faces with the same
 lcm, so the complex splits into one strand per distinct lcm, and beta_i is
-the sum over strands of dim H_i of the strand.  One iterated element
-matching over all the faces (``FaceSet.element_pairs``) pairs faces only
-within a strand, which is convex in the faces, so by algebraic discrete
-Morse theory (Batzies-Welker, J. reine angew. Math. 543, 2002) a strand
-whose critical faces never sit in two adjacent levels, such as one of a
-single face, has its critical counts as homology.  Only the others are
-ranked (``slices._morse_dims``), after every strand is held to the rank
-ceiling: none on the default corpus, one each on the squarefree 8- to
-10-cycles.  The strands are the layout's one face grouping
+the sum over strands of dim H_i of the strand.  The tables' iterated element
+matching (``slices._unmatched``) runs once over all the faces, on the
+``FaceSet.element_pairs`` within a strand, which is convex in the faces, so
+by algebraic discrete Morse theory (Batzies-Welker, J. reine angew. Math.
+543, 2002) a strand whose critical faces never sit in two adjacent levels,
+such as one of a single face, has its critical counts as homology.  Only the
+others are ranked (``slices._morse_dims``), after every strand is held to
+the rank ceiling: none on the default corpus, one each on the squarefree 8-
+to 10-cycles.  The strands are the layout's one face grouping
 (``FaceLayout.lcm_groups``), kept with the cached layout, so Ext tables on
 the same generators reuse it.  Betti numbers give the projective dimension
 and (by Auslander-Buchsbaum) depth.  The resolution is used un-minimized:
@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .monomials import MonomialIdeal, _check_module
-from .slices import _check_rank_ceiling, _morse_dims, lyubeznik_layout
+from .slices import _check_rank_ceiling, _morse_dims, _unmatched, lyubeznik_layout
 
 __all__ = ["betti_numbers", "pd_quotient", "depth_quotient"]
 
@@ -68,10 +68,8 @@ def _betti_relabelled(rows: tuple, k: int, p: int) -> tuple[int, ...]:
     cell = strand * levels + np.repeat(np.arange(levels), np.diff(faces.offsets))  # one per (strand, level)
     sizes = np.bincount(cell, minlength=strands * levels).reshape(strands, levels).T
     _check_rank_ceiling(sizes)
-    free = np.ones(faces.size, dtype=bool)
-    for upper, lower in faces.element_pairs:
-        matched = free[upper] & free[lower] & (strand[upper] == strand[lower])
-        free[upper[matched]] = free[lower[matched]] = False
+    within = (pairs[:, strand[pairs[0]] == strand[pairs[1]]] for pairs in faces.element_pairs)
+    free = _unmatched(np.ones(faces.size, dtype=bool), within)
     critical = np.bincount(cell[free], minlength=sizes.size).reshape(strands, levels).T
     dims = _morse_dims(critical, sizes, faces, p, lambda columns: strand[:, None] == columns)
     return tuple(dims.sum(axis=1).tolist())

@@ -233,8 +233,7 @@ def engines_refuse(monkeypatch):
         (invariants.PairAnalysis, "support_cd_with"),
         (invariants.PairAnalysis, "prime_cd"),
         (invariants, "_sop_search"),
-        (invariants, "ext_profile"),
-        (invariants, "lc_profile"),
+        (invariants, "pair_profiles"),
         (invariants, "pd_quotient"),
         (invariants, "associated_primes"),
         (slices, "_slice_dims"),

@@ -125,6 +125,40 @@ class TestGrade:
         assert grade_by_localization(a, I) == 0 == oracle_grade_by_localization(a, I)
         assert len(reads) == 3
 
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_localization_on_path_pairs(self, n):
+        # a = (x(n-1)), I the path ideal x0*x1, ..., x(n-2)*x(n-1): the masks
+        # that meet every support, low parts from one array, give the grade
+        # of the scan over every subset
+        ring = RingSpec(tuple(f"x{j}" for j in range(n)))
+        a = parse_ideal(ring, f"x{n - 1}")
+        I = parse_ideal(ring, ", ".join(f"x{j}*x{j + 1}" for j in range(n - 1)))
+        assert grade_by_localization(a, I) == oracle_grade_by_localization(a, I)
+
+    def test_localization_masks_past_the_low_bits(self, monkeypatch):
+        # a = (x16*x17), I = (x0, ..., x15): the qualifying F hold x0..x15 and
+        # x16, x17 or both, masks with high parts 1, 2 and 3, of depths 1, 1
+        # and 2; the analysis cross-checks that grade against both profiles
+        ring = RingSpec(tuple(f"x{j}" for j in range(18)))
+        a, I = parse_ideal(ring, "x16*x17"), parse_ideal(ring, ", ".join(ring.names[:16]))
+        reads = []
+        original = invariants.pd_relabelled
+        monkeypatch.setattr(invariants, "pd_relabelled", lambda *args: reads.append(args) or original(*args))
+        assert grade_by_localization(a, I) == 1
+        assert [k for _, k, _ in reads] == [16, 16, 16]
+        assert PairAnalysis(a, I).grade == 1
+
+    def test_localization_masks_stay_exact_past_64_variables(self, monkeypatch):
+        # a = (x0), I = (x0*x1*...*x69): the first mask, F = {x0}, meets both
+        # supports and has depth 1 - pd(x0) = 0, so one pd is read
+        ring = RingSpec(tuple(f"x{j}" for j in range(70)))
+        a, I = parse_ideal(ring, "x0"), parse_ideal(ring, "*".join(ring.names))
+        reads = []
+        original = invariants.pd_relabelled
+        monkeypatch.setattr(invariants, "pd_relabelled", lambda *args: reads.append(args) or original(*args))
+        assert grade_by_localization(a, I) == 0
+        assert len(reads) == 1
+
     def test_engines_agree_on_random(self, ring4):
         rng = np.random.default_rng(53)
         for _ in range(15):
@@ -495,6 +529,38 @@ class TestUsedVariables:
         a = parse_ideal(ring4, "y1, y2")
         x = PairAnalysis(a, edge)
         assert x.used_pair[0] is a and x.used_pair[1] is edge
+
+
+def test_one_class_engine_call_whatever_is_read_first(monkeypatch):
+    # fresh analyses of the default-corpus pairs: reading cd, then a_id,
+    # then grade asks the class engine once, for both profiles
+    calls = []
+    original = slices._class_tables
+    monkeypatch.setattr(slices, "_class_tables", lambda *args: calls.append(args) or original(*args))
+    for a, I in corpus_instances(CorpusParams()):
+        slices.clear_slice_caches()
+        calls.clear()
+        x = PairAnalysis(a, I)
+        assert x.cd <= x.a_id and x.grade <= x.cd
+        assert len(calls) == 1
+
+
+def test_the_parameter_search_walks_no_table(monkeypatch):
+    # the search's length is the support cd, so fresh analyses find the
+    # oracle's witness with the activity walk refused: the default-corpus
+    # pairs on S/I and on S, and the 9- and 10-cycle pairs at degree bound 2,
+    # where the oracle's walk over every length-cd combination is short
+    cases = [(a, J, 4) for a, I in corpus_instances(CorpusParams()) for J in (I, zero_ideal(I.ring))]
+    cases += [(*cycle_pair(n), 2) for n in (9, 10)]
+    expected = [oracle_sop_by_support(*case) for case in cases]
+    assert {w.status for w in expected[-2:]} == {SOP_FOUND, SOP_NONE_AMONG_MONOMIALS}
+
+    def refuse(*args):
+        raise AssertionError("the parameter search walked a table")
+
+    slices.clear_slice_caches()
+    monkeypatch.setattr(slices, "_member_states", refuse)
+    assert [PairAnalysis(*case).sop for case in cases] == expected
 
 
 def test_mu(ring4, edge=None):
